@@ -21,6 +21,7 @@ runs produce equal bytes, whatever the worker count.
 from __future__ import annotations
 
 import multiprocessing
+import sys
 import time
 from dataclasses import dataclass
 
@@ -246,6 +247,13 @@ def run_audit(
         if scan and any(c.scope == "space" for c in chosen):
             _CTX["corpus"] = corpus
             _CTX["idents"] = idents
+            if workers > 1 and \
+                    "fork" not in multiprocessing.get_all_start_methods():
+                # workers inherit the corpus through fork; the serial scan
+                # gives the same payload
+                print("note: the fork start method is unavailable here; "
+                      "auditing with one worker", file=sys.stderr)
+                workers = 1
             try:
                 if workers > 1:
                     step = max(1, -(-scan // (workers * 8)))

@@ -21,6 +21,9 @@ full scan, bounded by ``EXHAUSTIVE_LIMIT``.
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 from .algebra import FuzzySet, Universe
@@ -1575,76 +1578,128 @@ def _eval_pt4(pool: SetPool):
     return checked, checked, fails
 
 
+# PT.5 and PT.6 run in two phases.  Phase 1 makes one pass over the rows
+# of join or meet and, with whole-row operations on the point bitmasks
+# pt_set_mask, flags every point that has at least one violating pair;
+# the instance counts follow from popcounts.  Phase 2 re-runs the scalar
+# scan for the flagged points alone, in (point, g, h) order, so the
+# witnesses are the ones a full scan meets first.  Phase 1 tests exactly
+# the scanned condition on the tables as they stand, assuming no lattice
+# law, so a corrupt table entry is still caught.
+
+
+def _first_fails(found) -> list:
+    return list(itertools.islice(found, _MAX_FAILS))
+
+
 @_reg_pool("PT.5-sound")
 def _eval_pt5_sound(pool: SetPool):
     masks = _point_id_masks(pool)
+    sets_of = pool.pt_set_mask
     join = pool.join
-    checked = 0
-    fails = []
-    for p in range(len(pool.points)):
-        pm = masks[p]
-        members = [g for g in range(pool.size) if (pm >> g) & 1]
-        for g in members:
-            jg = join[g]
-            for h in range(pool.size):
-                checked += 1
-                if not (pm >> jg[h]) & 1 and len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"{pool.decode_point(p).render()} belongs to "
-                        f"{pool.decode(g).render()} but not to a union "
-                        f"extending it")
-    return checked, checked, fails
+    n = pool.size
+    flagged = 0
+    for g in range(n):
+        # points of g missing from some union join(g, h)
+        flagged |= sets_of[g] & ~functools.reduce(
+            operator.and_, map(sets_of.__getitem__, join[g]))
+    checked = n * sum(m.bit_count() for m in sets_of)
+
+    def scan():
+        for p in _bits(flagged):
+            pm = masks[p]
+            members = [g for g in range(n) if (pm >> g) & 1]
+            for g in members:
+                jg = join[g]
+                for h in range(n):
+                    if not (pm >> jg[h]) & 1:
+                        yield (f"{pool.decode_point(p).render()} belongs to "
+                               f"{pool.decode(g).render()} but not to a union "
+                               f"extending it")
+
+    return checked, checked, _first_fails(scan())
 
 
 @_reg_pool("PT.5-converse")
 def _eval_pt5_converse(pool: SetPool):
     masks = _point_id_masks(pool)
+    sets_of = pool.pt_set_mask
     join = pool.join
+    n = pool.size
+    every = (1 << len(pool.points)) - 1
+    outside_of = [every ^ m for m in sets_of]
+    flagged = 0
+    for g in range(n):
+        # points outside g and some h >= g but inside join(g, h)
+        flagged |= outside_of[g] & functools.reduce(
+            operator.or_,
+            map(operator.and_, outside_of[g:],
+                map(sets_of.__getitem__, join[g][g:])))
     checked = 0
-    fails = []
-    for p in range(len(pool.points)):
-        pm = masks[p]
-        outside = [g for g in range(pool.size) if not (pm >> g) & 1]
-        for i, g in enumerate(outside):
-            jg = join[g]
-            for h in outside[i:]:
-                checked += 1
-                if (pm >> jg[h]) & 1 and len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"{pool.decode_point(p).render()} belongs to the "
-                        f"union of {pool.decode(g).render()} and "
-                        f"{pool.decode(h).render()} but to neither part")
-    return checked, checked, fails
+    for pm in masks:
+        k = n - pm.bit_count()
+        checked += k * (k + 1) // 2
+
+    def scan():
+        for p in _bits(flagged):
+            pm = masks[p]
+            outside = [g for g in range(n) if not (pm >> g) & 1]
+            for i, g in enumerate(outside):
+                jg = join[g]
+                for h in outside[i:]:
+                    if (pm >> jg[h]) & 1:
+                        yield (f"{pool.decode_point(p).render()} belongs to "
+                               f"the union of {pool.decode(g).render()} and "
+                               f"{pool.decode(h).render()} but to neither "
+                               f"part")
+
+    return checked, checked, _first_fails(scan())
 
 
 @_reg_pool("PT.6")
 def _eval_pt6(pool: SetPool):
     masks = _point_id_masks(pool)
+    sets_of = pool.pt_set_mask
     meet = pool.meet
+    n = pool.size
+    every = (1 << len(pool.points)) - 1
+    outside_of = [every ^ m for m in sets_of]
+    flagged = 0
+    for g in range(n):
+        mg = meet[g]
+        # points of g and some h >= g missing from meet(g, h)
+        flagged |= sets_of[g] & functools.reduce(
+            operator.or_,
+            map(operator.and_, sets_of[g:],
+                map(outside_of.__getitem__, mg[g:])))
+        # points outside g but inside some meet(g, h)
+        flagged |= outside_of[g] & functools.reduce(
+            operator.or_, map(sets_of.__getitem__, mg))
     checked = 0
-    fails = []
-    for p in range(len(pool.points)):
-        pm = masks[p]
-        members = [g for g in range(pool.size) if (pm >> g) & 1]
-        outside = [g for g in range(pool.size) if not (pm >> g) & 1]
-        for i, g in enumerate(members):
-            mg = meet[g]
-            for h in members[i:]:
-                checked += 1
-                if not (pm >> mg[h]) & 1 and len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"{pool.decode_point(p).render()} belongs to two "
-                        f"sets but not to their intersection")
-        for g in outside:
-            mg = meet[g]
-            for h in range(pool.size):
-                checked += 1
-                if (pm >> mg[h]) & 1 and len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"{pool.decode_point(p).render()} belongs to an "
-                        f"intersection without belonging to "
-                        f"{pool.decode(g).render()}")
-    return checked, checked, fails
+    for pm in masks:
+        k = pm.bit_count()
+        checked += k * (k + 1) // 2 + (n - k) * n
+
+    def scan():
+        for p in _bits(flagged):
+            pm = masks[p]
+            members = [g for g in range(n) if (pm >> g) & 1]
+            outside = [g for g in range(n) if not (pm >> g) & 1]
+            for i, g in enumerate(members):
+                mg = meet[g]
+                for h in members[i:]:
+                    if not (pm >> mg[h]) & 1:
+                        yield (f"{pool.decode_point(p).render()} belongs to "
+                               f"two sets but not to their intersection")
+            for g in outside:
+                mg = meet[g]
+                for h in range(n):
+                    if (pm >> mg[h]) & 1:
+                        yield (f"{pool.decode_point(p).render()} belongs to "
+                               f"an intersection without belonging to "
+                               f"{pool.decode(g).render()}")
+
+    return checked, checked, _first_fails(scan())
 
 
 # -- fixed evaluators: recorded worked examples ----------------------------

@@ -8,6 +8,15 @@ null set and the last id is the all-one carrier.  Meet, join and
 complement become table lookups, which keeps enumerating tens of
 thousands of generator families cheap.
 
+The tables are built a cell at a time rather than pair by pair: adding
+a leading cell of grade index ``a`` in front of sub-id ``x`` gives id
+``a * W + x``, and since meet and join act cellwise, each new row is the
+concatenation of one sub-row shifted into the blocks ``min(a, b)`` (or
+``max(a, b)``).  Point membership is kept both ways, as per-point masks
+over set ids and per-set masks over point indices, so the pool claims in
+``claims.py`` can flag offending points with whole-row mask operations
+and re-scan only those.
+
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
 complement pathologies are constructed by hand.
@@ -67,31 +76,22 @@ class SetPool:
         return set_id
 
     def _build_tables(self) -> None:
-        n, radix, cells = self.size, self.radix, self.cells
-        vectors = [self._vector(i) for i in range(n)]
-        self._vectors = vectors
-        top = radix - 1
-        self.comp = [self._encode(tuple(top - d for d in v)) for v in vectors]
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for i in range(n):
-            vi = vectors[i]
-            row_m, row_j = meet[i], join[i]
-            for j in range(i, n):
-                vj = vectors[j]
-                m = self._encode(tuple(map(min, vi, vj)))
-                u = self._encode(tuple(map(max, vi, vj)))
-                row_m[j] = m
-                row_j[j] = u
-                meet[j][i] = m
-                join[j][i] = u
-        self.meet = meet
-        self.join = join
+        radix, top = self.radix, self.radix - 1
+        self._vectors = list(itertools.product(range(radix), repeat=self.cells))
+        grades = range(radix)
+        # one cell: an id is its grade index
+        meet = [[min(a, b) for b in grades] for a in grades]
+        join = [[max(a, b) for b in grades] for a in grades]
+        comp = [top - a for a in grades]
         # disjointness as bitmask rows: bit j of disj_mask[i] set when
         # meet(i, j) is null
-        self.disj_mask = [
-            sum(1 << j for j in range(n) if meet[i][j] == 0) for i in range(n)
-        ]
+        disj = [(1 << radix) - 1] + [1] * top
+        width = radix
+        for _ in range(self.cells - 1):
+            meet, join, comp, disj = _lead_cell(
+                radix, width, meet, join, comp, disj)
+            width *= radix
+        self.meet, self.join, self.comp, self.disj_mask = meet, join, comp, disj
 
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
@@ -121,7 +121,8 @@ class SetPool:
 
     # ---- points over the pool ----------------------------------------
     # A point is (parameter index, nonzero value vector); pt_in_mask[p]
-    # has bit s set when the point lies in pool set s.
+    # has bit s set when the point lies in pool set s, and its transpose
+    # pt_set_mask[s] has bit p set for the same pairs.
 
     def build_points(self) -> None:
         if hasattr(self, "points"):
@@ -135,19 +136,22 @@ class SetPool:
                     points.append((pi, vec))
         self.points = points
         masks = []
+        set_masks = [0] * self.size
         form_ids = []
         nparams = len(self.parameters)
-        for pi, vec in points:
+        for p, (pi, vec) in enumerate(points):
             mask = 0
             for s, sv in enumerate(self._vectors):
                 chunk = sv[pi * per : (pi + 1) * per]
                 if all(a <= b for a, b in zip(vec, chunk)):
                     mask |= 1 << s
+                    set_masks[s] |= 1 << p
             masks.append(mask)
             form = [0] * (nparams * per)
             form[pi * per : (pi + 1) * per] = list(vec)
             form_ids.append(self._encode(tuple(form)))
         self.pt_in_mask = masks
+        self.pt_set_mask = set_masks
         self.pt_form_id = form_ids
 
     def decode_point(self, index: int):
@@ -156,6 +160,38 @@ class SetPool:
         pi, vec = self.points[index]
         value = FuzzySet(self.universe, tuple(self._grades[d] for d in vec))
         return FuzzySoftPoint(self.parameters.names[pi], value, self.parameters)
+
+
+def _lead_cell(radix: int, width: int, meet, join, comp, disj):
+    """The pool tables over one more leading cell, from the tables over
+    the ``width`` sets of the cells after it.
+
+    Id ``a * width + x`` holds grade index ``a`` in the new cell and sub-id
+    ``x`` in the rest, so meet and join act blockwise: the entry at
+    ``(a * width + x, b * width + y)`` is ``min(a, b) * width + meet[x][y]``
+    (``max`` for join), and a row is the concatenation of sub-row ``x``
+    shifted into the blocks ``min(a, b)``.
+    """
+    grades = range(radix)
+    ids = list(range(radix * width))
+    # shifting by indexing one shared id list keeps a single int object
+    # per id behind every table entry
+    blocks = [ids[c * width:(c + 1) * width] for c in grades]
+    new_meet = [None] * len(ids)
+    new_join = [None] * len(ids)
+    for x in range(width):
+        sub_m = [list(map(blk.__getitem__, meet[x])) for blk in blocks]
+        sub_j = [list(map(blk.__getitem__, join[x])) for blk in blocks]
+        for a in grades:
+            new_meet[a * width + x] = list(itertools.chain.from_iterable(
+                sub_m[min(a, b)] for b in grades))
+            new_join[a * width + x] = list(itertools.chain.from_iterable(
+                sub_j[max(a, b)] for b in grades))
+    new_comp = [blocks[radix - 1 - a][c] for a in grades for c in comp]
+    # a null leading grade meets every block; any other meets block 0 only
+    every_block = sum(1 << (b * width) for b in grades)
+    new_disj = [d * every_block for d in disj] + disj * (radix - 1)
+    return new_meet, new_join, new_comp, new_disj
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -24,6 +26,22 @@ def desk_pool() -> SetPool:
         ParameterSet.of("e1", "e2"),
         GradeLattice.close([0, "1/2", 1]),
     )
+
+
+@pytest.fixture(scope="session")
+def shape_pool():
+    """Pools by (elements, parameters, lattice size), each built once."""
+    grades = {2: [0, 1], 3: [0, "1/2", 1], 4: [0, "1/3", "2/3", 1]}
+
+    @functools.cache
+    def build(elements: int, parameters: int, radix: int) -> SetPool:
+        return SetPool(
+            Universe.of(*("x", "y", "z")[:elements]),
+            ParameterSet.of(*(f"e{i + 1}" for i in range(parameters))),
+            GradeLattice.close(grades[radix]),
+        )
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -82,6 +82,17 @@ class TestRunAudit:
     def test_workers_do_not_change_the_payload(self):
         assert small_audit().to_payload() == small_audit(workers=2).to_payload()
 
+    def test_workers_fall_back_without_fork(self, monkeypatch, capsys):
+        # one space claim keeps the enumerated scan, where workers apply
+        serial = small_audit(claim_filter="CL.1").to_payload()
+        monkeypatch.setattr("multiprocessing.get_all_start_methods",
+                            lambda: ["spawn"])
+        # the parallel path would fail on calling this
+        monkeypatch.setattr("multiprocessing.get_context", None)
+        assert small_audit(claim_filter="CL.1",
+                           workers=2).to_payload() == serial
+        assert capsys.readouterr().err.count("fork") == 1
+
     def test_no_floats_anywhere(self):
         def walk(node):
             assert not isinstance(node, float), node

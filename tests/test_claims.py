@@ -7,6 +7,9 @@ spaces and on the whole named catalogue; any drift between the two paths
 is a soundness bug, not a modeling choice.
 """
 
+import copy
+import random
+
 import pytest
 
 from fstopo.claims import (
@@ -15,6 +18,7 @@ from fstopo.claims import (
     CLAIM_INDEX,
     CLAIMS,
     REPRODUCED,
+    _MAX_FAILS,
     SpaceCase,
     evaluate_fixed_claims,
     evaluate_pool_claims,
@@ -177,3 +181,128 @@ class TestEvaluation:
         case = SpaceCase(corpus.label(0), corpus.pool, corpus.spaces[0])
         only = evaluate_space_case(case, idents=["CL.1", "CL.2"])
         assert set(only) == {"CL.1", "CL.2"}
+
+
+# -- pool claims against their scalar scans --------------------------------
+# The PT.5 and PT.6 evaluators flag points with whole-row bitmask operations
+# and re-scan only those.  These are the plain scans they replace, kept as
+# the reference: the full (checked, hits, fails) triples must agree, on
+# clean tables and on tables with corrupt entries.
+
+
+def _scalar_pt5_sound(pool):
+    pool.build_points()
+    masks, join = pool.pt_in_mask, pool.join
+    checked = 0
+    fails = []
+    for p in range(len(pool.points)):
+        pm = masks[p]
+        members = [g for g in range(pool.size) if (pm >> g) & 1]
+        for g in members:
+            jg = join[g]
+            for h in range(pool.size):
+                checked += 1
+                if not (pm >> jg[h]) & 1 and len(fails) < _MAX_FAILS:
+                    fails.append(
+                        f"{pool.decode_point(p).render()} belongs to "
+                        f"{pool.decode(g).render()} but not to a union "
+                        f"extending it")
+    return checked, checked, fails
+
+
+def _scalar_pt5_converse(pool):
+    pool.build_points()
+    masks, join = pool.pt_in_mask, pool.join
+    checked = 0
+    fails = []
+    for p in range(len(pool.points)):
+        pm = masks[p]
+        outside = [g for g in range(pool.size) if not (pm >> g) & 1]
+        for i, g in enumerate(outside):
+            jg = join[g]
+            for h in outside[i:]:
+                checked += 1
+                if (pm >> jg[h]) & 1 and len(fails) < _MAX_FAILS:
+                    fails.append(
+                        f"{pool.decode_point(p).render()} belongs to the "
+                        f"union of {pool.decode(g).render()} and "
+                        f"{pool.decode(h).render()} but to neither part")
+    return checked, checked, fails
+
+
+def _scalar_pt6(pool):
+    pool.build_points()
+    masks, meet = pool.pt_in_mask, pool.meet
+    checked = 0
+    fails = []
+    for p in range(len(pool.points)):
+        pm = masks[p]
+        members = [g for g in range(pool.size) if (pm >> g) & 1]
+        outside = [g for g in range(pool.size) if not (pm >> g) & 1]
+        for i, g in enumerate(members):
+            mg = meet[g]
+            for h in members[i:]:
+                checked += 1
+                if not (pm >> mg[h]) & 1 and len(fails) < _MAX_FAILS:
+                    fails.append(
+                        f"{pool.decode_point(p).render()} belongs to two "
+                        f"sets but not to their intersection")
+        for g in outside:
+            mg = meet[g]
+            for h in range(pool.size):
+                checked += 1
+                if (pm >> mg[h]) & 1 and len(fails) < _MAX_FAILS:
+                    fails.append(
+                        f"{pool.decode_point(p).render()} belongs to an "
+                        f"intersection without belonging to "
+                        f"{pool.decode(g).render()}")
+    return checked, checked, fails
+
+
+SCALAR_POOL_SCANS = {
+    "PT.5-sound": _scalar_pt5_sound,
+    "PT.5-converse": _scalar_pt5_converse,
+    "PT.6": _scalar_pt6,
+}
+def corrupted(pool, seed, entries, extreme):
+    """A copy of POOL with ENTRIES seeded meet and join entries rewritten.
+
+    With EXTREME, join entries become the null set in rows of non-null
+    sets and meet entries the full set in rows of non-full sets, which
+    PT.5-sound and PT.6 must report; otherwise each entry takes another
+    seeded id.
+    """
+    bad = copy.copy(pool)
+    bad.meet = [row[:] for row in pool.meet]
+    bad.join = [row[:] for row in pool.join]
+    rng = random.Random(f"corrupt:{seed}")
+    n = pool.size
+    for _ in range(entries):
+        h = rng.randrange(n)
+        if extreme:
+            bad.join[rng.randrange(1, n)][h] = pool.null_id
+            bad.meet[rng.randrange(n - 1)][h] = pool.full_id
+        else:
+            for table in (bad.meet, bad.join):
+                g = rng.randrange(n)
+                table[g][h] = (table[g][h] + rng.randrange(1, n)) % n
+    return bad
+
+
+@pytest.mark.parametrize("shape", [
+    (1, 1, 2), (1, 1, 3), (2, 1, 4), (2, 2, 2), (2, 2, 3), (3, 1, 3),
+    (2, 2, 4),
+], ids=lambda s: "x".join(map(str, s)))
+def test_pool_claims_match_scalar_scans(shape_pool, shape):
+    pool = shape_pool(*shape)
+    runs = [("clean", pool)]
+    for entries in (1, 3, 20):
+        runs.append((f"random-{entries}",
+                     corrupted(pool, f"{shape}-{entries}", entries, False)))
+    runs.append(("extreme-3", corrupted(pool, shape, 3, True)))
+    for label, subject in runs:
+        fast = evaluate_pool_claims(subject, set(SCALAR_POOL_SCANS))
+        for ident, scan in SCALAR_POOL_SCANS.items():
+            assert fast[ident] == scan(subject), (label, ident)
+        if label == "extreme-3":
+            assert fast["PT.5-sound"][2] and fast["PT.6"][2], label

@@ -1,10 +1,17 @@
 """Command behavior: exit codes, report shapes, self-round-trips."""
 
+import hashlib
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from fstopo import cli
+from fstopo.algebra import GradeLattice, Universe
+from fstopo.corpus import SetPool, close_family
+from fstopo.document import document_from_topology
+from fstopo.softsets import ParameterSet
 
 VALID = """\
 universe: x y
@@ -232,3 +239,31 @@ class TestAudit:
                            "--claim", "CL.1")
         assert code == 0
         assert "summary:" in out and "alarms: none" in out
+
+    def test_document_audit_bytes_are_pinned(self, capsys, tmp_path,
+                                             monkeypatch):
+        # a seeded 3x2x3 document: its 729-set pool runs every pool claim
+        # at full size, so any change to the tables or the pool scans that
+        # moves a count, a witness or a byte of the report shows here
+        grades = (Fraction(0), Fraction(1, 2), Fraction(1))
+        pool = SetPool(Universe.of("x", "y", "z"),
+                       ParameterSet.of("e1", "e2"), GradeLattice(grades))
+        rng = random.Random("audit-digest")
+        closed = None
+        while closed is None:
+            gens = tuple(sorted(rng.sample(range(1, pool.size - 1), 5)))
+            closed = close_family(pool, gens, 32)
+        doc = document_from_topology(
+            pool.decode(pool.full_id), [pool.decode(i) for i in sorted(closed)],
+            lattice_spec=grades)
+        # the file name is the case label in the report, so keep it fixed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.fst").write_text(doc.render())
+        code, out, _ = run(capsys, "audit", "doc.fst", "--format", "structured")
+        assert code == 0
+        assert len(closed) == AUDIT_DIGEST_OPENS
+        assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
+
+
+AUDIT_DIGEST_OPENS = 25
+AUDIT_DIGEST = "d824fcc7a45578f5a6e969d540d8ab560aab688f32c5c4a6279ee4e788a233e4"

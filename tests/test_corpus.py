@@ -44,6 +44,29 @@ class TestSetPool:
                 assert desk_pool.decode(desk_pool.meet[i][j]) == gi.intersection(gj)
                 assert desk_pool.decode(desk_pool.join[i][j]) == gi.union(gj)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 3), (2, 2, 4),
+                                       (3, 2, 3)],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_every_table_entry_is_elementwise(self, shape_pool, shape):
+        # the tables are composed a cell at a time; here every entry is
+        # recomputed from the grade vectors of its ids
+        pool = shape_pool(*shape)
+        pool.build_points()
+        top = pool.radix - 1
+        vecs = [pool._vector(i) for i in range(pool.size)]
+        per = len(pool.universe)
+        for i, vi in enumerate(vecs):
+            meets = [pool._encode(tuple(map(min, vi, vj))) for vj in vecs]
+            assert pool.meet[i] == meets
+            assert pool.join[i] == [
+                pool._encode(tuple(map(max, vi, vj))) for vj in vecs]
+            assert pool.comp[i] == pool._encode(tuple(top - d for d in vi))
+            assert pool.disj_mask[i] == sum(
+                1 << j for j, m in enumerate(meets) if m == pool.null_id)
+            assert pool.pt_set_mask[i] == sum(
+                1 << p for p, (pi, pv) in enumerate(pool.points)
+                if all(map(int.__le__, pv, vi[pi * per:(pi + 1) * per])))
+
     def test_disjointness_mask(self, desk_pool):
         for i in range(desk_pool.size):
             for j in range(desk_pool.size):
