@@ -31,7 +31,6 @@ from .claims import (
     evaluate_fixed_claims,
     evaluate_pool_claims,
     evaluate_space_case,
-    registry_selfcheck,
     select_claims,
 )
 from .corpus import CorpusSpec, SpaceCorpus, named_spaces, random_space_ids
@@ -206,7 +205,6 @@ def run_audit(
     one user-supplied space: no enumeration, no random draws, no named
     catalogue; pool claims run on that space's pool alone.
     """
-    registry_selfcheck()
     started = time.monotonic()
     chosen = select_claims(claim_filter)
     if not chosen:

@@ -9,14 +9,28 @@ Claims carry one of three classifications:
   results rather than errors.
 * ``reproduced-example``: a fixed worked example replayed exactly.
 
+A claim is declared once, by the ``_claim`` decorator on its evaluator:
+the decorator builds the ``Claim`` record (ident, classification, scope,
+statement, coverage) and registers the function under it, so the order
+of the definitions below is the order of ``CLAIMS`` and of every report.
+An evaluator returns (instances checked, hypothesis hits, failure
+strings), with at most ``_MAX_FAILS`` failure strings.
+
 Space-scope claims run once per topology through a ``SpaceCase`` built
 over the integer set-pool encoding; pool-scope claims run once per
-distinct shape; fixed-scope claims run once per audit.  Where a claim
-quantifies over pairs or subsets inside one case, it either scans them
-completely or probes a deterministic arithmetic sample (no hashing, so
-results never depend on interpreter state); each claim's ``coverage``
-string says which.  Cases flagged ``exhaustive`` widen every probe to a
-full scan, bounded by ``EXHAUSTIVE_LIMIT``.
+distinct shape; fixed-scope claims run once per audit.  A subspace is a
+``SpaceCase`` too (``SpaceCase.subspace``), whose opens and closed sets
+are the traces of the ambient ones, so the separation axioms of spaces
+and of their subspaces are decided by the same code.
+
+Where a claim quantifies over pairs or subsets inside one case, it either
+scans them completely or probes a deterministic arithmetic sample (no
+hashing, so results never depend on interpreter state); each claim's
+``coverage`` string says which.  Cases flagged ``exhaustive`` widen every
+probe to a full scan, bounded by ``EXHAUSTIVE_LIMIT``.  Most sampled
+claims run through one driver, ``_scan``, which owns the failure cap: a
+check hands back a failure as a function that renders it, and the driver
+calls it only while fewer than ``_MAX_FAILS`` failures are kept.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ ASSERTED = "asserted-invariant"
 AUDITED = "audited"
 REPRODUCED = "reproduced-example"
 CLASSIFICATIONS = (ASSERTED, AUDITED, REPRODUCED)
+SCOPES = ("space", "pool", "fixed")
 
 PAIR_PROBES = 36
 TRIPLE_PROBES = 24
@@ -43,6 +58,14 @@ CLOSED_PROBES = 6
 EXHAUSTIVE_LIMIT = 40000
 _STRIDE = 7919  # prime, larger than any probe total we stride over
 _MAX_FAILS = 3
+
+# coverage strings shared by several claims
+_PROBE_PAIRS = (f"ordered set pairs probed ({PAIR_PROBES} per case), full "
+                f"scan on exhaustive cases")
+_PROBE_SUBSETS = (f"carriers probed ({SUBSET_PROBES} per case), full scan "
+                  f"on exhaustive cases")
+_EVERY_SET = "every lattice set of each case"
+_PER_CASE = "decided once per case"
 
 
 @dataclass(frozen=True)
@@ -57,6 +80,34 @@ class Claim:
     complete: bool = True
 
 
+# ident -> (claim, evaluator), in declaration order
+_REGISTRY: dict = {}
+
+
+def _claim(ident: str, classification: str, scope: str, statement: str,
+           coverage: str, complete: bool = True):
+    """Declare a claim; the decorated function becomes its evaluator.
+
+    Space evaluators take a ``SpaceCase``, pool evaluators a ``SetPool``
+    and fixed evaluators nothing.
+    """
+    if ident in _REGISTRY:
+        raise ValueError(f"duplicate claim ident {ident!r}")
+    if classification not in CLASSIFICATIONS:
+        raise ValueError(f"unknown classification {classification!r} "
+                         f"on {ident}")
+    if scope not in SCOPES:
+        raise ValueError(f"unknown scope {scope!r} on {ident}")
+    claim = Claim(ident, classification, scope, statement, coverage,
+                  complete)
+
+    def register(evaluate):
+        _REGISTRY[ident] = (claim, evaluate)
+        return evaluate
+
+    return register
+
+
 def _probe(total: int, count: int, salt: int):
     """Deterministic index sample; the whole range when it fits."""
     if total <= count:
@@ -65,11 +116,37 @@ def _probe(total: int, count: int, salt: int):
 
 
 def _scan_indices(case: "SpaceCase", total: int, count: int, salt: int):
+    """The indices below ``total`` a claim checks on ``case``; ``salt``
+    is the claim's own number, mixed with the case order."""
+    salt += case.order * 131
     if case.exhaustive:
         if total <= EXHAUSTIVE_LIMIT:
             return range(total)
         return _probe(total, count * 8, salt)
     return _probe(total, count, salt)
+
+
+def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check):
+    """Drive ``check(t)`` over ``_scan_indices(case, total, probes, salt)``.
+
+    ``check`` returns None for a hypothesis miss, True for a pass and
+    otherwise a zero-argument function that renders the failure; it is
+    called only while fewer than ``_MAX_FAILS`` failures are kept.
+    Returns the usual result triple.  The renderers take the check's
+    locals as default arguments: closing over them would make the check
+    build closure cells on every call, hit or miss.
+    """
+    checked = hits = 0
+    fails: list[str] = []
+    for t in _scan_indices(case, total, probes, salt):
+        checked += 1
+        r = check(t)
+        if r is None:
+            continue
+        hits += 1
+        if r is not True and len(fails) < _MAX_FAILS:
+            fails.append(r())
+    return checked, hits, fails
 
 
 def _bits(mask: int):
@@ -83,11 +160,13 @@ class SpaceCase:
     """Per-topology caches over the integer encoding.
 
     ``order`` is the global case index used to salt probes; ``exhaustive``
-    widens probes to full scans for this case.
+    widens probes to full scans for this case.  ``closeds`` is for
+    ``subspace`` alone: the closed sets when they are not the complements
+    of the opens.
     """
 
     def __init__(self, label: str, pool: SetPool, ids: tuple[int, ...],
-                 order: int = 0, exhaustive: bool = False):
+                 order: int = 0, exhaustive: bool = False, closeds=None):
         pool.build_points()
         self.label = label
         self.pool = pool
@@ -97,7 +176,9 @@ class SpaceCase:
         self.carrier = ids[-1]
         self.opens = list(ids)
         self.open_set = frozenset(ids)
-        self.closeds = sorted({pool.comp[o] for o in ids})
+        if closeds is None:
+            closeds = sorted({pool.comp[o] for o in ids})
+        self.closeds = closeds
         self.closed_set = frozenset(self.closeds)
         self.pts = [i for i in range(len(pool.points))
                     if (pool.pt_in_mask[i] >> self.carrier) & 1]
@@ -147,36 +228,26 @@ class SpaceCase:
 
     # -- point structure ---------------------------------------------------
 
+    def _open_bits(self, id_mask: int) -> int:
+        """A bitmask over pool ids, re-indexed onto open indices."""
+        m = 0
+        for i, o in enumerate(self.opens):
+            if (id_mask >> o) & 1:
+                m |= 1 << i
+        return m
+
     def omasks(self) -> list[int]:
         """Per point (aligned with self.pts) a bitmask over open indices."""
         if self._omasks is None:
             pin = self.pool.pt_in_mask
-            opens = self.opens
-            res = []
-            for p in self.pts:
-                pm = pin[p]
-                m = 0
-                for i, o in enumerate(opens):
-                    if (pm >> o) & 1:
-                        m |= 1 << i
-                res.append(m)
-            self._omasks = res
+            self._omasks = [self._open_bits(pin[p]) for p in self.pts]
         return self._omasks
 
     def odisj(self) -> list[int]:
         """Per open index, the bitmask of open indices disjoint from it."""
         if self._odisj is None:
             disj = self.pool.disj_mask
-            opens = self.opens
-            rows = []
-            for a in opens:
-                da = disj[a]
-                m = 0
-                for j, b in enumerate(opens):
-                    if (da >> b) & 1:
-                        m |= 1 << j
-                rows.append(m)
-            self._odisj = rows
+            self._odisj = [self._open_bits(disj[a]) for a in self.opens]
         return self._odisj
 
     def cover_mask(self, k: int) -> int:
@@ -250,6 +321,16 @@ class SpaceCase:
     def traces(self, g: int) -> list[int]:
         meet = self.pool.meet
         return sorted({meet[o][g] for o in self.opens})
+
+    def closed_traces(self, g: int) -> list[int]:
+        meet = self.pool.meet
+        return sorted({meet[k][g] for k in self.closeds})
+
+    def subspace(self, g: int) -> "SpaceCase":
+        """The subspace at ``g``: its opens are the traces of the opens,
+        its closed sets the traces of the closed sets."""
+        return SpaceCase(self.label, self.pool, tuple(self.traces(g)),
+                         closeds=self.closed_traces(g))
 
     def conn(self, g: int):
         """(connected, separation pair or None) of the subspace at ``g``."""
@@ -358,133 +439,36 @@ def _sep_pair(pool: SetPool, opens, carrier):
     return None
 
 
-def _sub_structs(case: SpaceCase, g: int):
-    """(relative opens, relative closeds, point indices) of the subspace."""
-    meet = case.pool.meet
-    r_opens = sorted({meet[o][g] for o in case.opens})
-    r_closeds = sorted({meet[k][g] for k in case.closeds})
-    pin = case.pool.pt_in_mask
-    pts = [p for p in case.pts if (pin[p] >> g) & 1]
-    return r_opens, r_closeds, pts
-
-
-def _sub_axiom(case: SpaceCase, g: int, name: str) -> bool:
-    pool = case.pool
-    r_opens, r_closeds, pts = _sub_structs(case, g)
-    omasks = []
-    pin = pool.pt_in_mask
-    for p in pts:
-        pm = pin[p]
-        m = 0
-        for i, o in enumerate(r_opens):
-            if (pm >> o) & 1:
-                m |= 1 << i
-        omasks.append(m)
-    if name == "t0":
-        return _t0_fail(pool, pts, omasks) is None
-    if name == "t1":
-        return _t1_fail(pts, omasks) is None
-    if name == "t2":
-        return _t2_fail(pts, omasks, _open_disj(pool, r_opens)) is None
-    if name in ("regular", "t3"):
-        covers = [_cover_over(pool, r_opens, k) for k in r_closeds]
-        reg = _regular_fail(pool, r_closeds, covers, pts, omasks,
-                            _open_disj(pool, r_opens)) is None
-        if name == "regular":
-            return reg
-        return reg and _t1_fail(pts, omasks) is None
-    if name == "normal":
-        covers = [_cover_over(pool, r_opens, k) for k in r_closeds]
-        return _normal_fail(pool, r_closeds, covers,
-                            _open_disj(pool, r_opens)) is None
-    raise ValueError(f"unknown axiom {name!r}")
-
-
-def _open_disj(pool: SetPool, opens):
-    disj = pool.disj_mask
-    rows = []
-    for a in opens:
-        da = disj[a]
-        m = 0
-        for j, b in enumerate(opens):
-            if (da >> b) & 1:
-                m |= 1 << j
-        rows.append(m)
-    return rows
-
-
-def _cover_over(pool: SetPool, opens, k):
-    meet = pool.meet[k]
-    m = 0
-    for i, o in enumerate(opens):
-        if meet[o] == k:
-            m |= 1 << i
-    return m
-
-
 # -- space-scope evaluators ------------------------------------------------
-# Each returns (instances checked, hypothesis hits, failure strings).
-
-SPACE_EVALS: dict = {}
-POOL_EVALS: dict = {}
-FIXED_EVALS: dict = {}
 
 
-def _reg_space(ident):
-    def inner(fn):
-        SPACE_EVALS[ident] = fn
-        return fn
-    return inner
+def _ax3_eval(case: SpaceCase, table, operation: str):
+    opens, members = case.opens, case.open_set
+    fails = []
+    n = 0
+    for i in range(len(opens)):
+        row = table[opens[i]]
+        for j in range(i, len(opens)):
+            n += 1
+            if row[opens[j]] not in members and len(fails) < _MAX_FAILS:
+                fails.append(
+                    f"{operation} of opens {case.render_set(opens[i])} and "
+                    f"{case.render_set(opens[j])} is not open")
+    return n, n, fails
 
 
-def _reg_pool(ident):
-    def inner(fn):
-        POOL_EVALS[ident] = fn
-        return fn
-    return inner
-
-
-def _reg_fixed(ident):
-    def inner(fn):
-        FIXED_EVALS[ident] = fn
-        return fn
-    return inner
-
-
-@_reg_space("TOP.AX3-union")
+@_claim("TOP.AX3-union", ASSERTED, "space",
+        "The open family is closed under pairwise union.",
+        "every open pair of each case")
 def _eval_ax3_union(case: SpaceCase):
-    join = case.pool.join
-    opens, members = case.opens, case.open_set
-    fails = []
-    n = 0
-    for i in range(len(opens)):
-        ja = join[opens[i]]
-        for j in range(i, len(opens)):
-            n += 1
-            if ja[opens[j]] not in members:
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"union of opens {case.render_set(opens[i])} and "
-                        f"{case.render_set(opens[j])} is not open")
-    return n, n, fails
+    return _ax3_eval(case, case.pool.join, "union")
 
 
-@_reg_space("TOP.AX3-intersection")
+@_claim("TOP.AX3-intersection", ASSERTED, "space",
+        "The open family is closed under pairwise intersection.",
+        "every open pair of each case")
 def _eval_ax3_intersection(case: SpaceCase):
-    meet = case.pool.meet
-    opens, members = case.opens, case.open_set
-    fails = []
-    n = 0
-    for i in range(len(opens)):
-        ma = meet[opens[i]]
-        for j in range(i, len(opens)):
-            n += 1
-            if ma[opens[j]] not in members:
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"intersection of opens {case.render_set(opens[i])} "
-                        f"and {case.render_set(opens[j])} is not open")
-    return n, n, fails
+    return _ax3_eval(case, case.pool.meet, "intersection")
 
 
 def _dual_eval(case: SpaceCase, flip: bool):
@@ -501,91 +485,83 @@ def _dual_eval(case: SpaceCase, flip: bool):
     return case.pool.size, case.pool.size, fails
 
 
-@_reg_space("CL.1")
+@_claim("CL.1", ASSERTED, "space",
+        "The interior of a complement is the complement of the "
+        "closure.", _EVERY_SET)
 def _eval_cl1(case: SpaceCase):
     return _dual_eval(case, False)
 
 
-@_reg_space("CL.2")
+@_claim("CL.2", ASSERTED, "space",
+        "The closure of a complement is the complement of the "
+        "interior.", _EVERY_SET)
 def _eval_cl2(case: SpaceCase):
     return _dual_eval(case, True)
 
 
-def _pair_scan(case: SpaceCase, salt: int, check):
-    """Drive ``check(g, h)`` over probed ordered pairs.
-
-    ``check`` returns None for a hypothesis miss, True for a pass and a
-    failure string otherwise.  Returns the usual result triple.
-    """
-    n = case.pool.size
-    checked = 0
-    hits = 0
-    fails: list[str] = []
-    for t in _scan_indices(case, n * n, PAIR_PROBES, salt):
-        g, h = divmod(t, n)
-        checked += 1
-        r = check(g, h)
-        if r is None:
-            continue
-        hits += 1
-        if r is not True and len(fails) < _MAX_FAILS:
-            fails.append(r)
-    return checked, hits, fails
-
-
-@_reg_space("CL.3")
+@_claim("CL.3", ASSERTED, "space",
+        "Closure is monotone with respect to set inclusion.",
+        _PROBE_PAIRS, complete=False)
 def _eval_cl3(case: SpaceCase):
     meet = case.pool.meet
     cl = case.cl()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[g][h] != g:
             return None
         if meet[cl[g]][cl[h]] == cl[g]:
             return True
-        return (f"{case.render_set(g)} <= {case.render_set(h)} but the "
-                f"closures are not ordered")
+        return lambda g=g, h=h: (
+            f"{case.render_set(g)} <= {case.render_set(h)} but the "
+            f"closures are not ordered")
 
-    return _pair_scan(case, case.order * 131 + 3, check)
+    return _scan(case, n * n, PAIR_PROBES, 3, check)
 
 
-@_reg_space("CL.4")
+@_claim("CL.4", ASSERTED, "space",
+        "Interior is monotone with respect to set inclusion.",
+        _PROBE_PAIRS, complete=False)
 def _eval_cl4(case: SpaceCase):
     meet = case.pool.meet
     it = case.interior()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[g][h] != g:
             return None
         if meet[it[g]][it[h]] == it[g]:
             return True
-        return (f"{case.render_set(g)} <= {case.render_set(h)} but the "
-                f"interiors are not ordered")
+        return lambda g=g, h=h: (
+            f"{case.render_set(g)} <= {case.render_set(h)} but the "
+            f"interiors are not ordered")
 
-    return _pair_scan(case, case.order * 131 + 4, check)
+    return _scan(case, n * n, PAIR_PROBES, 4, check)
 
 
-@_reg_space("CL.5")
+def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
+    fails = []
+    for g in range(case.pool.size):
+        if row[row[g]] != row[g] and len(fails) < _MAX_FAILS:
+            fails.append(f"{operation} not idempotent at {case.render_set(g)}")
+    return case.pool.size, case.pool.size, fails
+
+
+@_claim("CL.5", ASSERTED, "space", "Closure is idempotent.", _EVERY_SET)
 def _eval_cl5(case: SpaceCase):
-    cl = case.cl()
-    fails = []
-    for g in range(case.pool.size):
-        if cl[cl[g]] != cl[g] and len(fails) < _MAX_FAILS:
-            fails.append(f"closure not idempotent at {case.render_set(g)}")
-    return case.pool.size, case.pool.size, fails
+    return _idempotent_eval(case, case.cl(), "closure")
 
 
-@_reg_space("CL.6")
+@_claim("CL.6", ASSERTED, "space", "Interior is idempotent.", _EVERY_SET)
 def _eval_cl6(case: SpaceCase):
-    it = case.interior()
-    fails = []
-    for g in range(case.pool.size):
-        if it[it[g]] != it[g] and len(fails) < _MAX_FAILS:
-            fails.append(f"interior not idempotent at {case.render_set(g)}")
-    return case.pool.size, case.pool.size, fails
+    return _idempotent_eval(case, case.interior(), "interior")
 
 
-@_reg_space("CL.7-COND")
+@_claim("CL.7-COND", ASSERTED, "space",
+        "Whenever the null set (resp. the carrier) is closed, closure "
+        "fixes it.", _PER_CASE)
 def _eval_cl7_cond(case: SpaceCase):
     cl = case.cl()
     checked = 2
@@ -602,7 +578,9 @@ def _eval_cl7_cond(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("CL.7-ABS")
+@_claim("CL.7-ABS", AUDITED, "space",
+        "Closure fixes the null set and the carrier unconditionally.",
+        _PER_CASE)
 def _eval_cl7_abs(case: SpaceCase):
     cl = case.cl()
     fails = []
@@ -616,7 +594,8 @@ def _eval_cl7_abs(case: SpaceCase):
     return 2, 2, fails
 
 
-@_reg_space("CL.8")
+@_claim("CL.8", ASSERTED, "space",
+        "Interior fixes the null set and the carrier.", _PER_CASE)
 def _eval_cl8(case: SpaceCase):
     it = case.interior()
     fails = []
@@ -627,82 +606,108 @@ def _eval_cl8(case: SpaceCase):
     return 2, 2, fails
 
 
-@_reg_space("CL.9")
+@_claim("CL.9", ASSERTED, "space",
+        "Closure distributes over pairwise union.",
+        _PROBE_PAIRS, complete=False)
 def _eval_cl9(case: SpaceCase):
     join = case.pool.join
     cl = case.cl()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if cl[join[g][h]] == join[cl[g]][cl[h]]:
             return True
-        return (f"closure of the union of {case.render_set(g)} and "
-                f"{case.render_set(h)} is not the union of the closures")
+        return lambda g=g, h=h: (
+            f"closure of the union of {case.render_set(g)} and "
+            f"{case.render_set(h)} is not the union of the closures")
 
-    return _pair_scan(case, case.order * 131 + 9, check)
+    return _scan(case, n * n, PAIR_PROBES, 9, check)
 
 
-@_reg_space("CL.10")
+@_claim("CL.10", ASSERTED, "space",
+        "Interior distributes over pairwise intersection.",
+        _PROBE_PAIRS, complete=False)
 def _eval_cl10(case: SpaceCase):
     meet = case.pool.meet
     it = case.interior()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if it[meet[g][h]] == meet[it[g]][it[h]]:
             return True
-        return (f"interior of the intersection of {case.render_set(g)} and "
-                f"{case.render_set(h)} is not the intersection of the "
-                f"interiors")
+        return lambda g=g, h=h: (
+            f"interior of the intersection of {case.render_set(g)} and "
+            f"{case.render_set(h)} is not the intersection of the "
+            f"interiors")
 
-    return _pair_scan(case, case.order * 131 + 10, check)
+    return _scan(case, n * n, PAIR_PROBES, 10, check)
 
 
-@_reg_space("CL.11")
+@_claim("CL.11", ASSERTED, "space",
+        "The closure of an intersection lies below the intersection "
+        "of the closures.", _PROBE_PAIRS, complete=False)
 def _eval_cl11(case: SpaceCase):
     meet = case.pool.meet
     cl = case.cl()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         lhs = cl[meet[g][h]]
         if meet[lhs][meet[cl[g]][cl[h]]] == lhs:
             return True
-        return (f"closure of the intersection of {case.render_set(g)} and "
-                f"{case.render_set(h)} exceeds the intersection of the "
-                f"closures")
+        return lambda g=g, h=h: (
+            f"closure of the intersection of {case.render_set(g)} and "
+            f"{case.render_set(h)} exceeds the intersection of the "
+            f"closures")
 
-    return _pair_scan(case, case.order * 131 + 11, check)
-
-
-@_reg_space("CL.12-rev")
-def _eval_cl12_rev(case: SpaceCase):
-    meet, join = case.pool.meet, case.pool.join
-    it = case.interior()
-
-    def check(g, h):
-        lhs = join[it[g]][it[h]]
-        if meet[lhs][it[join[g][h]]] == lhs:
-            return True
-        return (f"union of the interiors of {case.render_set(g)} and "
-                f"{case.render_set(h)} exceeds the interior of the union")
-
-    return _pair_scan(case, case.order * 131 + 12, check)
+    return _scan(case, n * n, PAIR_PROBES, 11, check)
 
 
-@_reg_space("CL.12")
+@_claim("CL.12", AUDITED, "space",
+        "The interior of a union lies below the union of the "
+        "interiors.", _PROBE_PAIRS, complete=False)
 def _eval_cl12(case: SpaceCase):
     meet, join = case.pool.meet, case.pool.join
     it = case.interior()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         lhs = it[join[g][h]]
         if meet[lhs][join[it[g]][it[h]]] == lhs:
             return True
-        return (f"interior of the union of {case.render_set(g)} and "
-                f"{case.render_set(h)} exceeds the union of the interiors")
+        return lambda g=g, h=h: (
+            f"interior of the union of {case.render_set(g)} and "
+            f"{case.render_set(h)} exceeds the union of the interiors")
 
-    return _pair_scan(case, case.order * 131 + 120, check)
+    return _scan(case, n * n, PAIR_PROBES, 120, check)
 
 
-@_reg_space("CL.FIXED")
+@_claim("CL.12-rev", ASSERTED, "space",
+        "The union of the interiors lies below the interior of the "
+        "union.", _PROBE_PAIRS, complete=False)
+def _eval_cl12_rev(case: SpaceCase):
+    meet, join = case.pool.meet, case.pool.join
+    it = case.interior()
+    n = case.pool.size
+
+    def check(t):
+        g, h = divmod(t, n)
+        lhs = join[it[g]][it[h]]
+        if meet[lhs][it[join[g][h]]] == lhs:
+            return True
+        return lambda g=g, h=h: (
+            f"union of the interiors of {case.render_set(g)} and "
+            f"{case.render_set(h)} exceeds the interior of the union")
+
+    return _scan(case, n * n, PAIR_PROBES, 12, check)
+
+
+@_claim("CL.FIXED", ASSERTED, "space",
+        "A set is closed exactly when closure fixes it.", _EVERY_SET)
 def _eval_cl_fixed(case: SpaceCase):
     cl = case.cl()
     closed = case.closed_set
@@ -714,7 +719,9 @@ def _eval_cl_fixed(case: SpaceCase):
     return case.pool.size, case.pool.size, fails
 
 
-@_reg_space("NBD.1")
+@_claim("NBD.1", ASSERTED, "space",
+        "A neighborhood of a point contains that point.",
+        "every (point, set) pair of each case")
 def _eval_nbd1(case: SpaceCase):
     it = case.interior()
     pin = case.pool.pt_in_mask
@@ -735,60 +742,62 @@ def _eval_nbd1(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("NBD.2")
+@_claim("NBD.2", ASSERTED, "space",
+        "Any superset of a neighborhood is again a neighborhood.",
+        _PROBE_PAIRS, complete=False)
 def _eval_nbd2(case: SpaceCase):
     it = case.interior()
     meet = case.pool.meet
     pin = case.pool.pt_in_mask
     n = case.pool.size
     pts = case.pts
-    total = len(pts) * n * n
-    checked = hits = 0
-    fails: list[str] = []
-    for t in _scan_indices(case, total, PAIR_PROBES, case.order * 131 + 21):
+
+    def check(t):
         pi, rest = divmod(t, n * n)
         nb, m = divmod(rest, n)
-        checked += 1
-        p = pts[pi]
-        if meet[nb][m] != nb:  # need nb <= m
-            continue
-        if not (pin[p] >> it[nb]) & 1:
-            continue
-        hits += 1
-        if not (pin[p] >> it[m]) & 1 and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"{case.render_set(m)} extends a neighborhood of "
-                f"{case.render_point(p)} but is no neighborhood itself")
-    return checked, hits, fails
+        pm = pin[pts[pi]]
+        if meet[nb][m] != nb or not (pm >> it[nb]) & 1:  # need nb <= m
+            return None
+        if (pm >> it[m]) & 1:
+            return True
+        return lambda m=m, pi=pi: (
+            f"{case.render_set(m)} extends a neighborhood of "
+            f"{case.render_point(pts[pi])} but is no neighborhood itself")
+
+    return _scan(case, len(pts) * n * n, PAIR_PROBES, 21, check)
 
 
-@_reg_space("NBD.3")
+@_claim("NBD.3", ASSERTED, "space",
+        "The intersection of two neighborhoods of a point is a "
+        "neighborhood of it.",
+        f"(point, set, set) triples probed ({TRIPLE_PROBES} per "
+        f"case), full scan on exhaustive cases when it fits",
+        complete=False)
 def _eval_nbd3(case: SpaceCase):
     it = case.interior()
     meet = case.pool.meet
     pin = case.pool.pt_in_mask
     n = case.pool.size
     pts = case.pts
-    total = len(pts) * n * n
-    checked = hits = 0
-    fails: list[str] = []
-    for t in _scan_indices(case, total, TRIPLE_PROBES, case.order * 131 + 22):
+
+    def check(t):
         pi, rest = divmod(t, n * n)
         n1, n2 = divmod(rest, n)
-        checked += 1
-        p = pts[pi]
-        pm = pin[p]
+        pm = pin[pts[pi]]
         if not ((pm >> it[n1]) & 1 and (pm >> it[n2]) & 1):
-            continue
-        hits += 1
-        if not (pm >> it[meet[n1][n2]]) & 1 and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"intersection of two neighborhoods of {case.render_point(p)} "
-                f"is no neighborhood")
-    return checked, hits, fails
+            return None
+        if (pm >> it[meet[n1][n2]]) & 1:
+            return True
+        return lambda pi=pi: (
+            f"intersection of two neighborhoods of "
+            f"{case.render_point(pts[pi])} is no neighborhood")
+
+    return _scan(case, len(pts) * n * n, TRIPLE_PROBES, 22, check)
 
 
-@_reg_space("NBD.4")
+@_claim("NBD.4", ASSERTED, "space",
+        "Every neighborhood contains an open neighborhood of the "
+        "same point.", "every (point, set) pair of each case")
 def _eval_nbd4(case: SpaceCase):
     it = case.interior()
     pin = case.pool.pt_in_mask
@@ -812,7 +821,9 @@ def _eval_nbd4(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("NBD.OPEN-IFF")
+@_claim("NBD.OPEN-IFF", ASSERTED, "space",
+        "A set is open exactly when it is a neighborhood of each of "
+        "its points.", _EVERY_SET)
 def _eval_nbd_open_iff(case: SpaceCase):
     it = case.interior()
     meet = case.pool.meet
@@ -828,40 +839,51 @@ def _eval_nbd_open_iff(case: SpaceCase):
     return case.pool.size, case.pool.size, fails
 
 
-@_reg_space("SUB.CLOSED")
+@_claim("SUB.CLOSED", ASSERTED, "space",
+        "In a subspace, a set is relatively closed exactly when the "
+        "relative closure fixes it.", _PROBE_PAIRS, complete=False)
 def _eval_sub_closed(case: SpaceCase):
     meet = case.pool.meet
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[h][g] != h:
             return None
-        r_closeds = sorted({meet[k][g] for k in case.closeds})
+        r_closeds = case.closed_traces(g)
         sub_cl = _sub_closure(case.pool, r_closeds, g, h)
         if (h in r_closeds) == (sub_cl == h):
             return True
-        return (f"in the subspace at {case.render_set(g)}, relative "
-                f"closedness of {case.render_set(h)} disagrees with being "
-                f"fixed by relative closure")
+        return lambda g=g, h=h: (
+            f"in the subspace at {case.render_set(g)}, relative "
+            f"closedness of {case.render_set(h)} disagrees with being "
+            f"fixed by relative closure")
 
-    return _pair_scan(case, case.order * 131 + 31, check)
+    return _scan(case, n * n, PAIR_PROBES, 31, check)
 
 
-@_reg_space("SUB.CLOSED-ABS")
+@_claim("SUB.CLOSED-ABS", AUDITED, "space",
+        "Relative closedness matches complementing traces inside the "
+        "whole lattice rather than tracing the ambient closed sets.",
+        _PROBE_PAIRS, complete=False)
 def _eval_sub_closed_abs(case: SpaceCase):
     meet, comp = case.pool.meet, case.pool.comp
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[h][g] != h:
             return None
         r_closeds = {meet[k][g] for k in case.closeds}
         abs_closeds = {comp[meet[o][g]] for o in case.opens}
         if (h in r_closeds) == (h in abs_closeds):
             return True
-        return (f"in the subspace at {case.render_set(g)}, the trace "
-                f"reading and the absolute-complement reading disagree "
-                f"about {case.render_set(h)}")
+        return lambda g=g, h=h: (
+            f"in the subspace at {case.render_set(g)}, the trace "
+            f"reading and the absolute-complement reading disagree "
+            f"about {case.render_set(h)}")
 
-    return _pair_scan(case, case.order * 131 + 32, check)
+    return _scan(case, n * n, PAIR_PROBES, 32, check)
 
 
 def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
@@ -874,58 +896,63 @@ def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
     return acc
 
 
-@_reg_space("SUB.CLOSURE")
+@_claim("SUB.CLOSURE", ASSERTED, "space",
+        "The relative closure of a subspace subset is the trace of "
+        "its ambient closure.", _PROBE_PAIRS, complete=False)
 def _eval_sub_closure(case: SpaceCase):
     meet = case.pool.meet
     cl = case.cl()
+    n = case.pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[h][g] != h:
             return None
-        r_closeds = sorted({meet[k][g] for k in case.closeds})
+        r_closeds = case.closed_traces(g)
         if _sub_closure(case.pool, r_closeds, g, h) == meet[cl[h]][g]:
             return True
-        return (f"relative closure of {case.render_set(h)} in the subspace "
-                f"at {case.render_set(g)} is not the trace of the ambient "
-                f"closure")
+        return lambda g=g, h=h: (
+            f"relative closure of {case.render_set(h)} in the subspace "
+            f"at {case.render_set(g)} is not the trace of the ambient "
+            f"closure")
 
-    return _pair_scan(case, case.order * 131 + 33, check)
+    return _scan(case, n * n, PAIR_PROBES, 33, check)
 
 
 def _chain_eval(case: SpaceCase, upper: str, lower: str):
-    hyp = getattr(case, upper)()
-    if not hyp:
+    if not getattr(case, upper)():
         return 1, 0, []
     if getattr(case, lower)():
         return 1, 1, []
     return 1, 1, [f"space satisfies {upper.upper()} but not {lower.upper()}"]
 
 
-@_reg_space("SEP.CHAIN-T2T1")
+@_claim("SEP.CHAIN-T2T1", ASSERTED, "space",
+        "Every T2 space is T1.", _PER_CASE)
 def _eval_chain_t2t1(case: SpaceCase):
     return _chain_eval(case, "t2", "t1")
 
 
-@_reg_space("SEP.CHAIN-T1T0")
+@_claim("SEP.CHAIN-T1T0", ASSERTED, "space",
+        "Every T1 space is T0.", _PER_CASE)
 def _eval_chain_t1t0(case: SpaceCase):
     return _chain_eval(case, "t1", "t0")
 
 
-@_reg_space("SEP.CHAIN-T3T2")
+@_claim("SEP.CHAIN-T3T2", AUDITED, "space",
+        "Every T3 space is T2.", _PER_CASE)
 def _eval_chain_t3t2(case: SpaceCase):
-    if not case.t1():
-        return 1, 0, []
     return _chain_eval(case, "t3", "t2")
 
 
-@_reg_space("SEP.CHAIN-T4T3")
+@_claim("SEP.CHAIN-T4T3", AUDITED, "space",
+        "Every T4 space is T3.", _PER_CASE)
 def _eval_chain_t4t3(case: SpaceCase):
-    if not case.t1():
-        return 1, 0, []
     return _chain_eval(case, "t4", "t3")
 
 
-@_reg_space("SEP.T0-DISCRETE")
+@_claim("SEP.T0-DISCRETE", ASSERTED, "space",
+        "The discrete space over a shape is T0.", _PER_CASE)
 def _eval_t0_discrete(case: SpaceCase):
     if len(case.ids) != case.pool.size:
         return 1, 0, []
@@ -937,70 +964,67 @@ def _eval_t0_discrete(case: SpaceCase):
 def _heredity_eval(case: SpaceCase, axiom: str, salt: int):
     if not getattr(case, axiom)():
         return 1, 0, []
-    checked = hits = 0
-    fails: list[str] = []
-    n = case.pool.size
-    for g in _scan_indices(case, n, SUBSET_PROBES, salt):
-        checked += 1
-        hits += 1
-        if not _sub_axiom(case, g, axiom) and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"{axiom.upper()} space with a non-{axiom.upper()} subspace "
-                f"at {case.render_set(g)}")
-    return checked, hits, fails
+
+    def check(g):
+        if getattr(case.subspace(g), axiom)():
+            return True
+        return lambda g=g: (
+            f"{axiom.upper()} space with a non-{axiom.upper()} subspace "
+            f"at {case.render_set(g)}")
+
+    return _scan(case, case.pool.size, SUBSET_PROBES, salt, check)
 
 
-@_reg_space("SEP.SUB-T0")
+@_claim("SEP.SUB-T0", ASSERTED, "space",
+        "Every subspace of a T0 space is T0.",
+        _PROBE_SUBSETS, complete=False)
 def _eval_sub_t0(case: SpaceCase):
-    return _heredity_eval(case, "t0", case.order * 131 + 41)
+    return _heredity_eval(case, "t0", 41)
 
 
-@_reg_space("SEP.SUB-T1")
+@_claim("SEP.SUB-T1", ASSERTED, "space",
+        "Every subspace of a T1 space is T1.",
+        _PROBE_SUBSETS, complete=False)
 def _eval_sub_t1(case: SpaceCase):
-    return _heredity_eval(case, "t1", case.order * 131 + 42)
+    return _heredity_eval(case, "t1", 42)
 
 
-@_reg_space("SEP.SUB-T2")
+@_claim("SEP.SUB-T2", ASSERTED, "space",
+        "Every subspace of a T2 space is T2.",
+        _PROBE_SUBSETS, complete=False)
 def _eval_sub_t2(case: SpaceCase):
-    return _heredity_eval(case, "t2", case.order * 131 + 43)
+    return _heredity_eval(case, "t2", 43)
 
 
-@_reg_space("SEP.T3-HERED")
+@_claim("SEP.T3-HERED", AUDITED, "space",
+        "Every subspace of a T3 space is T3.",
+        _PROBE_SUBSETS, complete=False)
 def _eval_t3_hered(case: SpaceCase):
-    if not case.t3():
-        return 1, 0, []
-    checked = hits = 0
-    fails: list[str] = []
-    n = case.pool.size
-    for g in _scan_indices(case, n, SUBSET_PROBES, case.order * 131 + 44):
-        checked += 1
-        hits += 1
-        if not _sub_axiom(case, g, "t3") and len(fails) < _MAX_FAILS:
-            fails.append(f"T3 space with a non-T3 subspace at "
-                         f"{case.render_set(g)}")
-    return checked, hits, fails
+    return _heredity_eval(case, "t3", 44)
 
 
-@_reg_space("SEP.SUB-NORMAL")
+@_claim("SEP.SUB-NORMAL", AUDITED, "space",
+        "Every closed subspace of a normal space is normal.",
+        f"closed carriers probed ({CLOSED_PROBES} per case), full "
+        f"scan on exhaustive cases", complete=False)
 def _eval_sub_normal(case: SpaceCase):
     if not case.normal():
         return 1, 0, []
-    checked = hits = 0
-    fails: list[str] = []
     closeds = case.closeds
-    c = len(closeds)
-    for i in _scan_indices(case, c, CLOSED_PROBES, case.order * 131 + 45):
-        g = closeds[i]
-        checked += 1
-        hits += 1
-        if not _sub_axiom(case, g, "normal") and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"normal space with a non-normal closed subspace at "
-                f"{case.render_set(g)}")
-    return checked, hits, fails
+
+    def check(i):
+        if case.subspace(closeds[i]).normal():
+            return True
+        return lambda i=i: (
+            f"normal space with a non-normal closed subspace at "
+            f"{case.render_set(closeds[i])}")
+
+    return _scan(case, len(closeds), CLOSED_PROBES, 45, check)
 
 
-@_reg_space("SEP.PTSCLOSED-T1")
+@_claim("SEP.PTSCLOSED-T1", AUDITED, "space",
+        "If every point of a space is closed, the space is T1.",
+        _PER_CASE)
 def _eval_ptsclosed_t1(case: SpaceCase):
     if not case.points_closed():
         return 1, 0, []
@@ -1012,7 +1036,9 @@ def _eval_ptsclosed_t1(case: SpaceCase):
         f"{case.render_point(a)} apart from {case.render_point(b)}"]
 
 
-@_reg_space("SEP.PTSCLOSED-T2")
+@_claim("SEP.PTSCLOSED-T2", AUDITED, "space",
+        "If every point of a space is closed, the space is T2.",
+        _PER_CASE)
 def _eval_ptsclosed_t2(case: SpaceCase):
     if not case.points_closed():
         return 1, 0, []
@@ -1047,7 +1073,9 @@ def _t2char_property(case: SpaceCase):
     return None
 
 
-@_reg_space("SEP.T2CHAR-fwd")
+@_claim("SEP.T2CHAR-fwd", AUDITED, "space",
+        "In a T2 space, around either point of a distinct pair some "
+        "open set has a closure avoiding the other point.", _PER_CASE)
 def _eval_t2char_fwd(case: SpaceCase):
     if not case.t2():
         return 1, 0, []
@@ -1060,7 +1088,10 @@ def _eval_t2char_fwd(case: SpaceCase):
         f"closure avoiding {case.render_point(q)}"]
 
 
-@_reg_space("SEP.T2CHAR-rev")
+@_claim("SEP.T2CHAR-rev", AUDITED, "space",
+        "If around either point of every distinct pair some open set "
+        "has a closure avoiding the other point, the space is T2.",
+        _PER_CASE)
 def _eval_t2char_rev(case: SpaceCase):
     if _t2char_property(case) is not None:
         return 1, 0, []
@@ -1094,7 +1125,10 @@ def _regchar_property(case: SpaceCase):
     return None
 
 
-@_reg_space("SEP.REGCHAR-fwd")
+@_claim("SEP.REGCHAR-fwd", AUDITED, "space",
+        "In a T3 space, every open set around a point contains an "
+        "open around the same point whose closure stays inside.",
+        _PER_CASE)
 def _eval_regchar_fwd(case: SpaceCase):
     if not case.t3():
         return 1, 0, []
@@ -1107,7 +1141,10 @@ def _eval_regchar_fwd(case: SpaceCase):
         f"inside {case.render_set(g)}"]
 
 
-@_reg_space("SEP.REGCHAR-rev")
+@_claim("SEP.REGCHAR-rev", AUDITED, "space",
+        "A T1 space where every open set around a point contains an "
+        "open around the same point whose closure stays inside is "
+        "regular.", _PER_CASE)
 def _eval_regchar_rev(case: SpaceCase):
     if not case.t1():
         return 1, 0, []
@@ -1153,7 +1190,11 @@ def _normchar_property(case: SpaceCase, probe: bool):
     return checked, hits, first_bad
 
 
-@_reg_space("SEP.NORMCHAR-fwd")
+@_claim("SEP.NORMCHAR-fwd", AUDITED, "space",
+        "In a normal space, between a closed set and an open set "
+        "containing it sits an open set whose closure stays inside.",
+        f"(closed, open) pairs probed ({CLOSED_PROBES * 2} per case), "
+        f"full scan on exhaustive cases", complete=False)
 def _eval_normchar_fwd(case: SpaceCase):
     if not case.normal():
         return 1, 0, []
@@ -1166,7 +1207,11 @@ def _eval_normchar_fwd(case: SpaceCase):
         f"{case.render_set(g)} has no interpolating open"]
 
 
-@_reg_space("SEP.NORMCHAR-rev")
+@_claim("SEP.NORMCHAR-rev", AUDITED, "space",
+        "If between every closed set and every open set containing "
+        "it sits an open whose closure stays inside, the space is "
+        "normal.", "evaluated on exhaustive cases only",
+        complete=False)
 def _eval_normchar_rev(case: SpaceCase):
     # confirming the interpolation property needs the full scan, so this
     # facet only runs on exhaustive cases
@@ -1184,7 +1229,8 @@ def _eval_normchar_rev(case: SpaceCase):
         f"{case.render_set(k2)}"]
 
 
-@_reg_space("CON.INDISCRETE")
+@_claim("CON.INDISCRETE", ASSERTED, "space",
+        "The indiscrete space is connected.", _PER_CASE)
 def _eval_con_indiscrete(case: SpaceCase):
     if len(case.ids) != 2:
         return 1, 0, []
@@ -1193,7 +1239,8 @@ def _eval_con_indiscrete(case: SpaceCase):
     return 1, 1, ["indiscrete space is disconnected"]
 
 
-@_reg_space("CON.DISCRETE")
+@_claim("CON.DISCRETE", AUDITED, "space",
+        "The discrete space over a shape is disconnected.", _PER_CASE)
 def _eval_con_discrete(case: SpaceCase):
     if len(case.ids) != case.pool.size:
         return 1, 0, []
@@ -1202,7 +1249,9 @@ def _eval_con_discrete(case: SpaceCase):
     return 1, 1, ["discrete space is connected"]
 
 
-@_reg_space("CON.CLOPEN-fwd")
+@_claim("CON.CLOPEN-fwd", AUDITED, "space",
+        "A disconnected space has an open set other than the null "
+        "set and the carrier that is also closed.", _PER_CASE)
 def _eval_con_clopen_fwd(case: SpaceCase):
     if case.connected():
         return 1, 0, []
@@ -1215,7 +1264,9 @@ def _eval_con_clopen_fwd(case: SpaceCase):
         f"yet no open other than the null set and the carrier is closed"]
 
 
-@_reg_space("CON.CLOPEN-rev")
+@_claim("CON.CLOPEN-rev", AUDITED, "space",
+        "A space with an open set other than the null set and the "
+        "carrier that is also closed is disconnected.", _PER_CASE)
 def _eval_con_clopen_rev(case: SpaceCase):
     clopen = _proper_clopen(case)
     if clopen is None:
@@ -1234,7 +1285,10 @@ def _proper_clopen(case: SpaceCase):
     return None
 
 
-@_reg_space("CON.COARSER")
+@_claim("CON.COARSER", ASSERTED, "space",
+        "Dropping to a coarser open family preserves connectedness.",
+        f"generated coarsenings probed ({CLOSED_PROBES * 2} per "
+        f"case), all open pairs on exhaustive cases", complete=False)
 def _eval_con_coarser(case: SpaceCase):
     if not case.connected():
         return 1, 0, []
@@ -1270,38 +1324,40 @@ def _eval_con_coarser(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("CON.SUBSPACE-SIDE")
+@_claim("CON.SUBSPACE-SIDE", ASSERTED, "space",
+        "A connected subspace of a separated space lies inside one "
+        "side of the separation.", _PROBE_SUBSETS, complete=False)
 def _eval_con_subspace_side(case: SpaceCase):
     connected, sep = case.conn(case.carrier)
     if connected:
         return 1, 0, []
     g1, g2 = sep
     meet = case.pool.meet
-    n = case.pool.size
-    checked = hits = 0
-    fails: list[str] = []
-    for h in _scan_indices(case, n, SUBSET_PROBES, case.order * 131 + 52):
-        checked += 1
-        if h == 0 or meet[h][case.carrier] != h:
-            continue
-        if not case.conn(h)[0]:
-            continue
-        hits += 1
-        if meet[h][g1] != h and meet[h][g2] != h and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"connected subspace {case.render_set(h)} sits inside "
-                f"neither side of the separation {case.render_set(g1)} / "
-                f"{case.render_set(g2)}")
-    return checked, hits, fails
+
+    def check(h):
+        if h == 0 or meet[h][case.carrier] != h or not case.conn(h)[0]:
+            return None
+        if meet[h][g1] == h or meet[h][g2] == h:
+            return True
+        return lambda h=h: (
+            f"connected subspace {case.render_set(h)} sits inside "
+            f"neither side of the separation {case.render_set(g1)} / "
+            f"{case.render_set(g2)}")
+
+    return _scan(case, case.pool.size, SUBSET_PROBES, 52, check)
 
 
-@_reg_space("CON.UNION-COMMON")
+@_claim("CON.UNION-COMMON", ASSERTED, "space",
+        "The union of two overlapping connected subspaces is "
+        "connected.", _PROBE_PAIRS, complete=False)
 def _eval_con_union_common(case: SpaceCase):
     pool = case.pool
     meet, join = pool.meet, pool.join
     carrier = case.carrier
+    n = pool.size
 
-    def check(g, h):
+    def check(t):
+        g, h = divmod(t, n)
         if meet[g][carrier] != g or meet[h][carrier] != h:
             return None
         if g == 0 or h == 0 or meet[g][h] == 0:
@@ -1310,43 +1366,47 @@ def _eval_con_union_common(case: SpaceCase):
             return None
         if case.conn(join[g][h])[0]:
             return True
-        return (f"overlapping connected subspaces {case.render_set(g)} and "
-                f"{case.render_set(h)} with a disconnected union")
+        return lambda g=g, h=h: (
+            f"overlapping connected subspaces {case.render_set(g)} and "
+            f"{case.render_set(h)} with a disconnected union")
 
-    return _pair_scan(case, case.order * 131 + 53, check)
+    return _scan(case, n * n, PAIR_PROBES, 53, check)
 
 
-@_reg_space("CON.UNION-HUB")
+@_claim("CON.UNION-HUB", ASSERTED, "space",
+        "The union of connected subspaces each overlapping a common "
+        "connected hub is connected.",
+        f"(hub, set, set) triples probed ({TRIPLE_PROBES} per case)",
+        complete=False)
 def _eval_con_union_hub(case: SpaceCase):
     pool = case.pool
     meet, join = pool.meet, pool.join
     n = pool.size
     carrier = case.carrier
-    total = n * n * n
-    checked = hits = 0
-    fails: list[str] = []
-    for t in _scan_indices(case, total, TRIPLE_PROBES, case.order * 131 + 54):
+
+    def check(t):
         hub, rest = divmod(t, n * n)
         g, h = divmod(rest, n)
-        checked += 1
         members = (hub, g, h)
         if any(m == 0 or meet[m][carrier] != m for m in members):
-            continue
+            return None
         if meet[hub][g] == 0 or meet[hub][h] == 0:
-            continue
+            return None
         if not all(case.conn(m)[0] for m in members):
-            continue
-        hits += 1
-        union = join[join[hub][g]][h]
-        if not case.conn(union)[0] and len(fails) < _MAX_FAILS:
-            fails.append(
-                f"connected subspaces {case.render_set(g)} and "
-                f"{case.render_set(h)} both meeting {case.render_set(hub)} "
-                f"have a disconnected union")
-    return checked, hits, fails
+            return None
+        if case.conn(join[join[hub][g]][h])[0]:
+            return True
+        return lambda g=g, h=h, hub=hub: (
+            f"connected subspaces {case.render_set(g)} and "
+            f"{case.render_set(h)} both meeting {case.render_set(hub)} "
+            f"have a disconnected union")
+
+    return _scan(case, n * n * n, TRIPLE_PROBES, 54, check)
 
 
-@_reg_space("CON.SEPCHAR-fwd")
+@_claim("CON.SEPCHAR-fwd", AUDITED, "space",
+        "Both sides of any subspace separation avoid each other's "
+        "ambient closure.", _PROBE_SUBSETS, complete=False)
 def _eval_con_sepchar_fwd(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
@@ -1354,7 +1414,7 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     n = pool.size
     checked = hits = 0
     fails: list[str] = []
-    for g in _scan_indices(case, n, SUBSET_PROBES, case.order * 131 + 55):
+    for g in _scan_indices(case, n, SUBSET_PROBES, 55):
         if meet[g][case.carrier] != g:
             continue
         traces = case.traces(g)
@@ -1379,7 +1439,10 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("CON.SEPCHAR-rev")
+@_claim("CON.SEPCHAR-rev", AUDITED, "space",
+        "Cell-wise splittings of a subspace carrier whose sides "
+        "avoid each other's ambient closure are separations by "
+        "relatively open sets.", _PROBE_SUBSETS, complete=False)
 def _eval_con_sepchar_rev(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
@@ -1387,7 +1450,7 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     n = pool.size
     checked = hits = 0
     fails: list[str] = []
-    for g in _scan_indices(case, n, SUBSET_PROBES, case.order * 131 + 56):
+    for g in _scan_indices(case, n, SUBSET_PROBES, 56):
         if g == 0 or meet[g][case.carrier] != g:
             continue
         vec = pool._vector(g)
@@ -1416,7 +1479,11 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("CON.BETWEEN")
+@_claim("CON.BETWEEN", AUDITED, "space",
+        "Every set between a connected subspace and its closure is "
+        "connected.",
+        f"carriers probed ({CLOSED_PROBES} per case), every "
+        f"in-between set for each", complete=False)
 def _eval_con_between(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
@@ -1424,7 +1491,7 @@ def _eval_con_between(case: SpaceCase):
     n = pool.size
     checked = hits = 0
     fails: list[str] = []
-    for g in _scan_indices(case, n, CLOSED_PROBES, case.order * 131 + 57):
+    for g in _scan_indices(case, n, CLOSED_PROBES, 57):
         if g == 0 or meet[g][case.carrier] != g:
             continue
         if not case.conn(g)[0]:
@@ -1443,7 +1510,9 @@ def _eval_con_between(case: SpaceCase):
     return checked, hits, fails
 
 
-@_reg_space("CON.CLOSURE-CONN")
+@_claim("CON.CLOSURE-CONN", AUDITED, "space",
+        "The closure of a connected subspace is connected.",
+        _PROBE_SUBSETS, complete=False)
 def _eval_con_closure_conn(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
@@ -1451,7 +1520,7 @@ def _eval_con_closure_conn(case: SpaceCase):
     n = pool.size
     checked = hits = 0
     fails: list[str] = []
-    for g in _scan_indices(case, n, SUBSET_PROBES, case.order * 131 + 58):
+    for g in _scan_indices(case, n, SUBSET_PROBES, 58):
         if g == 0 or meet[g][case.carrier] != g:
             continue
         if not case.conn(g)[0]:
@@ -1475,7 +1544,9 @@ def _point_id_masks(pool: SetPool):
     return pool.pt_in_mask
 
 
-@_reg_pool("ALG.INVOLUTION")
+@_claim("ALG.INVOLUTION", ASSERTED, "pool",
+        "Complement is an involution on lattice sets.",
+        "every set of each pool")
 def _eval_alg_involution(pool: SetPool):
     comp = pool.comp
     fails = []
@@ -1486,39 +1557,40 @@ def _eval_alg_involution(pool: SetPool):
     return pool.size, pool.size, fails
 
 
-@_reg_pool("ALG.DEMORGAN-UNION")
+def _demorgan_eval(pool: SetPool, outer, inner, operation: str):
+    """Complement of ``outer`` against ``inner`` of the complements."""
+    comp = pool.comp
+    checked = 0
+    fails = []
+    for g in range(pool.size):
+        row = outer[g]
+        for h in range(g, pool.size):
+            checked += 1
+            if (comp[row[h]] != inner[comp[g]][comp[h]]
+                    and len(fails) < _MAX_FAILS):
+                fails.append(
+                    f"complement of {operation} misses at "
+                    f"{pool.decode(g).render()} / {pool.decode(h).render()}")
+    return checked, checked, fails
+
+
+@_claim("ALG.DEMORGAN-UNION", ASSERTED, "pool",
+        "The complement of a union is the intersection of the "
+        "complements.", "every set pair of each pool")
 def _eval_demorgan_union(pool: SetPool):
-    comp, meet, join = pool.comp, pool.meet, pool.join
-    checked = 0
-    fails = []
-    for g in range(pool.size):
-        for h in range(g, pool.size):
-            checked += 1
-            if comp[join[g][h]] != meet[comp[g]][comp[h]]:
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"complement of a union misses at "
-                        f"{pool.decode(g).render()} / {pool.decode(h).render()}")
-    return checked, checked, fails
+    return _demorgan_eval(pool, pool.join, pool.meet, "a union")
 
 
-@_reg_pool("ALG.DEMORGAN-INTERSECTION")
+@_claim("ALG.DEMORGAN-INTERSECTION", ASSERTED, "pool",
+        "The complement of an intersection is the union of the "
+        "complements.", "every set pair of each pool")
 def _eval_demorgan_intersection(pool: SetPool):
-    comp, meet, join = pool.comp, pool.meet, pool.join
-    checked = 0
-    fails = []
-    for g in range(pool.size):
-        for h in range(g, pool.size):
-            checked += 1
-            if comp[meet[g][h]] != join[comp[g]][comp[h]]:
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"complement of an intersection misses at "
-                        f"{pool.decode(g).render()} / {pool.decode(h).render()}")
-    return checked, checked, fails
+    return _demorgan_eval(pool, pool.meet, pool.join, "an intersection")
 
 
-@_reg_pool("PT.1")
+@_claim("PT.1", AUDITED, "pool",
+        "No point belongs to both a set and its complement.",
+        "every (point, set) pair of each pool")
 def _eval_pt1(pool: SetPool):
     masks = _point_id_masks(pool)
     comp = pool.comp
@@ -1536,7 +1608,9 @@ def _eval_pt1(pool: SetPool):
     return checked, checked, fails
 
 
-@_reg_pool("PT.3")
+@_claim("PT.3", ASSERTED, "pool",
+        "Every set is the union of its single-parameter "
+        "restrictions.", "every set of each pool")
 def _eval_pt3(pool: SetPool):
     per = len(pool.universe)
     join = pool.join
@@ -1556,7 +1630,10 @@ def _eval_pt3(pool: SetPool):
     return checked, checked, fails
 
 
-@_reg_pool("PT.4")
+@_claim("PT.4", ASSERTED, "pool",
+        "A point belongs to another point's set form exactly when "
+        "the supports match and the values are ordered.",
+        "every point pair of each pool")
 def _eval_pt4(pool: SetPool):
     masks = _point_id_masks(pool)
     form = pool.pt_form_id
@@ -1592,7 +1669,9 @@ def _first_fails(found) -> list:
     return list(itertools.islice(found, _MAX_FAILS))
 
 
-@_reg_pool("PT.5-sound")
+@_claim("PT.5-sound", ASSERTED, "pool",
+        "A point of one set belongs to any union extending that "
+        "set.", "every (point, member set, set) triple of each pool")
 def _eval_pt5_sound(pool: SetPool):
     masks = _point_id_masks(pool)
     sets_of = pool.pt_set_mask
@@ -1620,7 +1699,10 @@ def _eval_pt5_sound(pool: SetPool):
     return checked, checked, _first_fails(scan())
 
 
-@_reg_pool("PT.5-converse")
+@_claim("PT.5-converse", AUDITED, "pool",
+        "A point of a union of two sets belongs to one of them.",
+        "every (point, set, set) triple with both memberships "
+        "failing")
 def _eval_pt5_converse(pool: SetPool):
     masks = _point_id_masks(pool)
     sets_of = pool.pt_set_mask
@@ -1656,7 +1738,9 @@ def _eval_pt5_converse(pool: SetPool):
     return checked, checked, _first_fails(scan())
 
 
-@_reg_pool("PT.6")
+@_claim("PT.6", ASSERTED, "pool",
+        "A point belongs to an intersection exactly when it belongs "
+        "to both sets.", "every (point, set, set) triple of each pool")
 def _eval_pt6(pool: SetPool):
     masks = _point_id_masks(pool)
     sets_of = pool.pt_set_mask
@@ -1711,7 +1795,9 @@ def _hostel_context():
     return universe, parameters
 
 
-@_reg_fixed("EX.POINT-COMPLEMENT")
+@_claim("EX.POINT-COMPLEMENT", REPRODUCED, "fixed",
+        "A recorded complement table for a single point over a "
+        "four-element universe comes out exactly.", "fixed data")
 def _eval_ex_point_complement():
     universe, parameters = _hostel_context()
     value = FuzzySet.from_mapping(
@@ -1725,7 +1811,9 @@ def _eval_ex_point_complement():
     return 1, 1, [f"complement row came out as {got.render()}"]
 
 
-@_reg_fixed("EX.COMPLEMENT-NONMEMBER")
+@_claim("EX.COMPLEMENT-NONMEMBER", REPRODUCED, "fixed",
+        "A recorded membership survives while its complemented "
+        "counterpart fails, exactly as recorded.", "fixed data")
 def _eval_ex_complement_nonmember():
     universe = Universe.of("h1", "h2")
     parameters = ParameterSet.of("e1", "e2")
@@ -1746,7 +1834,9 @@ def _eval_ex_complement_nonmember():
     return 1, 1, fails
 
 
-@_reg_fixed("EX.POINT-MEMBERSHIP")
+@_claim("EX.POINT-MEMBERSHIP", REPRODUCED, "fixed",
+        "A recorded six-element membership check comes out exactly.",
+        "fixed data")
 def _eval_ex_point_membership():
     universe = Universe.of("h1", "h2", "h3", "h4", "h5", "h6")
     parameters = ParameterSet.of("e1", "e2", "e3")
@@ -1768,227 +1858,7 @@ def _eval_ex_point_membership():
 # -- registry --------------------------------------------------------------
 
 
-def _claims() -> tuple[Claim, ...]:
-    A, U, R = ASSERTED, AUDITED, REPRODUCED
-    probe_pairs = (f"ordered set pairs probed ({PAIR_PROBES} per case), "
-                   f"full scan on exhaustive cases")
-    probe_subsets = (f"carriers probed ({SUBSET_PROBES} per case), full scan "
-                     f"on exhaustive cases")
-    every_set = "every lattice set of each case"
-    per_case = "decided once per case"
-    return (
-        Claim("TOP.AX3-union", A, "space",
-              "The open family is closed under pairwise union.",
-              "every open pair of each case"),
-        Claim("TOP.AX3-intersection", A, "space",
-              "The open family is closed under pairwise intersection.",
-              "every open pair of each case"),
-        Claim("CL.1", A, "space",
-              "The interior of a complement is the complement of the "
-              "closure.", every_set),
-        Claim("CL.2", A, "space",
-              "The closure of a complement is the complement of the "
-              "interior.", every_set),
-        Claim("CL.3", A, "space",
-              "Closure is monotone with respect to set inclusion.",
-              probe_pairs, complete=False),
-        Claim("CL.4", A, "space",
-              "Interior is monotone with respect to set inclusion.",
-              probe_pairs, complete=False),
-        Claim("CL.5", A, "space", "Closure is idempotent.", every_set),
-        Claim("CL.6", A, "space", "Interior is idempotent.", every_set),
-        Claim("CL.7-COND", A, "space",
-              "Whenever the null set (resp. the carrier) is closed, closure "
-              "fixes it.", per_case),
-        Claim("CL.7-ABS", AUDITED, "space",
-              "Closure fixes the null set and the carrier unconditionally.",
-              per_case),
-        Claim("CL.8", A, "space",
-              "Interior fixes the null set and the carrier.", per_case),
-        Claim("CL.9", A, "space",
-              "Closure distributes over pairwise union.",
-              probe_pairs, complete=False),
-        Claim("CL.10", A, "space",
-              "Interior distributes over pairwise intersection.",
-              probe_pairs, complete=False),
-        Claim("CL.11", A, "space",
-              "The closure of an intersection lies below the intersection "
-              "of the closures.", probe_pairs, complete=False),
-        Claim("CL.12", U, "space",
-              "The interior of a union lies below the union of the "
-              "interiors.", probe_pairs, complete=False),
-        Claim("CL.12-rev", A, "space",
-              "The union of the interiors lies below the interior of the "
-              "union.", probe_pairs, complete=False),
-        Claim("CL.FIXED", A, "space",
-              "A set is closed exactly when closure fixes it.", every_set),
-        Claim("NBD.1", A, "space",
-              "A neighborhood of a point contains that point.",
-              "every (point, set) pair of each case"),
-        Claim("NBD.2", A, "space",
-              "Any superset of a neighborhood is again a neighborhood.",
-              probe_pairs, complete=False),
-        Claim("NBD.3", A, "space",
-              "The intersection of two neighborhoods of a point is a "
-              "neighborhood of it.",
-              f"(point, set, set) triples probed ({TRIPLE_PROBES} per "
-              f"case), full scan on exhaustive cases when it fits",
-              complete=False),
-        Claim("NBD.4", A, "space",
-              "Every neighborhood contains an open neighborhood of the "
-              "same point.", "every (point, set) pair of each case"),
-        Claim("NBD.OPEN-IFF", A, "space",
-              "A set is open exactly when it is a neighborhood of each of "
-              "its points.", every_set),
-        Claim("SUB.CLOSED", A, "space",
-              "In a subspace, a set is relatively closed exactly when the "
-              "relative closure fixes it.", probe_pairs, complete=False),
-        Claim("SUB.CLOSED-ABS", U, "space",
-              "Relative closedness matches complementing traces inside the "
-              "whole lattice rather than tracing the ambient closed sets.",
-              probe_pairs, complete=False),
-        Claim("SUB.CLOSURE", A, "space",
-              "The relative closure of a subspace subset is the trace of "
-              "its ambient closure.", probe_pairs, complete=False),
-        Claim("SEP.CHAIN-T2T1", A, "space",
-              "Every T2 space is T1.", per_case),
-        Claim("SEP.CHAIN-T1T0", A, "space",
-              "Every T1 space is T0.", per_case),
-        Claim("SEP.CHAIN-T3T2", U, "space",
-              "Every T3 space is T2.", per_case),
-        Claim("SEP.CHAIN-T4T3", U, "space",
-              "Every T4 space is T3.", per_case),
-        Claim("SEP.T0-DISCRETE", A, "space",
-              "The discrete space over a shape is T0.", per_case),
-        Claim("SEP.SUB-T0", A, "space",
-              "Every subspace of a T0 space is T0.",
-              probe_subsets, complete=False),
-        Claim("SEP.SUB-T1", A, "space",
-              "Every subspace of a T1 space is T1.",
-              probe_subsets, complete=False),
-        Claim("SEP.SUB-T2", A, "space",
-              "Every subspace of a T2 space is T2.",
-              probe_subsets, complete=False),
-        Claim("SEP.T3-HERED", U, "space",
-              "Every subspace of a T3 space is T3.",
-              probe_subsets, complete=False),
-        Claim("SEP.SUB-NORMAL", U, "space",
-              "Every closed subspace of a normal space is normal.",
-              f"closed carriers probed ({CLOSED_PROBES} per case), full "
-              f"scan on exhaustive cases", complete=False),
-        Claim("SEP.PTSCLOSED-T1", U, "space",
-              "If every point of a space is closed, the space is T1.",
-              per_case),
-        Claim("SEP.PTSCLOSED-T2", U, "space",
-              "If every point of a space is closed, the space is T2.",
-              per_case),
-        Claim("SEP.T2CHAR-fwd", U, "space",
-              "In a T2 space, around either point of a distinct pair some "
-              "open set has a closure avoiding the other point.", per_case),
-        Claim("SEP.T2CHAR-rev", U, "space",
-              "If around either point of every distinct pair some open set "
-              "has a closure avoiding the other point, the space is T2.",
-              per_case),
-        Claim("SEP.REGCHAR-fwd", U, "space",
-              "In a T3 space, every open set around a point contains an "
-              "open around the same point whose closure stays inside.",
-              per_case),
-        Claim("SEP.REGCHAR-rev", U, "space",
-              "A T1 space where every open set around a point contains an "
-              "open around the same point whose closure stays inside is "
-              "regular.", per_case),
-        Claim("SEP.NORMCHAR-fwd", U, "space",
-              "In a normal space, between a closed set and an open set "
-              "containing it sits an open set whose closure stays inside.",
-              f"(closed, open) pairs probed ({CLOSED_PROBES * 2} per case), "
-              f"full scan on exhaustive cases", complete=False),
-        Claim("SEP.NORMCHAR-rev", U, "space",
-              "If between every closed set and every open set containing "
-              "it sits an open whose closure stays inside, the space is "
-              "normal.", "evaluated on exhaustive cases only",
-              complete=False),
-        Claim("CON.INDISCRETE", A, "space",
-              "The indiscrete space is connected.", per_case),
-        Claim("CON.DISCRETE", U, "space",
-              "The discrete space over a shape is disconnected.", per_case),
-        Claim("CON.CLOPEN-fwd", U, "space",
-              "A disconnected space has an open set other than the null "
-              "set and the carrier that is also closed.", per_case),
-        Claim("CON.CLOPEN-rev", U, "space",
-              "A space with an open set other than the null set and the "
-              "carrier that is also closed is disconnected.", per_case),
-        Claim("CON.COARSER", A, "space",
-              "Dropping to a coarser open family preserves connectedness.",
-              f"generated coarsenings probed ({CLOSED_PROBES * 2} per "
-              f"case), all open pairs on exhaustive cases", complete=False),
-        Claim("CON.SUBSPACE-SIDE", A, "space",
-              "A connected subspace of a separated space lies inside one "
-              "side of the separation.", probe_subsets, complete=False),
-        Claim("CON.UNION-COMMON", A, "space",
-              "The union of two overlapping connected subspaces is "
-              "connected.", probe_pairs, complete=False),
-        Claim("CON.UNION-HUB", A, "space",
-              "The union of connected subspaces each overlapping a common "
-              "connected hub is connected.",
-              f"(hub, set, set) triples probed ({TRIPLE_PROBES} per case)",
-              complete=False),
-        Claim("CON.SEPCHAR-fwd", U, "space",
-              "Both sides of any subspace separation avoid each other's "
-              "ambient closure.", probe_subsets, complete=False),
-        Claim("CON.SEPCHAR-rev", U, "space",
-              "Cell-wise splittings of a subspace carrier whose sides "
-              "avoid each other's ambient closure are separations by "
-              "relatively open sets.", probe_subsets, complete=False),
-        Claim("CON.BETWEEN", U, "space",
-              "Every set between a connected subspace and its closure is "
-              "connected.",
-              f"carriers probed ({CLOSED_PROBES} per case), every "
-              f"in-between set for each", complete=False),
-        Claim("CON.CLOSURE-CONN", U, "space",
-              "The closure of a connected subspace is connected.",
-              probe_subsets, complete=False),
-        Claim("ALG.INVOLUTION", A, "pool",
-              "Complement is an involution on lattice sets.",
-              "every set of each pool"),
-        Claim("ALG.DEMORGAN-UNION", A, "pool",
-              "The complement of a union is the intersection of the "
-              "complements.", "every set pair of each pool"),
-        Claim("ALG.DEMORGAN-INTERSECTION", A, "pool",
-              "The complement of an intersection is the union of the "
-              "complements.", "every set pair of each pool"),
-        Claim("PT.1", U, "pool",
-              "No point belongs to both a set and its complement.",
-              "every (point, set) pair of each pool"),
-        Claim("PT.3", A, "pool",
-              "Every set is the union of its single-parameter "
-              "restrictions.", "every set of each pool"),
-        Claim("PT.4", A, "pool",
-              "A point belongs to another point's set form exactly when "
-              "the supports match and the values are ordered.",
-              "every point pair of each pool"),
-        Claim("PT.5-sound", A, "pool",
-              "A point of one set belongs to any union extending that "
-              "set.", "every (point, member set, set) triple of each pool"),
-        Claim("PT.5-converse", U, "pool",
-              "A point of a union of two sets belongs to one of them.",
-              "every (point, set, set) triple with both memberships "
-              "failing"),
-        Claim("PT.6", A, "pool",
-              "A point belongs to an intersection exactly when it belongs "
-              "to both sets.", "every (point, set, set) triple of each pool"),
-        Claim("EX.POINT-COMPLEMENT", R, "fixed",
-              "A recorded complement table for a single point over a "
-              "four-element universe comes out exactly.", "fixed data"),
-        Claim("EX.COMPLEMENT-NONMEMBER", R, "fixed",
-              "A recorded membership survives while its complemented "
-              "counterpart fails, exactly as recorded.", "fixed data"),
-        Claim("EX.POINT-MEMBERSHIP", R, "fixed",
-              "A recorded six-element membership check comes out exactly.",
-              "fixed data"),
-    )
-
-
-CLAIMS: tuple[Claim, ...] = _claims()
+CLAIMS: tuple[Claim, ...] = tuple(claim for claim, _ in _REGISTRY.values())
 CLAIM_INDEX: dict[str, Claim] = {c.ident: c for c in CLAIMS}
 
 
@@ -2004,54 +1874,22 @@ def select_claims(pattern: str | None) -> tuple[Claim, ...]:
     return chosen
 
 
-def registry_selfcheck() -> None:
-    """Structural sanity of the registry; raises on any defect."""
-    seen = set()
-    for claim in CLAIMS:
-        if claim.ident in seen:
-            raise AssertionError(f"duplicate claim ident {claim.ident}")
-        seen.add(claim.ident)
-        if claim.classification not in CLASSIFICATIONS:
-            raise AssertionError(f"bad classification on {claim.ident}")
-        table = {"space": SPACE_EVALS, "pool": POOL_EVALS,
-                 "fixed": FIXED_EVALS}[claim.scope]
-        if claim.ident not in table:
-            raise AssertionError(f"no evaluator for {claim.ident}")
-    for table in (SPACE_EVALS, POOL_EVALS, FIXED_EVALS):
-        for ident in table:
-            if ident not in seen:
-                raise AssertionError(f"evaluator {ident} has no claim entry")
+def _evaluate(scope: str, idents, *args) -> dict:
+    """Run the chosen evaluators of one scope, in ``CLAIMS`` order."""
+    return {claim.ident: evaluate(*args)
+            for claim, evaluate in _REGISTRY.values()
+            if claim.scope == scope
+            and (idents is None or claim.ident in idents)}
 
 
 def evaluate_space_case(case: SpaceCase, idents=None) -> dict:
     """Run the chosen space-scope evaluators; dict ident -> result triple."""
-    results = {}
-    for claim in CLAIMS:
-        if claim.scope != "space":
-            continue
-        if idents is not None and claim.ident not in idents:
-            continue
-        results[claim.ident] = SPACE_EVALS[claim.ident](case)
-    return results
+    return _evaluate("space", idents, case)
 
 
 def evaluate_pool_claims(pool: SetPool, idents=None) -> dict:
-    results = {}
-    for claim in CLAIMS:
-        if claim.scope != "pool":
-            continue
-        if idents is not None and claim.ident not in idents:
-            continue
-        results[claim.ident] = POOL_EVALS[claim.ident](pool)
-    return results
+    return _evaluate("pool", idents, pool)
 
 
 def evaluate_fixed_claims(idents=None) -> dict:
-    results = {}
-    for claim in CLAIMS:
-        if claim.scope != "fixed":
-            continue
-        if idents is not None and claim.ident not in idents:
-            continue
-        results[claim.ident] = FIXED_EVALS[claim.ident]()
-    return results
+    return _evaluate("fixed", idents)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -191,7 +192,7 @@ def _config_echo(args, lattice: GradeLattice | None, extra=None) -> dict:
         "seed": args.seed,
     }
     if getattr(args, "file", None) is not None:
-        echo["file"] = args.file
+        echo["file"] = os.path.normpath(args.file)
     if extra:
         echo.update(extra)
     return echo
@@ -429,9 +430,11 @@ def cmd_audit(args) -> int:
         pool_kwargs = {} if args.cap is None else {"cap": args.cap}
         pool = SetPool(doc.universe, doc.parameters, lattice, **pool_kwargs)
         ids = tuple(sorted(pool.encode(o) for o in space.opens))
+        # named as the echo names it, so doc.fst and ./doc.fst are one case;
+        # only the name is normalised, since ".." after a symlink differs
         report_obj = run_audit(
             claim_filter=args.claim,
-            single_case=(args.file, pool, ids),
+            single_case=(os.path.normpath(args.file), pool, ids),
         )
         lattice_echo = lattice
     else:

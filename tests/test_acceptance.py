@@ -4,6 +4,7 @@ Criteria 3, 4 and 5 read the shared session audit (the full enumerated
 corpus plus random and named cases) instead of re-running it per test.
 """
 
+import hashlib
 import json
 import time
 
@@ -222,3 +223,20 @@ def test_criterion_7_determinism(tmp_path, capsys):
     assert a1 == a2 == a3
     _report("CRITERION 7 PASS: structured axioms and audit reports "
             "byte-identical across runs and worker counts")
+
+
+def test_criterion_7_full_audit_is_pinned(full_audit):
+    # the shared unbudgeted audit: every count, status and witness of all
+    # 67 claims over every case, and the text report made from them
+    payload = json.dumps(full_audit.payload, sort_keys=True)
+    assert hashlib.sha256(payload.encode()).hexdigest() == FULL_PAYLOAD_DIGEST
+    text = full_audit.render_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == FULL_TEXT_DIGEST
+    _report("CRITERION 7 PASS: the full audit payload and text report "
+            "match their recorded digests")
+
+
+FULL_PAYLOAD_DIGEST = (
+    "f661816c0ccf27090f6df54c4058aaa12441739622b6335b6c1708fbfb86a43d")
+FULL_TEXT_DIGEST = (
+    "ed40bddad738790a1ba7fbed11f5da5d6f23aa7d0729fbcf2c1e1701f88fb5c8")

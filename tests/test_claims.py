@@ -8,6 +8,8 @@ is a soundness bug, not a modeling choice.
 """
 
 import copy
+import hashlib
+import json
 import random
 
 import pytest
@@ -20,10 +22,10 @@ from fstopo.claims import (
     REPRODUCED,
     _MAX_FAILS,
     SpaceCase,
+    _claim,
     evaluate_fixed_claims,
     evaluate_pool_claims,
     evaluate_space_case,
-    registry_selfcheck,
     select_claims,
 )
 from fstopo.corpus import CorpusSpec, SpaceCorpus, named_spaces
@@ -55,8 +57,21 @@ def make_cases(corpus, stride=977):
 
 
 class TestRegistry:
-    def test_selfcheck(self):
-        registry_selfcheck()
+    def test_declaration_refuses_a_duplicate_or_unknown_kind(self):
+        with pytest.raises(ValueError, match="duplicate"):
+            _claim("CL.1", ASSERTED, "space", "again", "every set")
+        with pytest.raises(ValueError, match="classification"):
+            _claim("CL.NEW", "believed", "space", "new", "every set")
+        with pytest.raises(ValueError, match="scope"):
+            _claim("CL.NEW", ASSERTED, "shape", "new", "every set")
+        assert "CL.NEW" not in CLAIM_INDEX and len(CLAIMS) == 67
+
+    def test_registry_is_pinned(self):
+        # idents, metadata and report order of every claim
+        rows = [[c.ident, c.classification, c.scope, c.statement,
+                 c.coverage, c.complete] for c in CLAIMS]
+        digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        assert digest == REGISTRY_DIGEST
 
     def test_size_and_unique_idents(self):
         assert len(CLAIMS) == 67
@@ -182,6 +197,27 @@ class TestEvaluation:
         only = evaluate_space_case(case, idents=["CL.1", "CL.2"])
         assert set(only) == {"CL.1", "CL.2"}
 
+    def test_failures_past_the_cap_are_not_rendered(self, corpus,
+                                                    monkeypatch):
+        pool = corpus.pool
+        case = SpaceCase("cap", pool, corpus.spaces[0], exhaustive=True)
+        it, meet, join = case.interior(), pool.meet, pool.join
+        failing = sum(
+            1 for g in range(pool.size) for h in range(pool.size)
+            if meet[it[join[g][h]]][join[it[g]][it[h]]] != it[join[g][h]])
+        assert failing > _MAX_FAILS
+        rendered = []
+        render_set = SpaceCase.render_set
+
+        def counting(self, gid):
+            rendered.append(gid)
+            return render_set(self, gid)
+
+        monkeypatch.setattr(SpaceCase, "render_set", counting)
+        checked, hits, fails = evaluate_space_case(case, {"CL.12"})["CL.12"]
+        assert checked == pool.size ** 2 and len(fails) == _MAX_FAILS
+        assert len(rendered) <= 2 * _MAX_FAILS
+
 
 # -- pool claims against their scalar scans --------------------------------
 # The PT.5 and PT.6 evaluators flag points with whole-row bitmask operations
@@ -306,3 +342,7 @@ def test_pool_claims_match_scalar_scans(shape_pool, shape):
             assert fast[ident] == scan(subject), (label, ident)
         if label == "extreme-3":
             assert fast["PT.5-sound"][2] and fast["PT.6"][2], label
+
+
+REGISTRY_DIGEST = (
+    "26a4301fd74d3973af3b36d226258527f2100daf57449016023313c95aa9b017")

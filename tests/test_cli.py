@@ -264,6 +264,28 @@ class TestAudit:
         assert len(closed) == AUDIT_DIGEST_OPENS
         assert hashlib.sha256(out.encode()).hexdigest() == AUDIT_DIGEST
 
+    def test_document_audit_bytes_ignore_path_spelling(self, capsys,
+                                                       tmp_path, monkeypatch):
+        # the file name is the case label and the echoed file; a relative
+        # name is normalised, so both spellings name the same case
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.fst").write_text(VALID)
+        outs = []
+        for name in ("doc.fst", "./doc.fst"):
+            code, out, _ = run(capsys, "audit", name, "--format",
+                               "structured")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["config"]["file"] == "doc.fst"
+        # only the name is normalised: the file is still read through the
+        # path as given, where ".." after a symbolic link leaves the link
+        (tmp_path / "a" / "b").mkdir(parents=True)
+        (tmp_path / "a" / "other.fst").write_text(VALID)
+        (tmp_path / "link").symlink_to(tmp_path / "a" / "b")
+        code, _, _ = run(capsys, "validate", "link/../other.fst")
+        assert code == 0
+
 
 AUDIT_DIGEST_OPENS = 25
 AUDIT_DIGEST = "d824fcc7a45578f5a6e969d540d8ab560aab688f32c5c4a6279ee4e788a233e4"
