@@ -19,9 +19,11 @@ strings), with at most ``_MAX_FAILS`` failure strings.
 Space-scope claims run once per topology through a ``SpaceCase`` built
 over the integer set-pool encoding; pool-scope claims run once per
 distinct shape; fixed-scope claims run once per audit.  A subspace is a
-``SpaceCase`` too (``SpaceCase.subspace``), whose opens and closed sets
-are the traces of the ambient ones, so the separation axioms of spaces
-and of their subspaces are decided by the same code.
+``SpaceCase`` too (``SpaceCase.subspace``, built once per case and set),
+whose opens and closed sets are the traces of the ambient ones.  A
+``SpaceCase`` builds the bitmasks the separation axioms are read from
+and runs the axiom scans of ``deciders.py`` over them, the scans the
+object-level deciders run over theirs.
 
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
@@ -42,6 +44,16 @@ from dataclasses import dataclass
 
 from .algebra import FuzzySet, Universe
 from .corpus import SetPool
+from .deciders import (
+    _bits,
+    _every_pair,
+    _mask,
+    _normal_fail,
+    _regular_fail,
+    _t0_fail,
+    _t1_fail,
+    _t2_fail,
+)
 from .points import FuzzySoftPoint, point_in
 from .softsets import FuzzySoftSet, ParameterSet
 
@@ -149,13 +161,6 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check):
     return checked, hits, fails
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class SpaceCase:
     """Per-topology caches over the integer encoding.
 
@@ -186,7 +191,9 @@ class SpaceCase:
         self._int: list[int] | None = None
         self._omasks: list[int] | None = None
         self._odisj: list[int] | None = None
+        self._covers: list[int] | None = None
         self._ax: dict = {}
+        self._sub: dict[int, SpaceCase] = {}
         self._conn: dict[int, tuple] = {}
 
     # -- operator tables ---------------------------------------------------
@@ -250,30 +257,37 @@ class SpaceCase:
             self._odisj = [self._open_bits(disj[a]) for a in self.opens]
         return self._odisj
 
-    def cover_mask(self, k: int) -> int:
-        """Bitmask of open indices whose set contains ``k``."""
-        meet = self.pool.meet[k]
-        m = 0
-        for i, o in enumerate(self.opens):
-            if meet[o] == k:
-                m |= 1 << i
-        return m
+    def covers(self) -> list[int]:
+        """Per closed set, the bitmask of open indices containing it."""
+        if self._covers is None:
+            meet = self.pool.meet
+            self._covers = [_mask(meet[k][o] == k for o in self.opens)
+                            for k in self.closeds]
+        return self._covers
 
     # -- separation axioms -------------------------------------------------
 
     def ax(self, name: str):
+        """The first failing pair of pool ids (point or closed set) the
+        scan of ``name`` finds, or None when the axiom holds."""
         if name not in self._ax:
             self._ax[name] = getattr(self, "_decide_" + name)()
         return self._ax[name]
 
     def _decide_t0(self):
-        return _t0_fail(self.pool, self.pts, self.omasks())
+        form = self.pool.pt_form_id
+        disj = self.pool.disj_mask
+        pts = self.pts
+        pair = _t0_fail(self.omasks(),
+                        lambda a, b: (disj[form[pts[a]]] >> form[pts[b]]) & 1)
+        return _ids(pair, pts, pts)
 
     def _decide_t1(self):
-        return _t1_fail(self.pts, self.omasks())
+        return _ids(_t1_fail(self.omasks(), _every_pair), self.pts, self.pts)
 
     def _decide_t2(self):
-        return _t2_fail(self.pts, self.omasks(), self.odisj())
+        pair = _t2_fail(self.omasks(), self.odisj(), _every_pair)
+        return _ids(pair, self.pts, self.pts)
 
     def _decide_points_closed(self):
         form = self.pool.pt_form_id
@@ -284,13 +298,19 @@ class SpaceCase:
         return None
 
     def _decide_regular(self):
-        covers = [self.cover_mask(k) for k in self.closeds]
-        return _regular_fail(self.pool, self.closeds, covers, self.pts,
-                             self.omasks(), self.odisj())
+        pin = self.pool.pt_in_mask
+        pts, closeds = self.pts, self.closeds
+        pair = _regular_fail(
+            self.omasks(), self.covers(), self.odisj(),
+            lambda a, k: not (pin[pts[a]] >> closeds[k]) & 1)
+        return _ids(pair, pts, closeds)
 
     def _decide_normal(self):
-        covers = [self.cover_mask(k) for k in self.closeds]
-        return _normal_fail(self.pool, self.closeds, covers, self.odisj())
+        disj = self.pool.disj_mask
+        closeds = self.closeds
+        pair = _normal_fail(self.covers(), self.odisj(),
+                            lambda i, j: (disj[closeds[i]] >> closeds[j]) & 1)
+        return _ids(pair, closeds, closeds)
 
     def t0(self) -> bool:
         return self.ax("t0") is None
@@ -329,8 +349,11 @@ class SpaceCase:
     def subspace(self, g: int) -> "SpaceCase":
         """The subspace at ``g``: its opens are the traces of the opens,
         its closed sets the traces of the closed sets."""
-        return SpaceCase(self.label, self.pool, tuple(self.traces(g)),
-                         closeds=self.closed_traces(g))
+        if g not in self._sub:
+            self._sub[g] = SpaceCase(self.label, self.pool,
+                                     tuple(self.traces(g)),
+                                     closeds=self.closed_traces(g))
+        return self._sub[g]
 
     def conn(self, g: int):
         """(connected, separation pair or None) of the subspace at ``g``."""
@@ -351,76 +374,9 @@ class SpaceCase:
         return self.pool.decode_point(index).render()
 
 
-# -- id-level axiom scans, shared by spaces and their subspaces ------------
-
-
-def _t0_fail(pool: SetPool, pts, omasks):
-    """First disjoint point pair no open tells apart, else None."""
-    form = pool.pt_form_id
-    disj = pool.disj_mask
-    for a in range(len(pts)):
-        da = disj[form[pts[a]]]
-        ma = omasks[a]
-        for b in range(a + 1, len(pts)):
-            if (da >> form[pts[b]]) & 1 and ma == omasks[b]:
-                return pts[a], pts[b]
-    return None
-
-
-def _t1_fail(pts, omasks):
-    """First ordered pair with no open holding one point and not the other."""
-    for a in range(len(pts)):
-        ma = omasks[a]
-        for b in range(a + 1, len(pts)):
-            mb = omasks[b]
-            if ma & ~mb == 0:
-                return pts[a], pts[b]
-            if mb & ~ma == 0:
-                return pts[b], pts[a]
-    return None
-
-
-def _t2_fail(pts, omasks, odisj):
-    """First distinct pair with no disjoint pair of separating opens."""
-    for a in range(len(pts)):
-        ma = omasks[a]
-        for b in range(a + 1, len(pts)):
-            mb = omasks[b]
-            if not any(odisj[i] & mb for i in _bits(ma)):
-                return pts[a], pts[b]
-    return None
-
-
-def _regular_fail(pool: SetPool, closeds, covers, pts, omasks, odisj):
-    """First (point, closed set) pair that disjoint opens cannot split.
-
-    Pairs are eligible when the point is not a member of the closed set.
-    """
-    pin = pool.pt_in_mask
-    for a, p in enumerate(pts):
-        pm = pin[p]
-        ma = omasks[a]
-        for ci, k in enumerate(closeds):
-            if (pm >> k) & 1:
-                continue
-            cov = covers[ci]
-            if not any(odisj[i] & cov for i in _bits(ma)):
-                return p, k
-    return None
-
-
-def _normal_fail(pool: SetPool, closeds, covers, odisj):
-    """First disjoint closed pair without disjoint open covers."""
-    disj = pool.disj_mask
-    for i in range(len(closeds)):
-        di = disj[closeds[i]]
-        ci = covers[i]
-        for j in range(i + 1, len(closeds)):
-            if not (di >> closeds[j]) & 1:
-                continue
-            if not any(odisj[b] & covers[j] for b in _bits(ci)):
-                return closeds[i], closeds[j]
-    return None
+def _ids(pair, first, second):
+    """A scan's index pair as pool ids."""
+    return None if pair is None else (first[pair[0]], second[pair[1]])
 
 
 def _sep_pair(pool: SetPool, opens, carrier):

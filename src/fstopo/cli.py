@@ -420,6 +420,11 @@ def cmd_subspace(args) -> int:
 
 
 def cmd_audit(args) -> int:
+    # the claims fix their own readings; refuse flags the report would
+    # echo over results they do not change
+    if args.disjointness != "pointwise" or args.pair_relation is not None:
+        raise _UsageError("audit takes neither --disjointness nor "
+                          "--pair-relation: each claim fixes its own reading")
     if args.claim is not None and not select_claims(args.claim):
         raise _UsageError(f"unknown claim {args.claim!r}")
     if args.file is not None:

@@ -17,12 +17,19 @@ Conventions, fixed here and echoed in every verdict:
   non-membership.  ``regular_reading = "disjoint"`` switches to the
   stronger reading (point and closed set disjoint).
 
-All scans are brute force in canonical order, so the first witness of a
-failure is deterministic.
+The separation axioms are decided by five scans over bitmasks
+(``_t0_fail`` ... ``_normal_fail``), the same scans ``claims.SpaceCase``
+runs on the integer set-pool encoding.  The deciders build the masks
+from the objects: for each point the opens holding it, for each open the
+opens disjoint from it, for each closed set the opens above it, and the
+configured pair relation and regularity reading as a test of which pairs
+qualify.  Every scan runs in canonical order, so the first witness of a
+failure is deterministic.  Connectedness has a scan of its own.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,10 +109,6 @@ class Witness:
         return payload
 
 
-def point_pair_witness(p, q, note: str = "") -> Witness:
-    return Witness("point-pair", (p.render(), q.render()), note)
-
-
 def set_witness(kind: str, *sets: FuzzySoftSet, note: str = "") -> Witness:
     return Witness(kind, tuple(s.render() for s in sets), note)
 
@@ -136,15 +139,94 @@ class AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# scan scaffolding
+# the axiom scans, shared with claims.SpaceCase
+#
+# Bit i of a mask means "open number i".  Each scan returns the first
+# failing index pair in canonical order, or None; ``ok(a, b)`` says
+# whether a pair qualifies.  T0 to T2 test it only on pairs whose masks
+# fail, regular and normal before the masks.
 
-class _Scan:
-    """Point enumeration plus membership masks for one (space, config) run.
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
-    Masks are plain ints with bit i meaning "open number i"; they keep the
-    pair loops at O(points^2 * opens) with small constants while every scan
-    stays in canonical order.
-    """
+
+def _every_pair(a: int, b: int) -> bool:
+    return True
+
+
+def _t0_fail(omasks, ok):
+    """First qualifying point pair that no open tells apart."""
+    for a in range(len(omasks)):
+        ma = omasks[a]
+        for b in range(a + 1, len(omasks)):
+            if ma == omasks[b] and ok(a, b):
+                return a, b
+    return None
+
+
+def _t1_fail(omasks, ok):
+    """First qualifying point pair that fails T1, ordered so that no open
+    contains its first point without its second."""
+    for a in range(len(omasks)):
+        ma = omasks[a]
+        for b in range(a + 1, len(omasks)):
+            mb = omasks[b]
+            if ma & ~mb == 0:
+                if ok(a, b):
+                    return a, b
+            elif mb & ~ma == 0 and ok(a, b):
+                return b, a
+    return None
+
+
+def _t2_fail(omasks, odisj, ok):
+    """First qualifying point pair that no disjoint opens separate."""
+    for a in range(len(omasks)):
+        ma = omasks[a]
+        for b in range(a + 1, len(omasks)):
+            mb = omasks[b]
+            if not any(odisj[i] & mb for i in _bits(ma)) and ok(a, b):
+                return a, b
+    return None
+
+
+def _regular_fail(omasks, covers, odisj, ok):
+    """First qualifying (point, closed set) pair that no disjoint opens
+    split."""
+    for a, ma in enumerate(omasks):
+        for k, cover in enumerate(covers):
+            if ok(a, k) and not any(odisj[i] & cover for i in _bits(ma)):
+                return a, k
+    return None
+
+
+def _normal_fail(covers, odisj, ok):
+    """First qualifying closed pair that no disjoint opens cover."""
+    for i, ci in enumerate(covers):
+        for j in range(i + 1, len(covers)):
+            if ok(i, j) and not any(odisj[x] & covers[j] for x in _bits(ci)):
+                return i, j
+    return None
+
+
+# ---------------------------------------------------------------------------
+# the masks of one (space, config)
+
+def _mask(flags) -> int:
+    mask = 0
+    for i, flag in enumerate(flags):
+        if flag:
+            mask |= 1 << i
+    return mask
+
+
+class _Masks:
+    """The lattice points inside the carrier, in canonical order, with
+    the opens holding each; the masks only some scans read are built on
+    first use."""
 
     def __init__(self, space: FuzzySoftTopology, cfg: DeciderConfig):
         self.space = space
@@ -157,46 +239,49 @@ class _Scan:
             if point_in(p, space.carrier)
         ]
         self.forms = [p.as_fss() for p in self.points]
-        self.open_masks = [self._membership_mask(p) for p in self.points]
+        self.omasks = [_mask(point_in(p, o) for o in space.opens)
+                       for p in self.points]
+        self.scanned = f"{len(self.points)} points scanned"
 
-    def _membership_mask(self, p) -> int:
-        mask = 0
-        for i, o in enumerate(self.space.opens):
-            if point_in(p, o):
-                mask |= 1 << i
-        return mask
-
-    def open_disjoint_masks(self) -> list[int]:
-        opens = self.space.opens
+    @functools.cached_property
+    def odisj(self) -> list[int]:
+        opens, mode = self.space.opens, self.cfg.disjointness_mode
         masks = [0] * len(opens)
         for i, a in enumerate(opens):
-            masks[i] |= 1 << i if disjoint(a, a, self.cfg.disjointness_mode) else 0
-            for j in range(i + 1, len(opens)):
-                if disjoint(a, opens[j], self.cfg.disjointness_mode):
+            for j in range(i, len(opens)):
+                if disjoint(a, opens[j], mode):
                     masks[i] |= 1 << j
                     masks[j] |= 1 << i
         return masks
 
-    def cover_mask(self, target: FuzzySoftSet) -> int:
-        """Opens lying above ``target``."""
-        mask = 0
-        for i, o in enumerate(self.space.opens):
-            if target.leq(o):
-                mask |= 1 << i
-        return mask
+    @functools.cached_property
+    def covers(self) -> list[int]:
+        opens = self.space.opens
+        return [_mask(k.leq(o) for o in opens) for k in self.space.closed_sets]
 
-    def pair_ok(self, axiom: str, i: int, j: int) -> bool:
-        relation = self.cfg.relation_for(axiom)
-        if relation == "distinct":
-            return True  # enumerated points are pairwise distinct
-        return disjoint(self.forms[i], self.forms[j], self.cfg.disjointness_mode)
+    def pair_test(self, axiom: str):
+        """The configured pair relation of ``axiom`` on point indices."""
+        if self.cfg.relation_for(axiom) == "distinct":
+            return _every_pair  # enumerated points are pairwise distinct
+        forms, mode = self.forms, self.cfg.disjointness_mode
+        return lambda a, b: disjoint(forms[a], forms[b], mode)
+
+    def pair_verdict(self, axiom: str, pair, note: str) -> AxiomVerdict:
+        witness = None if pair is None else Witness(
+            "point-pair", tuple(self.points[i].render() for i in pair), note)
+        return _verdict(axiom, self.cfg, witness, self.scanned)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+# T3 and T4 re-run T1, regular and normal on the same (space, config)
+_masks = functools.lru_cache(maxsize=1)(_Masks)
+
+
+def _verdict(axiom: str, cfg: DeciderConfig, witness: Optional[Witness],
+             detail: str) -> AxiomVerdict:
+    """Holds, with ``detail``, exactly when there is no witness."""
+    if witness is None:
+        return AxiomVerdict(axiom, True, cfg, detail=detail)
+    return AxiomVerdict(axiom, False, cfg, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -204,153 +289,69 @@ def _bits(mask: int):
 
 def is_t0(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Some open contains exactly one point of each qualifying pair."""
-    scan = _Scan(space, cfg)
-    for i in range(len(scan.points)):
-        for j in range(i + 1, len(scan.points)):
-            if not scan.pair_ok("T0", i, j):
-                continue
-            if scan.open_masks[i] ^ scan.open_masks[j] == 0:
-                return AxiomVerdict(
-                    "T0",
-                    False,
-                    cfg,
-                    point_pair_witness(
-                        scan.points[i],
-                        scan.points[j],
-                        "no open contains exactly one of the pair",
-                    ),
-                )
-    return AxiomVerdict("T0", True, cfg, detail=f"{len(scan.points)} points scanned")
+    m = _masks(space, cfg)
+    return m.pair_verdict("T0", _t0_fail(m.omasks, m.pair_test("T0")),
+                          "no open contains exactly one of the pair")
 
 
 def is_t1(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Both one-sided separations exist for each qualifying pair."""
-    scan = _Scan(space, cfg)
-    for i in range(len(scan.points)):
-        for j in range(i + 1, len(scan.points)):
-            if not scan.pair_ok("T1", i, j):
-                continue
-            mi, mj = scan.open_masks[i], scan.open_masks[j]
-            if mi & ~mj == 0:
-                return AxiomVerdict(
-                    "T1",
-                    False,
-                    cfg,
-                    point_pair_witness(
-                        scan.points[i],
-                        scan.points[j],
-                        "no open contains the first point without the second",
-                    ),
-                )
-            if mj & ~mi == 0:
-                return AxiomVerdict(
-                    "T1",
-                    False,
-                    cfg,
-                    point_pair_witness(
-                        scan.points[i],
-                        scan.points[j],
-                        "no open contains the second point without the first",
-                    ),
-                )
-    return AxiomVerdict("T1", True, cfg, detail=f"{len(scan.points)} points scanned")
+    m = _masks(space, cfg)
+    pair = _t1_fail(m.omasks, m.pair_test("T1"))
+    if pair is not None and pair[0] > pair[1]:
+        return m.pair_verdict(
+            "T1", pair[::-1],
+            "no open contains the second point without the first")
+    return m.pair_verdict(
+        "T1", pair, "no open contains the first point without the second")
 
 
 def is_t2(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Disjoint opens separate each qualifying pair."""
-    scan = _Scan(space, cfg)
-    disjoint_masks = scan.open_disjoint_masks()
-    for i in range(len(scan.points)):
-        for j in range(i + 1, len(scan.points)):
-            if not scan.pair_ok("T2", i, j):
-                continue
-            mi, mj = scan.open_masks[i], scan.open_masks[j]
-            if not any(disjoint_masks[b] & mj for b in _bits(mi)):
-                return AxiomVerdict(
-                    "T2",
-                    False,
-                    cfg,
-                    point_pair_witness(
-                        scan.points[i],
-                        scan.points[j],
-                        "no pair of disjoint opens separates the points",
-                    ),
-                )
-    return AxiomVerdict("T2", True, cfg, detail=f"{len(scan.points)} points scanned")
+    m = _masks(space, cfg)
+    return m.pair_verdict("T2", _t2_fail(m.omasks, m.odisj, m.pair_test("T2")),
+                          "no pair of disjoint opens separates the points")
 
 
 def points_all_closed(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Every lattice point of the carrier is, as a soft set, a closed set."""
-    scan = _Scan(space, cfg)
+    m = _masks(space, cfg)
     closed = set(space.closed_sets)
-    for p, form in zip(scan.points, scan.forms):
-        if form not in closed:
-            return AxiomVerdict(
-                "points-closed",
-                False,
-                cfg,
-                Witness("point", (p.render(),), "its soft-set form is not closed"),
-            )
-    return AxiomVerdict(
-        "points-closed", True, cfg, detail=f"{len(scan.points)} points scanned"
-    )
-
-
-def _not_containing(p_form: FuzzySoftSet, p, k: FuzzySoftSet, cfg: DeciderConfig) -> bool:
-    if cfg.regular_reading == "membership":
-        return not point_in(p, k)
-    return disjoint(p_form, k, cfg.disjointness_mode)
+    bad = next((p for p, form in zip(m.points, m.forms) if form not in closed),
+               None)
+    witness = None if bad is None else Witness(
+        "point", (bad.render(),), "its soft-set form is not closed")
+    return _verdict("points-closed", cfg, witness, m.scanned)
 
 
 def is_regular(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Points and closed sets avoiding them split into disjoint opens."""
-    scan = _Scan(space, cfg)
-    disjoint_masks = scan.open_disjoint_masks()
-    closed_cover = [scan.cover_mask(k) for k in space.closed_sets]
-    for p, form, mask in zip(scan.points, scan.forms, scan.open_masks):
-        for k, cover in zip(space.closed_sets, closed_cover):
-            if not _not_containing(form, p, k, cfg):
-                continue
-            if not any(disjoint_masks[b] & cover for b in _bits(mask)):
-                return AxiomVerdict(
-                    "regular",
-                    False,
-                    cfg,
-                    Witness(
-                        "point-closed",
-                        (p.render(), k.render()),
-                        "no disjoint opens around the point and the closed set",
-                    ),
-                )
-    return AxiomVerdict(
-        "regular", True, cfg, detail=f"{len(scan.points)} points scanned"
-    )
+    m = _masks(space, cfg)
+    closeds = space.closed_sets
+    if cfg.regular_reading == "membership":
+        def avoids(a, k):
+            return not point_in(m.points[a], closeds[k])
+    else:
+        def avoids(a, k):
+            return disjoint(m.forms[a], closeds[k], cfg.disjointness_mode)
+    pair = _regular_fail(m.omasks, m.covers, m.odisj, avoids)
+    witness = None if pair is None else Witness(
+        "point-closed", (m.points[pair[0]].render(), closeds[pair[1]].render()),
+        "no disjoint opens around the point and the closed set")
+    return _verdict("regular", cfg, witness, m.scanned)
 
 
 def is_normal(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Disjoint closed pairs split into disjoint open covers."""
-    scan = _Scan(space, cfg)
-    disjoint_masks = scan.open_disjoint_masks()
+    m = _masks(space, cfg)
     closeds = space.closed_sets
-    covers = [scan.cover_mask(k) for k in closeds]
-    for i, a in enumerate(closeds):
-        for j in range(i, len(closeds)):
-            b = closeds[j]
-            if not disjoint(a, b, cfg.disjointness_mode):
-                continue
-            if not any(disjoint_masks[x] & covers[j] for x in _bits(covers[i])):
-                return AxiomVerdict(
-                    "normal",
-                    False,
-                    cfg,
-                    set_witness(
-                        "closed-pair",
-                        a,
-                        b,
-                        note="no disjoint opens cover the closed pair",
-                    ),
-                )
-    return AxiomVerdict("normal", True, cfg, detail=f"{len(closeds)} closed sets")
+    pair = _normal_fail(
+        m.covers, m.odisj,
+        lambda i, j: disjoint(closeds[i], closeds[j], cfg.disjointness_mode))
+    witness = None if pair is None else set_witness(
+        "closed-pair", closeds[pair[0]], closeds[pair[1]],
+        note="no disjoint opens cover the closed pair")
+    return _verdict("normal", cfg, witness, f"{len(closeds)} closed sets")
 
 
 def _conjunction(axiom: str, first: AxiomVerdict, second: AxiomVerdict,
@@ -400,14 +401,9 @@ def find_separation(
 
 def is_connected(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     pair = find_separation(space, cfg)
-    if pair is None:
-        return AxiomVerdict("connected", True, cfg, detail="no separation exists")
-    return AxiomVerdict(
-        "connected",
-        False,
-        cfg,
-        set_witness("separation", *pair, note="disjoint opens covering the carrier"),
-    )
+    witness = None if pair is None else set_witness(
+        "separation", *pair, note="disjoint opens covering the carrier")
+    return _verdict("connected", cfg, witness, "no separation exists")
 
 
 def clopen_witness(space: FuzzySoftTopology) -> Optional[FuzzySoftSet]:

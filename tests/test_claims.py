@@ -120,13 +120,20 @@ class TestCrossCheck:
             ("t0", is_t0), ("t1", is_t1), ("t2", is_t2),
             ("regular", is_regular), ("normal", is_normal),
         )
+        failed = set()
         for case in make_cases(corpus):
             space = case_space(case)
             cfg = DeciderConfig(lattice=case.pool.lattice)
             for name, decide in deciders:
-                assert getattr(case, name)() == decide(space, cfg).holds, (
+                verdict = decide(space, cfg)
+                assert getattr(case, name)() == verdict.holds, (
                     case.label, name)
+                if not verdict.holds:
+                    failed.add(name)
+                    assert axiom_witness(case, name, verdict.witness.note) \
+                        == verdict.witness.rendered, (case.label, name)
             assert case.points_closed() == points_all_closed(space, cfg).holds
+        assert failed == {name for name, _ in deciders}
 
     def test_connectedness_agrees(self, corpus):
         for case in make_cases(corpus):
@@ -148,6 +155,19 @@ class TestCrossCheck:
             view = space.subspace(pool.decode(g))
             traced = [pool.decode(t) for t in case.traces(g)]
             assert tuple(traced) == view.opens
+
+
+def axiom_witness(case, name, note):
+    """The ids ``case.ax(name)`` finds, rendered in the decider's order:
+    the integer path orders a failing T1 pair so that no open holds its
+    first point without its second, the decider says so in the note."""
+    first, second = case.ax(name)
+    if name == "t1" and note.endswith("the second point without the first"):
+        first, second = second, first
+    render_first = case.render_set if name == "normal" else case.render_point
+    render_second = case.render_point if name.startswith("t") \
+        else case.render_set
+    return render_first(first), render_second(second)
 
 
 def case_space(case):

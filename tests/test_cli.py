@@ -10,8 +10,10 @@ import pytest
 from fstopo import cli
 from fstopo.algebra import GradeLattice, Universe
 from fstopo.corpus import SetPool, close_family
-from fstopo.document import document_from_topology
+from fstopo.deciders import DeciderConfig, is_regular, is_t3
+from fstopo.document import document_from_topology, parse_document
 from fstopo.softsets import ParameterSet
+from fstopo.topology import validate_topology
 
 VALID = """\
 universe: x y
@@ -240,6 +242,18 @@ class TestAudit:
         assert code == 0
         assert "summary:" in out and "alarms: none" in out
 
+    def test_audit_refuses_readings_it_ignores(self, capsys, valid_doc):
+        for flags in (("--disjointness", "cross-parameter"),
+                      ("--pair-relation", "disjoint"),
+                      ("--pair-relation", "distinct")):
+            for target in ((valid_doc,), ("--budget", "1")):
+                code, out, err = run(capsys, "audit", *target, *flags)
+                assert code == 2 and out == ""
+                assert "neither --disjointness nor --pair-relation" in err
+        code, _, _ = run(capsys, "audit", valid_doc, "--claim", "CL.1",
+                         "--disjointness", "pointwise")
+        assert code == 0
+
     def test_document_audit_bytes_are_pinned(self, capsys, tmp_path,
                                              monkeypatch):
         # a seeded 3x2x3 document: its 729-set pool runs every pool claim
@@ -285,6 +299,136 @@ class TestAudit:
         (tmp_path / "link").symlink_to(tmp_path / "a" / "b")
         code, _, _ = run(capsys, "validate", "link/../other.fst")
         assert code == 0
+
+
+class TestAxiomsPinned:
+    """``axioms`` bytes under every disjointness reading and pair
+    relation, at the document's own lattice and at a wider one."""
+
+    def _outputs(self, capsys, tmp_path, monkeypatch, name, lattice):
+        # the file name is echoed in the report, so keep it fixed
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "doc.fst").write_text(AXIOM_DOCS[name])
+        outs = []
+        for disjointness in ("pointwise", "cross-parameter"):
+            for relation in ((), ("--pair-relation", "distinct"),
+                             ("--pair-relation", "disjoint")):
+                code, out, _ = run(capsys, "axioms", "doc.fst", "--lattice",
+                                   lattice, "--disjointness", disjointness,
+                                   *relation, "--format", "structured")
+                assert code == 0
+                outs.append(out)
+        return outs
+
+    def test_axioms_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        failing, t1_notes = set(), set()
+        for (name, lattice), digest in AXIOMS_DIGESTS.items():
+            outs = self._outputs(capsys, tmp_path, monkeypatch, name,
+                                 lattice)
+            for out in outs:
+                for v in json.loads(out)["results"]["verdicts"]:
+                    if not v["holds"]:
+                        failing.add(v["axiom"])
+                        if v["axiom"] == "T1":
+                            t1_notes.add(v["witness"]["note"])
+            got = hashlib.sha256("".join(outs).encode()).hexdigest()
+            assert got == digest, (name, lattice)
+        # between them the documents sink every verdict the command gives
+        assert failing == {"T0", "T1", "T2", "regular", "T3", "normal",
+                           "T4", "points-closed"}
+        assert t1_notes == {
+            "no open contains the first point without the second",
+            "no open contains the second point without the first"}
+
+    def test_disjoint_regular_reading_is_pinned(self):
+        payloads = []
+        for name in AXIOM_DOCS:
+            doc = parse_document(AXIOM_DOCS[name])
+            space = validate_topology(doc.carrier, [s for _, s in doc.opens])
+            for mode in ("pointwise", "cross_parameter"):
+                for cfg in (
+                    DeciderConfig.auto_for(space, disjointness_mode=mode,
+                                           regular_reading="disjoint"),
+                    DeciderConfig(lattice=GradeLattice.uniform(4),
+                                  disjointness_mode=mode,
+                                  regular_reading="disjoint"),
+                ):
+                    payloads.append(is_regular(space, cfg).to_payload())
+                    payloads.append(is_t3(space, cfg).to_payload())
+        text = json.dumps(payloads, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == REGULAR_DIGEST
+
+
+# enum-07976 of the desk corpus fails normal (the generated query
+# documents never do); crisp-point is T3 at its own lattice
+AXIOM_DOCS = {
+    "desk-07976": """\
+universe: x y
+parameters: e1 e2
+lattice: 0 1/2 1
+carrier:
+  e1: x=1 y=1
+  e2: x=1 y=1
+open o1:
+open o2:
+  e2: x=1/2
+open o3:
+  e1: y=1
+  e2: x=1/2 y=1
+open o4:
+  e1: y=1
+  e2: x=1 y=1
+open o5:
+  e1: x=1 y=1
+  e2: x=1/2 y=1
+open o6:
+  e1: x=1 y=1
+  e2: x=1 y=1
+""",
+    "subcarrier": VALID,
+    "crisp-discrete": """\
+universe: x y
+parameters: e1
+carrier:
+  e1: x=1 y=1
+open none:
+open x:
+  e1: x=1
+open y:
+  e1: y=1
+open all:
+  e1: x=1 y=1
+""",
+    "crisp-point": """\
+universe: x
+parameters: e1
+carrier:
+  e1: x=1
+open none:
+open all:
+  e1: x=1
+""",
+}
+AXIOMS_DIGESTS = {
+    ("desk-07976", "auto"):
+        "bf21e6f78d2aa1e604a23383ee5c4195a769b978edbc68d2701091d896b84c63",
+    ("desk-07976", "4"):
+        "a88bb8a242c16d198b31cc26ebb96f2b62687f33957c8ffae26b4eec5dc92f8d",
+    ("subcarrier", "auto"):
+        "a57605298e1b6ae9b7caf6dd5888b67f247bff21c4fd6ae601cc584039da5607",
+    ("subcarrier", "4"):
+        "103989911ac88811d1bff688ed2c704f65a3b2e9a89e67cd8dcf5c1ad2d9bd51",
+    ("crisp-discrete", "auto"):
+        "9cc83eb7734ea45f6d8a9c6d7ee9630a55c9b75c76a1a7b47cad24f8f846309b",
+    ("crisp-discrete", "4"):
+        "dbce0c3cc2806f5ccfed3c3d0dd6978e66d663c7f953f971bdfdecfd58006300",
+    ("crisp-point", "auto"):
+        "03017372afca6a5336d28579cabba92c262b4a0ca4d237b5e2c31d4a6a7dd7bd",
+    ("crisp-point", "4"):
+        "8a1986d203ab7b4b1d3c4f4eea154589926e4614234dfb9a5bc7112df31a51bc",
+}
+REGULAR_DIGEST = (
+    "6b194c54b4e59ff9762c97ce51b0f06426c503b91f018735bb2fd4b708ae5a83")
 
 
 AUDIT_DIGEST_OPENS = 25
