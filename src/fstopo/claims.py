@@ -33,6 +33,15 @@ probe to a full scan, bounded by ``EXHAUSTIVE_LIMIT``.  Most sampled
 claims run through one driver, ``_scan``, which owns the failure cap: a
 check hands back a failure as a function that renders it, and the driver
 calls it only while fewer than ``_MAX_FAILS`` failures are kept.
+
+A pair claim over the pool's n sets may also hand ``_scan`` its rows.
+When the scan covers every pair (an exhaustive case with n**2 at most
+``EXHAUSTIVE_LIMIT``), the driver reads one row per set g instead of
+calling the check n**2 times: the row's hypothesis hits and its failing
+partners h, worked out with ``map``, comprehensions or bitmasks over
+whole table rows.  The check stays the claim's definition: it still
+renders every failure kept, so counts, witnesses and their order are
+those of the per-pair scan, and the probed scans still call it per pair.
 """
 
 from __future__ import annotations
@@ -138,7 +147,8 @@ def _scan_indices(case: "SpaceCase", total: int, count: int, salt: int):
     return _probe(total, count, salt)
 
 
-def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check):
+def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check,
+          rows=None):
     """Drive ``check(t)`` over ``_scan_indices(case, total, probes, salt)``.
 
     ``check`` returns None for a hypothesis miss, True for a pass and
@@ -147,10 +157,26 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check):
     Returns the usual result triple.  The renderers take the check's
     locals as default arguments: closing over them would make the check
     build closure cells on every call, hit or miss.
+
+    A pair claim (``total`` is n**2 over the pool's n sets, ``t`` is
+    ``g * n + h``) may also pass ``rows``, a generator function yielding,
+    for g = 0 .. n-1 in turn, the row's hypothesis hits and an iterable
+    of its failing h in ascending order.  When the scan is the whole
+    range, the rows replace the per-pair calls; ``check`` still renders
+    the failures kept, and a row's failures are not drawn once the cap
+    is reached.
     """
+    indices = _scan_indices(case, total, probes, salt)
     checked = hits = 0
     fails: list[str] = []
-    for t in _scan_indices(case, total, probes, salt):
+    if rows is not None and isinstance(indices, range):
+        n = case.pool.size
+        for g, (row_hits, bad) in enumerate(rows()):
+            hits += row_hits
+            for h in itertools.islice(bad, _MAX_FAILS - len(fails)):
+                fails.append(check(g * n + h)())
+        return total, hits, fails
+    for t in indices:
         checked += 1
         r = check(t)
         if r is None:
@@ -159,6 +185,11 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check):
         if r is not True and len(fails) < _MAX_FAILS:
             fails.append(r())
     return checked, hits, fails
+
+
+def _first_fails(found) -> list:
+    """The first ``_MAX_FAILS`` failures of a lazy generator of them."""
+    return list(itertools.islice(found, _MAX_FAILS))
 
 
 class SpaceCase:
@@ -192,6 +223,7 @@ class SpaceCase:
         self._omasks: list[int] | None = None
         self._odisj: list[int] | None = None
         self._covers: list[int] | None = None
+        self._nbhds: list[int] | None = None
         self._ax: dict = {}
         self._sub: dict[int, SpaceCase] = {}
         self._conn: dict[int, tuple] = {}
@@ -256,6 +288,19 @@ class SpaceCase:
             disj = self.pool.disj_mask
             self._odisj = [self._open_bits(disj[a]) for a in self.opens]
         return self._odisj
+
+    def nbhds(self) -> list[int]:
+        """Per point (aligned with self.pts), the bitmask over pool ids of
+        its neighborhoods, the sets whose interior holds it: the union of
+        the interior's preimages of the sets holding the point."""
+        if self._nbhds is None:
+            preimage: dict[int, int] = {}
+            for nb, o in enumerate(self.interior()):
+                preimage[o] = preimage.get(o, 0) | 1 << nb
+            pin = self.pool.pt_in_mask
+            self._nbhds = [sum(m for o, m in preimage.items() if (pm >> o) & 1)
+                           for pm in map(pin.__getitem__, self.pts)]
+        return self._nbhds
 
     def covers(self) -> list[int]:
         """Per closed set, the bitmask of open indices containing it."""
@@ -455,46 +500,43 @@ def _eval_cl2(case: SpaceCase):
     return _dual_eval(case, True)
 
 
-@_claim("CL.3", ASSERTED, "space",
-        "Closure is monotone with respect to set inclusion.",
-        _PROBE_PAIRS, complete=False)
-def _eval_cl3(case: SpaceCase):
+def _monotone_eval(case: SpaceCase, f: list[int], noun: str, salt: int):
+    """``f`` (closure or interior) preserves the order on every pair."""
     meet = case.pool.meet
-    cl = case.cl()
     n = case.pool.size
 
     def check(t):
         g, h = divmod(t, n)
         if meet[g][h] != g:
             return None
-        if meet[cl[g]][cl[h]] == cl[g]:
+        if meet[f[g]][f[h]] == f[g]:
             return True
         return lambda g=g, h=h: (
             f"{case.render_set(g)} <= {case.render_set(h)} but the "
-            f"closures are not ordered")
+            f"{noun} are not ordered")
 
-    return _scan(case, n * n, PAIR_PROBES, 3, check)
+    def rows():
+        above = case.pool.order_rows()[0]
+        for g in range(n):
+            up, fg = above[g], f[g]
+            yield len(up), itertools.compress(up, map(
+                fg.__ne__, map(meet[fg].__getitem__, map(f.__getitem__, up))))
+
+    return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
+
+
+@_claim("CL.3", ASSERTED, "space",
+        "Closure is monotone with respect to set inclusion.",
+        _PROBE_PAIRS, complete=False)
+def _eval_cl3(case: SpaceCase):
+    return _monotone_eval(case, case.cl(), "closures", 3)
 
 
 @_claim("CL.4", ASSERTED, "space",
         "Interior is monotone with respect to set inclusion.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl4(case: SpaceCase):
-    meet = case.pool.meet
-    it = case.interior()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        if meet[g][h] != g:
-            return None
-        if meet[it[g]][it[h]] == it[g]:
-            return True
-        return lambda g=g, h=h: (
-            f"{case.render_set(g)} <= {case.render_set(h)} but the "
-            f"interiors are not ordered")
-
-    return _scan(case, n * n, PAIR_PROBES, 4, check)
+    return _monotone_eval(case, case.interior(), "interiors", 4)
 
 
 def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
@@ -562,104 +604,95 @@ def _eval_cl8(case: SpaceCase):
     return 2, 2, fails
 
 
+def _not_below(meet, lows, highs):
+    """Per position, whether ``lows[i] <= highs[i]`` fails; ``lows`` is
+    read twice, so it must be a list."""
+    return map(operator.ne,
+               map(operator.getitem, map(meet.__getitem__, lows), highs), lows)
+
+
+def _law_eval(case: SpaceCase, f: list[int], table, law: str, op: str,
+              part: str, salt: int):
+    """``f`` (closure or interior) against ``table`` (union or
+    intersection) on every pair: with ``law`` "=", f(g part h) is
+    f(g) part f(h); with "<=" it lies below it, with ">=" above it."""
+    meet = case.pool.meet
+    n = case.pool.size
+    verb = "is not" if law == "=" else "exceeds"
+
+    def check(t):
+        g, h = divmod(t, n)
+        whole = f[table[g][h]]
+        parts = table[f[g]][f[h]]
+        if law == "=":
+            ok = whole == parts
+        elif law == "<=":
+            ok = meet[whole][parts] == whole
+        else:
+            ok = meet[parts][whole] == parts
+        if ok:
+            return True
+        if law == ">=":
+            return lambda g=g, h=h: (
+                f"{part} of the {op}s of {case.render_set(g)} and "
+                f"{case.render_set(h)} exceeds the {op} of the {part}")
+        return lambda g=g, h=h: (
+            f"{op} of the {part} of {case.render_set(g)} and "
+            f"{case.render_set(h)} {verb} the {part} of the {op}s")
+
+    def rows():
+        for g in range(n):
+            whole = list(map(f.__getitem__, table[g]))
+            parts = list(map(table[f[g]].__getitem__, f))
+            if law == "=":
+                bad = map(operator.ne, whole, parts)
+            elif law == "<=":
+                bad = _not_below(meet, whole, parts)
+            else:
+                bad = _not_below(meet, parts, whole)
+            yield n, itertools.compress(range(n), bad)
+
+    return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
+
+
 @_claim("CL.9", ASSERTED, "space",
         "Closure distributes over pairwise union.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl9(case: SpaceCase):
-    join = case.pool.join
-    cl = case.cl()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        if cl[join[g][h]] == join[cl[g]][cl[h]]:
-            return True
-        return lambda g=g, h=h: (
-            f"closure of the union of {case.render_set(g)} and "
-            f"{case.render_set(h)} is not the union of the closures")
-
-    return _scan(case, n * n, PAIR_PROBES, 9, check)
+    return _law_eval(case, case.cl(), case.pool.join, "=", "closure",
+                     "union", 9)
 
 
 @_claim("CL.10", ASSERTED, "space",
         "Interior distributes over pairwise intersection.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl10(case: SpaceCase):
-    meet = case.pool.meet
-    it = case.interior()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        if it[meet[g][h]] == meet[it[g]][it[h]]:
-            return True
-        return lambda g=g, h=h: (
-            f"interior of the intersection of {case.render_set(g)} and "
-            f"{case.render_set(h)} is not the intersection of the "
-            f"interiors")
-
-    return _scan(case, n * n, PAIR_PROBES, 10, check)
+    return _law_eval(case, case.interior(), case.pool.meet, "=", "interior",
+                     "intersection", 10)
 
 
 @_claim("CL.11", ASSERTED, "space",
         "The closure of an intersection lies below the intersection "
         "of the closures.", _PROBE_PAIRS, complete=False)
 def _eval_cl11(case: SpaceCase):
-    meet = case.pool.meet
-    cl = case.cl()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        lhs = cl[meet[g][h]]
-        if meet[lhs][meet[cl[g]][cl[h]]] == lhs:
-            return True
-        return lambda g=g, h=h: (
-            f"closure of the intersection of {case.render_set(g)} and "
-            f"{case.render_set(h)} exceeds the intersection of the "
-            f"closures")
-
-    return _scan(case, n * n, PAIR_PROBES, 11, check)
+    return _law_eval(case, case.cl(), case.pool.meet, "<=", "closure",
+                     "intersection", 11)
 
 
 @_claim("CL.12", AUDITED, "space",
         "The interior of a union lies below the union of the "
         "interiors.", _PROBE_PAIRS, complete=False)
 def _eval_cl12(case: SpaceCase):
-    meet, join = case.pool.meet, case.pool.join
-    it = case.interior()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        lhs = it[join[g][h]]
-        if meet[lhs][join[it[g]][it[h]]] == lhs:
-            return True
-        return lambda g=g, h=h: (
-            f"interior of the union of {case.render_set(g)} and "
-            f"{case.render_set(h)} exceeds the union of the interiors")
-
-    return _scan(case, n * n, PAIR_PROBES, 120, check)
+    return _law_eval(case, case.interior(), case.pool.join, "<=",
+                     "interior", "union", 120)
 
 
 @_claim("CL.12-rev", ASSERTED, "space",
         "The union of the interiors lies below the interior of the "
         "union.", _PROBE_PAIRS, complete=False)
 def _eval_cl12_rev(case: SpaceCase):
-    meet, join = case.pool.meet, case.pool.join
-    it = case.interior()
-    n = case.pool.size
-
-    def check(t):
-        g, h = divmod(t, n)
-        lhs = join[it[g]][it[h]]
-        if meet[lhs][it[join[g][h]]] == lhs:
-            return True
-        return lambda g=g, h=h: (
-            f"union of the interiors of {case.render_set(g)} and "
-            f"{case.render_set(h)} exceeds the interior of the union")
-
-    return _scan(case, n * n, PAIR_PROBES, 12, check)
+    return _law_eval(case, case.interior(), case.pool.join, ">=",
+                     "interior", "union", 12)
 
 
 @_claim("CL.FIXED", ASSERTED, "space",
@@ -675,27 +708,28 @@ def _eval_cl_fixed(case: SpaceCase):
     return case.pool.size, case.pool.size, fails
 
 
+def _nbhd_eval(case: SpaceCase, failing: list[int], reason):
+    """A claim over every (point, set) pair whose hits are the point's
+    neighborhoods; ``failing[i]`` holds the failing ones of point i, and
+    failures render in point order, lowest id first."""
+    def found():
+        for p, bad in zip(case.pts, failing):
+            for nb in _bits(bad):
+                yield reason(p, nb)
+
+    return (len(case.pts) * case.pool.size,
+            sum(m.bit_count() for m in case.nbhds()), _first_fails(found()))
+
+
 @_claim("NBD.1", ASSERTED, "space",
         "A neighborhood of a point contains that point.",
         "every (point, set) pair of each case")
 def _eval_nbd1(case: SpaceCase):
-    it = case.interior()
     pin = case.pool.pt_in_mask
-    checked = 0
-    hits = 0
-    fails = []
-    for p in case.pts:
-        pm = pin[p]
-        for nb in range(case.pool.size):
-            checked += 1
-            if not (pm >> it[nb]) & 1:
-                continue
-            hits += 1
-            if not (pm >> nb) & 1 and len(fails) < _MAX_FAILS:
-                fails.append(
-                    f"{case.render_point(p)} has neighborhood "
-                    f"{case.render_set(nb)} without belonging to it")
-    return checked, hits, fails
+    return _nbhd_eval(
+        case, [m & ~pin[p] for p, m in zip(case.pts, case.nbhds())],
+        lambda p, nb: (f"{case.render_point(p)} has neighborhood "
+                       f"{case.render_set(nb)} without belonging to it"))
 
 
 @_claim("NBD.2", ASSERTED, "space",
@@ -756,25 +790,16 @@ def _eval_nbd3(case: SpaceCase):
         "same point.", "every (point, set) pair of each case")
 def _eval_nbd4(case: SpaceCase):
     it = case.interior()
-    pin = case.pool.pt_in_mask
     opens = case.open_set
     meet = case.pool.meet
-    checked = hits = 0
-    fails = []
-    for p in case.pts:
-        pm = pin[p]
-        for nb in range(case.pool.size):
-            checked += 1
-            o = it[nb]
-            if not (pm >> o) & 1:
-                continue
-            hits += 1
-            ok = o in opens and meet[o][nb] == o and (pm >> o) & 1
-            if not ok and len(fails) < _MAX_FAILS:
-                fails.append(
-                    f"no open set sits between {case.render_point(p)} and "
-                    f"its neighborhood {case.render_set(nb)}")
-    return checked, hits, fails
+    # the sets whose interior is not an open below them: the failing
+    # neighborhoods of any point their interior holds
+    no_open = _mask(o not in opens or meet[o][nb] != o
+                    for nb, o in enumerate(it))
+    return _nbhd_eval(
+        case, [m & no_open for m in case.nbhds()],
+        lambda p, nb: (f"no open set sits between {case.render_point(p)} "
+                       f"and its neighborhood {case.render_set(nb)}"))
 
 
 @_claim("NBD.OPEN-IFF", ASSERTED, "space",
@@ -815,7 +840,13 @@ def _eval_sub_closed(case: SpaceCase):
             f"closedness of {case.render_set(h)} disagrees with being "
             f"fixed by relative closure")
 
-    return _scan(case, n * n, PAIR_PROBES, 31, check)
+    def rows():
+        for g, hs, r_closeds, sub_cl in _sub_rows(case):
+            closed = set(r_closeds)
+            yield len(hs), [h for h in hs
+                            if (h in closed) != (sub_cl[h] == h)]
+
+    return _scan(case, n * n, PAIR_PROBES, 31, check, rows)
 
 
 @_claim("SUB.CLOSED-ABS", AUDITED, "space",
@@ -839,7 +870,18 @@ def _eval_sub_closed_abs(case: SpaceCase):
             f"reading and the absolute-complement reading disagree "
             f"about {case.render_set(h)}")
 
-    return _scan(case, n * n, PAIR_PROBES, 32, check)
+    def rows():
+        below = case.pool.order_rows()[1]
+        closed_rows = [meet[k] for k in case.closeds]
+        open_rows = [meet[o] for o in case.opens]
+        for g in range(n):
+            r_closeds = {row[g] for row in closed_rows}
+            abs_closeds = {comp[row[g]] for row in open_rows}
+            hs = below[g]
+            yield len(hs), [h for h in hs if (h in r_closeds)
+                            != (h in abs_closeds)]
+
+    return _scan(case, n * n, PAIR_PROBES, 32, check, rows)
 
 
 def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
@@ -850,6 +892,24 @@ def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
         if mh[k] == h:
             acc = meet[acc][k]
     return acc
+
+
+def _sub_rows(case: SpaceCase):
+    """Per g, in order: the ids h below g, the closed traces at g and the
+    relative closure (``_sub_closure``) of each such h, as a dict."""
+    meet = case.pool.meet
+    below = case.pool.order_rows()[1]
+    for g in range(case.pool.size):
+        hs = below[g]
+        r_closeds = case.closed_traces(g)
+        # each trace k folds into the h below it, in ascending k as in
+        # _sub_closure
+        sub_cl = dict.fromkeys(hs, g)
+        for k in r_closeds:
+            for h in below[k]:
+                if h in sub_cl:
+                    sub_cl[h] = meet[sub_cl[h]][k]
+        yield g, hs, r_closeds, sub_cl
 
 
 @_claim("SUB.CLOSURE", ASSERTED, "space",
@@ -872,7 +932,11 @@ def _eval_sub_closure(case: SpaceCase):
             f"at {case.render_set(g)} is not the trace of the ambient "
             f"closure")
 
-    return _scan(case, n * n, PAIR_PROBES, 33, check)
+    def rows():
+        for g, hs, _, sub_cl in _sub_rows(case):
+            yield len(hs), [h for h in hs if sub_cl[h] != meet[cl[h]][g]]
+
+    return _scan(case, n * n, PAIR_PROBES, 33, check, rows)
 
 
 def _chain_eval(case: SpaceCase, upper: str, lower: str):
@@ -1326,7 +1390,21 @@ def _eval_con_union_common(case: SpaceCase):
             f"overlapping connected subspaces {case.render_set(g)} and "
             f"{case.render_set(h)} with a disconnected union")
 
-    return _scan(case, n * n, PAIR_PROBES, 53, check)
+    def rows():
+        connected = [case.conn(x)[0] for x in range(n)]
+        # the nonzero connected subspaces, in id order
+        sides = [x for x in range(n)
+                 if x and meet[x][carrier] == x and connected[x]]
+        side_set = set(sides)
+        for g in range(n):
+            if g not in side_set:
+                yield 0, ()
+                continue
+            mg, jg = meet[g], join[g]
+            hs = [h for h in sides if mg[h]]
+            yield len(hs), [h for h in hs if not connected[jg[h]]]
+
+    return _scan(case, n * n, PAIR_PROBES, 53, check, rows)
 
 
 @_claim("CON.UNION-HUB", ASSERTED, "space",
@@ -1406,21 +1484,23 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     n = pool.size
     checked = hits = 0
     fails: list[str] = []
+    # ids are big-endian mixed-radix numbers, so a cell-wise side of g
+    # is the sum of g's digit times its place over the chosen cells
+    places = [pool.radix ** c for c in range(pool.cells - 1, -1, -1)]
     for g in _scan_indices(case, n, SUBSET_PROBES, 56):
         if g == 0 or meet[g][case.carrier] != g:
             continue
-        vec = pool._vector(g)
-        cells = [c for c, v in enumerate(vec) if v]
-        if len(cells) < 2:
+        parts = [d * w for d, w in zip(pool._vectors[g], places) if d]
+        if len(parts) < 2:
             continue
         trace_set = set(case.traces(g))
-        for mask in range(1, (1 << len(cells)) - 1):
-            a_vec = list(vec)
-            for bit, c in enumerate(cells):
-                if not (mask >> bit) & 1:
-                    a_vec[c] = 0
-            a = pool._encode(tuple(a_vec))
-            b = pool._encode(tuple(v - av for v, av in zip(vec, a_vec)))
+        # sides[mask] keeps the cells of the bits set in mask, the first
+        # nonzero cell as bit 0
+        sides = [0]
+        for w in parts:
+            sides += [a + w for a in sides]
+        for a in sides[1:-1]:
+            b = g - a
             checked += 1
             if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
                 continue
@@ -1619,10 +1699,6 @@ def _eval_pt4(pool: SetPool):
 # witnesses are the ones a full scan meets first.  Phase 1 tests exactly
 # the scanned condition on the tables as they stand, assuming no lattice
 # law, so a corrupt table entry is still caught.
-
-
-def _first_fails(found) -> list:
-    return list(itertools.islice(found, _MAX_FAILS))
 
 
 @_claim("PT.5-sound", ASSERTED, "pool",

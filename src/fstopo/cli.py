@@ -427,6 +427,13 @@ def cmd_audit(args) -> int:
                           "--pair-relation: each claim fixes its own reading")
     if args.claim is not None and not select_claims(args.claim):
         raise _UsageError(f"unknown claim {args.claim!r}")
+    if args.file is not None and (args.seed != 0 or args.budget is not None
+                                  or args.workers != 1):
+        raise _UsageError("audit FILE takes no --seed, --budget or "
+                          "--workers: they steer the corpus scan")
+    if args.file is None and (args.lattice != "auto" or args.cap is not None):
+        raise _UsageError("audit without FILE takes neither --lattice nor "
+                          "--cap: the corpus fixes its own shape and sizes")
     if args.file is not None:
         doc = _read_document(args.file)
         lattice = _resolve_lattice(args.lattice, doc)

@@ -58,6 +58,7 @@ class SetPool:
         self._grades = tuple(lattice)
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
+        self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
         self._build_tables()
 
     # cell order: parameter-major, then universe order; big-endian so that
@@ -95,6 +96,24 @@ class SetPool:
 
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
+
+    def order_rows(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per id g, the ascending ids h with ``meet[g][h] == g`` (above g)
+        and those with ``meet[h][g] == h`` (below g).
+
+        Built on first use: only the full-range row scans of ``claims.py``
+        read them, and a pool too large for those never pays the n**2
+        pass over ``meet``.
+        """
+        if self._order_rows is None:
+            above = [[h for h, m in enumerate(row) if m == g]
+                     for g, row in enumerate(self.meet)]
+            below: list[list[int]] = [[] for _ in range(self.size)]
+            for h, ups in enumerate(above):
+                for g in ups:
+                    below[g].append(h)
+            self._order_rows = (above, below)
+        return self._order_rows
 
     def decode(self, set_id: int) -> FuzzySoftSet:
         got = self._decoded.get(set_id)

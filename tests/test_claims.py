@@ -14,15 +14,18 @@ import random
 
 import pytest
 
+from fstopo import claims
 from fstopo.claims import (
     ASSERTED,
     AUDITED,
     CLAIM_INDEX,
     CLAIMS,
+    PAIR_PROBES,
     REPRODUCED,
     _MAX_FAILS,
     SpaceCase,
     _claim,
+    _scan_indices,
     evaluate_fixed_claims,
     evaluate_pool_claims,
     evaluate_space_case,
@@ -226,17 +229,241 @@ class TestEvaluation:
             1 for g in range(pool.size) for h in range(pool.size)
             if meet[it[join[g][h]]][join[it[g]][it[h]]] != it[join[g][h]])
         assert failing > _MAX_FAILS
+        # NBD.1 and NBD.4 hold on every real space: a carrier interior on
+        # every other set makes them fail on many (point, set) pairs
+        bad_nbd = SpaceCase("cap", pool, corpus.spaces[0])
+        bad_it = [pool.full_id if g % 2 else o
+                  for g, o in enumerate(bad_nbd.interior())]
+        bad_nbd._int = bad_it
+        pin = pool.pt_in_mask
+        outside = sum(1 for p in bad_nbd.pts for g in range(1, pool.size, 2)
+                      if not (pin[p] >> g) & 1)
+        # no odd id is the carrier, so no odd set lies above it
+        no_open = len(bad_nbd.pts) * (pool.size // 2)
+        assert min(outside, no_open) > _MAX_FAILS
         rendered = []
-        render_set = SpaceCase.render_set
+        render_set, render_point = SpaceCase.render_set, SpaceCase.render_point
 
-        def counting(self, gid):
+        def counting_set(self, gid):
             rendered.append(gid)
             return render_set(self, gid)
 
-        monkeypatch.setattr(SpaceCase, "render_set", counting)
-        checked, hits, fails = evaluate_space_case(case, {"CL.12"})["CL.12"]
-        assert checked == pool.size ** 2 and len(fails) == _MAX_FAILS
-        assert len(rendered) <= 2 * _MAX_FAILS
+        def counting_point(self, index):
+            rendered.append(index)
+            return render_point(self, index)
+
+        monkeypatch.setattr(SpaceCase, "render_set", counting_set)
+        monkeypatch.setattr(SpaceCase, "render_point", counting_point)
+        pairs = pool.size ** 2
+        point_sets = len(bad_nbd.pts) * pool.size
+        runs = [(case, "CL.12", evaluate_space_case, pairs),  # row path
+                (case, "CL.12", by_checks, pairs),
+                (bad_nbd, "NBD.1", evaluate_space_case, point_sets),
+                (bad_nbd, "NBD.4", evaluate_space_case, point_sets)]
+        for subject, ident, evaluate, instances in runs:
+            rendered.clear()
+            checked, _, fails = evaluate(subject, {ident})[ident]
+            assert checked == instances and len(fails) == _MAX_FAILS, ident
+            assert len(rendered) <= 2 * _MAX_FAILS, ident
+
+
+# -- pair claims: row scans against their checks --------------------------
+# On a full-range scan, _scan takes a pair claim's rows instead of calling
+# its check once per pair.  Its check stays the definition: driven over
+# every pair, it must give the same (checked, hits, fails) triple.
+
+ROW_CLAIMS = frozenset({
+    "CL.3", "CL.4", "CL.9", "CL.10", "CL.11", "CL.12", "CL.12-rev",
+    "SUB.CLOSED", "SUB.CLOSED-ABS", "SUB.CLOSURE", "CON.UNION-COMMON"})
+
+
+def by_checks(case, idents):
+    """``evaluate_space_case`` with every pair driven through its check:
+    ``_scan`` without the rows."""
+    scan = claims._scan
+
+    def checks_only(case, total, probes, salt, check, rows=None):
+        return scan(case, total, probes, salt, check)
+
+    claims._scan = checks_only
+    try:
+        return evaluate_space_case(case, idents)
+    finally:
+        claims._scan = scan
+
+
+def corrupt_case(corpus, seed):
+    """An exhaustive enumerated case with seeded wrong entries in its
+    closure and interior rows, an extra closed set and connectedness
+    verdicts flipped to disconnected."""
+    rng = random.Random(f"corrupt-case:{seed}")
+    pool = corpus.pool
+    index = rng.randrange(len(corpus.spaces))
+    case = SpaceCase(corpus.label(index), pool, corpus.spaces[index],
+                     exhaustive=True)
+    case.closeds = sorted(set(case.closeds) | {rng.randrange(pool.size)})
+    cl, it = case.cl()[:], case.interior()[:]
+    for row in (cl, it):
+        for _ in range(1 + seed % 4):
+            row[rng.randrange(pool.size)] = rng.randrange(pool.size)
+    case._cl, case._int = cl, it
+    for x in rng.sample(range(1, pool.size), 1 + seed % 3):
+        case._conn[x] = (False, None)
+    return case
+
+
+def row_cases(corpus):
+    pool = corpus.pool
+    named = [SpaceCase(ns.label, ns.pool, ns.ids, exhaustive=True)
+             for ns in named_spaces()]
+    enumerated = [SpaceCase(corpus.label(i), pool, corpus.spaces[i],
+                            exhaustive=True)
+                  for i in [*range(6), *range(6, len(corpus.spaces), 4999)]]
+    corrupt = [corrupt_case(corpus, seed) for seed in range(16)]
+    return {"named": named, "enumerated": enumerated, "corrupt": corrupt}
+
+
+def test_rows_are_given_to_exactly_the_row_claims(corpus, monkeypatch):
+    given = set()
+    scan = claims._scan
+
+    def spy(case, total, probes, salt, check, rows=None):
+        if rows is not None:
+            given.add(current)
+        return scan(case, total, probes, salt, check, rows)
+
+    monkeypatch.setattr(claims, "_scan", spy)
+    case = SpaceCase(corpus.label(0), corpus.pool, corpus.spaces[0],
+                     exhaustive=True)
+    for claim in CLAIMS:
+        if claim.scope == "space":
+            current = claim.ident
+            evaluate_space_case(case, {claim.ident})
+    assert given == ROW_CLAIMS
+
+
+def test_rows_match_checks(corpus):
+    failed = {}
+    for group, cases in row_cases(corpus).items():
+        for case in cases:
+            n = case.pool.size
+            assert isinstance(_scan_indices(case, n * n, PAIR_PROBES, 0),
+                              range)
+            rows = evaluate_space_case(case, ROW_CLAIMS)
+            assert rows == by_checks(case, ROW_CLAIMS), (group, case.label)
+            for ident, (_, _, fails) in rows.items():
+                if fails:
+                    failed.setdefault(group, set()).add(ident)
+    # the failing rows are compared too: CL.12 and SUB.CLOSED-ABS fail on
+    # real spaces, and the corrupt cases make every row claim fail
+    assert {"CL.12", "SUB.CLOSED-ABS"} <= failed["enumerated"]
+    assert failed["corrupt"] == ROW_CLAIMS
+
+
+# NBD.1 and NBD.4 read per-point neighborhood bitmasks, and CON.SEPCHAR-rev
+# builds its splittings from place values; these are the loops they replace.
+
+
+def _scalar_nbd1(case):
+    it = case.interior()
+    pin = case.pool.pt_in_mask
+    checked = hits = 0
+    fails = []
+    for p in case.pts:
+        pm = pin[p]
+        for nb in range(case.pool.size):
+            checked += 1
+            if not (pm >> it[nb]) & 1:
+                continue
+            hits += 1
+            if not (pm >> nb) & 1 and len(fails) < _MAX_FAILS:
+                fails.append(
+                    f"{case.render_point(p)} has neighborhood "
+                    f"{case.render_set(nb)} without belonging to it")
+    return checked, hits, fails
+
+
+def _scalar_nbd4(case):
+    it = case.interior()
+    pin = case.pool.pt_in_mask
+    opens = case.open_set
+    meet = case.pool.meet
+    checked = hits = 0
+    fails = []
+    for p in case.pts:
+        pm = pin[p]
+        for nb in range(case.pool.size):
+            checked += 1
+            o = it[nb]
+            if not (pm >> o) & 1:
+                continue
+            hits += 1
+            ok = o in opens and meet[o][nb] == o and (pm >> o) & 1
+            if not ok and len(fails) < _MAX_FAILS:
+                fails.append(
+                    f"no open set sits between {case.render_point(p)} and "
+                    f"its neighborhood {case.render_set(nb)}")
+    return checked, hits, fails
+
+
+def _scalar_sepchar_rev(case):
+    pool = case.pool
+    meet = pool.meet
+    cl = case.cl()
+    checked = hits = 0
+    fails = []
+    for g in _scan_indices(case, pool.size, claims.SUBSET_PROBES, 56):
+        if g == 0 or meet[g][case.carrier] != g:
+            continue
+        vec = pool._vector(g)
+        cells = [c for c, v in enumerate(vec) if v]
+        if len(cells) < 2:
+            continue
+        trace_set = set(case.traces(g))
+        for mask in range(1, (1 << len(cells)) - 1):
+            a_vec = list(vec)
+            for bit, c in enumerate(cells):
+                if not (mask >> bit) & 1:
+                    a_vec[c] = 0
+            a = pool._encode(tuple(a_vec))
+            b = pool._encode(tuple(v - av for v, av in zip(vec, a_vec)))
+            checked += 1
+            if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
+                continue
+            hits += 1
+            if a in trace_set and b in trace_set:
+                continue
+            if len(fails) < _MAX_FAILS:
+                fails.append(
+                    f"{case.render_set(a)} / {case.render_set(b)} split "
+                    f"{case.render_set(g)} with closure-disjoint sides, yet "
+                    f"are not both relatively open")
+    return checked, hits, fails
+
+
+SCALAR_SPACE_SCANS = {
+    "NBD.1": _scalar_nbd1,
+    "NBD.4": _scalar_nbd4,
+    "CON.SEPCHAR-rev": _scalar_sepchar_rev,
+}
+
+
+def test_space_claims_match_scalar_scans(corpus):
+    pool = corpus.pool
+    groups = row_cases(corpus)
+    # probed cases too: CON.SEPCHAR-rev samples its carriers there
+    groups["probed"] = [
+        SpaceCase(corpus.label(i), pool, corpus.spaces[i], order=i)
+        for i in range(0, len(corpus.spaces), 2999)]
+    failed = {}
+    for group, cases in groups.items():
+        for case in cases:
+            fast = evaluate_space_case(case, set(SCALAR_SPACE_SCANS))
+            for ident, scan in SCALAR_SPACE_SCANS.items():
+                assert fast[ident] == scan(case), (group, case.label, ident)
+                if fast[ident][2]:
+                    failed.setdefault(group, set()).add(ident)
+    assert failed["corrupt"] == set(SCALAR_SPACE_SCANS)
 
 
 # -- pool claims against their scalar scans --------------------------------

@@ -254,6 +254,26 @@ class TestAudit:
                          "--disjointness", "pointwise")
         assert code == 0
 
+    def test_audit_refuses_options_it_would_ignore(self, capsys, valid_doc):
+        # a document audit runs no corpus scan; the corpus audit builds
+        # its own pools at its own shape
+        for flags in (("--seed", "7"), ("--budget", "5"),
+                      ("--workers", "2")):
+            code, out, err = run(capsys, "audit", valid_doc, *flags)
+            assert code == 2 and out == ""
+            assert "audit FILE takes no --seed, --budget or --workers" in err
+        for flags in (("--lattice", "4"), ("--cap", "5")):
+            code, out, err = run(capsys, "audit", "--budget", "3", *flags)
+            assert code == 2 and out == ""
+            assert "audit without FILE takes neither --lattice nor" in err
+        # the defaults, spelled out, are still accepted
+        code, _, _ = run(capsys, "audit", valid_doc, "--claim", "CL.1",
+                         "--seed", "0", "--workers", "1")
+        assert code == 0
+        code, _, _ = run(capsys, "audit", "--budget", "3", "--claim", "CL.1",
+                         "--lattice", "auto")
+        assert code == 0
+
     def test_document_audit_bytes_are_pinned(self, capsys, tmp_path,
                                              monkeypatch):
         # a seeded 3x2x3 document: its 729-set pool runs every pool claim
