@@ -32,6 +32,8 @@ from fstopo.claims import (
     select_claims,
 )
 from fstopo.corpus import CorpusSpec, SpaceCorpus, named_spaces
+from fstopo.points import FuzzySoftPoint
+from fstopo.softsets import FuzzySoftSet
 from fstopo.deciders import (
     DeciderConfig,
     find_separation,
@@ -265,6 +267,60 @@ class TestEvaluation:
             checked, _, fails = evaluate(subject, {ident})[ident]
             assert checked == instances and len(fails) == _MAX_FAILS, ident
             assert len(rendered) <= 2 * _MAX_FAILS, ident
+
+    def test_failures_past_the_cap_are_not_rendered_by_any_claim(
+            self, corpus, shape_pool, monkeypatch):
+        # each claim renders the same number of sets and points per
+        # failure, so a claim that renders only the failures it keeps
+        # renders that many for each of its _MAX_FAILS failures
+        rendered = []
+        render_set, render_point = FuzzySoftSet.render, FuzzySoftPoint.render
+
+        def counting_set(self):
+            rendered.append(self)
+            return render_set(self)
+
+        def counting_point(self):
+            rendered.append(self)
+            return render_point(self)
+
+        monkeypatch.setattr(FuzzySoftSet, "render", counting_set)
+        monkeypatch.setattr(FuzzySoftPoint, "render", counting_point)
+
+        def run(evaluate, subject, ident, cap):
+            monkeypatch.setattr(claims, "_MAX_FAILS", cap)
+            rendered.clear()
+            fails = evaluate(subject, {ident})[ident][2]
+            return len(fails), len(rendered)
+
+        past_cap = set()
+        subjects = [(evaluate_space_case, case, CAPPED_SPACE_CLAIMS)
+                    for case in pinned_space_cases(corpus)]
+        subjects += [(evaluate_pool_claims, pool, CAPPED_POOL_CLAIMS)
+                     for pool in pinned_pools(shape_pool)]
+        for evaluate, subject, idents in subjects:
+            for ident in idents:
+                every, every_rendered = run(evaluate, subject, ident, 10**6)
+                if every <= _MAX_FAILS:
+                    continue
+                past_cap.add(ident)
+                kept, kept_rendered = run(evaluate, subject, ident,
+                                          _MAX_FAILS)
+                assert kept == _MAX_FAILS, ident
+                assert kept_rendered * every == every_rendered * kept, ident
+                assert kept_rendered <= 3 * _MAX_FAILS, ident
+        assert past_cap == (CAPPED_SPACE_CLAIMS | CAPPED_POOL_CLAIMS) - {
+            "CON.COARSER", "PT.3", "PT.4"}
+
+
+# the claims whose failures the arithmetic or counting loops report
+CAPPED_SPACE_CLAIMS = frozenset({
+    "TOP.AX3-union", "TOP.AX3-intersection", "CL.1", "CL.2", "CL.5",
+    "CL.6", "CL.FIXED", "NBD.OPEN-IFF", "CON.COARSER", "CON.SEPCHAR-fwd",
+    "CON.SEPCHAR-rev", "CON.BETWEEN", "CON.CLOSURE-CONN"})
+CAPPED_POOL_CLAIMS = frozenset({
+    "ALG.INVOLUTION", "ALG.DEMORGAN-UNION", "ALG.DEMORGAN-INTERSECTION",
+    "PT.1", "PT.3", "PT.4"})
 
 
 # -- pair claims: row scans against their checks --------------------------
@@ -590,6 +646,71 @@ def test_pool_claims_match_scalar_scans(shape_pool, shape):
         if label == "extreme-3":
             assert fast["PT.5-sound"][2] and fast["PT.6"][2], label
 
+
+
+# -- pinned result triples -------------------------------------------------
+# Every space and pool claim's (checked, hits, fails) triples, rendered
+# witnesses included, on inputs that make the claims fail: the seeded
+# corrupt cases, an id family that is no topology, and pools whose meet,
+# join and complement tables carry seeded wrong entries.
+
+# desk ids 36, 12, 4 and 28 put grade 1/2 on two neighbouring cells each;
+# their pairwise unions and four of their meets lie outside the family
+NON_TOPOLOGY = (0, 4, 12, 28, 36, 80)
+
+
+def corrupted_comp(pool, seed, entries):
+    """``corrupted`` with ENTRIES seeded complement entries rewritten too."""
+    bad = corrupted(pool, seed, entries, False)
+    bad.comp = pool.comp[:]
+    rng = random.Random(f"corrupt-comp:{seed}")
+    n = pool.size
+    for _ in range(entries):
+        g = rng.randrange(n)
+        bad.comp[g] = (bad.comp[g] + rng.randrange(1, n)) % n
+    return bad
+
+
+def pinned_space_cases(corpus):
+    cases = [corrupt_case(corpus, seed) for seed in range(16)]
+    cases.append(SpaceCase("non-topology", corpus.pool, NON_TOPOLOGY,
+                           exhaustive=True))
+    return cases
+
+
+def pinned_pools(shape_pool):
+    pools = []
+    for shape in [(2, 2, 3), (2, 1, 4), (3, 1, 3)]:
+        pool = shape_pool(*shape)
+        pool.build_points()
+        pools += [pool, corrupted(pool, f"pin-{shape}", 3, False),
+                  corrupted(pool, f"pin-{shape}", 20, False),
+                  corrupted_comp(pool, f"pin-{shape}", 6),
+                  corrupted(pool, f"pin-{shape}", 3, True)]
+    return pools
+
+
+def test_claim_triples_are_pinned(corpus, shape_pool):
+    space = [[case.label, evaluate_space_case(case)]
+             for case in pinned_space_cases(corpus)]
+    pool = [evaluate_pool_claims(p) for p in pinned_pools(shape_pool)]
+    failing = {ident for _, results in space for ident, r in results.items()
+               if r[2]}
+    failing |= {ident for results in pool for ident, r in results.items()
+                if r[2]}
+    # the inputs sink the claims whose failure paths the pin guards
+    assert {"TOP.AX3-union", "TOP.AX3-intersection", "ALG.INVOLUTION",
+            "ALG.DEMORGAN-UNION", "ALG.DEMORGAN-INTERSECTION"} <= failing
+    for part, digest in (("space", SPACE_TRIPLES_DIGEST),
+                         ("pool", POOL_TRIPLES_DIGEST)):
+        text = json.dumps(space if part == "space" else pool)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, part
+
+
+SPACE_TRIPLES_DIGEST = (
+    "d91dbf1adbec12dd3d798f08ccfde348f0f7a6c2c9956df3a0cfe8fabf9e4c83")
+POOL_TRIPLES_DIGEST = (
+    "8a2c02574366f77762ab6f32f209d93d55955514cc245be7030c2128104a54dd")
 
 REGISTRY_DIGEST = (
     "26a4301fd74d3973af3b36d226258527f2100daf57449016023313c95aa9b017")

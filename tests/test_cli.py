@@ -379,6 +379,35 @@ class TestAxiomsPinned:
         assert hashlib.sha256(text.encode()).hexdigest() == REGULAR_DIGEST
 
 
+class TestQueriesPinned:
+    """``validate``, ``closure``, ``interior``, ``connected`` and
+    ``subspace`` bytes, text and structured, on the ``axioms`` documents
+    at their own lattice and at a wider one, and on a name no set has;
+    ``subspace`` also pins the document it writes."""
+
+    def test_query_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        # the file names are echoed in the reports, so keep them fixed
+        monkeypatch.chdir(tmp_path)
+        for (name, lattice), digest in QUERY_DIGESTS.items():
+            (tmp_path / "doc.fst").write_text(AXIOM_DOCS[name])
+            names = parse_document(AXIOM_DOCS[name]).names()
+            commands = [["validate"], ["connected"]]
+            for set_name in (*names, "nosuch"):
+                commands += [["closure", set_name], ["interior", set_name],
+                             ["subspace", set_name, "sub.fst"]]
+            outs = []
+            for command in commands:
+                for form in ("text", "structured"):
+                    code, out, err = run(capsys, command[0], "doc.fst",
+                                         *command[1:], "--lattice", lattice,
+                                         "--format", form)
+                    outs += [str(code), out, err]
+                    if command[0] == "subspace" and code == 0:
+                        outs.append((tmp_path / "sub.fst").read_text())
+            got = hashlib.sha256("\0".join(outs).encode()).hexdigest()
+            assert got == digest, (name, lattice)
+
+
 # enum-07976 of the desk corpus fails normal (the generated query
 # documents never do); crisp-point is T3 at its own lattice
 AXIOM_DOCS = {
@@ -446,6 +475,24 @@ AXIOMS_DIGESTS = {
         "03017372afca6a5336d28579cabba92c262b4a0ca4d237b5e2c31d4a6a7dd7bd",
     ("crisp-point", "4"):
         "8a1986d203ab7b4b1d3c4f4eea154589926e4614234dfb9a5bc7112df31a51bc",
+}
+QUERY_DIGESTS = {
+    ('desk-07976', 'auto'):
+        "1a60044a50b19b59d93a63cdeec78f15163e1a2ff7b84215359c79db168f478c",
+    ('desk-07976', '4'):
+        "6808fba28b3f1bb26c2b5a9a026707cc353dac2c77f12edacae59ba9a28d18ed",
+    ('subcarrier', 'auto'):
+        "794286b967b2a04e7bc2fcd83f1f8fec6ae88af8d892bf2a3733406e55f38e41",
+    ('subcarrier', '4'):
+        "542ef4cd02c46e5c44aee2e1d71423d5c097854b37ca38fe07e2ecddf4ee26af",
+    ('crisp-discrete', 'auto'):
+        "00508f611bd1f786d047a3915ffa6dd3b002c968bbbae0144d39de09f7723ab8",
+    ('crisp-discrete', '4'):
+        "307898702797befa1a42c2701ed46a6ca99b82f3a4ef7dacb421a31da4c4af9e",
+    ('crisp-point', 'auto'):
+        "d2312a0ceaeb92a3171ba088253c17f3a15c45a2c2b5bc9f41f7ae4e80178f08",
+    ('crisp-point', '4'):
+        "d96ec103b572da45a5d4c0a55db95dd821b74041030bf54040cd4fbf013e3be7",
 }
 REGULAR_DIGEST = (
     "6b194c54b4e59ff9762c97ce51b0f06426c503b91f018735bb2fd4b708ae5a83")
