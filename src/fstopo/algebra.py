@@ -101,10 +101,6 @@ def render_grade(g: Fraction) -> str:
     return str(g)
 
 
-def grade_complement(g: Fraction) -> Fraction:
-    return GRADE_ONE - g
-
-
 @dataclass(frozen=True)
 class Universe:
     """Ordered finite set of element identifiers.
@@ -221,18 +217,6 @@ class FuzzySet:
         return "{" + inner + "}"
 
 
-def fuzzy_union(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    return a.union(b)
-
-
-def fuzzy_intersection(a: FuzzySet, b: FuzzySet) -> FuzzySet:
-    return a.intersection(b)
-
-
-def fuzzy_leq(a: FuzzySet, b: FuzzySet) -> bool:
-    return a.leq(b)
-
-
 @dataclass(frozen=True)
 class GradeLattice:
     """A finite, complement-closed set of grades containing 0 and 1.
@@ -283,7 +267,3 @@ class GradeLattice:
 
     def render(self) -> str:
         return ", ".join(render_grade(g) for g in self.grades)
-
-
-def lattice_close(seeds: Iterable[Fraction | int | str]) -> GradeLattice:
-    return GradeLattice.close(seeds)

@@ -100,6 +100,13 @@ class _Tally:
             del self.witnesses[WITNESS_CAP:]
 
 
+def _tally_case(tallies: dict, case: SpaceCase, idents) -> None:
+    """Evaluate the chosen space claims on ``case`` into ``tallies``."""
+    for ident, result in evaluate_space_case(case, idents).items():
+        tallies.setdefault(ident, _Tally()).add(case.order, case.label,
+                                                result)
+
+
 # worker context for fork-based parallelism; set in the parent right
 # before the pool spawns so children inherit it
 _CTX: dict = {}
@@ -111,14 +118,11 @@ def _eval_enum_chunk(bounds: tuple[int, int]) -> dict:
     start, end = bounds
     tallies: dict[str, _Tally] = {}
     for i in range(start, end):
-        case = SpaceCase(
+        _tally_case(tallies, SpaceCase(
             corpus.label(i), corpus.pool, corpus.spaces[i],
             order=ENUM_ORDER_BASE + i,
             exhaustive=_is_exhaustive_enum(i),
-        )
-        for ident, result in evaluate_space_case(case, idents).items():
-            tallies.setdefault(ident, _Tally()).add(
-                case.order, case.label, result)
+        ), idents)
     return {ident: t.pack() for ident, t in tallies.items()}
 
 
@@ -195,8 +199,6 @@ def run_audit(
     workers: int = 1,
     base_seed: int = 0,
     random_count: int = 200,
-    include_named: bool = True,
-    include_random: bool = True,
     single_case: tuple | None = None,
 ) -> AuditReport:
     """Evaluate the selected claims over the full case schedule.
@@ -215,10 +217,8 @@ def run_audit(
 
     if single_case is not None:
         label, single_pool, single_ids = single_case
-        case = SpaceCase(label, single_pool, tuple(single_ids), order=0,
-                         exhaustive=True)
-        for ident, result in evaluate_space_case(case, idents).items():
-            tallies[ident].add(0, label, result)
+        _tally_case(tallies, SpaceCase(label, single_pool, tuple(single_ids),
+                                       order=0, exhaustive=True), idents)
         corpus = None
         named = ()
         named_count = 1  # the document case itself
@@ -233,13 +233,12 @@ def run_audit(
         truncated = scan < total
 
         # named catalogue, evaluated in-process
-        named = tuple(named_spaces()) if include_named else ()
+        named = named_spaces()
         named_count = len(named)
         for order, ns in enumerate(named):
-            case = SpaceCase(ns.label, ns.pool, ns.ids, order=order,
-                             exhaustive=True)
-            for ident, result in evaluate_space_case(case, idents).items():
-                tallies[ident].add(order, ns.label, result)
+            _tally_case(tallies, SpaceCase(ns.label, ns.pool, ns.ids,
+                                           order=order, exhaustive=True),
+                        idents)
 
         # enumerated corpus, split across workers when asked
         if scan and any(c.scope == "space" for c in chosen):
@@ -269,18 +268,14 @@ def run_audit(
                     tallies[ident].merge(packed)
 
         # random draws over the corpus pool
-        random_labels = 0
-        if include_random:
-            for j in range(random_count):
-                seed = base_seed + 1 + j
-                ids = random_space_ids(seed, corpus.spec, corpus.pool)
-                label = f"random-{seed:03d}"
-                order = ENUM_ORDER_BASE + total + j
-                case = SpaceCase(label, corpus.pool, ids, order=order,
-                                 exhaustive=j % RANDOM_EXHAUSTIVE_STRIDE == 0)
-                for ident, result in evaluate_space_case(case, idents).items():
-                    tallies[ident].add(order, label, result)
-            random_labels = random_count
+        for j in range(random_count):
+            seed = base_seed + 1 + j
+            _tally_case(tallies, SpaceCase(
+                f"random-{seed:03d}", corpus.pool,
+                random_space_ids(seed, corpus.spec, corpus.pool),
+                order=ENUM_ORDER_BASE + total + j,
+                exhaustive=j % RANDOM_EXHAUSTIVE_STRIDE == 0), idents)
+        random_labels = random_count
 
         # set pools: the corpus pool plus each distinct named shape
         pools = [("pool-" + _shape_tag(corpus.pool), corpus.pool)]

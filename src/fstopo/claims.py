@@ -29,10 +29,17 @@ Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
 hashing, so results never depend on interpreter state); each claim's
 ``coverage`` string says which.  Cases flagged ``exhaustive`` widen every
-probe to a full scan, bounded by ``EXHAUSTIVE_LIMIT``.  Most sampled
-claims run through one driver, ``_scan``, which owns the failure cap: a
-check hands back a failure as a function that renders it, and the driver
-calls it only while fewer than ``_MAX_FAILS`` failures are kept.
+probe to a full scan, bounded by ``EXHAUSTIVE_LIMIT``.
+
+Three drivers own the failure cap, and every claim that can fail more
+than ``_MAX_FAILS`` times reports through one of them; the rest decide
+once per case and return at most two failures.  ``_scan`` drives a
+check over a claim's scanned indices; ``_tally`` counts a stream of
+check outcomes, for claims that walk their own loops; ``_first_fails``
+takes the first failures of a lazy stream of them, for claims whose
+instance counts are arithmetic.  A failure is rendered only when it is
+kept: a check hands it back as a function that renders it, and a stream
+of failure strings is drawn only up to the cap.
 
 A pair claim over the pool's n sets may also hand ``_scan`` its rows.
 When the scan covers every pair (an exhaustive case with n**2 at most
@@ -167,18 +174,27 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check,
     is reached.
     """
     indices = _scan_indices(case, total, probes, salt)
+    if rows is None or not isinstance(indices, range):
+        return _tally(map(check, indices))
+    hits = 0
+    fails: list[str] = []
+    n = case.pool.size
+    for g, (row_hits, bad) in enumerate(rows()):
+        hits += row_hits
+        for h in itertools.islice(bad, _MAX_FAILS - len(fails)):
+            fails.append(check(g * n + h)())
+    return total, hits, fails
+
+
+def _tally(outcomes):
+    """The result triple of a stream of check outcomes: each is one
+    instance, None for a hypothesis miss, True for a pass and otherwise
+    a zero-argument function that renders the failure, called only while
+    fewer than ``_MAX_FAILS`` failures are kept."""
     checked = hits = 0
     fails: list[str] = []
-    if rows is not None and isinstance(indices, range):
-        n = case.pool.size
-        for g, (row_hits, bad) in enumerate(rows()):
-            hits += row_hits
-            for h in itertools.islice(bad, _MAX_FAILS - len(fails)):
-                fails.append(check(g * n + h)())
-        return total, hits, fails
-    for t in indices:
+    for r in outcomes:
         checked += 1
-        r = check(t)
         if r is None:
             continue
         hits += 1
@@ -424,8 +440,9 @@ def _ids(pair, first, second):
     return None if pair is None else (first[pair[0]], second[pair[1]])
 
 
-def _sep_pair(pool: SetPool, opens, carrier):
-    """First pair of disjoint nonempty opens joining to the carrier."""
+def _separations(pool: SetPool, opens, carrier):
+    """The pairs (a, b) of disjoint nonempty opens joining to the
+    carrier, a before b in ``opens``, in the order of ``opens``."""
     disj = pool.disj_mask
     join = pool.join
     for i in range(len(opens)):
@@ -436,8 +453,12 @@ def _sep_pair(pool: SetPool, opens, carrier):
         ja = join[a]
         for b in opens[i + 1:]:
             if b and (da >> b) & 1 and ja[b] == carrier:
-                return a, b
-    return None
+                yield a, b
+
+
+def _sep_pair(pool: SetPool, opens, carrier):
+    """First pair of disjoint nonempty opens joining to the carrier."""
+    return next(_separations(pool, opens, carrier), None)
 
 
 # -- space-scope evaluators ------------------------------------------------
@@ -445,17 +466,12 @@ def _sep_pair(pool: SetPool, opens, carrier):
 
 def _ax3_eval(case: SpaceCase, table, operation: str):
     opens, members = case.opens, case.open_set
-    fails = []
-    n = 0
-    for i in range(len(opens)):
-        row = table[opens[i]]
-        for j in range(i, len(opens)):
-            n += 1
-            if row[opens[j]] not in members and len(fails) < _MAX_FAILS:
-                fails.append(
-                    f"{operation} of opens {case.render_set(opens[i])} and "
-                    f"{case.render_set(opens[j])} is not open")
-    return n, n, fails
+    n = len(opens) * (len(opens) + 1) // 2
+    return n, n, _first_fails(
+        f"{operation} of opens {case.render_set(a)} and "
+        f"{case.render_set(b)} is not open"
+        for i, a in enumerate(opens) for b in opens[i:]
+        if table[a][b] not in members)
 
 
 @_claim("TOP.AX3-union", ASSERTED, "space",
@@ -475,15 +491,13 @@ def _eval_ax3_intersection(case: SpaceCase):
 def _dual_eval(case: SpaceCase, flip: bool):
     comp = case.pool.comp
     cl, it = case.cl(), case.interior()
-    fails = []
-    for g in range(case.pool.size):
-        if flip:
-            ok = comp[it[g]] == cl[comp[g]]
-        else:
-            ok = it[comp[g]] == comp[cl[g]]
-        if not ok and len(fails) < _MAX_FAILS:
-            fails.append(f"duality breaks at {case.render_set(g)}")
-    return case.pool.size, case.pool.size, fails
+    n = case.pool.size
+    if flip:
+        bad = (g for g in range(n) if comp[it[g]] != cl[comp[g]])
+    else:
+        bad = (g for g in range(n) if it[comp[g]] != comp[cl[g]])
+    return n, n, _first_fails(
+        f"duality breaks at {case.render_set(g)}" for g in bad)
 
 
 @_claim("CL.1", ASSERTED, "space",
@@ -540,11 +554,10 @@ def _eval_cl4(case: SpaceCase):
 
 
 def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
-    fails = []
-    for g in range(case.pool.size):
-        if row[row[g]] != row[g] and len(fails) < _MAX_FAILS:
-            fails.append(f"{operation} not idempotent at {case.render_set(g)}")
-    return case.pool.size, case.pool.size, fails
+    n = case.pool.size
+    return n, n, _first_fails(
+        f"{operation} not idempotent at {case.render_set(g)}"
+        for g in range(n) if row[row[g]] != row[g])
 
 
 @_claim("CL.5", ASSERTED, "space", "Closure is idempotent.", _EVERY_SET)
@@ -700,12 +713,11 @@ def _eval_cl12_rev(case: SpaceCase):
 def _eval_cl_fixed(case: SpaceCase):
     cl = case.cl()
     closed = case.closed_set
-    fails = []
-    for g in range(case.pool.size):
-        if (g in closed) != (cl[g] == g) and len(fails) < _MAX_FAILS:
-            side = "closed but moved" if g in closed else "fixed but not closed"
-            fails.append(f"{case.render_set(g)}: {side}")
-    return case.pool.size, case.pool.size, fails
+    n = case.pool.size
+    return n, n, _first_fails(
+        f"{case.render_set(g)}: "
+        f"{'closed but moved' if g in closed else 'fixed but not closed'}"
+        for g in range(n) if (g in closed) != (cl[g] == g))
 
 
 def _nbhd_eval(case: SpaceCase, failing: list[int], reason):
@@ -809,15 +821,14 @@ def _eval_nbd_open_iff(case: SpaceCase):
     it = case.interior()
     meet = case.pool.meet
     opens = case.open_set
-    fails = []
-    for g in range(case.pool.size):
-        nbhd_of_all = meet[g][it[g]] == g
-        if (g in opens) != nbhd_of_all and len(fails) < _MAX_FAILS:
-            side = ("open but not a neighborhood of each of its points"
-                    if g in opens else
-                    "a neighborhood of each of its points but not open")
-            fails.append(f"{case.render_set(g)}: {side}")
-    return case.pool.size, case.pool.size, fails
+    n = case.pool.size
+    # a set is a neighborhood of each of its points when it lies below
+    # its interior
+    return n, n, _first_fails(
+        f"{case.render_set(g)}: "
+        + ("open but not a neighborhood of each of its points" if g in opens
+           else "a neighborhood of each of its points but not open")
+        for g in range(n) if (g in opens) != (meet[g][it[g]] == g))
 
 
 @_claim("SUB.CLOSED", ASSERTED, "space",
@@ -1316,32 +1327,28 @@ def _eval_con_coarser(case: SpaceCase):
     meet, join = pool.meet, pool.join
     opens = case.opens
     t = len(opens)
-    total = t * t
-    checked = hits = 0
-    fails: list[str] = []
     if case.exhaustive:
-        indices = range(total)
+        indices = range(t * t)
     else:
-        indices = _probe(total, CLOSED_PROBES * 2, case.order * 131 + 51)
-    for idx in indices:
-        i, j = divmod(idx, t)
-        if i >= j:
-            continue
-        checked += 1
-        hits += 1
-        # coarser family generated inside the open family, so it is a
-        # topology on the same carrier by construction
-        family = {0, case.carrier, opens[i], opens[j],
-                  meet[opens[i]][opens[j]], join[opens[i]][opens[j]]}
-        sep = _sep_pair(pool, sorted(family), case.carrier)
-        if sep is not None and len(fails) < _MAX_FAILS:
-            a, b = sep
-            fails.append(
+        indices = _probe(t * t, CLOSED_PROBES * 2, case.order * 131 + 51)
+
+    def outcomes():
+        for idx in indices:
+            i, j = divmod(idx, t)
+            if i >= j:
+                continue
+            u, v = opens[i], opens[j]
+            # coarser family generated inside the open family, so it is a
+            # topology on the same carrier by construction
+            family = {0, case.carrier, u, v, meet[u][v], join[u][v]}
+            sep = _sep_pair(pool, sorted(family), case.carrier)
+            yield True if sep is None else lambda u=u, v=v, sep=sep: (
                 f"coarsening to the family generated by "
-                f"{case.render_set(opens[i])} and {case.render_set(opens[j])} "
-                f"splits the space into {case.render_set(a)} and "
-                f"{case.render_set(b)}")
-    return checked, hits, fails
+                f"{case.render_set(u)} and {case.render_set(v)} splits the "
+                f"space into {case.render_set(sep[0])} and "
+                f"{case.render_set(sep[1])}")
+
+    return _tally(outcomes())
 
 
 @_claim("CON.SUBSPACE-SIDE", ASSERTED, "space",
@@ -1445,32 +1452,21 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
     cl = case.cl()
-    n = pool.size
-    checked = hits = 0
-    fails: list[str] = []
-    for g in _scan_indices(case, n, SUBSET_PROBES, 55):
-        if meet[g][case.carrier] != g:
-            continue
-        traces = case.traces(g)
-        disj = pool.disj_mask
-        join = pool.join
-        for i in range(len(traces)):
-            a = traces[i]
-            if a == 0:
+
+    def outcomes():
+        for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55):
+            if meet[g][case.carrier] != g:
                 continue
-            for b in traces[i + 1:]:
-                if not b or not (disj[a] >> b) & 1 or join[a][b] != g:
-                    continue
-                checked += 1
-                hits += 1
-                if (meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0):
-                    continue
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
+            for a, b in _separations(pool, case.traces(g), g):
+                if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0:
+                    yield True
+                else:
+                    yield lambda a=a, b=b, g=g: (
                         f"separation {case.render_set(a)} / "
                         f"{case.render_set(b)} of the subspace at "
                         f"{case.render_set(g)} meets an ambient closure")
-    return checked, hits, fails
+
+    return _tally(outcomes())
 
 
 @_claim("CON.SEPCHAR-rev", AUDITED, "space",
@@ -1481,38 +1477,36 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
     cl = case.cl()
-    n = pool.size
-    checked = hits = 0
-    fails: list[str] = []
     # ids are big-endian mixed-radix numbers, so a cell-wise side of g
     # is the sum of g's digit times its place over the chosen cells
     places = [pool.radix ** c for c in range(pool.cells - 1, -1, -1)]
-    for g in _scan_indices(case, n, SUBSET_PROBES, 56):
-        if g == 0 or meet[g][case.carrier] != g:
-            continue
-        parts = [d * w for d, w in zip(pool._vectors[g], places) if d]
-        if len(parts) < 2:
-            continue
-        trace_set = set(case.traces(g))
-        # sides[mask] keeps the cells of the bits set in mask, the first
-        # nonzero cell as bit 0
-        sides = [0]
-        for w in parts:
-            sides += [a + w for a in sides]
-        for a in sides[1:-1]:
-            b = g - a
-            checked += 1
-            if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
+
+    def outcomes():
+        for g in _scan_indices(case, pool.size, SUBSET_PROBES, 56):
+            if g == 0 or meet[g][case.carrier] != g:
                 continue
-            hits += 1
-            if (a in trace_set and b in trace_set):
+            parts = [d * w for d, w in zip(pool._vectors[g], places) if d]
+            if len(parts) < 2:
                 continue
-            if len(fails) < _MAX_FAILS:
-                fails.append(
-                    f"{case.render_set(a)} / {case.render_set(b)} split "
-                    f"{case.render_set(g)} with closure-disjoint sides, yet "
-                    f"are not both relatively open")
-    return checked, hits, fails
+            trace_set = set(case.traces(g))
+            # sides[mask] keeps the cells of the bits set in mask, the
+            # first nonzero cell as bit 0
+            sides = [0]
+            for w in parts:
+                sides += [a + w for a in sides]
+            for a in sides[1:-1]:
+                b = g - a
+                if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
+                    yield None
+                elif a in trace_set and b in trace_set:
+                    yield True
+                else:
+                    yield lambda a=a, b=b, g=g: (
+                        f"{case.render_set(a)} / {case.render_set(b)} split "
+                        f"{case.render_set(g)} with closure-disjoint sides, "
+                        f"yet are not both relatively open")
+
+    return _tally(outcomes())
 
 
 @_claim("CON.BETWEEN", AUDITED, "space",
@@ -1525,50 +1519,40 @@ def _eval_con_between(case: SpaceCase):
     meet = pool.meet
     cl = case.cl()
     n = pool.size
-    checked = hits = 0
-    fails: list[str] = []
-    for g in _scan_indices(case, n, CLOSED_PROBES, 57):
-        if g == 0 or meet[g][case.carrier] != g:
-            continue
-        if not case.conn(g)[0]:
-            continue
-        top = meet[cl[g]][case.carrier]
-        for k in range(n):
-            if meet[g][k] != g or meet[k][top] != k:
+
+    def outcomes():
+        for g in _scan_indices(case, n, CLOSED_PROBES, 57):
+            if g == 0 or meet[g][case.carrier] != g or not case.conn(g)[0]:
                 continue
-            checked += 1
-            hits += 1
-            if not case.conn(k)[0] and len(fails) < _MAX_FAILS:
-                fails.append(
+            top = meet[cl[g]][case.carrier]
+            for k in range(n):
+                if meet[g][k] != g or meet[k][top] != k:
+                    continue
+                yield True if case.conn(k)[0] else lambda k=k, g=g: (
                     f"{case.render_set(k)} lies between connected "
                     f"{case.render_set(g)} and its closure, yet is "
                     f"disconnected")
-    return checked, hits, fails
+
+    return _tally(outcomes())
 
 
 @_claim("CON.CLOSURE-CONN", AUDITED, "space",
         "The closure of a connected subspace is connected.",
         _PROBE_SUBSETS, complete=False)
 def _eval_con_closure_conn(case: SpaceCase):
-    pool = case.pool
-    meet = pool.meet
+    meet = case.pool.meet
     cl = case.cl()
-    n = pool.size
-    checked = hits = 0
-    fails: list[str] = []
-    for g in _scan_indices(case, n, SUBSET_PROBES, 58):
-        if g == 0 or meet[g][case.carrier] != g:
-            continue
-        if not case.conn(g)[0]:
-            continue
-        checked += 1
-        hits += 1
-        closure_in_carrier = meet[cl[g]][case.carrier]
-        if not case.conn(closure_in_carrier)[0] and len(fails) < _MAX_FAILS:
-            fails.append(
+
+    def outcomes():
+        for g in _scan_indices(case, case.pool.size, SUBSET_PROBES, 58):
+            if g == 0 or meet[g][case.carrier] != g or not case.conn(g)[0]:
+                continue
+            top = meet[cl[g]][case.carrier]
+            yield True if case.conn(top)[0] else lambda g=g, top=top: (
                 f"connected {case.render_set(g)} with a disconnected "
-                f"closure {case.render_set(closure_in_carrier)}")
-    return checked, hits, fails
+                f"closure {case.render_set(top)}")
+
+    return _tally(outcomes())
 
 
 # -- pool-scope evaluators -------------------------------------------------
@@ -1585,29 +1569,22 @@ def _point_id_masks(pool: SetPool):
         "every set of each pool")
 def _eval_alg_involution(pool: SetPool):
     comp = pool.comp
-    fails = []
-    for g in range(pool.size):
-        if comp[comp[g]] != g and len(fails) < _MAX_FAILS:
-            fails.append(f"complement not involutive at "
-                         f"{pool.decode(g).render()}")
-    return pool.size, pool.size, fails
+    n = pool.size
+    return n, n, _first_fails(
+        f"complement not involutive at {pool.decode(g).render()}"
+        for g in range(n) if comp[comp[g]] != g)
 
 
 def _demorgan_eval(pool: SetPool, outer, inner, operation: str):
     """Complement of ``outer`` against ``inner`` of the complements."""
     comp = pool.comp
-    checked = 0
-    fails = []
-    for g in range(pool.size):
-        row = outer[g]
-        for h in range(g, pool.size):
-            checked += 1
-            if (comp[row[h]] != inner[comp[g]][comp[h]]
-                    and len(fails) < _MAX_FAILS):
-                fails.append(
-                    f"complement of {operation} misses at "
-                    f"{pool.decode(g).render()} / {pool.decode(h).render()}")
-    return checked, checked, fails
+    n = pool.size
+    checked = n * (n + 1) // 2
+    return checked, checked, _first_fails(
+        f"complement of {operation} misses at "
+        f"{pool.decode(g).render()} / {pool.decode(h).render()}"
+        for g in range(n) for h in range(g, n)
+        if comp[outer[g][h]] != inner[comp[g]][comp[h]])
 
 
 @_claim("ALG.DEMORGAN-UNION", ASSERTED, "pool",
@@ -1630,18 +1607,13 @@ def _eval_demorgan_intersection(pool: SetPool):
 def _eval_pt1(pool: SetPool):
     masks = _point_id_masks(pool)
     comp = pool.comp
-    checked = 0
-    fails = []
-    for p in range(len(pool.points)):
-        pm = masks[p]
-        for g in range(pool.size):
-            checked += 1
-            if (pm >> g) & 1 and (pm >> comp[g]) & 1:
-                if len(fails) < _MAX_FAILS:
-                    fails.append(
-                        f"{pool.decode_point(p).render()} belongs to "
-                        f"{pool.decode(g).render()} and to its complement")
-    return checked, checked, fails
+    n = pool.size
+    checked = len(masks) * n
+    return checked, checked, _first_fails(
+        f"{pool.decode_point(p).render()} belongs to "
+        f"{pool.decode(g).render()} and to its complement"
+        for p, pm in enumerate(masks) for g in range(n)
+        if (pm >> g) & 1 and (pm >> comp[g]) & 1)
 
 
 @_claim("PT.3", ASSERTED, "pool",
@@ -1650,20 +1622,21 @@ def _eval_pt1(pool: SetPool):
 def _eval_pt3(pool: SetPool):
     per = len(pool.universe)
     join = pool.join
-    checked = 0
-    fails = []
-    for g in range(pool.size):
-        checked += 1
+
+    def union_of_restrictions(g):
         vec = pool._vector(g)
         acc = 0
         for pi in range(len(pool.parameters)):
             part = [0] * len(vec)
             part[pi * per:(pi + 1) * per] = vec[pi * per:(pi + 1) * per]
             acc = join[acc][pool._encode(tuple(part))]
-        if acc != g and len(fails) < _MAX_FAILS:
-            fails.append(f"{pool.decode(g).render()} is not the union of "
-                         f"its single-parameter restrictions")
-    return checked, checked, fails
+        return acc
+
+    n = pool.size
+    return n, n, _first_fails(
+        f"{pool.decode(g).render()} is not the union of its "
+        f"single-parameter restrictions"
+        for g in range(n) if union_of_restrictions(g) != g)
 
 
 @_claim("PT.4", ASSERTED, "pool",
@@ -1674,21 +1647,13 @@ def _eval_pt4(pool: SetPool):
     masks = _point_id_masks(pool)
     form = pool.pt_form_id
     pts = pool.points
-    checked = 0
-    fails = []
-    for a in range(len(pts)):
-        pa, va = pts[a]
-        for b in range(len(pts)):
-            checked += 1
-            member = (masks[a] >> form[b]) & 1 == 1
-            expected = pa == pts[b][0] and all(
-                x <= y for x, y in zip(va, pts[b][1]))
-            if member != expected and len(fails) < _MAX_FAILS:
-                fails.append(
-                    f"membership of {pool.decode_point(a).render()} in the "
-                    f"form of {pool.decode_point(b).render()} is "
-                    f"mischaracterized")
-    return checked, checked, fails
+    checked = len(pts) ** 2
+    return checked, checked, _first_fails(
+        f"membership of {pool.decode_point(a).render()} in the form of "
+        f"{pool.decode_point(b).render()} is mischaracterized"
+        for a, (pa, va) in enumerate(pts) for b, (pb, vb) in enumerate(pts)
+        if ((masks[a] >> form[b]) & 1 == 1)
+        != (pa == pb and all(x <= y for x, y in zip(va, vb))))
 
 
 # PT.5 and PT.6 run in two phases.  Phase 1 makes one pass over the rows

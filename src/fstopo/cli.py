@@ -205,22 +205,37 @@ def _emit(args, report: dict, text_lines: list[str]) -> None:
         sys.stdout.write("\n".join(text_lines) + "\n")
 
 
-def _build_space(doc: SpaceDocument):
-    """Validated topology from a document; wraps axiom failures."""
+def _load(args, build: bool = True):
+    """(document, lattice, space) for ``args.file``: the document read,
+    the lattice resolved from ``--lattice`` and checked to hold its
+    grades, and the validated topology, or None when ``build`` is off;
+    a family failing the axioms is a validation failure."""
+    doc = _read_document(args.file)
+    lattice = _resolve_lattice(args.lattice, doc)
+    _check_lattice_covers(lattice, doc)
+    if not build:
+        return doc, lattice, None
     try:
-        return validate_topology(doc.carrier, [s for _, s in doc.opens])
+        space = validate_topology(doc.carrier, [s for _, s in doc.opens])
     except TopologyValidationError as exc:
         raise _ValidationFailure(
             "; ".join(v.render() for v in exc.violations)) from None
+    return doc, lattice, space
+
+
+def _named_set(doc: SpaceDocument, name: str):
+    try:
+        return doc.named_set(name)
+    except KeyError:
+        raise _UsageError(f"no set named {name!r}; document has "
+                          f"{', '.join(doc.names())}") from None
 
 
 # -- commands --------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
+    doc, lattice, _ = _load(args, build=False)
     try:
         space = validate_topology(doc.carrier, [s for _, s in doc.opens])
         violations = []
@@ -252,16 +267,8 @@ def cmd_validate(args) -> int:
 
 
 def _cmd_closure_interior(args, which: str) -> int:
-    doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
-    space = _build_space(doc)
-    try:
-        target = doc.named_set(args.name)
-    except KeyError:
-        raise _UsageError(
-            f"no set named {args.name!r}; document has "
-            f"{', '.join(doc.names())}") from None
+    doc, lattice, space = _load(args)
+    target = _named_set(doc, args.name)
     if which == "closure":
         result = space.closure(target)
         used = [k for k in space.closed_sets if target.leq(k)]
@@ -310,10 +317,7 @@ AXIOM_DECIDERS = (
 
 
 def cmd_axioms(args) -> int:
-    doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
-    space = _build_space(doc)
+    doc, lattice, space = _load(args)
     cfg = _config(args, lattice)
     verdicts = [(label, fn(space, cfg)) for label, fn in AXIOM_DECIDERS]
     results = {"verdicts": [v.to_payload() for _, v in verdicts]}
@@ -338,10 +342,7 @@ def cmd_axioms(args) -> int:
 
 
 def cmd_connected(args) -> int:
-    doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
-    space = _build_space(doc)
+    doc, lattice, space = _load(args)
     cfg = _config(args, lattice)
     verdict = is_connected(space, cfg)
     clopen = clopen_witness(space)
@@ -379,16 +380,8 @@ def cmd_connected(args) -> int:
 
 
 def cmd_subspace(args) -> int:
-    doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
-    space = _build_space(doc)
-    try:
-        g = doc.named_set(args.name)
-    except KeyError:
-        raise _UsageError(
-            f"no set named {args.name!r}; document has "
-            f"{', '.join(doc.names())}") from None
+    doc, lattice, space = _load(args)
+    g = _named_set(doc, args.name)
     try:
         view = space.subspace(g)
     except CarrierBoundError as exc:
@@ -435,10 +428,7 @@ def cmd_audit(args) -> int:
         raise _UsageError("audit without FILE takes neither --lattice nor "
                           "--cap: the corpus fixes its own shape and sizes")
     if args.file is not None:
-        doc = _read_document(args.file)
-        lattice = _resolve_lattice(args.lattice, doc)
-        _check_lattice_covers(lattice, doc)
-        space = _build_space(doc)
+        doc, lattice, space = _load(args)
         pool_kwargs = {} if args.cap is None else {"cap": args.cap}
         pool = SetPool(doc.universe, doc.parameters, lattice, **pool_kwargs)
         ids = tuple(sorted(pool.encode(o) for o in space.opens))

@@ -25,6 +25,7 @@ complement pathologies are constructed by hand.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -233,10 +234,8 @@ class CorpusSpec:
         )
 
     def family_count(self, pool_size: int) -> int:
-        total = 0
-        for k in range(self.max_generators + 1):
-            total += _comb(pool_size, k)
-        return total
+        return sum(math.comb(pool_size, k)
+                   for k in range(self.max_generators + 1))
 
     def to_payload(self) -> dict:
         return {
@@ -246,12 +245,6 @@ class CorpusSpec:
             "max_generators": self.max_generators,
             "max_opens": self.max_opens,
         }
-
-
-def _comb(n: int, k: int) -> int:
-    import math
-
-    return math.comb(n, k)
 
 
 def close_family(pool: SetPool, generators: tuple[int, ...],
@@ -379,19 +372,6 @@ def random_space_ids(seed: int, spec: CorpusSpec, pool: SetPool) -> tuple[int, .
         if closure is not None:
             return tuple(sorted(closure))
     raise RuntimeError("no family within the opens bound after 1000 draws")
-
-
-def random_space(seed: int, spec: CorpusSpec, pool: Optional[SetPool] = None):
-    if pool is None:
-        pool = SetPool(spec.universe, spec.parameters, spec.lattice,
-                       cap=spec.pool_cap)
-    ids = random_space_ids(seed, spec, pool)
-    from .topology import FuzzySoftTopology
-
-    return FuzzySoftTopology(
-        carrier=pool.decode(pool.full_id),
-        opens=tuple(pool.decode(i) for i in ids),
-    )
 
 
 # ---------------------------------------------------------------------------

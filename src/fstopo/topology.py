@@ -301,9 +301,6 @@ class SubspaceView:
             k.intersection(g) for k in self.parent.closed_sets
         )
 
-    def is_relatively_closed(self, h: FuzzySoftSet) -> bool:
-        return h in set(self.relative_closed_sets)
-
     def closure_in(self, h: FuzzySoftSet) -> FuzzySoftSet:
         """Closure inside the subspace: intersection of every relative
         closed superset of ``h``.

@@ -7,8 +7,10 @@ spaces and on the whole named catalogue; any drift between the two paths
 is a soundness bug, not a modeling choice.
 """
 
+import ast
 import copy
 import hashlib
+import inspect
 import json
 import random
 
@@ -312,6 +314,25 @@ class TestEvaluation:
         assert past_cap == (CAPPED_SPACE_CLAIMS | CAPPED_POOL_CLAIMS) - {
             "CON.COARSER", "PT.3", "PT.4"}
 
+
+def test_only_the_drivers_read_the_failure_cap():
+    # every claim reports through _scan, _tally or _first_fails, so the
+    # cap is applied in one place; a hand-written guard in an evaluator
+    # would read _MAX_FAILS there
+    tree = ast.parse(inspect.getsource(claims))
+    readers, compared = [], []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name) and node.id == "_MAX_FAILS":
+                readers.append(getattr(fn, "name", "<lambda>"))
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(side, ast.Name) and side.id == "_MAX_FAILS"
+                    for side in (node.left, *node.comparators)):
+                compared.append(getattr(fn, "name", "<lambda>"))
+    assert set(readers) == {"_scan", "_tally", "_first_fails"}
+    assert compared == ["_tally"]
 
 # the claims whose failures the arithmetic or counting loops report
 CAPPED_SPACE_CLAIMS = frozenset({
