@@ -299,7 +299,8 @@ class TestEvaluation:
         subjects = [(evaluate_space_case, case, CAPPED_SPACE_CLAIMS)
                     for case in pinned_space_cases(corpus)]
         subjects += [(evaluate_pool_claims, pool, CAPPED_POOL_CLAIMS)
-                     for pool in pinned_pools(shape_pool)]
+                     for pool in (*pinned_pools(shape_pool),
+                                  *point_failure_pools(shape_pool))]
         for evaluate, subject, idents in subjects:
             for ident in idents:
                 every, every_rendered = run(evaluate, subject, ident, 10**6)
@@ -312,7 +313,7 @@ class TestEvaluation:
                 assert kept_rendered * every == every_rendered * kept, ident
                 assert kept_rendered <= 3 * _MAX_FAILS, ident
         assert past_cap == (CAPPED_SPACE_CLAIMS | CAPPED_POOL_CLAIMS) - {
-            "CON.COARSER", "PT.3", "PT.4"}
+            "CON.COARSER"}
 
 
 def test_only_the_drivers_read_the_failure_cap():
@@ -692,6 +693,58 @@ def corrupted_comp(pool, seed, entries):
     return bad
 
 
+def corrupted_points(pool, seed, entries):
+    """A copy of POOL with ENTRIES seeded point memberships flipped at
+    another point's form and ENTRIES point form ids rewritten: PT.4 must
+    report both.  The transposed masks ``pt_set_mask`` follow the flips."""
+    pool.build_points()
+    bad = copy.copy(pool)
+    bad.pt_in_mask = pool.pt_in_mask[:]
+    bad.pt_set_mask = pool.pt_set_mask[:]
+    bad.pt_form_id = pool.pt_form_id[:]
+    rng = random.Random(f"corrupt-points:{seed}")
+    count, n = len(pool.points), pool.size
+    for _ in range(entries):
+        a, b = rng.randrange(count), rng.randrange(count)
+        s = pool.pt_form_id[b]
+        bad.pt_in_mask[a] ^= 1 << s
+        bad.pt_set_mask[s] ^= 1 << a
+        p = rng.randrange(count)
+        bad.pt_form_id[p] = (bad.pt_form_id[p] + rng.randrange(1, n)) % n
+    return bad
+
+
+def corrupted_restrictions(pool, seed, entries):
+    """A copy of POOL whose join table sends ENTRIES seeded sets' last
+    join of single-parameter restrictions, in PT.3's order, to another
+    id: PT.3 must report each such set."""
+    bad = copy.copy(pool)
+    bad.join = [row[:] for row in pool.join]
+    rng = random.Random(f"corrupt-restrictions:{seed}")
+    per, n = len(pool.universe), pool.size
+    for g in rng.sample(range(1, n), entries):
+        vec = pool._vector(g)
+        *head, last = [
+            pool._encode(tuple(d if c // per == pi else 0
+                               for c, d in enumerate(vec)))
+            for pi in range(len(pool.parameters))]
+        acc = 0
+        for part in head:
+            acc = pool.join[acc][part]
+        bad.join[acc][last] = (g + rng.randrange(1, n)) % n
+    return bad
+
+
+def point_failure_pools(shape_pool):
+    """Pools on which PT.3 and PT.4 fail past the cap."""
+    pools = []
+    for shape in [(2, 2, 3), (2, 1, 4), (3, 1, 3)]:
+        pool = shape_pool(*shape)
+        pools += [corrupted_points(pool, f"pin-{shape}", 5),
+                  corrupted_restrictions(pool, f"pin-{shape}", 5)]
+    return pools
+
+
 def pinned_space_cases(corpus):
     cases = [corrupt_case(corpus, seed) for seed in range(16)]
     cases.append(SpaceCase("non-topology", corpus.pool, NON_TOPOLOGY,
@@ -728,6 +781,20 @@ def test_claim_triples_are_pinned(corpus, shape_pool):
         assert hashlib.sha256(text.encode()).hexdigest() == digest, part
 
 
+def test_point_claim_triples_are_pinned(shape_pool):
+    # no table corruption above reaches PT.3 or PT.4: PT.4 reads the point
+    # masks and forms, PT.3 a few join entries of each set
+    results = [evaluate_pool_claims(p)
+               for p in point_failure_pools(shape_pool)]
+    for ident, parity in (("PT.4", 0), ("PT.3", 1)):
+        for r in results[parity::2]:
+            assert len(r[ident][2]) == _MAX_FAILS, ident
+    text = json.dumps(results)
+    assert hashlib.sha256(text.encode()).hexdigest() == POINT_TRIPLES_DIGEST
+
+
+POINT_TRIPLES_DIGEST = (
+    "a8f5a35fbfb1f2c6aec2b645b49023f69b243b382ba2d486f67a518978d77c9a")
 SPACE_TRIPLES_DIGEST = (
     "d91dbf1adbec12dd3d798f08ccfde348f0f7a6c2c9956df3a0cfe8fabf9e4c83")
 POOL_TRIPLES_DIGEST = (
