@@ -18,12 +18,14 @@ strings), with at most ``_MAX_FAILS`` failure strings.
 
 Space-scope claims run once per topology through a ``SpaceCase`` built
 over the integer set-pool encoding; pool-scope claims run once per
-distinct shape; fixed-scope claims run once per audit.  A subspace is a
-``SpaceCase`` too (``SpaceCase.subspace``, built once per case and set),
-whose opens and closed sets are the traces of the ambient ones.  A
-``SpaceCase`` builds the bitmasks the separation axioms are read from
-and runs the axiom scans of ``deciders.py`` over them, the scans the
-object-level deciders run over theirs.
+distinct shape; fixed-scope claims run once per audit.  A ``SpaceCase``
+builds the bitmasks the separation axioms are read from and runs the
+axiom scans of ``deciders.py`` over them, the scans the object-level
+deciders run over theirs.  A subspace is never built: the same scans
+decide its axioms on the case's masks restricted to its points and
+traces (``SpaceCase.subspace_holds``), and one bitmask over pool ids
+marks every disconnected subspace of the case
+(``SpaceCase.disconnected``).
 
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
@@ -212,13 +214,11 @@ class SpaceCase:
     """Per-topology caches over the integer encoding.
 
     ``order`` is the global case index used to salt probes; ``exhaustive``
-    widens probes to full scans for this case.  ``closeds`` is for
-    ``subspace`` alone: the closed sets when they are not the complements
-    of the opens.
+    widens probes to full scans for this case.
     """
 
     def __init__(self, label: str, pool: SetPool, ids: tuple[int, ...],
-                 order: int = 0, exhaustive: bool = False, closeds=None):
+                 order: int = 0, exhaustive: bool = False):
         pool.build_points()
         self.label = label
         self.pool = pool
@@ -228,20 +228,20 @@ class SpaceCase:
         self.carrier = ids[-1]
         self.opens = list(ids)
         self.open_set = frozenset(ids)
-        if closeds is None:
-            closeds = sorted({pool.comp[o] for o in ids})
-        self.closeds = closeds
+        self.closeds = sorted({pool.comp[o] for o in ids})
         self.closed_set = frozenset(self.closeds)
         self.pts = [i for i in range(len(pool.points))
                     if (pool.pt_in_mask[i] >> self.carrier) & 1]
         self._cl: list[int] | None = None
         self._int: list[int] | None = None
         self._omasks: list[int] | None = None
-        self._odisj: list[int] | None = None
-        self._covers: list[int] | None = None
         self._nbhds: list[int] | None = None
+        self._dis: int | None = None
+        self._odisj: dict[int | None, list[int]] = {}
+        # per pool id: the open indices disjoint from it, and over it
+        self._disj: dict[int, int] = {}
+        self._cover: dict[int, int] = {}
         self._ax: dict = {}
-        self._sub: dict[int, SpaceCase] = {}
         self._conn: dict[int, tuple] = {}
 
     # -- operator tables ---------------------------------------------------
@@ -298,12 +298,22 @@ class SpaceCase:
             self._omasks = [self._open_bits(pin[p]) for p in self.pts]
         return self._omasks
 
-    def odisj(self) -> list[int]:
-        """Per open index, the bitmask of open indices disjoint from it."""
-        if self._odisj is None:
+    def odisj(self, g: int | None = None) -> list[int]:
+        """Per open index, the bitmask of open indices disjoint from it;
+        given ``g``, of those whose trace on g is disjoint from its trace
+        on g."""
+        got = self._odisj.get(g)
+        if got is None:
+            sets = self.opens
+            if g is not None:
+                sets = list(map(self.pool.meet[g].__getitem__, sets))
+            rows = self._disj
             disj = self.pool.disj_mask
-            self._odisj = [self._open_bits(disj[a]) for a in self.opens]
-        return self._odisj
+            for x in sets:
+                if x not in rows:
+                    rows[x] = self._open_bits(disj[x])
+            got = self._odisj[g] = list(map(rows.__getitem__, sets))
+        return got
 
     def nbhds(self) -> list[int]:
         """Per point (aligned with self.pts), the bitmask over pool ids of
@@ -318,13 +328,17 @@ class SpaceCase:
                            for pm in map(pin.__getitem__, self.pts)]
         return self._nbhds
 
+    def cover(self, x: int) -> int:
+        """The bitmask of open indices over pool set ``x``."""
+        got = self._cover.get(x)
+        if got is None:
+            mx = self.pool.meet[x]
+            got = self._cover[x] = _mask(mx[o] == x for o in self.opens)
+        return got
+
     def covers(self) -> list[int]:
         """Per closed set, the bitmask of open indices containing it."""
-        if self._covers is None:
-            meet = self.pool.meet
-            self._covers = [_mask(meet[k][o] == k for o in self.opens)
-                            for k in self.closeds]
-        return self._covers
+        return [self.cover(k) for k in self.closeds]
 
     # -- separation axioms -------------------------------------------------
 
@@ -336,12 +350,7 @@ class SpaceCase:
         return self._ax[name]
 
     def _decide_t0(self):
-        form = self.pool.pt_form_id
-        disj = self.pool.disj_mask
-        pts = self.pts
-        pair = _t0_fail(self.omasks(),
-                        lambda a, b: (disj[form[pts[a]]] >> form[pts[b]]) & 1)
-        return _ids(pair, pts, pts)
+        return _t0_pair(self.pool, self.pts, self.omasks())
 
     def _decide_t1(self):
         return _ids(_t1_fail(self.omasks(), _every_pair), self.pts, self.pts)
@@ -359,19 +368,12 @@ class SpaceCase:
         return None
 
     def _decide_regular(self):
-        pin = self.pool.pt_in_mask
-        pts, closeds = self.pts, self.closeds
-        pair = _regular_fail(
-            self.omasks(), self.covers(), self.odisj(),
-            lambda a, k: not (pin[pts[a]] >> closeds[k]) & 1)
-        return _ids(pair, pts, closeds)
+        return _regular_pair(self.pool, self.pts, self.omasks(),
+                             self.closeds, self.covers(), self.odisj())
 
     def _decide_normal(self):
-        disj = self.pool.disj_mask
-        closeds = self.closeds
-        pair = _normal_fail(self.covers(), self.odisj(),
-                            lambda i, j: (disj[closeds[i]] >> closeds[j]) & 1)
-        return _ids(pair, closeds, closeds)
+        return _normal_pair(self.pool, self.closeds, self.covers(),
+                            self.odisj())
 
     def t0(self) -> bool:
         return self.ax("t0") is None
@@ -397,7 +399,17 @@ class SpaceCase:
     def points_closed(self) -> bool:
         return self.ax("points_closed") is None
 
-    # -- connectedness -----------------------------------------------------
+    # -- subspaces ---------------------------------------------------------
+    # The subspace at g has the traces o∧g of the opens as its opens, the
+    # traces k∧g of the closed sets as its closed sets and the points
+    # under carrier∧g as its points.  Its verdicts are read off the
+    # ambient masks: an open holds a point under g exactly when its trace
+    # does, an open lies over k∧g exactly when its trace does, and two
+    # traces are disjoint when o∧o'∧g is null (``odisj(g)``).  Opens with
+    # one trace share their bits, so every scan decides as it would over
+    # the traces.  The lattice is distributive, so traces u∧g and v∧g
+    # join to (u∨v)∧g, and they separate the subspace at g exactly when
+    # both are non-null, u∧v∧g is null and g lies under u∨v.
 
     def traces(self, g: int) -> list[int]:
         meet = self.pool.meet
@@ -407,24 +419,61 @@ class SpaceCase:
         meet = self.pool.meet
         return sorted({meet[k][g] for k in self.closeds})
 
-    def subspace(self, g: int) -> "SpaceCase":
-        """The subspace at ``g``: its opens are the traces of the opens,
-        its closed sets the traces of the closed sets."""
-        if g not in self._sub:
-            self._sub[g] = SpaceCase(self.label, self.pool,
-                                     tuple(self.traces(g)),
-                                     closeds=self.closed_traces(g))
-        return self._sub[g]
+    def subspace_holds(self, axiom: str, g: int) -> bool:
+        """Whether the subspace at ``g`` satisfies ``axiom``: ``t0``,
+        ``t1``, ``t2``, ``t3`` or ``normal``."""
+        pool = self.pool
+        if axiom == "normal":
+            ks = self.closed_traces(g)
+            return _normal_pair(pool, ks, list(map(self.cover, ks)),
+                                self.odisj(g)) is None
+        pin = pool.pt_in_mask
+        top = pool.meet[self.carrier][g]
+        kept = [(p, m) for p, m in zip(self.pts, self.omasks())
+                if (pin[p] >> top) & 1]
+        pts = [p for p, _ in kept]
+        omasks = [m for _, m in kept]
+        if axiom == "t0":
+            return _t0_pair(pool, pts, omasks) is None
+        if axiom == "t2":
+            return _t2_fail(omasks, self.odisj(g), _every_pair) is None
+        if _t1_fail(omasks, _every_pair) is not None:
+            return False
+        if axiom == "t1":
+            return True
+        ks = self.closed_traces(g)
+        return _regular_pair(pool, pts, omasks, ks, list(map(self.cover, ks)),
+                             self.odisj(g)) is None
+
+    def disconnected(self) -> int:
+        """Bitmask over pool ids: bit g is set when the subspace at ``g``,
+        a set under the carrier, is disconnected.  It is the union, over
+        the pairs of non-null opens, of the sets their traces separate."""
+        if self._dis is None:
+            pool = self.pool
+            meet, join, disj = pool.meet, pool.join, pool.disj_mask
+            below = pool.below
+            opens = [o for o in self.opens if o]
+            meets = [~disj[o] for o in opens]
+            dis = 0
+            for i, u in enumerate(opens):
+                mu, ju, meets_u = meet[u], join[u], meets[i]
+                for v, meets_v in zip(opens[i + 1:], meets[i + 1:]):
+                    dis |= below(ju[v]) & disj[mu[v]] & meets_u & meets_v
+            self._dis = dis
+        return self._dis
 
     def conn(self, g: int):
-        """(connected, separation pair or None) of the subspace at ``g``."""
+        """(connected, separation pair or None) of the subspace at ``g``,
+        by a search over its traces; the claims read ``disconnected``
+        and call this only for the carrier's separation pair."""
         if g not in self._conn:
             sep = _sep_pair(self.pool, self.traces(g), g)
             self._conn[g] = (sep is None, sep)
         return self._conn[g]
 
     def connected(self) -> bool:
-        return self.conn(self.carrier)[0]
+        return not (self.disconnected() >> self.carrier) & 1
 
     # -- rendering ---------------------------------------------------------
 
@@ -438,6 +487,31 @@ class SpaceCase:
 def _ids(pair, first, second):
     """A scan's index pair as pool ids."""
     return None if pair is None else (first[pair[0]], second[pair[1]])
+
+
+# The scans whose pair test reads pool ids, with the failing pair as ids.
+# Their masks over open indices are a space's own, or a subspace's read
+# off the space's.
+
+def _t0_pair(pool: SetPool, pts, omasks):
+    form, disj = pool.pt_form_id, pool.disj_mask
+    pair = _t0_fail(omasks,
+                    lambda a, b: (disj[form[pts[a]]] >> form[pts[b]]) & 1)
+    return _ids(pair, pts, pts)
+
+
+def _regular_pair(pool: SetPool, pts, omasks, closeds, covers, odisj):
+    pin = pool.pt_in_mask
+    pair = _regular_fail(omasks, covers, odisj,
+                         lambda a, k: not (pin[pts[a]] >> closeds[k]) & 1)
+    return _ids(pair, pts, closeds)
+
+
+def _normal_pair(pool: SetPool, closeds, covers, odisj):
+    disj = pool.disj_mask
+    pair = _normal_fail(covers, odisj,
+                        lambda i, j: (disj[closeds[i]] >> closeds[j]) & 1)
+    return _ids(pair, closeds, closeds)
 
 
 def _separations(pool: SetPool, opens, carrier):
@@ -997,7 +1071,7 @@ def _heredity_eval(case: SpaceCase, axiom: str, salt: int):
         return 1, 0, []
 
     def check(g):
-        if getattr(case.subspace(g), axiom)():
+        if case.subspace_holds(axiom, g):
             return True
         return lambda g=g: (
             f"{axiom.upper()} space with a non-{axiom.upper()} subspace "
@@ -1044,7 +1118,7 @@ def _eval_sub_normal(case: SpaceCase):
     closeds = case.closeds
 
     def check(i):
-        if case.subspace(closeds[i]).normal():
+        if case.subspace_holds("normal", closeds[i]):
             return True
         return lambda i=i: (
             f"normal space with a non-normal closed subspace at "
@@ -1355,14 +1429,14 @@ def _eval_con_coarser(case: SpaceCase):
         "A connected subspace of a separated space lies inside one "
         "side of the separation.", _PROBE_SUBSETS, complete=False)
 def _eval_con_subspace_side(case: SpaceCase):
-    connected, sep = case.conn(case.carrier)
-    if connected:
+    if case.connected():
         return 1, 0, []
-    g1, g2 = sep
+    g1, g2 = case.conn(case.carrier)[1]
     meet = case.pool.meet
+    dis = case.disconnected()
 
     def check(h):
-        if h == 0 or meet[h][case.carrier] != h or not case.conn(h)[0]:
+        if h == 0 or meet[h][case.carrier] != h or (dis >> h) & 1:
             return None
         if meet[h][g1] == h or meet[h][g2] == h:
             return True
@@ -1382,6 +1456,7 @@ def _eval_con_union_common(case: SpaceCase):
     meet, join = pool.meet, pool.join
     carrier = case.carrier
     n = pool.size
+    dis = case.disconnected()
 
     def check(t):
         g, h = divmod(t, n)
@@ -1389,16 +1464,16 @@ def _eval_con_union_common(case: SpaceCase):
             return None
         if g == 0 or h == 0 or meet[g][h] == 0:
             return None
-        if not (case.conn(g)[0] and case.conn(h)[0]):
+        if (dis >> g) & 1 or (dis >> h) & 1:
             return None
-        if case.conn(join[g][h])[0]:
+        if not (dis >> join[g][h]) & 1:
             return True
         return lambda g=g, h=h: (
             f"overlapping connected subspaces {case.render_set(g)} and "
             f"{case.render_set(h)} with a disconnected union")
 
     def rows():
-        connected = [case.conn(x)[0] for x in range(n)]
+        connected = [not (dis >> x) & 1 for x in range(n)]
         # the nonzero connected subspaces, in id order
         sides = [x for x in range(n)
                  if x and meet[x][carrier] == x and connected[x]]
@@ -1424,6 +1499,7 @@ def _eval_con_union_hub(case: SpaceCase):
     meet, join = pool.meet, pool.join
     n = pool.size
     carrier = case.carrier
+    dis = case.disconnected()
 
     def check(t):
         hub, rest = divmod(t, n * n)
@@ -1433,9 +1509,9 @@ def _eval_con_union_hub(case: SpaceCase):
             return None
         if meet[hub][g] == 0 or meet[hub][h] == 0:
             return None
-        if not all(case.conn(m)[0] for m in members):
+        if any((dis >> m) & 1 for m in members):
             return None
-        if case.conn(join[join[hub][g]][h])[0]:
+        if not (dis >> join[join[hub][g]][h]) & 1:
             return True
         return lambda g=g, h=h, hub=hub: (
             f"connected subspaces {case.render_set(g)} and "
@@ -1518,17 +1594,15 @@ def _eval_con_between(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
     cl = case.cl()
-    n = pool.size
+    dis = case.disconnected()
 
     def outcomes():
-        for g in _scan_indices(case, n, CLOSED_PROBES, 57):
-            if g == 0 or meet[g][case.carrier] != g or not case.conn(g)[0]:
+        for g in _scan_indices(case, pool.size, CLOSED_PROBES, 57):
+            if g == 0 or meet[g][case.carrier] != g or (dis >> g) & 1:
                 continue
             top = meet[cl[g]][case.carrier]
-            for k in range(n):
-                if meet[g][k] != g or meet[k][top] != k:
-                    continue
-                yield True if case.conn(k)[0] else lambda k=k, g=g: (
+            for k in _bits(pool.below(top) & pool.above(g)):
+                yield True if not (dis >> k) & 1 else lambda k=k, g=g: (
                     f"{case.render_set(k)} lies between connected "
                     f"{case.render_set(g)} and its closure, yet is "
                     f"disconnected")
@@ -1542,13 +1616,14 @@ def _eval_con_between(case: SpaceCase):
 def _eval_con_closure_conn(case: SpaceCase):
     meet = case.pool.meet
     cl = case.cl()
+    dis = case.disconnected()
 
     def outcomes():
         for g in _scan_indices(case, case.pool.size, SUBSET_PROBES, 58):
-            if g == 0 or meet[g][case.carrier] != g or not case.conn(g)[0]:
+            if g == 0 or meet[g][case.carrier] != g or (dis >> g) & 1:
                 continue
             top = meet[cl[g]][case.carrier]
-            yield True if case.conn(top)[0] else lambda g=g, top=top: (
+            yield True if not (dis >> top) & 1 else lambda g=g, top=top: (
                 f"connected {case.render_set(g)} with a disconnected "
                 f"closure {case.render_set(top)}")
 

@@ -60,6 +60,8 @@ class SetPool:
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
         self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
+        self._below: dict[int, int] = {}
+        self._above: dict[int, int] = {}
         self._build_tables()
 
     # cell order: parameter-major, then universe order; big-endian so that
@@ -115,6 +117,26 @@ class SetPool:
                     below[g].append(h)
             self._order_rows = (above, below)
         return self._order_rows
+
+    def below(self, w: int) -> int:
+        """Bitmask over ids of the sets under ``w``.
+
+        Built a row at a time on first use, from meet row ``w`` alone, so
+        a large pool pays only for the rows its callers read.
+        """
+        got = self._below.get(w)
+        if got is None:
+            got = self._below[w] = sum(
+                1 << h for h, m in enumerate(self.meet[w]) if m == h)
+        return got
+
+    def above(self, w: int) -> int:
+        """Bitmask over ids of the sets over ``w``, built as ``below``."""
+        got = self._above.get(w)
+        if got is None:
+            got = self._above[w] = sum(
+                1 << h for h, m in enumerate(self.meet[w]) if m == w)
+        return got
 
     def decode(self, set_id: int) -> FuzzySoftSet:
         got = self._decoded.get(set_id)

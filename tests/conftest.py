@@ -28,20 +28,21 @@ def desk_pool() -> SetPool:
     )
 
 
+@functools.cache
+def shape_pool_of(elements: int, parameters: int, radix: int) -> SetPool:
+    """The pool of one (elements, parameters, lattice size) shape."""
+    grades = {2: [0, 1], 3: [0, "1/2", 1], 4: [0, "1/3", "2/3", 1]}
+    return SetPool(
+        Universe.of(*("x", "y", "z")[:elements]),
+        ParameterSet.of(*(f"e{i + 1}" for i in range(parameters))),
+        GradeLattice.close(grades[radix]),
+    )
+
+
 @pytest.fixture(scope="session")
 def shape_pool():
     """Pools by (elements, parameters, lattice size), each built once."""
-    grades = {2: [0, 1], 3: [0, "1/2", 1], 4: [0, "1/3", "2/3", 1]}
-
-    @functools.cache
-    def build(elements: int, parameters: int, radix: int) -> SetPool:
-        return SetPool(
-            Universe.of(*("x", "y", "z")[:elements]),
-            ParameterSet.of(*(f"e{i + 1}" for i in range(parameters))),
-            GradeLattice.close(grades[radix]),
-        )
-
-    return build
+    return shape_pool_of
 
 
 @pytest.fixture(scope="session")

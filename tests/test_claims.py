@@ -15,6 +15,9 @@ import json
 import random
 
 import pytest
+from conftest import shape_pool_of
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fstopo import claims
 from fstopo.claims import (
@@ -33,7 +36,13 @@ from fstopo.claims import (
     evaluate_space_case,
     select_claims,
 )
-from fstopo.corpus import CorpusSpec, SpaceCorpus, named_spaces
+from fstopo.corpus import (
+    DEFAULT_MAX_OPENS,
+    CorpusSpec,
+    SpaceCorpus,
+    _close_from,
+    named_spaces,
+)
 from fstopo.points import FuzzySoftPoint
 from fstopo.softsets import FuzzySoftSet
 from fstopo.deciders import (
@@ -345,6 +354,125 @@ CAPPED_POOL_CLAIMS = frozenset({
     "PT.1", "PT.3", "PT.4"})
 
 
+# -- subspaces read from the ambient masks --------------------------------
+# The claims decide a subspace's connectedness with one bit of
+# SpaceCase.disconnected() and its axioms with subspace_holds(), both read
+# off the ambient masks.  The references are the separation search over
+# the traces (conn) and the subspace built as a SpaceCase of its own.
+
+
+def reference_subspace(case, g):
+    """The subspace at g as a SpaceCase: the traces as its opens, the
+    closed traces as its closed sets."""
+    sub = SpaceCase(case.label, case.pool, tuple(case.traces(g)))
+    sub.closeds = case.closed_traces(g)
+    return sub
+
+
+SUBSPACE_AXIOMS = ("t0", "t1", "t2", "t3", "normal")
+
+
+def subspace_mismatches(case, sets, outcomes):
+    """The (set, reading) pairs in SETS where a mask reading differs from
+    its reference; each reference verdict seen is added to OUTCOMES."""
+    bad = []
+    dis = case.disconnected()
+    for g in sets:
+        connected = case.conn(g)[0]
+        outcomes.add(("connected", connected))
+        if bool((dis >> g) & 1) == connected:
+            bad.append((g, "connected"))
+    for g in sets:
+        ref = reference_subspace(case, g)
+        for axiom in SUBSPACE_AXIOMS:
+            holds = getattr(ref, axiom)()
+            outcomes.add((axiom, holds))
+            if case.subspace_holds(axiom, g) != holds:
+                bad.append((g, axiom))
+    return bad
+
+
+def test_disconnected_mask_matches_the_trace_search(corpus):
+    outcomes = set()
+    cases = [SpaceCase(corpus.label(i), corpus.pool, corpus.spaces[i])
+             for i in range(0, len(corpus.spaces), 37)]
+    cases += [SpaceCase(ns.label, ns.pool, ns.ids) for ns in named_spaces()]
+    for case in cases:
+        dis = case.disconnected()
+        for g in range(case.pool.size):
+            connected = case.conn(g)[0]
+            outcomes.add(connected)
+            assert bool((dis >> g) & 1) != connected, (case.label, g)
+    assert outcomes == {True, False}
+
+
+def test_subspace_verdicts_match_built_subspaces(corpus):
+    outcomes = set()
+    cases = [SpaceCase(corpus.label(i), corpus.pool, corpus.spaces[i])
+             for i in range(0, len(corpus.spaces), 997)]
+    cases += [SpaceCase(ns.label, ns.pool, ns.ids) for ns in named_spaces()]
+    # the corrupt cases carry an extra closed set, so their closed traces
+    # are not all ambient closed sets
+    cases += [corrupt_case(corpus, seed) for seed in range(4)]
+    for case in cases:
+        sets = range(0, case.pool.size, 1 if case.pool.size < 81 else 5)
+        assert subspace_mismatches(case, sets, outcomes) == [], case.label
+    assert outcomes == {(reading, verdict)
+                        for reading in ("connected", *SUBSPACE_AXIOMS)
+                        for verdict in (True, False)}
+
+
+DRAWN_SHAPES = [(elements, parameters, radix) for elements in (1, 2)
+                for parameters in (1, 2) for radix in (2, 3, 4)]
+
+
+@st.composite
+def small_spaces(draw):
+    """A min/max-closed family on a shape from 1x1 to 2x2 with 2 to 4
+    grades, under the full carrier or a drawn one."""
+    pool = shape_pool_of(*draw(st.sampled_from(DRAWN_SHAPES)))
+    n = pool.size
+    carrier = pool.full_id
+    if draw(st.booleans()):
+        carrier = draw(st.integers(1, n - 1))
+    gens = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
+    start = {0, carrier, *(pool.meet[g][carrier] for g in gens)}
+    family = _close_from(pool, frozenset(start), DEFAULT_MAX_OPENS)
+    assume(family is not None)
+    sets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
+    return SpaceCase("drawn", pool, tuple(sorted(family))), sets
+
+
+@given(small_spaces())
+def test_subspace_readings_match_on_drawn_spaces(drawn):
+    case, sets = drawn
+    # the mask against the trace search on every set, the axioms on a few
+    dis = case.disconnected()
+    for g in range(case.pool.size):
+        assert bool((dis >> g) & 1) != case.conn(g)[0], g
+    assert subspace_mismatches(case, sets, set()) == []
+
+
+def test_a_space_claim_pass_builds_no_subspace(monkeypatch):
+    built = []
+    init = SpaceCase.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpaceCase, "__init__", counting)
+    ns = next(ns for ns in named_spaces()
+              if ns.label == "named-discrete-crisp-1x2")
+    case = SpaceCase(ns.label, ns.pool, ns.ids, exhaustive=True)
+    results = evaluate_space_case(case)
+    # the discrete space passes every gate, so every subspace check ran
+    for ident in ("SEP.SUB-T0", "SEP.SUB-T1", "SEP.SUB-T2", "SEP.T3-HERED",
+                  "SEP.SUB-NORMAL", "CON.UNION-COMMON", "CON.BETWEEN"):
+        assert results[ident][1] > 1, ident
+    assert built == [ns.label]
+
+
 # -- pair claims: row scans against their checks --------------------------
 # On a full-range scan, _scan takes a pair claim's rows instead of calling
 # its check once per pair.  Its check stays the definition: driven over
@@ -385,8 +513,10 @@ def corrupt_case(corpus, seed):
         for _ in range(1 + seed % 4):
             row[rng.randrange(pool.size)] = rng.randrange(pool.size)
     case._cl, case._int = cl, it
-    for x in rng.sample(range(1, pool.size), 1 + seed % 3):
+    flipped = rng.sample(range(1, pool.size), 1 + seed % 3)
+    for x in flipped:
         case._conn[x] = (False, None)
+    case._dis = case.disconnected() | sum(1 << x for x in flipped)
     return case
 
 
