@@ -15,7 +15,6 @@ import json
 import random
 
 import pytest
-from conftest import shape_pool_of
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -55,6 +54,8 @@ from fstopo.deciders import (
     is_t2,
     points_all_closed,
 )
+
+from conftest import shape_pool_of
 
 
 @pytest.fixture(scope="module")
