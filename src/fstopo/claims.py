@@ -21,11 +21,14 @@ over the integer set-pool encoding; pool-scope claims run once per
 distinct shape; fixed-scope claims run once per audit.  A ``SpaceCase``
 builds the bitmasks the separation axioms are read from and runs the
 axiom scans of ``deciders.py`` over them, the scans the object-level
-deciders run over theirs.  A subspace is never built: the same scans
-decide its axioms on the case's masks restricted to its points and
-traces (``SpaceCase.subspace_holds``), and one bitmask over pool ids
-marks every disconnected subspace of the case
-(``SpaceCase.disconnected``).
+deciders run over theirs.  One reader serves a space and its
+subspaces: ``SpaceCase.ax(name, g)`` runs the scan of ``name`` on the
+space, or, given g, on the case's masks restricted to the points and
+traces of the subspace at g, so a subspace is never built;
+``SpaceCase.holds`` reads it.  One bitmask over pool ids marks every
+disconnected subspace of the case (``SpaceCase.disconnected``).  Set
+ids are read only through ``SetPool``'s tables and methods, never
+through their digits.
 
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
@@ -242,7 +245,6 @@ class SpaceCase:
         self._disj: dict[int, int] = {}
         self._cover: dict[int, int] = {}
         self._ax: dict = {}
-        self._conn: dict[int, tuple] = {}
 
     # -- operator tables ---------------------------------------------------
 
@@ -336,70 +338,7 @@ class SpaceCase:
             got = self._cover[x] = _mask(mx[o] == x for o in self.opens)
         return got
 
-    def covers(self) -> list[int]:
-        """Per closed set, the bitmask of open indices containing it."""
-        return [self.cover(k) for k in self.closeds]
-
     # -- separation axioms -------------------------------------------------
-
-    def ax(self, name: str):
-        """The first failing pair of pool ids (point or closed set) the
-        scan of ``name`` finds, or None when the axiom holds."""
-        if name not in self._ax:
-            self._ax[name] = getattr(self, "_decide_" + name)()
-        return self._ax[name]
-
-    def _decide_t0(self):
-        return _t0_pair(self.pool, self.pts, self.omasks())
-
-    def _decide_t1(self):
-        return _ids(_t1_fail(self.omasks(), _every_pair), self.pts, self.pts)
-
-    def _decide_t2(self):
-        pair = _t2_fail(self.omasks(), self.odisj(), _every_pair)
-        return _ids(pair, self.pts, self.pts)
-
-    def _decide_points_closed(self):
-        form = self.pool.pt_form_id
-        closed = self.closed_set
-        for p in self.pts:
-            if form[p] not in closed:
-                return p
-        return None
-
-    def _decide_regular(self):
-        return _regular_pair(self.pool, self.pts, self.omasks(),
-                             self.closeds, self.covers(), self.odisj())
-
-    def _decide_normal(self):
-        return _normal_pair(self.pool, self.closeds, self.covers(),
-                            self.odisj())
-
-    def t0(self) -> bool:
-        return self.ax("t0") is None
-
-    def t1(self) -> bool:
-        return self.ax("t1") is None
-
-    def t2(self) -> bool:
-        return self.ax("t2") is None
-
-    def regular(self) -> bool:
-        return self.ax("regular") is None
-
-    def normal(self) -> bool:
-        return self.ax("normal") is None
-
-    def t3(self) -> bool:
-        return self.t1() and self.regular()
-
-    def t4(self) -> bool:
-        return self.t1() and self.normal()
-
-    def points_closed(self) -> bool:
-        return self.ax("points_closed") is None
-
-    # -- subspaces ---------------------------------------------------------
     # The subspace at g has the traces o∧g of the opens as its opens, the
     # traces k∧g of the closed sets as its closed sets and the points
     # under carrier∧g as its points.  Its verdicts are read off the
@@ -407,9 +346,85 @@ class SpaceCase:
     # does, an open lies over k∧g exactly when its trace does, and two
     # traces are disjoint when o∧o'∧g is null (``odisj(g)``).  Opens with
     # one trace share their bits, so every scan decides as it would over
-    # the traces.  The lattice is distributive, so traces u∧g and v∧g
-    # join to (u∨v)∧g, and they separate the subspace at g exactly when
-    # both are non-null, u∧v∧g is null and g lies under u∨v.
+    # the traces.
+
+    def ax(self, name: str, g: int | None = None):
+        """The first failing pair of pool ids (point or closed set) the
+        scan of ``name`` finds on the space, or on the subspace at ``g``;
+        None when the axiom holds.  ``points_closed`` (space only) gives
+        the first point whose form is not closed."""
+        key = (name, g)
+        if key not in self._ax:
+            self._ax[key] = self._first_fail(name, g)
+        return self._ax[key]
+
+    def _first_fail(self, name: str, g: int | None):
+        pool = self.pool
+        disj, pin, form = pool.disj_mask, pool.pt_in_mask, pool.pt_form_id
+        if name == "points_closed":
+            return next((p for p in self.pts
+                         if form[p] not in self.closed_set), None)
+        if name != "normal":
+            pts, omasks = self.pts, self.omasks()
+            if g is not None:
+                top = pool.meet[self.carrier][g]
+                kept = [a for a, p in enumerate(pts) if (pin[p] >> top) & 1]
+                pts = [pts[a] for a in kept]
+                omasks = [omasks[a] for a in kept]
+            if name == "t0":
+                return _ids(_t0_fail(omasks, lambda a, b: (
+                    disj[form[pts[a]]] >> form[pts[b]]) & 1), pts, pts)
+            if name == "t1":
+                return _ids(_t1_fail(omasks, _every_pair), pts, pts)
+            if name == "t2":
+                return _ids(_t2_fail(omasks, self.odisj(g), _every_pair),
+                            pts, pts)
+        closeds = self.closeds if g is None else self.closed_traces(g)
+        covers = list(map(self.cover, closeds))
+        if name == "regular":
+            pair = _regular_fail(omasks, covers, self.odisj(g), lambda a, k: (
+                not (pin[pts[a]] >> closeds[k]) & 1))
+            return _ids(pair, pts, closeds)
+        return _ids(_normal_fail(covers, self.odisj(g), lambda i, j: (
+            disj[closeds[i]] >> closeds[j]) & 1), closeds, closeds)
+
+    def holds(self, name: str, g: int | None = None) -> bool:
+        """Whether the space, or the subspace at ``g``, satisfies ``name``;
+        t3 is t1 then regular, t4 is t1 then normal."""
+        if name == "t3":
+            return self.holds("t1", g) and self.holds("regular", g)
+        if name == "t4":
+            return self.holds("t1", g) and self.holds("normal", g)
+        return self.ax(name, g) is None
+
+    def t0(self) -> bool:
+        return self.holds("t0")
+
+    def t1(self) -> bool:
+        return self.holds("t1")
+
+    def t2(self) -> bool:
+        return self.holds("t2")
+
+    def regular(self) -> bool:
+        return self.holds("regular")
+
+    def normal(self) -> bool:
+        return self.holds("normal")
+
+    def t3(self) -> bool:
+        return self.holds("t3")
+
+    def t4(self) -> bool:
+        return self.holds("t4")
+
+    def points_closed(self) -> bool:
+        return self.holds("points_closed")
+
+    # -- subspaces and connectedness ---------------------------------------
+    # The lattice is distributive, so traces u∧g and v∧g join to (u∨v)∧g,
+    # and they separate the subspace at g exactly when both are non-null,
+    # u∧v∧g is null and g lies under u∨v.
 
     def traces(self, g: int) -> list[int]:
         meet = self.pool.meet
@@ -418,32 +433,6 @@ class SpaceCase:
     def closed_traces(self, g: int) -> list[int]:
         meet = self.pool.meet
         return sorted({meet[k][g] for k in self.closeds})
-
-    def subspace_holds(self, axiom: str, g: int) -> bool:
-        """Whether the subspace at ``g`` satisfies ``axiom``: ``t0``,
-        ``t1``, ``t2``, ``t3`` or ``normal``."""
-        pool = self.pool
-        if axiom == "normal":
-            ks = self.closed_traces(g)
-            return _normal_pair(pool, ks, list(map(self.cover, ks)),
-                                self.odisj(g)) is None
-        pin = pool.pt_in_mask
-        top = pool.meet[self.carrier][g]
-        kept = [(p, m) for p, m in zip(self.pts, self.omasks())
-                if (pin[p] >> top) & 1]
-        pts = [p for p, _ in kept]
-        omasks = [m for _, m in kept]
-        if axiom == "t0":
-            return _t0_pair(pool, pts, omasks) is None
-        if axiom == "t2":
-            return _t2_fail(omasks, self.odisj(g), _every_pair) is None
-        if _t1_fail(omasks, _every_pair) is not None:
-            return False
-        if axiom == "t1":
-            return True
-        ks = self.closed_traces(g)
-        return _regular_pair(pool, pts, omasks, ks, list(map(self.cover, ks)),
-                             self.odisj(g)) is None
 
     def disconnected(self) -> int:
         """Bitmask over pool ids: bit g is set when the subspace at ``g``,
@@ -463,17 +452,14 @@ class SpaceCase:
             self._dis = dis
         return self._dis
 
-    def conn(self, g: int):
-        """(connected, separation pair or None) of the subspace at ``g``,
-        by a search over its traces; the claims read ``disconnected``
-        and call this only for the carrier's separation pair."""
-        if g not in self._conn:
-            sep = _sep_pair(self.pool, self.traces(g), g)
-            self._conn[g] = (sep is None, sep)
-        return self._conn[g]
-
     def connected(self) -> bool:
         return not (self.disconnected() >> self.carrier) & 1
+
+    @functools.cached_property
+    def separation(self):
+        """The first pair of disjoint non-null opens joining to the
+        carrier, or None; two claims render it."""
+        return _sep_pair(self.pool, self.traces(self.carrier), self.carrier)
 
     # -- rendering ---------------------------------------------------------
 
@@ -487,31 +473,6 @@ class SpaceCase:
 def _ids(pair, first, second):
     """A scan's index pair as pool ids."""
     return None if pair is None else (first[pair[0]], second[pair[1]])
-
-
-# The scans whose pair test reads pool ids, with the failing pair as ids.
-# Their masks over open indices are a space's own, or a subspace's read
-# off the space's.
-
-def _t0_pair(pool: SetPool, pts, omasks):
-    form, disj = pool.pt_form_id, pool.disj_mask
-    pair = _t0_fail(omasks,
-                    lambda a, b: (disj[form[pts[a]]] >> form[pts[b]]) & 1)
-    return _ids(pair, pts, pts)
-
-
-def _regular_pair(pool: SetPool, pts, omasks, closeds, covers, odisj):
-    pin = pool.pt_in_mask
-    pair = _regular_fail(omasks, covers, odisj,
-                         lambda a, k: not (pin[pts[a]] >> closeds[k]) & 1)
-    return _ids(pair, pts, closeds)
-
-
-def _normal_pair(pool: SetPool, closeds, covers, odisj):
-    disj = pool.disj_mask
-    pair = _normal_fail(covers, odisj,
-                        lambda i, j: (disj[closeds[i]] >> closeds[j]) & 1)
-    return _ids(pair, closeds, closeds)
 
 
 def _separations(pool: SetPool, opens, carrier):
@@ -1025,9 +986,9 @@ def _eval_sub_closure(case: SpaceCase):
 
 
 def _chain_eval(case: SpaceCase, upper: str, lower: str):
-    if not getattr(case, upper)():
+    if not case.holds(upper):
         return 1, 0, []
-    if getattr(case, lower)():
+    if case.holds(lower):
         return 1, 1, []
     return 1, 1, [f"space satisfies {upper.upper()} but not {lower.upper()}"]
 
@@ -1067,11 +1028,11 @@ def _eval_t0_discrete(case: SpaceCase):
 
 
 def _heredity_eval(case: SpaceCase, axiom: str, salt: int):
-    if not getattr(case, axiom)():
+    if not case.holds(axiom):
         return 1, 0, []
 
     def check(g):
-        if case.subspace_holds(axiom, g):
+        if case.holds(axiom, g):
             return True
         return lambda g=g: (
             f"{axiom.upper()} space with a non-{axiom.upper()} subspace "
@@ -1118,7 +1079,7 @@ def _eval_sub_normal(case: SpaceCase):
     closeds = case.closeds
 
     def check(i):
-        if case.subspace_holds("normal", closeds[i]):
+        if case.holds("normal", closeds[i]):
             return True
         return lambda i=i: (
             f"normal space with a non-normal closed subspace at "
@@ -1363,7 +1324,7 @@ def _eval_con_clopen_fwd(case: SpaceCase):
     clopen = _proper_clopen(case)
     if clopen is not None:
         return 1, 1, []
-    a, b = case.conn(case.carrier)[1]
+    a, b = case.separation
     return 1, 1, [
         f"disconnected by {case.render_set(a)} and {case.render_set(b)}, "
         f"yet no open other than the null set and the carrier is closed"]
@@ -1431,7 +1392,7 @@ def _eval_con_coarser(case: SpaceCase):
 def _eval_con_subspace_side(case: SpaceCase):
     if case.connected():
         return 1, 0, []
-    g1, g2 = case.conn(case.carrier)[1]
+    g1, g2 = case.separation
     meet = case.pool.meet
     dis = case.disconnected()
 
@@ -1528,10 +1489,12 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
     cl = case.cl()
+    dis = case.disconnected()
 
     def outcomes():
         for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55):
-            if meet[g][case.carrier] != g:
+            # a connected subspace has no separation
+            if meet[g][case.carrier] != g or not (dis >> g) & 1:
                 continue
             for a, b in _separations(pool, case.traces(g), g):
                 if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0:
@@ -1553,25 +1516,16 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     pool = case.pool
     meet = pool.meet
     cl = case.cl()
-    # ids are big-endian mixed-radix numbers, so a cell-wise side of g
-    # is the sum of g's digit times its place over the chosen cells
-    places = [pool.radix ** c for c in range(pool.cells - 1, -1, -1)]
 
     def outcomes():
         for g in _scan_indices(case, pool.size, SUBSET_PROBES, 56):
             if g == 0 or meet[g][case.carrier] != g:
                 continue
-            parts = [d * w for d, w in zip(pool._vectors[g], places) if d]
-            if len(parts) < 2:
+            splits = pool.cell_splits(g)
+            if not splits:
                 continue
             trace_set = set(case.traces(g))
-            # sides[mask] keeps the cells of the bits set in mask, the
-            # first nonzero cell as bit 0
-            sides = [0]
-            for w in parts:
-                sides += [a + w for a in sides]
-            for a in sides[1:-1]:
-                b = g - a
+            for a, b in splits:
                 if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
                     yield None
                 elif a in trace_set and b in trace_set:
@@ -1695,16 +1649,12 @@ def _eval_pt1(pool: SetPool):
         "Every set is the union of its single-parameter "
         "restrictions.", "every set of each pool")
 def _eval_pt3(pool: SetPool):
-    per = len(pool.universe)
     join = pool.join
 
     def union_of_restrictions(g):
-        vec = pool._vector(g)
         acc = 0
-        for pi in range(len(pool.parameters)):
-            part = [0] * len(vec)
-            part[pi * per:(pi + 1) * per] = vec[pi * per:(pi + 1) * per]
-            acc = join[acc][pool._encode(tuple(part))]
+        for part in pool.restrictions(g):
+            acc = join[acc][part]
         return acc
 
     n = pool.size

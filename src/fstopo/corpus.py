@@ -6,7 +6,9 @@ is the big-endian mixed-radix number of the index vector.  Id order then
 coincides with the canonical sort order of the decoded sets, id 0 is the
 null set and the last id is the all-one carrier.  Meet, join and
 complement become table lookups, which keeps enumerating tens of
-thousands of generator families cheap.
+thousands of generator families cheap.  No other module reads an id's
+digits: they go through the tables and ``SetPool``'s methods, so the
+encoding can change behind them.
 
 The tables are built a cell at a time rather than pair by pair: adding
 a leading cell of grade index ``a`` in front of sub-id ``x`` gives id
@@ -137,6 +139,36 @@ class SetPool:
             got = self._above[w] = sum(
                 1 << h for h, m in enumerate(self.meet[w]) if m == w)
         return got
+
+    def restrictions(self, set_id: int) -> list[int]:
+        """Per parameter, in order, the id of the set that keeps
+        ``set_id``'s grades on that parameter's cells and is null on the
+        others."""
+        # a parameter's cells are one block of digits in the id
+        block = self.radix ** len(self.universe)
+        place = self.size
+        parts = []
+        for _ in self.parameters:
+            place //= block
+            parts.append(set_id // place % block * place)
+        return parts
+
+    def cell_splits(self, set_id: int) -> list[tuple[int, int]]:
+        """The cell-wise splits of ``set_id`` into two non-null sides, as
+        (a, b) with b the rest of a; a split is read as a binary counter
+        over the nonzero cells of ``set_id``, the first as bit 0, and
+        side a keeps the cells of its set bits."""
+        # an id is the sum over its cells of digit times place
+        place = self.size
+        parts = []
+        for d in self._vectors[set_id]:
+            place //= self.radix
+            if d:
+                parts.append(d * place)
+        sides = [0]
+        for w in parts:
+            sides += [a + w for a in sides]
+        return [(a, set_id - a) for a in sides[1:-1]]
 
     def decode(self, set_id: int) -> FuzzySoftSet:
         got = self._decoded.get(set_id)

@@ -12,6 +12,7 @@ import copy
 import hashlib
 import inspect
 import json
+import pathlib
 import random
 
 import pytest
@@ -30,6 +31,7 @@ from fstopo.claims import (
     SpaceCase,
     _claim,
     _scan_indices,
+    _sep_pair,
     evaluate_fixed_claims,
     evaluate_pool_claims,
     evaluate_space_case,
@@ -52,6 +54,8 @@ from fstopo.deciders import (
     is_t0,
     is_t1,
     is_t2,
+    is_t3,
+    is_t4,
     points_all_closed,
 )
 
@@ -156,8 +160,10 @@ class TestCrossCheck:
         for case in make_cases(corpus):
             space = case_space(case)
             cfg = DeciderConfig(lattice=case.pool.lattice)
-            connected, sep = case.conn(case.carrier)
-            assert connected == (find_separation(space, cfg) is None), case.label
+            sep = case.separation
+            assert case.connected() == (sep is None), case.label
+            assert (sep is None) == (find_separation(space, cfg) is None), \
+                case.label
             if sep is not None:
                 a, b = sep
                 pool = case.pool
@@ -345,6 +351,23 @@ def test_only_the_drivers_read_the_failure_cap():
     assert set(readers) == {"_scan", "_tally", "_first_fails"}
     assert compared == ["_tally"]
 
+
+def test_only_the_pool_reads_the_id_format():
+    # SetPool alone knows how an id encodes its grades: every other module
+    # goes through its tables and methods, so the encoding can change
+    # behind them
+    package = pathlib.Path(claims.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "corpus.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                    "_vector", "_vectors", "_encode"):
+                readers.append((path.name, node.lineno, node.attr))
+    assert readers == []
+
+
 # the claims whose failures the arithmetic or counting loops report
 CAPPED_SPACE_CLAIMS = frozenset({
     "TOP.AX3-union", "TOP.AX3-intersection", "CL.1", "CL.2", "CL.5",
@@ -357,9 +380,9 @@ CAPPED_POOL_CLAIMS = frozenset({
 
 # -- subspaces read from the ambient masks --------------------------------
 # The claims decide a subspace's connectedness with one bit of
-# SpaceCase.disconnected() and its axioms with subspace_holds(), both read
+# SpaceCase.disconnected() and its axioms with holds(name, g), both read
 # off the ambient masks.  The references are the separation search over
-# the traces (conn) and the subspace built as a SpaceCase of its own.
+# the traces (_sep_pair) and the subspace built as a SpaceCase of its own.
 
 
 def reference_subspace(case, g):
@@ -373,22 +396,28 @@ def reference_subspace(case, g):
 SUBSPACE_AXIOMS = ("t0", "t1", "t2", "t3", "normal")
 
 
-def subspace_mismatches(case, sets, outcomes):
+def traced_connected(case, g):
+    """The reference: whether the traces on g have no separation."""
+    return _sep_pair(case.pool, case.traces(g), g) is None
+
+
+def subspace_mismatches(case, sets, outcomes, flipped=frozenset()):
     """The (set, reading) pairs in SETS where a mask reading differs from
-    its reference; each reference verdict seen is added to OUTCOMES."""
+    its reference; each reference verdict seen is added to OUTCOMES.  The
+    FLIPPED sets are read as disconnected, as ``corrupt_case`` made them."""
     bad = []
     dis = case.disconnected()
     for g in sets:
-        connected = case.conn(g)[0]
+        connected = traced_connected(case, g) and g not in flipped
         outcomes.add(("connected", connected))
         if bool((dis >> g) & 1) == connected:
             bad.append((g, "connected"))
     for g in sets:
         ref = reference_subspace(case, g)
         for axiom in SUBSPACE_AXIOMS:
-            holds = getattr(ref, axiom)()
+            holds = ref.holds(axiom)
             outcomes.add((axiom, holds))
-            if case.subspace_holds(axiom, g) != holds:
+            if case.holds(axiom, g) != holds:
                 bad.append((g, axiom))
     return bad
 
@@ -401,7 +430,7 @@ def test_disconnected_mask_matches_the_trace_search(corpus):
     for case in cases:
         dis = case.disconnected()
         for g in range(case.pool.size):
-            connected = case.conn(g)[0]
+            connected = traced_connected(case, g)
             outcomes.add(connected)
             assert bool((dis >> g) & 1) != connected, (case.label, g)
     assert outcomes == {True, False}
@@ -409,15 +438,17 @@ def test_disconnected_mask_matches_the_trace_search(corpus):
 
 def test_subspace_verdicts_match_built_subspaces(corpus):
     outcomes = set()
-    cases = [SpaceCase(corpus.label(i), corpus.pool, corpus.spaces[i])
+    cases = [(SpaceCase(corpus.label(i), corpus.pool, corpus.spaces[i]), ())
              for i in range(0, len(corpus.spaces), 997)]
-    cases += [SpaceCase(ns.label, ns.pool, ns.ids) for ns in named_spaces()]
+    cases += [(SpaceCase(ns.label, ns.pool, ns.ids), ())
+              for ns in named_spaces()]
     # the corrupt cases carry an extra closed set, so their closed traces
     # are not all ambient closed sets
-    cases += [corrupt_case(corpus, seed) for seed in range(4)]
-    for case in cases:
+    cases += [corrupt_case_and_flips(corpus, seed) for seed in range(4)]
+    for case, flipped in cases:
         sets = range(0, case.pool.size, 1 if case.pool.size < 81 else 5)
-        assert subspace_mismatches(case, sets, outcomes) == [], case.label
+        assert subspace_mismatches(case, sets, outcomes, flipped) == [], \
+            case.label
     assert outcomes == {(reading, verdict)
                         for reading in ("connected", *SUBSPACE_AXIOMS)
                         for verdict in (True, False)}
@@ -427,17 +458,29 @@ DRAWN_SHAPES = [(elements, parameters, radix) for elements in (1, 2)
                 for parameters in (1, 2) for radix in (2, 3, 4)]
 
 
+# every shape from 1x1 to 3x2 with 2 to 4 grades and at most 729 sets
+DIFFERENTIAL_SHAPES = [(elements, parameters, radix)
+                       for elements in (1, 2, 3) for parameters in (1, 2)
+                       for radix in (2, 3, 4)
+                       if radix ** (elements * parameters) <= 729]
+
+
 @st.composite
-def small_spaces(draw):
-    """A min/max-closed family on a shape from 1x1 to 2x2 with 2 to 4
-    grades, under the full carrier or a drawn one."""
-    pool = shape_pool_of(*draw(st.sampled_from(DRAWN_SHAPES)))
+def small_spaces(draw, shapes=DRAWN_SHAPES, split=False):
+    """A min/max-closed family on one of SHAPES, by default 1x1 to 2x2
+    with 2 to 4 grades, under the full carrier or a drawn one.  With
+    SPLIT, the generators may include both sides of a cell-wise split of
+    the carrier, which disconnects the space."""
+    pool = shape_pool_of(*draw(st.sampled_from(shapes)))
     n = pool.size
     carrier = pool.full_id
     if draw(st.booleans()):
         carrier = draw(st.integers(1, n - 1))
     gens = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3))
     start = {0, carrier, *(pool.meet[g][carrier] for g in gens)}
+    splits = pool.cell_splits(carrier)
+    if split and splits and draw(st.booleans()):
+        start.update(draw(st.sampled_from(splits)))
     family = _close_from(pool, frozenset(start), DEFAULT_MAX_OPENS)
     assume(family is not None)
     sets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
@@ -450,8 +493,44 @@ def test_subspace_readings_match_on_drawn_spaces(drawn):
     # the mask against the trace search on every set, the axioms on a few
     dis = case.disconnected()
     for g in range(case.pool.size):
-        assert bool((dis >> g) & 1) != case.conn(g)[0], g
+        assert bool((dis >> g) & 1) != traced_connected(case, g), g
     assert subspace_mismatches(case, sets, set()) == []
+
+
+AXIOM_DECIDERS = (("t0", is_t0), ("t1", is_t1), ("t2", is_t2),
+                  ("regular", is_regular), ("normal", is_normal),
+                  ("t3", is_t3), ("t4", is_t4))
+
+
+@pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES,
+                         ids=lambda s: "x".join(map(str, s)))
+@given(data=st.data())
+def test_engines_agree_on_drawn_spaces(shape, data):
+    # the integer engine against the object path, witnesses included
+    case, sets = data.draw(small_spaces([shape], split=True))
+    pool = case.pool
+    space = case_space(case)
+    cfg = DeciderConfig(lattice=pool.lattice)
+    for name, decide in AXIOM_DECIDERS:
+        verdict = decide(space, cfg)
+        assert case.holds(name) == verdict.holds, name
+        if not verdict.holds and name not in ("t3", "t4"):
+            assert axiom_witness(case, name, verdict.witness.note) \
+                == verdict.witness.rendered, name
+    verdict = points_all_closed(space, cfg)
+    assert case.points_closed() == verdict.holds
+    if not verdict.holds:
+        assert (case.render_point(case.ax("points_closed")),) \
+            == verdict.witness.rendered
+    sep = find_separation(space, cfg)
+    assert case.connected() == (sep is None)
+    assert case.separation == (None if sep is None
+                               else tuple(map(pool.encode, sep)))
+    cl, it = case.cl(), case.interior()
+    for g in sets:
+        gset = pool.decode(g)
+        assert pool.decode(cl[g]) == space.closure(gset), g
+        assert pool.decode(it[g]) == space.interior(gset), g
 
 
 def test_a_space_claim_pass_builds_no_subspace(monkeypatch):
@@ -503,6 +582,11 @@ def corrupt_case(corpus, seed):
     """An exhaustive enumerated case with seeded wrong entries in its
     closure and interior rows, an extra closed set and connectedness
     verdicts flipped to disconnected."""
+    return corrupt_case_and_flips(corpus, seed)[0]
+
+
+def corrupt_case_and_flips(corpus, seed):
+    """``corrupt_case`` with the ids whose subspaces it flipped."""
     rng = random.Random(f"corrupt-case:{seed}")
     pool = corpus.pool
     index = rng.randrange(len(corpus.spaces))
@@ -515,10 +599,8 @@ def corrupt_case(corpus, seed):
             row[rng.randrange(pool.size)] = rng.randrange(pool.size)
     case._cl, case._int = cl, it
     flipped = rng.sample(range(1, pool.size), 1 + seed % 3)
-    for x in flipped:
-        case._conn[x] = (False, None)
     case._dis = case.disconnected() | sum(1 << x for x in flipped)
-    return case
+    return case, frozenset(flipped)
 
 
 def row_cases(corpus):
@@ -756,6 +838,17 @@ SCALAR_POOL_SCANS = {
     "PT.5-converse": _scalar_pt5_converse,
     "PT.6": _scalar_pt6,
 }
+
+
+def pool_copy(pool):
+    """A shallow copy of POOL with memos of its own, so that no row built
+    from a rewritten table of the copy is written into POOL's memos."""
+    bad = copy.copy(pool)
+    bad._decoded, bad._below, bad._above = {}, {}, {}
+    bad._order_rows = None
+    return bad
+
+
 def corrupted(pool, seed, entries, extreme):
     """A copy of POOL with ENTRIES seeded meet and join entries rewritten.
 
@@ -764,7 +857,7 @@ def corrupted(pool, seed, entries, extreme):
     PT.5-sound and PT.6 must report; otherwise each entry takes another
     seeded id.
     """
-    bad = copy.copy(pool)
+    bad = pool_copy(pool)
     bad.meet = [row[:] for row in pool.meet]
     bad.join = [row[:] for row in pool.join]
     rng = random.Random(f"corrupt:{seed}")
@@ -829,7 +922,7 @@ def corrupted_points(pool, seed, entries):
     another point's form and ENTRIES point form ids rewritten: PT.4 must
     report both.  The transposed masks ``pt_set_mask`` follow the flips."""
     pool.build_points()
-    bad = copy.copy(pool)
+    bad = pool_copy(pool)
     bad.pt_in_mask = pool.pt_in_mask[:]
     bad.pt_set_mask = pool.pt_set_mask[:]
     bad.pt_form_id = pool.pt_form_id[:]
@@ -849,7 +942,7 @@ def corrupted_restrictions(pool, seed, entries):
     """A copy of POOL whose join table sends ENTRIES seeded sets' last
     join of single-parameter restrictions, in PT.3's order, to another
     id: PT.3 must report each such set."""
-    bad = copy.copy(pool)
+    bad = pool_copy(pool)
     bad.join = [row[:] for row in pool.join]
     rng = random.Random(f"corrupt-restrictions:{seed}")
     per, n = len(pool.universe), pool.size
