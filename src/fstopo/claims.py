@@ -26,9 +26,11 @@ subspaces: ``SpaceCase.ax(name, g)`` runs the scan of ``name`` on the
 space, or, given g, on the case's masks restricted to the points and
 traces of the subspace at g, so a subspace is never built;
 ``SpaceCase.holds`` reads it.  One bitmask over pool ids marks every
-disconnected subspace of the case (``SpaceCase.disconnected``).  Set
-ids are read only through ``SetPool``'s tables and methods, never
-through their digits.
+disconnected subspace of the case (``SpaceCase.disconnected``), and
+the CON claims about connected subspaces read their hypothesis from
+one bit of ``SpaceCase.connected_sets()``, the non-null sets under the
+carrier outside it.  Set ids are read only through ``SetPool``'s
+tables and methods, never through their digits.
 
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
@@ -448,12 +450,19 @@ class SpaceCase:
             for i, u in enumerate(opens):
                 mu, ju, meets_u = meet[u], join[u], meets[i]
                 for v, meets_v in zip(opens[i + 1:], meets[i + 1:]):
-                    dis |= below(ju[v]) & disj[mu[v]] & meets_u & meets_v
+                    dis |= below[ju[v]] & disj[mu[v]] & meets_u & meets_v
             self._dis = dis
         return self._dis
 
     def connected(self) -> bool:
         return not (self.disconnected() >> self.carrier) & 1
+
+    def connected_sets(self) -> int:
+        """Bitmask over pool ids of the non-null connected subspaces: bit g
+        is set when g is non-null, lies under the carrier and the subspace
+        at g is connected.  Read from ``disconnected()`` on every call."""
+        # bit 0 is the null set
+        return self.pool.below[self.carrier] & ~self.disconnected() & ~1
 
     @functools.cached_property
     def separation(self):
@@ -949,12 +958,11 @@ def _sub_rows(case: SpaceCase):
         hs = below[g]
         r_closeds = case.closed_traces(g)
         # each trace k folds into the h below it, in ascending k as in
-        # _sub_closure
+        # _sub_closure; k lies under g, so every h under k is in hs
         sub_cl = dict.fromkeys(hs, g)
         for k in r_closeds:
             for h in below[k]:
-                if h in sub_cl:
-                    sub_cl[h] = meet[sub_cl[h]][k]
+                sub_cl[h] = meet[sub_cl[h]][k]
         yield g, hs, r_closeds, sub_cl
 
 
@@ -1394,10 +1402,10 @@ def _eval_con_subspace_side(case: SpaceCase):
         return 1, 0, []
     g1, g2 = case.separation
     meet = case.pool.meet
-    dis = case.disconnected()
+    conn = case.connected_sets()
 
     def check(h):
-        if h == 0 or meet[h][case.carrier] != h or (dis >> h) & 1:
+        if not (conn >> h) & 1:
             return None
         if meet[h][g1] == h or meet[h][g2] == h:
             return True
@@ -1415,17 +1423,13 @@ def _eval_con_subspace_side(case: SpaceCase):
 def _eval_con_union_common(case: SpaceCase):
     pool = case.pool
     meet, join = pool.meet, pool.join
-    carrier = case.carrier
     n = pool.size
     dis = case.disconnected()
+    conn = case.connected_sets()
 
     def check(t):
         g, h = divmod(t, n)
-        if meet[g][carrier] != g or meet[h][carrier] != h:
-            return None
-        if g == 0 or h == 0 or meet[g][h] == 0:
-            return None
-        if (dis >> g) & 1 or (dis >> h) & 1:
+        if not (conn >> g) & 1 or not (conn >> h) & 1 or meet[g][h] == 0:
             return None
         if not (dis >> join[g][h]) & 1:
             return True
@@ -1434,18 +1438,14 @@ def _eval_con_union_common(case: SpaceCase):
             f"{case.render_set(h)} with a disconnected union")
 
     def rows():
-        connected = [not (dis >> x) & 1 for x in range(n)]
-        # the nonzero connected subspaces, in id order
-        sides = [x for x in range(n)
-                 if x and meet[x][carrier] == x and connected[x]]
-        side_set = set(sides)
+        sides = list(_bits(conn))
         for g in range(n):
-            if g not in side_set:
+            if not (conn >> g) & 1:
                 yield 0, ()
                 continue
             mg, jg = meet[g], join[g]
             hs = [h for h in sides if mg[h]]
-            yield len(hs), [h for h in hs if not connected[jg[h]]]
+            yield len(hs), [h for h in hs if (dis >> jg[h]) & 1]
 
     return _scan(case, n * n, PAIR_PROBES, 53, check, rows)
 
@@ -1459,18 +1459,15 @@ def _eval_con_union_hub(case: SpaceCase):
     pool = case.pool
     meet, join = pool.meet, pool.join
     n = pool.size
-    carrier = case.carrier
     dis = case.disconnected()
+    conn = case.connected_sets()
 
     def check(t):
         hub, rest = divmod(t, n * n)
         g, h = divmod(rest, n)
-        members = (hub, g, h)
-        if any(m == 0 or meet[m][carrier] != m for m in members):
+        if any(not (conn >> m) & 1 for m in (hub, g, h)):
             return None
         if meet[hub][g] == 0 or meet[hub][h] == 0:
-            return None
-        if any((dis >> m) & 1 for m in members):
             return None
         if not (dis >> join[join[hub][g]][h]) & 1:
             return True
@@ -1549,13 +1546,14 @@ def _eval_con_between(case: SpaceCase):
     meet = pool.meet
     cl = case.cl()
     dis = case.disconnected()
+    conn = case.connected_sets()
 
     def outcomes():
         for g in _scan_indices(case, pool.size, CLOSED_PROBES, 57):
-            if g == 0 or meet[g][case.carrier] != g or (dis >> g) & 1:
+            if not (conn >> g) & 1:
                 continue
             top = meet[cl[g]][case.carrier]
-            for k in _bits(pool.below(top) & pool.above(g)):
+            for k in _bits(pool.below[top] & pool.above[g]):
                 yield True if not (dis >> k) & 1 else lambda k=k, g=g: (
                     f"{case.render_set(k)} lies between connected "
                     f"{case.render_set(g)} and its closure, yet is "
@@ -1571,10 +1569,11 @@ def _eval_con_closure_conn(case: SpaceCase):
     meet = case.pool.meet
     cl = case.cl()
     dis = case.disconnected()
+    conn = case.connected_sets()
 
     def outcomes():
         for g in _scan_indices(case, case.pool.size, SUBSET_PROBES, 58):
-            if g == 0 or meet[g][case.carrier] != g or (dis >> g) & 1:
+            if not (conn >> g) & 1:
                 continue
             top = meet[cl[g]][case.carrier]
             yield True if not (dis >> top) & 1 else lambda g=g, top=top: (

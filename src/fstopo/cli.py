@@ -424,6 +424,9 @@ def cmd_audit(args) -> int:
                                   or args.workers != 1):
         raise _UsageError("audit FILE takes no --seed, --budget or "
                           "--workers: they steer the corpus scan")
+    if args.workers < 1 or (args.budget is not None and args.budget < 0):
+        raise _UsageError("audit takes --workers of at least 1 and "
+                          "--budget of at least 0")
     if args.file is None and (args.lattice != "auto" or args.cap is not None):
         raise _UsageError("audit without FILE takes neither --lattice nor "
                           "--cap: the corpus fixes its own shape and sizes")

@@ -14,7 +14,10 @@ The tables are built a cell at a time rather than pair by pair: adding
 a leading cell of grade index ``a`` in front of sub-id ``x`` gives id
 ``a * W + x``, and since meet and join act cellwise, each new row is the
 concatenation of one sub-row shifted into the blocks ``min(a, b)`` (or
-``max(a, b)``).  Point membership is kept both ways, as per-point masks
+``max(a, b)``).  The order is kept as bitmasks over ids, built by the
+same recursion: ``below[w]`` and ``above[w]`` mark the sets under and
+over ``w``, and ``order_rows()`` lists their bits for the scans that
+iterate them.  Point membership is kept both ways, as per-point masks
 over set ids and per-set masks over point indices, so the pool claims in
 ``claims.py`` can flag offending points with whole-row mask operations
 and re-scan only those.
@@ -34,6 +37,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .algebra import CapExceededError, FuzzySet, GradeLattice, Universe
+from .deciders import _bits
 from .softsets import FuzzySoftSet, ParameterSet
 
 DEFAULT_MAX_GENERATORS = 3
@@ -62,8 +66,6 @@ class SetPool:
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
         self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
-        self._below: dict[int, int] = {}
-        self._above: dict[int, int] = {}
         self._build_tables()
 
     # cell order: parameter-major, then universe order; big-endian so that
@@ -89,56 +91,31 @@ class SetPool:
         meet = [[min(a, b) for b in grades] for a in grades]
         join = [[max(a, b) for b in grades] for a in grades]
         comp = [top - a for a in grades]
-        # disjointness as bitmask rows: bit j of disj_mask[i] set when
-        # meet(i, j) is null
+        # disjointness and order as bitmask rows: bit j of disj_mask[i] set
+        # when meet(i, j) is null, of below[i] when j <= i, of above[i]
+        # when i <= j
         disj = [(1 << radix) - 1] + [1] * top
+        below = [(2 << a) - 1 for a in grades]
+        above = [(1 << radix) - (1 << a) for a in grades]
         width = radix
         for _ in range(self.cells - 1):
-            meet, join, comp, disj = _lead_cell(
-                radix, width, meet, join, comp, disj)
+            meet, join, comp, disj, below, above = _lead_cell(
+                radix, width, meet, join, comp, disj, below, above)
             width *= radix
         self.meet, self.join, self.comp, self.disj_mask = meet, join, comp, disj
+        self.below, self.above = below, above
 
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
 
     def order_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per id g, the ascending ids h with ``meet[g][h] == g`` (above g)
-        and those with ``meet[h][g] == h`` (below g).
-
-        Built on first use: only the full-range row scans of ``claims.py``
-        read them, and a pool too large for those never pays the n**2
-        pass over ``meet``.
-        """
+        """Per id g, the ascending ids over g and those under g: the bits
+        of ``above[g]`` and ``below[g]`` as lists, listed on first use for
+        the full-range row scans of ``claims.py``, which iterate them."""
         if self._order_rows is None:
-            above = [[h for h, m in enumerate(row) if m == g]
-                     for g, row in enumerate(self.meet)]
-            below: list[list[int]] = [[] for _ in range(self.size)]
-            for h, ups in enumerate(above):
-                for g in ups:
-                    below[g].append(h)
-            self._order_rows = (above, below)
+            self._order_rows = ([list(_bits(m)) for m in self.above],
+                                [list(_bits(m)) for m in self.below])
         return self._order_rows
-
-    def below(self, w: int) -> int:
-        """Bitmask over ids of the sets under ``w``.
-
-        Built a row at a time on first use, from meet row ``w`` alone, so
-        a large pool pays only for the rows its callers read.
-        """
-        got = self._below.get(w)
-        if got is None:
-            got = self._below[w] = sum(
-                1 << h for h, m in enumerate(self.meet[w]) if m == h)
-        return got
-
-    def above(self, w: int) -> int:
-        """Bitmask over ids of the sets over ``w``, built as ``below``."""
-        got = self._above.get(w)
-        if got is None:
-            got = self._above[w] = sum(
-                1 << h for h, m in enumerate(self.meet[w]) if m == w)
-        return got
 
     def restrictions(self, set_id: int) -> list[int]:
         """Per parameter, in order, the id of the set that keeps
@@ -236,7 +213,8 @@ class SetPool:
         return FuzzySoftPoint(self.parameters.names[pi], value, self.parameters)
 
 
-def _lead_cell(radix: int, width: int, meet, join, comp, disj):
+def _lead_cell(radix: int, width: int, meet, join, comp, disj, below,
+               above):
     """The pool tables over one more leading cell, from the tables over
     the ``width`` sets of the cells after it.
 
@@ -244,7 +222,9 @@ def _lead_cell(radix: int, width: int, meet, join, comp, disj):
     ``x`` in the rest, so meet and join act blockwise: the entry at
     ``(a * width + x, b * width + y)`` is ``min(a, b) * width + meet[x][y]``
     (``max`` for join), and a row is the concatenation of sub-row ``x``
-    shifted into the blocks ``min(a, b)``.
+    shifted into the blocks ``min(a, b)``.  Likewise the ids under
+    ``a * width + x`` are those under ``x`` in the blocks ``0 .. a``, and
+    the ids over it those over ``x`` in the blocks ``a .. radix - 1``.
     """
     grades = range(radix)
     ids = list(range(radix * width))
@@ -265,7 +245,12 @@ def _lead_cell(radix: int, width: int, meet, join, comp, disj):
     # a null leading grade meets every block; any other meets block 0 only
     every_block = sum(1 << (b * width) for b in grades)
     new_disj = [d * every_block for d in disj] + disj * (radix - 1)
-    return new_meet, new_join, new_comp, new_disj
+    # a sub-row times a sum of block bits copies it into those blocks
+    new_below = [m * (every_block & ((2 << (a * width)) - 1))
+                 for a in grades for m in below]
+    new_above = [m * (every_block >> (a * width) << (a * width))
+                 for a in grades for m in above]
+    return new_meet, new_join, new_comp, new_disj, new_below, new_above
 
 
 @dataclass(frozen=True)
@@ -349,6 +334,8 @@ class SpaceCorpus:
     families, as id tuples over one pool."""
 
     def __init__(self, spec: CorpusSpec):
+        if spec.max_generators > 3:
+            raise ValueError("enumeration supports at most 3 generators")
         self.spec = spec
         self.pool = SetPool(
             spec.universe, spec.parameters, spec.lattice, cap=spec.pool_cap
@@ -396,8 +383,6 @@ class SpaceCorpus:
                                 record(
                                     _close_from(pool, pair | {c}, spec.max_opens)
                                 )
-        if spec.max_generators >= 4:
-            raise ValueError("enumeration supports at most 3 generators")
         self.spaces = sorted(
             (tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)
         )

@@ -39,6 +39,13 @@ def shape_pool_of(elements: int, parameters: int, radix: int) -> SetPool:
     )
 
 
+# every shape from 1x1 to 3x2 with 2 to 4 grades and at most 729 sets
+DIFFERENTIAL_SHAPES = [(elements, parameters, radix)
+                       for elements in (1, 2, 3) for parameters in (1, 2)
+                       for radix in (2, 3, 4)
+                       if radix ** (elements * parameters) <= 729]
+
+
 @pytest.fixture(scope="session")
 def shape_pool():
     """Pools by (elements, parameters, lattice size), each built once."""

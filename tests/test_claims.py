@@ -59,7 +59,7 @@ from fstopo.deciders import (
     points_all_closed,
 )
 
-from conftest import shape_pool_of
+from conftest import DIFFERENTIAL_SHAPES, shape_pool_of
 
 
 @pytest.fixture(scope="module")
@@ -401,6 +401,12 @@ def traced_connected(case, g):
     return _sep_pair(case.pool, case.traces(g), g) is None
 
 
+def is_connected_side(case, g, connected):
+    """The reference for bit g of ``connected_sets()``: g is non-null,
+    lies under the carrier and, by CONNECTED, is a connected subspace."""
+    return g != 0 and case.pool.meet[g][case.carrier] == g and connected
+
+
 def subspace_mismatches(case, sets, outcomes, flipped=frozenset()):
     """The (set, reading) pairs in SETS where a mask reading differs from
     its reference; each reference verdict seen is added to OUTCOMES.  The
@@ -429,10 +435,13 @@ def test_disconnected_mask_matches_the_trace_search(corpus):
     cases += [SpaceCase(ns.label, ns.pool, ns.ids) for ns in named_spaces()]
     for case in cases:
         dis = case.disconnected()
+        sides = case.connected_sets()
         for g in range(case.pool.size):
             connected = traced_connected(case, g)
             outcomes.add(connected)
             assert bool((dis >> g) & 1) != connected, (case.label, g)
+            assert bool((sides >> g) & 1) == is_connected_side(
+                case, g, connected), (case.label, g)
     assert outcomes == {True, False}
 
 
@@ -456,13 +465,6 @@ def test_subspace_verdicts_match_built_subspaces(corpus):
 
 DRAWN_SHAPES = [(elements, parameters, radix) for elements in (1, 2)
                 for parameters in (1, 2) for radix in (2, 3, 4)]
-
-
-# every shape from 1x1 to 3x2 with 2 to 4 grades and at most 729 sets
-DIFFERENTIAL_SHAPES = [(elements, parameters, radix)
-                       for elements in (1, 2, 3) for parameters in (1, 2)
-                       for radix in (2, 3, 4)
-                       if radix ** (elements * parameters) <= 729]
 
 
 @st.composite
@@ -492,8 +494,12 @@ def test_subspace_readings_match_on_drawn_spaces(drawn):
     case, sets = drawn
     # the mask against the trace search on every set, the axioms on a few
     dis = case.disconnected()
+    sides = case.connected_sets()
     for g in range(case.pool.size):
-        assert bool((dis >> g) & 1) != traced_connected(case, g), g
+        connected = traced_connected(case, g)
+        assert bool((dis >> g) & 1) != connected, g
+        assert bool((sides >> g) & 1) == is_connected_side(
+            case, g, connected), g
     assert subspace_mismatches(case, sets, set()) == []
 
 
@@ -841,11 +847,12 @@ SCALAR_POOL_SCANS = {
 
 
 def pool_copy(pool):
-    """A shallow copy of POOL with memos of its own, so that no row built
-    from a rewritten table of the copy is written into POOL's memos."""
+    """A shallow copy of POOL whose meet, join, complement and point
+    tables the caller may replace.  Nothing a pool builds on first use
+    reads those tables, so the copy shares all of it but the memo of
+    decoded sets."""
     bad = copy.copy(pool)
-    bad._decoded, bad._below, bad._above = {}, {}, {}
-    bad._order_rows = None
+    bad._decoded = {}
     return bad
 
 

@@ -266,6 +266,11 @@ class TestAudit:
             code, out, err = run(capsys, "audit", "--budget", "3", *flags)
             assert code == 2 and out == ""
             assert "audit without FILE takes neither --lattice nor" in err
+        for flags in (("--workers", "0"), ("--workers", "-2"),
+                      ("--budget", "-1")):
+            code, out, err = run(capsys, "audit", "--claim", "CL.1", *flags)
+            assert code == 2 and out == ""
+            assert "--workers of at least 1 and --budget of at least 0" in err
         # the defaults, spelled out, are still accepted
         code, _, _ = run(capsys, "audit", valid_doc, "--claim", "CL.1",
                          "--seed", "0", "--workers", "1")

@@ -1,5 +1,6 @@
 import pytest
 
+from fstopo import corpus
 from fstopo.algebra import CapExceededError, GradeLattice, Universe
 from fstopo.corpus import (
     CorpusSpec,
@@ -11,6 +12,8 @@ from fstopo.corpus import (
 from fstopo.points import point_in
 from fstopo.softsets import ParameterSet
 from fstopo.topology import validate_topology
+
+from conftest import DIFFERENTIAL_SHAPES
 
 
 class TestSetPool:
@@ -66,6 +69,18 @@ class TestSetPool:
             assert pool.pt_set_mask[i] == sum(
                 1 << p for p, (pi, pv) in enumerate(pool.points)
                 if all(map(int.__le__, pv, vi[pi * per:(pi + 1) * per])))
+
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_order_masks_match_meet(self, shape_pool, shape):
+        pool = shape_pool(*shape)
+        ups, downs = pool.order_rows()
+        for w in range(pool.size):
+            under = [h for h in range(pool.size) if pool.meet[h][w] == h]
+            over = [h for h in range(pool.size) if pool.meet[w][h] == w]
+            assert pool.below[w] == sum(1 << h for h in under)
+            assert pool.above[w] == sum(1 << h for h in over)
+            assert downs[w] == under and ups[w] == over
 
     def test_disjointness_mask(self, desk_pool):
         for i in range(desk_pool.size):
@@ -147,6 +162,20 @@ class TestEnumeration:
         expected = tiny.spec.family_count(tiny.pool.size)
         assert tiny.stats.families_scanned == expected
         assert tiny.stats.skipped_over_max_opens == 0
+
+    def test_more_than_three_generators_are_refused_up_front(
+            self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(corpus, "close_family",
+                            lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="at most 3 generators"):
+            SpaceCorpus(CorpusSpec(
+                universe=Universe.of("x", "y"),
+                parameters=ParameterSet.of("e1"),
+                lattice=GradeLattice.close(["1/2"]),
+                max_generators=4,
+            ))
+        assert calls == []
 
     def test_labels(self, tiny):
         assert tiny.label(7) == "enum-00007"
