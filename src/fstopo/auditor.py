@@ -21,6 +21,7 @@ runs produce equal bytes, whatever the worker count.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -191,6 +192,12 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_audit(
     spec: CorpusSpec | None = None,
     *,
@@ -251,6 +258,8 @@ def run_audit(
                 print("note: the fork start method is unavailable here; "
                       "auditing with one worker", file=sys.stderr)
                 workers = 1
+            # no more workers than this process may run on at once
+            workers = min(workers, _usable_cpus())
             try:
                 if workers > 1:
                     step = max(1, -(-scan // (workers * 8)))

@@ -224,7 +224,6 @@ class SpaceCase:
 
     def __init__(self, label: str, pool: SetPool, ids: tuple[int, ...],
                  order: int = 0, exhaustive: bool = False):
-        pool.build_points()
         self.label = label
         self.pool = pool
         self.ids = ids
@@ -336,8 +335,7 @@ class SpaceCase:
         """The bitmask of open indices over pool set ``x``."""
         got = self._cover.get(x)
         if got is None:
-            mx = self.pool.meet[x]
-            got = self._cover[x] = _mask(mx[o] == x for o in self.opens)
+            got = self._cover[x] = self._open_bits(self.pool.above[x])
         return got
 
     # -- separation axioms -------------------------------------------------
@@ -993,46 +991,51 @@ def _eval_sub_closure(case: SpaceCase):
     return _scan(case, n * n, PAIR_PROBES, 33, check, rows)
 
 
-def _chain_eval(case: SpaceCase, upper: str, lower: str):
-    if not case.holds(upper):
+def _implies(hypothesis, conclusion, failure):
+    """One case's instance of "hypothesis implies conclusion", from three
+    zero-argument callables: the conclusion is decided only when the
+    hypothesis holds, and the failure string rendered only when the
+    conclusion then fails."""
+    if not hypothesis():
         return 1, 0, []
-    if case.holds(lower):
+    if conclusion():
         return 1, 1, []
-    return 1, 1, [f"space satisfies {upper.upper()} but not {lower.upper()}"]
+    return 1, 1, [failure()]
 
 
 @_claim("SEP.CHAIN-T2T1", ASSERTED, "space",
         "Every T2 space is T1.", _PER_CASE)
 def _eval_chain_t2t1(case: SpaceCase):
-    return _chain_eval(case, "t2", "t1")
+    return _implies(case.t2, case.t1,
+                    lambda: "space satisfies T2 but not T1")
 
 
 @_claim("SEP.CHAIN-T1T0", ASSERTED, "space",
         "Every T1 space is T0.", _PER_CASE)
 def _eval_chain_t1t0(case: SpaceCase):
-    return _chain_eval(case, "t1", "t0")
+    return _implies(case.t1, case.t0,
+                    lambda: "space satisfies T1 but not T0")
 
 
 @_claim("SEP.CHAIN-T3T2", AUDITED, "space",
         "Every T3 space is T2.", _PER_CASE)
 def _eval_chain_t3t2(case: SpaceCase):
-    return _chain_eval(case, "t3", "t2")
+    return _implies(case.t3, case.t2,
+                    lambda: "space satisfies T3 but not T2")
 
 
 @_claim("SEP.CHAIN-T4T3", AUDITED, "space",
         "Every T4 space is T3.", _PER_CASE)
 def _eval_chain_t4t3(case: SpaceCase):
-    return _chain_eval(case, "t4", "t3")
+    return _implies(case.t4, case.t3,
+                    lambda: "space satisfies T4 but not T3")
 
 
 @_claim("SEP.T0-DISCRETE", ASSERTED, "space",
         "The discrete space over a shape is T0.", _PER_CASE)
 def _eval_t0_discrete(case: SpaceCase):
-    if len(case.ids) != case.pool.size:
-        return 1, 0, []
-    if case.t0():
-        return 1, 1, []
-    return 1, 1, ["discrete space is not T0"]
+    return _implies(lambda: len(case.ids) == case.pool.size, case.t0,
+                    lambda: "discrete space is not T0")
 
 
 def _heredity_eval(case: SpaceCase, axiom: str, salt: int):
@@ -1100,28 +1103,24 @@ def _eval_sub_normal(case: SpaceCase):
         "If every point of a space is closed, the space is T1.",
         _PER_CASE)
 def _eval_ptsclosed_t1(case: SpaceCase):
-    if not case.points_closed():
-        return 1, 0, []
-    if case.t1():
-        return 1, 1, []
-    a, b = case.ax("t1")
-    return 1, 1, [
-        f"every point is closed yet T1 fails: no open holds "
-        f"{case.render_point(a)} apart from {case.render_point(b)}"]
+    def failure():
+        a, b = case.ax("t1")
+        return (f"every point is closed yet T1 fails: no open holds "
+                f"{case.render_point(a)} apart from {case.render_point(b)}")
+
+    return _implies(case.points_closed, case.t1, failure)
 
 
 @_claim("SEP.PTSCLOSED-T2", AUDITED, "space",
         "If every point of a space is closed, the space is T2.",
         _PER_CASE)
 def _eval_ptsclosed_t2(case: SpaceCase):
-    if not case.points_closed():
-        return 1, 0, []
-    if case.t2():
-        return 1, 1, []
-    a, b = case.ax("t2")
-    return 1, 1, [
-        f"every point is closed yet T2 fails at "
-        f"{case.render_point(a)} and {case.render_point(b)}"]
+    def failure():
+        a, b = case.ax("t2")
+        return (f"every point is closed yet T2 fails at "
+                f"{case.render_point(a)} and {case.render_point(b)}")
+
+    return _implies(case.points_closed, case.t2, failure)
 
 
 def _t2char_property(case: SpaceCase):
@@ -1151,15 +1150,13 @@ def _t2char_property(case: SpaceCase):
         "In a T2 space, around either point of a distinct pair some "
         "open set has a closure avoiding the other point.", _PER_CASE)
 def _eval_t2char_fwd(case: SpaceCase):
-    if not case.t2():
-        return 1, 0, []
-    bad = _t2char_property(case)
-    if bad is None:
-        return 1, 1, []
-    p, q = bad
-    return 1, 1, [
-        f"T2 space where no open around {case.render_point(p)} has a "
-        f"closure avoiding {case.render_point(q)}"]
+    def failure():
+        p, q = _t2char_property(case)
+        return (f"T2 space where no open around {case.render_point(p)} "
+                f"has a closure avoiding {case.render_point(q)}")
+
+    return _implies(case.t2, lambda: _t2char_property(case) is None,
+                    failure)
 
 
 @_claim("SEP.T2CHAR-rev", AUDITED, "space",
@@ -1167,14 +1164,14 @@ def _eval_t2char_fwd(case: SpaceCase):
         "has a closure avoiding the other point, the space is T2.",
         _PER_CASE)
 def _eval_t2char_rev(case: SpaceCase):
-    if _t2char_property(case) is not None:
-        return 1, 0, []
-    if case.t2():
-        return 1, 1, []
-    a, b = case.ax("t2")
-    return 1, 1, [
-        f"closure-avoiding opens exist around every point pair, yet T2 "
-        f"fails at {case.render_point(a)} and {case.render_point(b)}"]
+    def failure():
+        a, b = case.ax("t2")
+        return (f"closure-avoiding opens exist around every point pair, "
+                f"yet T2 fails at {case.render_point(a)} and "
+                f"{case.render_point(b)}")
+
+    return _implies(lambda: _t2char_property(case) is None, case.t2,
+                    failure)
 
 
 def _regchar_property(case: SpaceCase):
@@ -1204,15 +1201,13 @@ def _regchar_property(case: SpaceCase):
         "open around the same point whose closure stays inside.",
         _PER_CASE)
 def _eval_regchar_fwd(case: SpaceCase):
-    if not case.t3():
-        return 1, 0, []
-    bad = _regchar_property(case)
-    if bad is None:
-        return 1, 1, []
-    p, g = bad
-    return 1, 1, [
-        f"T3 space where no open around {case.render_point(p)} closes up "
-        f"inside {case.render_set(g)}"]
+    def failure():
+        p, g = _regchar_property(case)
+        return (f"T3 space where no open around {case.render_point(p)} "
+                f"closes up inside {case.render_set(g)}")
+
+    return _implies(case.t3, lambda: _regchar_property(case) is None,
+                    failure)
 
 
 @_claim("SEP.REGCHAR-rev", AUDITED, "space",
@@ -1220,16 +1215,15 @@ def _eval_regchar_fwd(case: SpaceCase):
         "open around the same point whose closure stays inside is "
         "regular.", _PER_CASE)
 def _eval_regchar_rev(case: SpaceCase):
-    if not case.t1():
-        return 1, 0, []
-    if _regchar_property(case) is not None:
-        return 1, 0, []
-    if case.regular():
-        return 1, 1, []
-    p, k = case.ax("regular")
-    return 1, 1, [
-        f"T1 space with interpolating opens everywhere, yet not regular: "
-        f"{case.render_point(p)} against closed {case.render_set(k)}"]
+    def failure():
+        p, k = case.ax("regular")
+        return (f"T1 space with interpolating opens everywhere, yet not "
+                f"regular: {case.render_point(p)} against closed "
+                f"{case.render_set(k)}")
+
+    return _implies(
+        lambda: case.t1() and _regchar_property(case) is None,
+        case.regular, failure)
 
 
 def _normchar_property(case: SpaceCase, probe: bool):
@@ -1306,50 +1300,41 @@ def _eval_normchar_rev(case: SpaceCase):
 @_claim("CON.INDISCRETE", ASSERTED, "space",
         "The indiscrete space is connected.", _PER_CASE)
 def _eval_con_indiscrete(case: SpaceCase):
-    if len(case.ids) != 2:
-        return 1, 0, []
-    if case.connected():
-        return 1, 1, []
-    return 1, 1, ["indiscrete space is disconnected"]
+    return _implies(lambda: len(case.ids) == 2, case.connected,
+                    lambda: "indiscrete space is disconnected")
 
 
 @_claim("CON.DISCRETE", AUDITED, "space",
         "The discrete space over a shape is disconnected.", _PER_CASE)
 def _eval_con_discrete(case: SpaceCase):
-    if len(case.ids) != case.pool.size:
-        return 1, 0, []
-    if not case.connected():
-        return 1, 1, []
-    return 1, 1, ["discrete space is connected"]
+    return _implies(lambda: len(case.ids) == case.pool.size,
+                    lambda: not case.connected(),
+                    lambda: "discrete space is connected")
 
 
 @_claim("CON.CLOPEN-fwd", AUDITED, "space",
         "A disconnected space has an open set other than the null "
         "set and the carrier that is also closed.", _PER_CASE)
 def _eval_con_clopen_fwd(case: SpaceCase):
-    if case.connected():
-        return 1, 0, []
-    clopen = _proper_clopen(case)
-    if clopen is not None:
-        return 1, 1, []
-    a, b = case.separation
-    return 1, 1, [
-        f"disconnected by {case.render_set(a)} and {case.render_set(b)}, "
-        f"yet no open other than the null set and the carrier is closed"]
+    def failure():
+        a, b = case.separation
+        return (f"disconnected by {case.render_set(a)} and "
+                f"{case.render_set(b)}, yet no open other than the null "
+                f"set and the carrier is closed")
+
+    return _implies(lambda: not case.connected(),
+                    lambda: _proper_clopen(case) is not None, failure)
 
 
 @_claim("CON.CLOPEN-rev", AUDITED, "space",
         "A space with an open set other than the null set and the "
         "carrier that is also closed is disconnected.", _PER_CASE)
 def _eval_con_clopen_rev(case: SpaceCase):
-    clopen = _proper_clopen(case)
-    if clopen is None:
-        return 1, 0, []
-    if not case.connected():
-        return 1, 1, []
-    return 1, 1, [
-        f"{case.render_set(clopen)} is clopen, neither null nor the "
-        f"carrier, yet the space is connected"]
+    return _implies(
+        lambda: _proper_clopen(case) is not None,
+        lambda: not case.connected(),
+        lambda: f"{case.render_set(_proper_clopen(case))} is clopen, "
+                f"neither null nor the carrier, yet the space is connected")
 
 
 def _proper_clopen(case: SpaceCase):
@@ -1586,12 +1571,6 @@ def _eval_con_closure_conn(case: SpaceCase):
 # -- pool-scope evaluators -------------------------------------------------
 
 
-def _point_id_masks(pool: SetPool):
-    """Per point, the bitmask over pool ids of the sets containing it."""
-    pool.build_points()
-    return pool.pt_in_mask
-
-
 @_claim("ALG.INVOLUTION", ASSERTED, "pool",
         "Complement is an involution on lattice sets.",
         "every set of each pool")
@@ -1633,7 +1612,7 @@ def _eval_demorgan_intersection(pool: SetPool):
         "No point belongs to both a set and its complement.",
         "every (point, set) pair of each pool")
 def _eval_pt1(pool: SetPool):
-    masks = _point_id_masks(pool)
+    masks = pool.pt_in_mask
     comp = pool.comp
     n = pool.size
     checked = len(masks) * n
@@ -1668,7 +1647,7 @@ def _eval_pt3(pool: SetPool):
         "the supports match and the values are ordered.",
         "every point pair of each pool")
 def _eval_pt4(pool: SetPool):
-    masks = _point_id_masks(pool)
+    masks = pool.pt_in_mask
     form = pool.pt_form_id
     pts = pool.points
     checked = len(pts) ** 2
@@ -1694,7 +1673,7 @@ def _eval_pt4(pool: SetPool):
         "A point of one set belongs to any union extending that "
         "set.", "every (point, member set, set) triple of each pool")
 def _eval_pt5_sound(pool: SetPool):
-    masks = _point_id_masks(pool)
+    masks = pool.pt_in_mask
     sets_of = pool.pt_set_mask
     join = pool.join
     n = pool.size
@@ -1725,7 +1704,7 @@ def _eval_pt5_sound(pool: SetPool):
         "every (point, set, set) triple with both memberships "
         "failing")
 def _eval_pt5_converse(pool: SetPool):
-    masks = _point_id_masks(pool)
+    masks = pool.pt_in_mask
     sets_of = pool.pt_set_mask
     join = pool.join
     n = pool.size
@@ -1763,7 +1742,7 @@ def _eval_pt5_converse(pool: SetPool):
         "A point belongs to an intersection exactly when it belongs "
         "to both sets.", "every (point, set, set) triple of each pool")
 def _eval_pt6(pool: SetPool):
-    masks = _point_id_masks(pool)
+    masks = pool.pt_in_mask
     sets_of = pool.pt_set_mask
     meet = pool.meet
     n = pool.size

@@ -17,10 +17,11 @@ concatenation of one sub-row shifted into the blocks ``min(a, b)`` (or
 ``max(a, b)``).  The order is kept as bitmasks over ids, built by the
 same recursion: ``below[w]`` and ``above[w]`` mark the sets under and
 over ``w``, and ``order_rows()`` lists their bits for the scans that
-iterate them.  Point membership is kept both ways, as per-point masks
-over set ids and per-set masks over point indices, so the pool claims in
-``claims.py`` can flag offending points with whole-row mask operations
-and re-scan only those.
+iterate them.  A point lies in a set exactly when its form lies under
+the set, so each point's membership mask over set ids is the ``above``
+row at its form.  The transposed per-set masks over point indices let
+the pool claims in ``claims.py`` flag offending points with whole-row
+mask operations and re-scan only those.
 
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
@@ -67,16 +68,10 @@ class SetPool:
         self._decoded: dict[int, FuzzySoftSet] = {}
         self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
         self._build_tables()
+        self.build_points()
 
     # cell order: parameter-major, then universe order; big-endian so that
     # id order equals the lexicographic order of grade vectors
-    def _vector(self, set_id: int) -> tuple[int, ...]:
-        digits = []
-        for _ in range(self.cells):
-            set_id, d = divmod(set_id, self.radix)
-            digits.append(d)
-        return tuple(reversed(digits))
-
     def _encode(self, vector: tuple[int, ...]) -> int:
         set_id = 0
         for d in vector:
@@ -171,36 +166,33 @@ class SetPool:
         return self._encode(tuple(digits))
 
     # ---- points over the pool ----------------------------------------
-    # A point is (parameter index, nonzero value vector); pt_in_mask[p]
-    # has bit s set when the point lies in pool set s, and its transpose
-    # pt_set_mask[s] has bit p set for the same pairs.
+    # A point is (parameter index, nonzero value vector) and lies in a set
+    # exactly when its form, the set holding the vector on that parameter
+    # and null elsewhere, lies under the set: pt_in_mask[p] is the order
+    # row above[pt_form_id[p]], and its transpose pt_set_mask[s] has bit p
+    # set for the same pairs.  Built once, with the pool.
 
     def build_points(self) -> None:
         if hasattr(self, "points"):
             return
         per = len(self.universe)
+        nparams = len(self.parameters)
         radix = self.radix
         points = []
-        for pi in range(len(self.parameters)):
+        form_ids = []
+        for pi in range(nparams):
+            # the parameter's cells are one block of digits in the id
+            place = radix ** (per * (nparams - 1 - pi))
             for vec in itertools.product(range(radix), repeat=per):
                 if any(vec):
                     points.append((pi, vec))
-        self.points = points
-        masks = []
+                    form_ids.append(self._encode(vec) * place)
+        masks = [self.above[f] for f in form_ids]
         set_masks = [0] * self.size
-        form_ids = []
-        nparams = len(self.parameters)
-        for p, (pi, vec) in enumerate(points):
-            mask = 0
-            for s, sv in enumerate(self._vectors):
-                chunk = sv[pi * per : (pi + 1) * per]
-                if all(a <= b for a, b in zip(vec, chunk)):
-                    mask |= 1 << s
-                    set_masks[s] |= 1 << p
-            masks.append(mask)
-            form = [0] * (nparams * per)
-            form[pi * per : (pi + 1) * per] = list(vec)
-            form_ids.append(self._encode(tuple(form)))
+        for p, mask in enumerate(masks):
+            for s in _bits(mask):
+                set_masks[s] |= 1 << p
+        self.points = points
         self.pt_in_mask = masks
         self.pt_set_mask = set_masks
         self.pt_form_id = form_ids

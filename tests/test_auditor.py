@@ -93,6 +93,36 @@ class TestRunAudit:
                            workers=2).to_payload() == serial
         assert capsys.readouterr().err.count("fork") == 1
 
+    def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
+        serial = run_audit(budget=40, random_count=5).to_payload()
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        monkeypatch.setattr("os.cpu_count", lambda: 2)
+        started = []
+
+        class InProcessPool:
+            # records the worker count and maps in this process
+            def __init__(self, n):
+                started.append(n)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        class Context:
+            Pool = InProcessPool
+
+        monkeypatch.setattr("multiprocessing.get_context",
+                            lambda method: Context)
+        capped = run_audit(budget=40, workers=64, random_count=5)
+        assert started == [2]
+        assert capped.to_payload() == serial
+
     def test_no_floats_anywhere(self):
         def walk(node):
             assert not isinstance(node, float), node

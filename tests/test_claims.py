@@ -40,6 +40,7 @@ from fstopo.claims import (
 from fstopo.corpus import (
     DEFAULT_MAX_OPENS,
     CorpusSpec,
+    SetPool,
     SpaceCorpus,
     _close_from,
     named_spaces,
@@ -559,6 +560,20 @@ def test_a_space_claim_pass_builds_no_subspace(monkeypatch):
     assert built == [ns.label]
 
 
+def test_cases_and_pool_claims_read_the_points_the_pool_built(monkeypatch):
+    ns = next(ns for ns in named_spaces()
+              if ns.label == "named-discrete-crisp-1x2")
+
+    def rebuild(self):
+        raise AssertionError("points rebuilt after the pool was built")
+
+    monkeypatch.setattr(SetPool, "build_points", rebuild)
+    case = SpaceCase(ns.label, ns.pool, ns.ids, exhaustive=True)
+    assert evaluate_space_case(case)
+    results = evaluate_pool_claims(ns.pool)
+    assert all(res[2] == [] for res in results.values())
+
+
 # -- pair claims: row scans against their checks --------------------------
 # On a full-range scan, _scan takes a pair claim's rows instead of calling
 # its check once per pair.  Its check stays the definition: driven over
@@ -712,7 +727,7 @@ def _scalar_sepchar_rev(case):
     for g in _scan_indices(case, pool.size, claims.SUBSET_PROBES, 56):
         if g == 0 or meet[g][case.carrier] != g:
             continue
-        vec = pool._vector(g)
+        vec = pool._vectors[g]
         cells = [c for c, v in enumerate(vec) if v]
         if len(cells) < 2:
             continue
@@ -771,7 +786,6 @@ def test_space_claims_match_scalar_scans(corpus):
 
 
 def _scalar_pt5_sound(pool):
-    pool.build_points()
     masks, join = pool.pt_in_mask, pool.join
     checked = 0
     fails = []
@@ -791,7 +805,6 @@ def _scalar_pt5_sound(pool):
 
 
 def _scalar_pt5_converse(pool):
-    pool.build_points()
     masks, join = pool.pt_in_mask, pool.join
     checked = 0
     fails = []
@@ -811,7 +824,6 @@ def _scalar_pt5_converse(pool):
 
 
 def _scalar_pt6(pool):
-    pool.build_points()
     masks, meet = pool.pt_in_mask, pool.meet
     checked = 0
     fails = []
@@ -928,7 +940,6 @@ def corrupted_points(pool, seed, entries):
     """A copy of POOL with ENTRIES seeded point memberships flipped at
     another point's form and ENTRIES point form ids rewritten: PT.4 must
     report both.  The transposed masks ``pt_set_mask`` follow the flips."""
-    pool.build_points()
     bad = pool_copy(pool)
     bad.pt_in_mask = pool.pt_in_mask[:]
     bad.pt_set_mask = pool.pt_set_mask[:]
@@ -954,7 +965,7 @@ def corrupted_restrictions(pool, seed, entries):
     rng = random.Random(f"corrupt-restrictions:{seed}")
     per, n = len(pool.universe), pool.size
     for g in rng.sample(range(1, n), entries):
-        vec = pool._vector(g)
+        vec = pool._vectors[g]
         *head, last = [
             pool._encode(tuple(d if c // per == pi else 0
                                for c, d in enumerate(vec)))
@@ -987,7 +998,6 @@ def pinned_pools(shape_pool):
     pools = []
     for shape in [(2, 2, 3), (2, 1, 4), (3, 1, 3)]:
         pool = shape_pool(*shape)
-        pool.build_points()
         pools += [pool, corrupted(pool, f"pin-{shape}", 3, False),
                   corrupted(pool, f"pin-{shape}", 20, False),
                   corrupted_comp(pool, f"pin-{shape}", 6),

@@ -54,9 +54,8 @@ class TestSetPool:
         # the tables are composed a cell at a time; here every entry is
         # recomputed from the grade vectors of its ids
         pool = shape_pool(*shape)
-        pool.build_points()
         top = pool.radix - 1
-        vecs = [pool._vector(i) for i in range(pool.size)]
+        vecs = pool._vectors
         per = len(pool.universe)
         for i, vi in enumerate(vecs):
             meets = [pool._encode(tuple(map(min, vi, vj))) for vj in vecs]
@@ -92,31 +91,55 @@ class TestSetPool:
         with pytest.raises(CapExceededError):
             SetPool_small()
 
-    def test_point_membership_masks(self, desk_pool):
-        desk_pool.build_points()
-        assert len(desk_pool.points) == 2 * 8
-        for idx in range(len(desk_pool.points)):
-            p = desk_pool.decode_point(idx)
-            mask = desk_pool.pt_in_mask[idx]
-            for s in range(desk_pool.size):
-                assert bool((mask >> s) & 1) == point_in(p, desk_pool.decode(s))
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_point_membership_masks(self, shape_pool, shape):
+        # the masks are read off the order rows; here each is checked
+        # against point membership on the decoded objects
+        elements, parameters, radix = shape
+        pool = shape_pool(*shape)
+        assert len(pool.points) == parameters * (radix**elements - 1)
+        sets = [pool.decode(s) for s in range(pool.size)]
+        for idx in range(len(pool.points)):
+            p = pool.decode_point(idx)
+            mask = pool.pt_in_mask[idx]
+            assert mask == pool.above[pool.pt_form_id[idx]]
+            for s, g in enumerate(sets):
+                assert bool((mask >> s) & 1) == point_in(p, g)
+                assert bool((pool.pt_set_mask[s] >> idx) & 1) == \
+                    bool((mask >> s) & 1)
 
-    def test_point_form_ids(self, desk_pool):
-        desk_pool.build_points()
-        for idx in range(len(desk_pool.points)):
-            p = desk_pool.decode_point(idx)
-            form = desk_pool.decode(desk_pool.pt_form_id[idx])
+    @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_point_form_ids(self, shape_pool, shape):
+        pool = shape_pool(*shape)
+        for idx in range(len(pool.points)):
+            p = pool.decode_point(idx)
+            form = pool.decode(pool.pt_form_id[idx])
             assert form == p.as_fss()
 
+    def test_points_are_built_once_with_the_pool(self):
+        pool = SetPool_small(cap=corpus.DEFAULT_POOL_CAP)
 
-def SetPool_small():
+        def tables():
+            return [pool.points, pool.pt_in_mask, pool.pt_set_mask,
+                    pool.pt_form_id]
+
+        built = tables()
+        # a second call, as a caller that builds the points itself makes,
+        # keeps the tables the pool built
+        pool.build_points()
+        assert all(a is b for a, b in zip(tables(), built))
+
+
+def SetPool_small(cap=10):
     from fstopo.corpus import SetPool
 
     return SetPool(
         Universe.of("x", "y"),
         ParameterSet.of("e1", "e2"),
         GradeLattice.close(["1/2"]),
-        cap=10,
+        cap=cap,
     )
 
 
