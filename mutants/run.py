@@ -1,0 +1,190 @@
+"""Mutation check: every mutant in MUTANTS must make its named tests fail.
+
+A mutant is one exact text replacement in one file of the tree, with the
+pytest node ids that must each fail once it is applied.  The script
+copies the tree to a temporary directory, runs the named tests there
+once unmutated (they must pass), then applies one mutant at a time, runs
+only its named tests, each under a timeout, and restores the file.
+
+A mutant is "killed" when every named test fails, "survived" when one
+passes and "timeout" when one runs past the timeout; only a table where
+every mutant is killed exits 0.  A mutant is stale when its text does
+not occur exactly once in its file or a named test is not defined, and
+a stale mutant stops the run before any test runs.
+
+Usage, from the root of a checkout (standard library and pytest only):
+
+    python3 mutants/run.py                  # every mutant
+    python3 mutants/run.py t1-no-reversal   # the named mutants only
+
+``stale()`` alone, which runs no test, is checked by the test suite.
+
+Every change that adds or changes a check adds the mutant it kills.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TIMEOUT_S = 600  # per test run
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    text: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+ENGINE = "src/fstopo/engine.py"
+SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
+
+MUTANTS = (
+    Mutant("t1-no-reversal", ENGINE,
+           "                return b, a\n",
+           "                return a, b\n",
+           (SCAN_ORACLE,
+            "tests/test_cli.py::TestAxiomsPinned::"
+            "test_axioms_bytes_are_pinned")),
+    Mutant("t2-union-not-reset", ENGINE,
+           "    for a in range(len(omasks)):\n"
+           "        reach = _reach(odisj, omasks[a])\n",
+           "    reach = 0\n"
+           "    for a in range(len(omasks)):\n"
+           "        reach |= _reach(odisj, omasks[a])\n",
+           (SCAN_ORACLE,)),
+    Mutant("regular-union-over-partner", ENGINE,
+           "reach = _reach(odisj, ma)",
+           "reach = _reach(odisj, cover)",
+           (SCAN_ORACLE,)),
+    Mutant("t3-without-t1", ENGINE,
+           'return self.holds("t1", g) and self.holds("regular", g)',
+           'return self.holds("regular", g)',
+           ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
+    Mutant("subspace-ambient-disjointness", ENGINE,
+           "got = self._odisj[g] = {o: disj[mg[o]] & opens",
+           "got = self._odisj[g] = {o: disj[o] & opens",
+           ("tests/test_claims.py::"
+            "test_subspace_verdicts_match_built_subspaces",)),
+    Mutant("connected-sets-keep-null", ENGINE,
+           "& ~self.disconnected() & ~1",
+           "& ~self.disconnected()",
+           ("tests/test_claims.py::"
+            "test_disconnected_mask_matches_the_trace_search",
+            "tests/test_claims.py::"
+            "test_subspace_readings_match_on_drawn_spaces")),
+    # the closure of test_criterion_6_mutation_alarm: a join fold from
+    # the null set over the closed supersets
+    Mutant("closure-join-fold", ENGINE,
+           "                acc = top\n"
+           "                mg = meet[g]\n"
+           "                for k in closeds:\n"
+           "                    if mg[k] == g:\n"
+           "                        acc = meet[acc][k]\n",
+           "                acc = 0\n"
+           "                mg = meet[g]\n"
+           "                for k in closeds:\n"
+           "                    if mg[k] == g:\n"
+           "                        acc = pool.join[acc][k]\n",
+           ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
+            "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
+    Mutant("above-in-low-blocks", "src/fstopo/corpus.py",
+           "every_block >> (a * width) << (a * width)",
+           "every_block >> (a * width)",
+           ("tests/test_corpus.py::TestSetPool::"
+            "test_order_masks_match_meet",)),
+    Mutant("negative-cap-accepted", "src/fstopo/cli.py",
+           "args.cap is not None and args.cap < 0",
+           "args.cap is not None and args.cap < -99",
+           ("tests/test_cli.py::TestExitCodes::test_negative_cap_exits_2",)),
+)
+
+
+def stale(root: pathlib.Path, mutants=MUTANTS) -> list[str]:
+    """Why each of ``mutants`` cannot run on the tree at ``root``: its
+    text does not occur exactly once, or a named test is not defined."""
+    problems = []
+    for m in mutants:
+        count = (root / m.path).read_text().count(m.text)
+        if count != 1:
+            problems.append(f"{m.name}: text occurs {count} times in {m.path}")
+        for node in m.tests:
+            path, *names = node.split("::")
+            source = root / path
+            if not source.is_file() or f"def {names[-1]}(" not in (
+                    source.read_text()):
+                problems.append(f"{m.name}: no test {node}")
+    return problems
+
+
+def _outcome(tree: pathlib.Path, node: str) -> str:
+    """'failed', 'passed' or 'timeout' for one test node run in ``tree``."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p",
+             "no:cacheprovider", node],
+            cwd=tree, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "passed" if proc.returncode == 0 else "failed"
+
+
+def run(mutants) -> dict[str, str]:
+    """The outcome of each mutant, by name."""
+    with tempfile.TemporaryDirectory(prefix="fstopo-mutants-") as tmp:
+        tree = pathlib.Path(tmp) / "tree"
+        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work*"))
+        problems = stale(tree, mutants)
+        if problems:
+            raise SystemExit("stale mutants:\n  " + "\n  ".join(problems))
+        for node in sorted({n for m in mutants for n in m.tests}):
+            outcome = _outcome(tree, node)
+            if outcome != "passed":
+                raise SystemExit(f"{node} is {outcome} on the unmutated tree")
+        outcomes = {}
+        for m in mutants:
+            path = tree / m.path
+            original = path.read_text()
+            path.write_text(original.replace(m.text, m.replacement))
+            try:
+                results = [_outcome(tree, node) for node in m.tests]
+            finally:
+                path.write_text(original)
+            if "timeout" in results:
+                outcomes[m.name] = "timeout"
+            elif "passed" in results:
+                outcomes[m.name] = "survived"
+            else:
+                outcomes[m.name] = "killed"
+            print(f"{m.name}: {outcomes[m.name]}", flush=True)
+        return outcomes
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("names", nargs="*", help="mutants to run (default all)")
+    args = ap.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        ap.error(f"unknown mutants: {', '.join(unknown)}")
+    outcomes = run([known[n] for n in args.names] or list(MUTANTS))
+    killed = sum(o == "killed" for o in outcomes.values())
+    print(f"{killed} of {len(outcomes)} mutants killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

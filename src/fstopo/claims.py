@@ -16,21 +16,18 @@ of the definitions below is the order of ``CLAIMS`` and of every report.
 An evaluator returns (instances checked, hypothesis hits, failure
 strings), with at most ``_MAX_FAILS`` failure strings.
 
+This module is the claim catalogue and the code that evaluates it; the
+integer engine the space claims read lives in ``engine.py``.
 Space-scope claims run once per topology through a ``SpaceCase`` built
 over the integer set-pool encoding; pool-scope claims run once per
-distinct shape; fixed-scope claims run once per audit.  A ``SpaceCase``
-builds the bitmasks the separation axioms are read from and runs the
-axiom scans of ``deciders.py`` over them, the scans the object-level
-deciders run over theirs.  One reader serves a space and its
-subspaces: ``SpaceCase.ax(name, g)`` runs the scan of ``name`` on the
-space, or, given g, on the case's masks restricted to the points and
-traces of the subspace at g, so a subspace is never built;
-``SpaceCase.holds`` reads it.  One bitmask over pool ids marks every
-disconnected subspace of the case (``SpaceCase.disconnected``), and
-the CON claims about connected subspaces read their hypothesis from
-one bit of ``SpaceCase.connected_sets()``, the non-null sets under the
-carrier outside it.  Set ids are read only through ``SetPool``'s
-tables and methods, never through their digits.
+distinct shape; fixed-scope claims run once per audit.  A claim reads a
+space's axioms, or those of its subspace at g, through
+``SpaceCase.holds(name, g)`` and their first failing pair through
+``SpaceCase.ax``.  The CON claims about connected subspaces read their
+hypothesis from one bit of ``SpaceCase.connected_sets()``, the non-null
+sets under the carrier outside the mask of disconnected subspaces.  Set
+ids are read only through ``SetPool``'s tables and methods, never
+through their digits.
 
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
@@ -67,16 +64,7 @@ from dataclasses import dataclass
 
 from .algebra import FuzzySet, Universe
 from .corpus import SetPool
-from .deciders import (
-    _bits,
-    _every_pair,
-    _mask,
-    _normal_fail,
-    _regular_fail,
-    _t0_fail,
-    _t1_fail,
-    _t2_fail,
-)
+from .engine import SpaceCase, _bits, _mask, _separations, _sep_pair
 from .points import FuzzySoftPoint, point_in
 from .softsets import FuzzySoftSet, ParameterSet
 
@@ -213,294 +201,6 @@ def _tally(outcomes):
 def _first_fails(found) -> list:
     """The first ``_MAX_FAILS`` failures of a lazy generator of them."""
     return list(itertools.islice(found, _MAX_FAILS))
-
-
-class SpaceCase:
-    """Per-topology caches over the integer encoding.
-
-    ``order`` is the global case index used to salt probes; ``exhaustive``
-    widens probes to full scans for this case.
-    """
-
-    def __init__(self, label: str, pool: SetPool, ids: tuple[int, ...],
-                 order: int = 0, exhaustive: bool = False):
-        self.label = label
-        self.pool = pool
-        self.ids = ids
-        self.order = order
-        self.exhaustive = exhaustive
-        self.carrier = ids[-1]
-        self.opens = list(ids)
-        self.open_set = frozenset(ids)
-        self.closeds = sorted({pool.comp[o] for o in ids})
-        self.closed_set = frozenset(self.closeds)
-        self.pts = [i for i in range(len(pool.points))
-                    if (pool.pt_in_mask[i] >> self.carrier) & 1]
-        self._cl: list[int] | None = None
-        self._int: list[int] | None = None
-        self._omasks: list[int] | None = None
-        self._nbhds: list[int] | None = None
-        self._dis: int | None = None
-        self._odisj: dict[int | None, list[int]] = {}
-        # per pool id: the open indices disjoint from it, and over it
-        self._disj: dict[int, int] = {}
-        self._cover: dict[int, int] = {}
-        self._ax: dict = {}
-
-    # -- operator tables ---------------------------------------------------
-
-    def cl(self) -> list[int]:
-        """Closure of every pool set: meet of the closed supersets."""
-        if self._cl is None:
-            pool = self.pool
-            meet = pool.meet
-            closeds = self.closeds
-            top = pool.full_id
-            row = []
-            for g in range(pool.size):
-                acc = top
-                mg = meet[g]
-                for k in closeds:
-                    if mg[k] == g:
-                        acc = meet[acc][k]
-                row.append(acc)
-            self._cl = row
-        return self._cl
-
-    def interior(self) -> list[int]:
-        """Interior of every pool set: join of the open subsets."""
-        if self._int is None:
-            pool = self.pool
-            meet, join = pool.meet, pool.join
-            opens = self.opens
-            row = []
-            for g in range(pool.size):
-                acc = 0
-                mg = meet[g]
-                for o in opens:
-                    if mg[o] == o:
-                        acc = join[acc][o]
-                row.append(acc)
-            self._int = row
-        return self._int
-
-    # -- point structure ---------------------------------------------------
-
-    def _open_bits(self, id_mask: int) -> int:
-        """A bitmask over pool ids, re-indexed onto open indices."""
-        m = 0
-        for i, o in enumerate(self.opens):
-            if (id_mask >> o) & 1:
-                m |= 1 << i
-        return m
-
-    def omasks(self) -> list[int]:
-        """Per point (aligned with self.pts) a bitmask over open indices."""
-        if self._omasks is None:
-            pin = self.pool.pt_in_mask
-            self._omasks = [self._open_bits(pin[p]) for p in self.pts]
-        return self._omasks
-
-    def odisj(self, g: int | None = None) -> list[int]:
-        """Per open index, the bitmask of open indices disjoint from it;
-        given ``g``, of those whose trace on g is disjoint from its trace
-        on g."""
-        got = self._odisj.get(g)
-        if got is None:
-            sets = self.opens
-            if g is not None:
-                sets = list(map(self.pool.meet[g].__getitem__, sets))
-            rows = self._disj
-            disj = self.pool.disj_mask
-            for x in sets:
-                if x not in rows:
-                    rows[x] = self._open_bits(disj[x])
-            got = self._odisj[g] = list(map(rows.__getitem__, sets))
-        return got
-
-    def nbhds(self) -> list[int]:
-        """Per point (aligned with self.pts), the bitmask over pool ids of
-        its neighborhoods, the sets whose interior holds it: the union of
-        the interior's preimages of the sets holding the point."""
-        if self._nbhds is None:
-            preimage: dict[int, int] = {}
-            for nb, o in enumerate(self.interior()):
-                preimage[o] = preimage.get(o, 0) | 1 << nb
-            pin = self.pool.pt_in_mask
-            self._nbhds = [sum(m for o, m in preimage.items() if (pm >> o) & 1)
-                           for pm in map(pin.__getitem__, self.pts)]
-        return self._nbhds
-
-    def cover(self, x: int) -> int:
-        """The bitmask of open indices over pool set ``x``."""
-        got = self._cover.get(x)
-        if got is None:
-            got = self._cover[x] = self._open_bits(self.pool.above[x])
-        return got
-
-    # -- separation axioms -------------------------------------------------
-    # The subspace at g has the traces o∧g of the opens as its opens, the
-    # traces k∧g of the closed sets as its closed sets and the points
-    # under carrier∧g as its points.  Its verdicts are read off the
-    # ambient masks: an open holds a point under g exactly when its trace
-    # does, an open lies over k∧g exactly when its trace does, and two
-    # traces are disjoint when o∧o'∧g is null (``odisj(g)``).  Opens with
-    # one trace share their bits, so every scan decides as it would over
-    # the traces.
-
-    def ax(self, name: str, g: int | None = None):
-        """The first failing pair of pool ids (point or closed set) the
-        scan of ``name`` finds on the space, or on the subspace at ``g``;
-        None when the axiom holds.  ``points_closed`` (space only) gives
-        the first point whose form is not closed."""
-        key = (name, g)
-        if key not in self._ax:
-            self._ax[key] = self._first_fail(name, g)
-        return self._ax[key]
-
-    def _first_fail(self, name: str, g: int | None):
-        pool = self.pool
-        disj, pin, form = pool.disj_mask, pool.pt_in_mask, pool.pt_form_id
-        if name == "points_closed":
-            return next((p for p in self.pts
-                         if form[p] not in self.closed_set), None)
-        if name != "normal":
-            pts, omasks = self.pts, self.omasks()
-            if g is not None:
-                top = pool.meet[self.carrier][g]
-                kept = [a for a, p in enumerate(pts) if (pin[p] >> top) & 1]
-                pts = [pts[a] for a in kept]
-                omasks = [omasks[a] for a in kept]
-            if name == "t0":
-                return _ids(_t0_fail(omasks, lambda a, b: (
-                    disj[form[pts[a]]] >> form[pts[b]]) & 1), pts, pts)
-            if name == "t1":
-                return _ids(_t1_fail(omasks, _every_pair), pts, pts)
-            if name == "t2":
-                return _ids(_t2_fail(omasks, self.odisj(g), _every_pair),
-                            pts, pts)
-        closeds = self.closeds if g is None else self.closed_traces(g)
-        covers = list(map(self.cover, closeds))
-        if name == "regular":
-            pair = _regular_fail(omasks, covers, self.odisj(g), lambda a, k: (
-                not (pin[pts[a]] >> closeds[k]) & 1))
-            return _ids(pair, pts, closeds)
-        return _ids(_normal_fail(covers, self.odisj(g), lambda i, j: (
-            disj[closeds[i]] >> closeds[j]) & 1), closeds, closeds)
-
-    def holds(self, name: str, g: int | None = None) -> bool:
-        """Whether the space, or the subspace at ``g``, satisfies ``name``;
-        t3 is t1 then regular, t4 is t1 then normal."""
-        if name == "t3":
-            return self.holds("t1", g) and self.holds("regular", g)
-        if name == "t4":
-            return self.holds("t1", g) and self.holds("normal", g)
-        return self.ax(name, g) is None
-
-    def t0(self) -> bool:
-        return self.holds("t0")
-
-    def t1(self) -> bool:
-        return self.holds("t1")
-
-    def t2(self) -> bool:
-        return self.holds("t2")
-
-    def regular(self) -> bool:
-        return self.holds("regular")
-
-    def normal(self) -> bool:
-        return self.holds("normal")
-
-    def t3(self) -> bool:
-        return self.holds("t3")
-
-    def t4(self) -> bool:
-        return self.holds("t4")
-
-    def points_closed(self) -> bool:
-        return self.holds("points_closed")
-
-    # -- subspaces and connectedness ---------------------------------------
-    # The lattice is distributive, so traces u∧g and v∧g join to (u∨v)∧g,
-    # and they separate the subspace at g exactly when both are non-null,
-    # u∧v∧g is null and g lies under u∨v.
-
-    def traces(self, g: int) -> list[int]:
-        meet = self.pool.meet
-        return sorted({meet[o][g] for o in self.opens})
-
-    def closed_traces(self, g: int) -> list[int]:
-        meet = self.pool.meet
-        return sorted({meet[k][g] for k in self.closeds})
-
-    def disconnected(self) -> int:
-        """Bitmask over pool ids: bit g is set when the subspace at ``g``,
-        a set under the carrier, is disconnected.  It is the union, over
-        the pairs of non-null opens, of the sets their traces separate."""
-        if self._dis is None:
-            pool = self.pool
-            meet, join, disj = pool.meet, pool.join, pool.disj_mask
-            below = pool.below
-            opens = [o for o in self.opens if o]
-            meets = [~disj[o] for o in opens]
-            dis = 0
-            for i, u in enumerate(opens):
-                mu, ju, meets_u = meet[u], join[u], meets[i]
-                for v, meets_v in zip(opens[i + 1:], meets[i + 1:]):
-                    dis |= below[ju[v]] & disj[mu[v]] & meets_u & meets_v
-            self._dis = dis
-        return self._dis
-
-    def connected(self) -> bool:
-        return not (self.disconnected() >> self.carrier) & 1
-
-    def connected_sets(self) -> int:
-        """Bitmask over pool ids of the non-null connected subspaces: bit g
-        is set when g is non-null, lies under the carrier and the subspace
-        at g is connected.  Read from ``disconnected()`` on every call."""
-        # bit 0 is the null set
-        return self.pool.below[self.carrier] & ~self.disconnected() & ~1
-
-    @functools.cached_property
-    def separation(self):
-        """The first pair of disjoint non-null opens joining to the
-        carrier, or None; two claims render it."""
-        return _sep_pair(self.pool, self.traces(self.carrier), self.carrier)
-
-    # -- rendering ---------------------------------------------------------
-
-    def render_set(self, gid: int) -> str:
-        return self.pool.decode(gid).render()
-
-    def render_point(self, index: int) -> str:
-        return self.pool.decode_point(index).render()
-
-
-def _ids(pair, first, second):
-    """A scan's index pair as pool ids."""
-    return None if pair is None else (first[pair[0]], second[pair[1]])
-
-
-def _separations(pool: SetPool, opens, carrier):
-    """The pairs (a, b) of disjoint nonempty opens joining to the
-    carrier, a before b in ``opens``, in the order of ``opens``."""
-    disj = pool.disj_mask
-    join = pool.join
-    for i in range(len(opens)):
-        a = opens[i]
-        if a == 0:
-            continue
-        da = disj[a]
-        ja = join[a]
-        for b in opens[i + 1:]:
-            if b and (da >> b) & 1 and ja[b] == carrier:
-                yield a, b
-
-
-def _sep_pair(pool: SetPool, opens, carrier):
-    """First pair of disjoint nonempty opens joining to the carrier."""
-    return next(_separations(pool, opens, carrier), None)
 
 
 # -- space-scope evaluators ------------------------------------------------
@@ -1127,22 +827,14 @@ def _t2char_property(case: SpaceCase):
     """First ordered point pair (p, q) with no open s holding p while q
     stays outside the closure of s; None when the property holds."""
     cl = case.cl()
-    pin = case.pool.pt_in_mask
-    opens = case.opens
-    pts = case.pts
-    omasks = case.omasks()
-    for a in range(len(pts)):
-        for b in range(len(pts)):
-            if a == b:
-                continue
-            pm_b = pin[pts[b]]
-            found = False
-            for i in _bits(omasks[a]):
-                if not (pm_b >> cl[opens[i]]) & 1:
-                    found = True
-                    break
-            if not found:
-                return pts[a], pts[b]
+    pt_sets = case.pool.pt_set_mask
+    for p, ma in zip(case.pts, case.omasks()):
+        # the case's other points in the closure of every open around p
+        inside = pt_sets[case.carrier] & ~(1 << p)
+        for s in _bits(ma):
+            inside &= pt_sets[cl[s]]
+        if inside:
+            return p, next(_bits(inside))
     return None
 
 
@@ -1179,19 +871,9 @@ def _regchar_property(case: SpaceCase):
     closure stays inside; None when the property holds."""
     cl = case.cl()
     meet = case.pool.meet
-    opens = case.opens
-    omasks = case.omasks()
-    for a, p in enumerate(case.pts):
-        ma = omasks[a]
-        for i in _bits(ma):
-            g = opens[i]
-            ok = False
-            for j in _bits(ma):
-                s = opens[j]
-                if meet[cl[s]][g] == cl[s]:
-                    ok = True
-                    break
-            if not ok:
+    for p, ma in zip(case.pts, case.omasks()):
+        for g in _bits(ma):
+            if not any(meet[cl[s]][g] == cl[s] for s in _bits(ma)):
                 return p, g
     return None
 

@@ -480,6 +480,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        if args.cap is not None and args.cap < 0:
+            raise _UsageError("--cap takes a count of at least 0")
         return COMMANDS[args.command](args)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

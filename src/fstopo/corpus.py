@@ -19,9 +19,11 @@ same recursion: ``below[w]`` and ``above[w]`` mark the sets under and
 over ``w``, and ``order_rows()`` lists their bits for the scans that
 iterate them.  A point lies in a set exactly when its form lies under
 the set, so each point's membership mask over set ids is the ``above``
-row at its form.  The transposed per-set masks over point indices let
-the pool claims in ``claims.py`` flag offending points with whole-row
-mask operations and re-scan only those.
+row at its form.  ``engine.SpaceCase`` reads the membership, order and
+disjointness masks as they are, over set ids, cut to a case's opens.
+The transposed per-set masks over point indices give a case its points
+and let the pool claims in ``claims.py`` flag offending points with
+whole-row mask operations and re-scan only those.
 
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
@@ -38,7 +40,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .algebra import CapExceededError, FuzzySet, GradeLattice, Universe
-from .deciders import _bits
+from .engine import _bits
 from .softsets import FuzzySoftSet, ParameterSet
 
 DEFAULT_MAX_GENERATORS = 3

@@ -17,14 +17,15 @@ Conventions, fixed here and echoed in every verdict:
   non-membership.  ``regular_reading = "disjoint"`` switches to the
   stronger reading (point and closed set disjoint).
 
-The separation axioms are decided by five scans over bitmasks
-(``_t0_fail`` ... ``_normal_fail``), the same scans ``claims.SpaceCase``
-runs on the integer set-pool encoding.  The deciders build the masks
-from the objects: for each point the opens holding it, for each open the
-opens disjoint from it, for each closed set the opens above it, and the
-configured pair relation and regularity reading as a test of which pairs
-qualify.  Every scan runs in canonical order, so the first witness of a
-failure is deterministic.  Connectedness has a scan of its own.
+The separation axioms are decided by the five scans of ``engine.py``
+(``_t0_fail`` ... ``_normal_fail``), the scans ``engine.SpaceCase`` runs
+on the integer set-pool encoding.  The deciders build the masks from the
+objects, with bit i standing for the i-th open: for each point the opens
+holding it, for each open the opens disjoint from it, for each closed
+set the opens above it, and the configured pair relation and regularity
+reading as a test of which pairs qualify.  Every scan runs in canonical
+order, so the first witness of a failure is deterministic.
+Connectedness has a scan of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .algebra import GradeLattice
+from .engine import (
+    _every_pair,
+    _mask,
+    _normal_fail,
+    _regular_fail,
+    _t0_fail,
+    _t1_fail,
+    _t2_fail,
+)
 from .points import enumerate_points, point_in
 from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, disjoint
 from .topology import FuzzySoftTopology, SubspaceView
@@ -139,89 +149,7 @@ class AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# the axiom scans, shared with claims.SpaceCase
-#
-# Bit i of a mask means "open number i".  Each scan returns the first
-# failing index pair in canonical order, or None; ``ok(a, b)`` says
-# whether a pair qualifies.  T0 to T2 test it only on pairs whose masks
-# fail, regular and normal before the masks.
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _every_pair(a: int, b: int) -> bool:
-    return True
-
-
-def _t0_fail(omasks, ok):
-    """First qualifying point pair that no open tells apart."""
-    for a in range(len(omasks)):
-        ma = omasks[a]
-        for b in range(a + 1, len(omasks)):
-            if ma == omasks[b] and ok(a, b):
-                return a, b
-    return None
-
-
-def _t1_fail(omasks, ok):
-    """First qualifying point pair that fails T1, ordered so that no open
-    contains its first point without its second."""
-    for a in range(len(omasks)):
-        ma = omasks[a]
-        for b in range(a + 1, len(omasks)):
-            mb = omasks[b]
-            if ma & ~mb == 0:
-                if ok(a, b):
-                    return a, b
-            elif mb & ~ma == 0 and ok(a, b):
-                return b, a
-    return None
-
-
-def _t2_fail(omasks, odisj, ok):
-    """First qualifying point pair that no disjoint opens separate."""
-    for a in range(len(omasks)):
-        ma = omasks[a]
-        for b in range(a + 1, len(omasks)):
-            mb = omasks[b]
-            if not any(odisj[i] & mb for i in _bits(ma)) and ok(a, b):
-                return a, b
-    return None
-
-
-def _regular_fail(omasks, covers, odisj, ok):
-    """First qualifying (point, closed set) pair that no disjoint opens
-    split."""
-    for a, ma in enumerate(omasks):
-        for k, cover in enumerate(covers):
-            if ok(a, k) and not any(odisj[i] & cover for i in _bits(ma)):
-                return a, k
-    return None
-
-
-def _normal_fail(covers, odisj, ok):
-    """First qualifying closed pair that no disjoint opens cover."""
-    for i, ci in enumerate(covers):
-        for j in range(i + 1, len(covers)):
-            if ok(i, j) and not any(odisj[x] & covers[j] for x in _bits(ci)):
-                return i, j
-    return None
-
-
-# ---------------------------------------------------------------------------
 # the masks of one (space, config)
-
-def _mask(flags) -> int:
-    mask = 0
-    for i, flag in enumerate(flags):
-        if flag:
-            mask |= 1 << i
-    return mask
-
 
 class _Masks:
     """The lattice points inside the carrier, in canonical order, with

@@ -115,6 +115,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "audit", valid_doc, "--cap", "10")
         assert code == 3 and "cap" in err
 
+    def test_negative_cap_exits_2(self, capsys, valid_doc, tmp_path):
+        out_path = tmp_path / "sub.fst"
+        for argv in (("validate", valid_doc), ("closure", valid_doc, "a"),
+                     ("interior", valid_doc, "a"), ("axioms", valid_doc),
+                     ("connected", valid_doc),
+                     ("subspace", valid_doc, "a", str(out_path)),
+                     ("audit", valid_doc), ("audit",)):
+            for cap in ("-1", "-3"):
+                code, out, err = run(capsys, *argv, "--cap", cap)
+                assert (code, out) == (2, ""), (argv, cap)
+                assert "--cap" in err, (argv, cap)
+        assert not out_path.exists()
+
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["closure"]) == 2
         capsys.readouterr()
