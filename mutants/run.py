@@ -47,6 +47,9 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/fstopo/engine.py"
 SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
+CORPUS = "src/fstopo/corpus.py"
+BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
+               "test_enumeration_matches_brute_force")
 
 MUTANTS = (
     Mutant("t1-no-reversal", ENGINE,
@@ -97,11 +100,31 @@ MUTANTS = (
            "                        acc = pool.join[acc][k]\n",
            ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
             "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
-    Mutant("above-in-low-blocks", "src/fstopo/corpus.py",
+    Mutant("above-in-low-blocks", CORPUS,
            "every_block >> (a * width) << (a * width)",
            "every_block >> (a * width)",
            ("tests/test_corpus.py::TestSetPool::"
             "test_order_masks_match_meet",)),
+    Mutant("first-new-id-unpaired", CORPUS,
+           "    i = fresh\n",
+           "    i = fresh + 1\n",
+           (BRUTE_FORCE, "tests/test_corpus.py::"
+            "test_extension_matches_the_fixed_point")),
+    Mutant("generators-unbounded", CORPUS,
+           "    if len(members) > max_opens:\n"
+           "        return None\n"
+           "    # a pair of old members",
+           "    # a pair of old members",
+           ("tests/test_corpus.py::TestCloseFamily::"
+            "test_generators_alone_past_the_bound_are_refused",
+            "tests/test_corpus.py::TestEnumeration::"
+            "test_no_space_passes_the_opens_bound")),
+    Mutant("skipped-family-not-grown", CORPUS,
+           "            if generators < spec.max_generators:\n",
+           "            if family is not None and "
+           "generators < spec.max_generators:\n",
+           (BRUTE_FORCE, "tests/test_corpus.py::TestEnumeration::"
+            "test_no_space_passes_the_opens_bound")),
     Mutant("negative-cap-accepted", "src/fstopo/cli.py",
            "args.cap is not None and args.cap < 0",
            "args.cap is not None and args.cap < -99",

@@ -182,8 +182,16 @@ def _config(args, lattice: GradeLattice) -> DeciderConfig:
     return DeciderConfig(**kwargs)
 
 
-def _config_echo(args, lattice: GradeLattice | None, extra=None) -> dict:
-    echo = {
+def _emit(args, lattice: GradeLattice | None, results: dict,
+          lines: list[str], exit_code: int = EXIT_OK, extra=None) -> int:
+    """Write the run's output and return ``exit_code``: ``lines`` as text,
+    or under ``--format structured`` the report of ``args.command``, its
+    results and its config, echoed from ``args`` and ``extra`` with the
+    lattice given (the ``--lattice`` text when None)."""
+    if args.format != "structured":
+        sys.stdout.write("\n".join(lines) + "\n")
+        return exit_code
+    config = {
         "lattice": ([str(g) for g in lattice]
                     if lattice is not None else args.lattice),
         "disjointness": args.disjointness,
@@ -192,17 +200,12 @@ def _config_echo(args, lattice: GradeLattice | None, extra=None) -> dict:
         "seed": args.seed,
     }
     if getattr(args, "file", None) is not None:
-        echo["file"] = os.path.normpath(args.file)
-    if extra:
-        echo.update(extra)
-    return echo
-
-
-def _emit(args, report: dict, text_lines: list[str]) -> None:
-    if args.format == "structured":
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    else:
-        sys.stdout.write("\n".join(text_lines) + "\n")
+        config["file"] = os.path.normpath(args.file)
+    config.update(extra or {})
+    report = {"command": args.command, "config": config, "results": results,
+              "exit": exit_code}
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return exit_code
 
 
 def _load(args, build: bool = True):
@@ -249,12 +252,6 @@ def cmd_validate(args) -> int:
         "violations": [
             {"axiom": v.axiom, "detail": v.detail} for v in violations],
     }
-    report = {
-        "command": "validate",
-        "config": _config_echo(args, lattice),
-        "results": results,
-        "exit": EXIT_OK if space is not None else EXIT_INVALID,
-    }
     lines = [f"carrier: {doc.carrier.render()}",
              f"opens: {len(doc.opens)}"]
     if space is not None:
@@ -262,13 +259,14 @@ def cmd_validate(args) -> int:
     else:
         lines.append("INVALID:")
         lines.extend(f"  {v.render()}" for v in violations)
-    _emit(args, report, lines)
-    return report["exit"]
+    return _emit(args, lattice, results, lines,
+                 EXIT_OK if space is not None else EXIT_INVALID)
 
 
-def _cmd_closure_interior(args, which: str) -> int:
+def cmd_closure_interior(args) -> int:
     doc, lattice, space = _load(args)
     target = _named_set(doc, args.name)
+    which = args.command
     if which == "closure":
         result = space.closure(target)
         used = [k for k in space.closed_sets if target.leq(k)]
@@ -283,25 +281,10 @@ def _cmd_closure_interior(args, which: str) -> int:
         "result": result.render(),
         used_key: [s.render() for s in used],
     }
-    report = {
-        "command": which,
-        "config": _config_echo(args, lattice),
-        "results": results,
-        "exit": EXIT_OK,
-    }
     lines = [f"{which} of {args.name} = {result.render()}",
              f"{used_key.replace('_', ' ')}:"]
     lines.extend(f"  {s.render()}" for s in used)
-    _emit(args, report, lines)
-    return EXIT_OK
-
-
-def cmd_closure(args) -> int:
-    return _cmd_closure_interior(args, "closure")
-
-
-def cmd_interior(args) -> int:
-    return _cmd_closure_interior(args, "interior")
+    return _emit(args, lattice, results, lines)
 
 
 AXIOM_DECIDERS = (
@@ -321,12 +304,6 @@ def cmd_axioms(args) -> int:
     cfg = _config(args, lattice)
     verdicts = [(label, fn(space, cfg)) for label, fn in AXIOM_DECIDERS]
     results = {"verdicts": [v.to_payload() for _, v in verdicts]}
-    report = {
-        "command": "axioms",
-        "config": _config_echo(args, lattice),
-        "results": results,
-        "exit": EXIT_OK,
-    }
     lines = []
     for label, v in verdicts:
         lines.append(f"{label}: {'holds' if v.holds else 'fails'}")
@@ -337,8 +314,7 @@ def cmd_axioms(args) -> int:
     lines.append(f"config: lattice {lattice.render()}; "
                  f"disjointness {args.disjointness}; "
                  f"pair relation {args.pair_relation or 'per-axiom'}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, lattice, results, lines)
 
 
 def cmd_connected(args) -> int:
@@ -363,20 +339,13 @@ def cmd_connected(args) -> int:
         "clopen": None if clopen is None else clopen.render(),
         "note": note,
     }
-    report = {
-        "command": "connected",
-        "config": _config_echo(args, lattice),
-        "results": results,
-        "exit": EXIT_OK,
-    }
     lines = [f"connected: {'yes' if verdict.holds else 'no'}"]
     if verdict.witness is not None:
         lines.append(f"  separation: {verdict.witness.render()}")
     lines.append(f"clopen witness: "
                  f"{clopen.render() if clopen is not None else 'none'}")
     lines.append(note)
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, lattice, results, lines)
 
 
 def cmd_subspace(args) -> int:
@@ -398,18 +367,11 @@ def cmd_subspace(args) -> int:
         "opens": [o.render() for o in view.opens],
         "out": args.out,
     }
-    report = {
-        "command": "subspace",
-        "config": _config_echo(args, lattice),
-        "results": results,
-        "exit": EXIT_OK,
-    }
     lines = [f"subspace carrier: {view.carrier.render()}",
              f"induced opens ({len(view.opens)}):"]
     lines.extend(f"  {o.render()}" for o in view.opens)
     lines.append(f"written to {args.out}")
-    _emit(args, report, lines)
-    return EXIT_OK
+    return _emit(args, lattice, results, lines)
 
 
 def cmd_audit(args) -> int:
@@ -450,22 +412,16 @@ def cmd_audit(args) -> int:
             base_seed=args.seed,
         )
         lattice_echo = None
-    report = {
-        "command": "audit",
-        "config": _config_echo(
-            args, lattice_echo,
-            extra={"claim": args.claim or "all", "budget": args.budget}),
-        "results": report_obj.to_payload(),
-        "exit": EXIT_ALARM if report_obj.alarms else EXIT_OK,
-    }
-    _emit(args, report, report_obj.render_text().splitlines())
-    return report["exit"]
+    return _emit(args, lattice_echo, report_obj.to_payload(),
+                 report_obj.render_text().splitlines(),
+                 EXIT_ALARM if report_obj.alarms else EXIT_OK,
+                 extra={"claim": args.claim or "all", "budget": args.budget})
 
 
 COMMANDS = {
     "validate": cmd_validate,
-    "closure": cmd_closure,
-    "interior": cmd_interior,
+    "closure": cmd_closure_interior,
+    "interior": cmd_closure_interior,
     "axioms": cmd_axioms,
     "connected": cmd_connected,
     "subspace": cmd_subspace,

@@ -25,6 +25,14 @@ The transposed per-set masks over point indices give a case its points
 and let the pool claims in ``claims.py`` flag offending points with
 whole-row mask operations and re-scan only those.
 
+The corpus is every min/max closure of null, full and at most
+``max_generators`` ids, grown as a tree: a family with generators
+``g1 < ... < gk`` is its parent's closure, the family of ``g1 .. gk-1``,
+extended by ``gk``, so ``_extend`` only pairs the members it adds with
+the rest.  A family past ``max_opens`` is skipped, and so is every family
+grown from it.  The tree's size is known up front, and ``family_cap``
+refuses it before any closure runs.
+
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
 complement pathologies are constructed by hand.
@@ -35,9 +43,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Optional
 
 from .algebra import CapExceededError, FuzzySet, GradeLattice, Universe
 from .engine import _bits
@@ -284,17 +292,27 @@ def close_family(pool: SetPool, generators: tuple[int, ...],
                  max_opens: int) -> Optional[frozenset[int]]:
     """Min/max closure of {null, full} + generators; None when it would
     exceed max_opens."""
-    base = frozenset((pool.null_id, pool.full_id)) | frozenset(generators)
-    return _close_from(pool, base, max_opens)
+    return _extend(pool, frozenset(),
+                   (pool.null_id, pool.full_id, *generators), max_opens)
 
 
-def _close_from(pool: SetPool, start: frozenset[int],
-                max_opens: int) -> Optional[frozenset[int]]:
+def _extend(pool: SetPool, closed: frozenset[int], new: Iterable[int],
+            max_opens: int) -> Optional[frozenset[int]]:
+    """Min/max closure of the closed family ``closed`` with the ids
+    ``new`` added; None when it would exceed max_opens."""
     meet, join = pool.meet, pool.join
-    elems = sorted(start)
-    members = set(elems)
-    i = 1
-    # each unordered pair is visited once, when its later element's turn comes
+    members = set(closed)
+    elems = list(closed)
+    fresh = len(elems)
+    for g in new:
+        if g not in members:
+            members.add(g)
+            elems.append(g)
+    if len(members) > max_opens:
+        return None
+    # a pair of old members is closed already; every other unordered pair
+    # is visited once, when its later element's turn comes
+    i = fresh
     while i < len(elems):
         x = elems[i]
         mrow, jrow = meet[x], join[x]
@@ -324,12 +342,14 @@ class EnumerationStats:
 
 
 class SpaceCorpus:
-    """Deduplicated enumeration of all topologies generated by small
-    families, as id tuples over one pool."""
+    """Deduplicated enumeration of all topologies generated by at most
+    ``max_generators`` ids of one pool, as id tuples sorted by size and
+    then by ids.  Each family is its parent's closure extended by one
+    generator above the parent's last, so no closure is recomputed from
+    scratch, and a family past ``max_opens`` is skipped along with every
+    family grown from it."""
 
     def __init__(self, spec: CorpusSpec):
-        if spec.max_generators > 3:
-            raise ValueError("enumeration supports at most 3 generators")
         self.spec = spec
         self.pool = SetPool(
             spec.universe, spec.parameters, spec.lattice, cap=spec.pool_cap
@@ -344,39 +364,21 @@ class SpaceCorpus:
     def _enumerate(self) -> None:
         pool, spec, stats = self.pool, self.spec, self.stats
         seen: set[frozenset[int]] = set()
-        ids = range(pool.size)
 
-        def record(closure: Optional[frozenset[int]]) -> Optional[frozenset[int]]:
+        def grow(family: Optional[frozenset[int]], first: int,
+                 generators: int) -> None:
             stats.families_scanned += 1
-            if closure is None:
+            if family is None:
                 stats.skipped_over_max_opens += 1
-            elif closure not in seen:
-                seen.add(closure)
-            return closure
+            else:
+                seen.add(family)
+            if generators < spec.max_generators:
+                for g in range(first, pool.size):
+                    child = None if family is None else _extend(
+                        pool, family, (g,), spec.max_opens)
+                    grow(child, g + 1, generators + 1)
 
-        record(close_family(pool, (), spec.max_opens))
-        singles: list[Optional[frozenset[int]]] = []
-        if spec.max_generators >= 1:
-            for a in ids:
-                singles.append(record(close_family(pool, (a,), spec.max_opens)))
-        if spec.max_generators >= 2:
-            for a in ids:
-                base_a = singles[a]
-                for b in range(a + 1, pool.size):
-                    if base_a is None:
-                        pair = record(None)
-                    else:
-                        pair = record(
-                            _close_from(pool, base_a | {b}, spec.max_opens)
-                        )
-                    if spec.max_generators >= 3:
-                        for c in range(b + 1, pool.size):
-                            if pair is None:
-                                record(None)
-                            else:
-                                record(
-                                    _close_from(pool, pair | {c}, spec.max_opens)
-                                )
+        grow(close_family(pool, (), spec.max_opens), 0, 0)
         self.spaces = sorted(
             (tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)
         )

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
-    GRADE_ONE,
     GRADE_ZERO,
     CapExceededError,
     ContextMismatchError,

@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .algebra import (
     GRADE_ZERO,

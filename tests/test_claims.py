@@ -42,7 +42,7 @@ from fstopo.corpus import (
     CorpusSpec,
     SetPool,
     SpaceCorpus,
-    _close_from,
+    _extend,
     named_spaces,
 )
 from fstopo.points import FuzzySoftPoint
@@ -369,6 +369,26 @@ def test_only_the_pool_reads_the_id_format():
     assert readers == []
 
 
+def test_every_module_reads_what_it_imports():
+    # an import that no code or annotation reads is dead; __init__.py
+    # imports to re-export
+    package = pathlib.Path(claims.__file__).parent
+    unread = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "annotations" and name not in read:
+                        unread.append((path.name, node.lineno, name))
+    assert unread == []
+
+
 # the claims whose failures the arithmetic or counting loops report
 CAPPED_SPACE_CLAIMS = frozenset({
     "TOP.AX3-union", "TOP.AX3-intersection", "CL.1", "CL.2", "CL.5",
@@ -484,7 +504,7 @@ def small_spaces(draw, shapes=DRAWN_SHAPES, split=False):
     splits = pool.cell_splits(carrier)
     if split and splits and draw(st.booleans()):
         start.update(draw(st.sampled_from(splits)))
-    family = _close_from(pool, frozenset(start), DEFAULT_MAX_OPENS)
+    family = _extend(pool, frozenset(), start, DEFAULT_MAX_OPENS)
     assume(family is not None)
     sets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
     return SpaceCase("drawn", pool, tuple(sorted(family))), sets

@@ -1,10 +1,16 @@
+import itertools
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fstopo import corpus
 from fstopo.algebra import CapExceededError, GradeLattice, Universe
 from fstopo.corpus import (
     CorpusSpec,
+    EnumerationStats,
     SpaceCorpus,
+    _extend,
     close_family,
     named_spaces,
     random_space_ids,
@@ -13,7 +19,7 @@ from fstopo.points import point_in
 from fstopo.softsets import ParameterSet
 from fstopo.topology import validate_topology
 
-from conftest import DIFFERENTIAL_SHAPES
+from conftest import DIFFERENTIAL_SHAPES, shape_pool_of
 
 
 class TestSetPool:
@@ -159,6 +165,56 @@ class TestCloseFamily:
     def test_opens_bound_refusal(self, desk_pool):
         assert close_family(desk_pool, (17, 53, 29), 4) is None
 
+    def test_generators_alone_past_the_bound_are_refused(self):
+        # null, full, 1, 2 and 5 on the 9-set pool are closed already, so
+        # only the count of the start ids can refuse them
+        pool = shape_pool_of(*NINE)
+        assert close_family(pool, (1, 2, 5), 4) is None
+        assert close_family(pool, (1, 2, 5), 5) == {0, 1, 2, 5, 8}
+
+
+# the 9-set pool (x, y; e1; grades 0, 1/2, 1) and two 4-set pools
+NINE = (2, 1, 3)
+SMALL_SHAPES = [NINE, (2, 1, 2), (1, 2, 2)]
+
+
+def fixed_point(pool, start):
+    """The min/max closure of ``start``, by adding every meet and join of
+    the family until none is new."""
+    family = set(start)
+    while True:
+        more = {table[a][b] for table in (pool.meet, pool.join)
+                for a in family for b in family}
+        if more <= family:
+            return frozenset(family)
+        family |= more
+
+
+def bounded(family, max_opens):
+    return family if len(family) <= max_opens else None
+
+
+def spec_of(shape, **overrides):
+    pool = shape_pool_of(*shape)
+    return CorpusSpec(universe=pool.universe, parameters=pool.parameters,
+                      lattice=pool.lattice, **overrides)
+
+
+@given(st.sampled_from(SMALL_SHAPES + [(1, 2, 3), (1, 1, 4)]), st.data())
+def test_extension_matches_the_fixed_point(shape, data):
+    pool = shape_pool_of(*shape)
+    ids = st.lists(st.integers(0, pool.size - 1), max_size=4)
+    closed = fixed_point(pool, data.draw(ids))
+    new = data.draw(ids)
+    max_opens = data.draw(st.integers(0, pool.size + 1))
+    want = fixed_point(pool, closed | set(new))
+    assert _extend(pool, closed, new, pool.size) == want
+    assert _extend(pool, closed, new, max_opens) == bounded(want, max_opens)
+    want = fixed_point(pool, {pool.null_id, pool.full_id, *new})
+    assert close_family(pool, tuple(new), pool.size) == want
+    assert close_family(pool, tuple(new), max_opens) == bounded(
+        want, max_opens)
+
 
 @pytest.fixture(scope="module")
 def tiny():
@@ -186,19 +242,51 @@ class TestEnumeration:
         assert tiny.stats.families_scanned == expected
         assert tiny.stats.skipped_over_max_opens == 0
 
-    def test_more_than_three_generators_are_refused_up_front(
+    def test_four_generators_enumerate_and_the_family_cap_refuses_first(
             self, monkeypatch):
+        four = SpaceCorpus(spec_of(NINE, max_generators=4))
+        assert four.stats == EnumerationStats(256, 0, 49)
         calls = []
         monkeypatch.setattr(corpus, "close_family",
                             lambda *args: calls.append(args))
-        with pytest.raises(ValueError, match="at most 3 generators"):
-            SpaceCorpus(CorpusSpec(
-                universe=Universe.of("x", "y"),
-                parameters=ParameterSet.of("e1"),
-                lattice=GradeLattice.close(["1/2"]),
-                max_generators=4,
-            ))
+        monkeypatch.setattr(corpus, "_extend",
+                            lambda *args: calls.append(args))
+        # 4 generators on the 81-set desk pool give 1,752,382 families
+        with pytest.raises(CapExceededError, match="1752382 items"):
+            SpaceCorpus(CorpusSpec.desk(max_generators=4))
         assert calls == []
+
+    def test_no_space_passes_the_opens_bound(self):
+        # null, full, 1, 2 and 5 on the 9-set pool are five ids closed
+        # already: a bound of 4 refuses them and every family grown from
+        # them
+        bounded_nine = SpaceCorpus(spec_of(NINE, max_opens=4))
+        assert bounded_nine.stats == EnumerationStats(130, 59, 21)
+        assert max(map(len, bounded_nine.spaces)) == 4
+
+    @pytest.mark.parametrize("shape", SMALL_SHAPES,
+                             ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("max_generators", range(5))
+    def test_enumeration_matches_brute_force(self, shape, max_generators):
+        # every combination of generators closed from scratch, against
+        # the families grown one generator at a time
+        pool = shape_pool_of(*shape)
+        for max_opens in (2, 3, 4, 5, 7, 64):
+            scanned = skipped = 0
+            seen = set()
+            for k in range(max_generators + 1):
+                for gens in itertools.combinations(range(pool.size), k):
+                    start = {pool.null_id, pool.full_id, *gens}
+                    family = bounded(fixed_point(pool, start), max_opens)
+                    scanned += 1
+                    if family is None:
+                        skipped += 1
+                    else:
+                        seen.add(tuple(sorted(family)))
+            got = SpaceCorpus(spec_of(shape, max_generators=max_generators,
+                                      max_opens=max_opens))
+            assert got.stats == EnumerationStats(scanned, skipped, len(seen))
+            assert got.spaces == sorted(seen, key=lambda t: (len(t), t))
 
     def test_labels(self, tiny):
         assert tiny.label(7) == "enum-00007"
