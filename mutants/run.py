@@ -125,6 +125,19 @@ MUTANTS = (
            "generators < spec.max_generators:\n",
            (BRUTE_FORCE, "tests/test_corpus.py::TestEnumeration::"
             "test_no_space_passes_the_opens_bound")),
+    Mutant("complement-float-grades", "src/fstopo/algebra.py",
+           "tuple(GRADE_ONE - g for g in self.grades)",
+           "tuple(float(GRADE_ONE - g) for g in self.grades)",
+           ("tests/test_algebra.py::TestFuzzySet::"
+            "test_lattice_ops_match_the_validating_constructor",)),
+    # a call that writes into the parser main builds once per process
+    Mutant("parser-keeps-last-format", "src/fstopo/cli.py",
+           "        args = parser.parse_args(argv)\n",
+           "        args = parser.parse_args(argv)\n"
+           "        parser._subparsers._group_actions[0].choices[\n"
+           "            args.command].set_defaults(format=args.format)\n",
+           ("tests/test_cli.py::TestRepeatedCalls::"
+            "test_calls_after_other_calls_print_what_a_fresh_call_prints",)),
     Mutant("negative-cap-accepted", "src/fstopo/cli.py",
            "args.cap is not None and args.cap < 0",
            "args.cap is not None and args.cap < -99",

@@ -7,6 +7,13 @@ the axiom deciders have to be bit-precise, so floating point is rejected at
 the boundary.  ``fractions.Fraction`` already canonicalises to lowest terms
 and is used directly as the grade type; this module adds range checking,
 the textual grade syntax, and the min/max lattice structure on top.
+
+Grades are validated once, where they enter: ``as_grade``, the
+``FuzzySet`` constructor and the parsers check every value.  The lattice
+operations (union, intersection, complement) take grades that were
+checked already, and max, min and 1 - g of Fractions in [0, 1] are
+Fractions in [0, 1], so they build their results through ``_lattice_set``
+without checking them again.
 """
 
 from __future__ import annotations
@@ -191,20 +198,17 @@ class FuzzySet:
 
     def union(self, other: "FuzzySet") -> "FuzzySet":
         _require_same_universe(self, other)
-        return FuzzySet(
-            self.universe,
-            tuple(max(a, b) for a, b in zip(self.grades, other.grades)),
-        )
+        return _lattice_set(self.universe,
+                            tuple(map(max, self.grades, other.grades)))
 
     def intersection(self, other: "FuzzySet") -> "FuzzySet":
         _require_same_universe(self, other)
-        return FuzzySet(
-            self.universe,
-            tuple(min(a, b) for a, b in zip(self.grades, other.grades)),
-        )
+        return _lattice_set(self.universe,
+                            tuple(map(min, self.grades, other.grades)))
 
     def complement(self) -> "FuzzySet":
-        return FuzzySet(self.universe, tuple(GRADE_ONE - g for g in self.grades))
+        return _lattice_set(self.universe,
+                            tuple(GRADE_ONE - g for g in self.grades))
 
     def leq(self, other: "FuzzySet") -> bool:
         _require_same_universe(self, other)
@@ -215,6 +219,15 @@ class FuzzySet:
             f"{name}: {render_grade(g)}" for name, g in zip(self.universe, self.grades)
         )
         return "{" + inner + "}"
+
+
+def _lattice_set(universe: Universe, grades: tuple[Fraction, ...]) -> FuzzySet:
+    """A ``FuzzySet`` from grades that are already exact and in range, one
+    per element of ``universe``, built without checking them again."""
+    fs = object.__new__(FuzzySet)
+    object.__setattr__(fs, "universe", universe)
+    object.__setattr__(fs, "grades", grades)
+    return fs
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ timestamps and no floating point, so fixed inputs give fixed bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -61,7 +62,10 @@ class _ValidationFailure(ValueError):
     pass
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process; parsing reads it
+    and nothing changes it after this returns."""
     parser = argparse.ArgumentParser(
         prog="fstopo",
         description="Finite fuzzy soft topological spaces: validation, "

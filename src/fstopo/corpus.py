@@ -76,6 +76,7 @@ class SetPool:
         self._grades = tuple(lattice)
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
+        self._splits: dict[int, tuple[tuple[int, int], ...]] = {}
         self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
         self._build_tables()
         self.build_points()
@@ -135,11 +136,15 @@ class SetPool:
             parts.append(set_id // place % block * place)
         return parts
 
-    def cell_splits(self, set_id: int) -> list[tuple[int, int]]:
+    def cell_splits(self, set_id: int) -> tuple[tuple[int, int], ...]:
         """The cell-wise splits of ``set_id`` into two non-null sides, as
         (a, b) with b the rest of a; a split is read as a binary counter
         over the nonzero cells of ``set_id``, the first as bit 0, and
-        side a keeps the cells of its set bits."""
+        side a keeps the cells of its set bits.  Listed once per id and
+        shared by every later call."""
+        got = self._splits.get(set_id)
+        if got is not None:
+            return got
         # an id is the sum over its cells of digit times place
         place = self.size
         parts = []
@@ -150,7 +155,9 @@ class SetPool:
         sides = [0]
         for w in parts:
             sides += [a + w for a in sides]
-        return [(a, set_id - a) for a in sides[1:-1]]
+        got = self._splits[set_id] = tuple(
+            (a, set_id - a) for a in sides[1:-1])
+        return got
 
     def decode(self, set_id: int) -> FuzzySoftSet:
         got = self._decoded.get(set_id)

@@ -151,27 +151,25 @@ class FuzzySoftSet:
 
     def union(self, other: "FuzzySoftSet") -> "FuzzySoftSet":
         _require_same_context(self, other)
-        return FuzzySoftSet(
-            self.universe,
-            self.parameters,
-            tuple(a.union(b) for a, b in zip(self.values, other.values)),
-        )
+        return self._like(tuple(map(FuzzySet.union, self.values, other.values)))
 
     def intersection(self, other: "FuzzySoftSet") -> "FuzzySoftSet":
         _require_same_context(self, other)
-        return FuzzySoftSet(
-            self.universe,
-            self.parameters,
-            tuple(a.intersection(b) for a, b in zip(self.values, other.values)),
-        )
+        return self._like(
+            tuple(map(FuzzySet.intersection, self.values, other.values)))
 
     def complement(self) -> "FuzzySoftSet":
         """Pointwise complement: every grade becomes 1 - grade."""
-        return FuzzySoftSet(
-            self.universe,
-            self.parameters,
-            tuple(v.complement() for v in self.values),
-        )
+        return self._like(tuple(map(FuzzySet.complement, self.values)))
+
+    def _like(self, values: tuple[FuzzySet, ...]) -> "FuzzySoftSet":
+        """A soft set in this one's context, from values built over its
+        universe, one per parameter, without checking them again."""
+        fss = object.__new__(FuzzySoftSet)
+        object.__setattr__(fss, "universe", self.universe)
+        object.__setattr__(fss, "parameters", self.parameters)
+        object.__setattr__(fss, "values", values)
+        return fss
 
     def leq(self, other: "FuzzySoftSet") -> bool:
         _require_same_context(self, other)

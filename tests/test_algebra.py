@@ -134,6 +134,17 @@ class TestFuzzySet:
         f = FuzzySet.from_mapping(xy, {"x": "1/2"})
         assert f.render() == "{x: 1/2, y: 0}"
 
+    @given(st.lists(st.tuples(grades(), grades()), min_size=1, max_size=3))
+    def test_lattice_ops_match_the_validating_constructor(self, cells):
+        # the operations skip the grade checks; their results must be
+        # exactly what the public constructor builds from the same grades
+        u = Universe(tuple("xyz"[: len(cells)]))
+        f, g = (FuzzySet(u, column) for column in zip(*cells))
+        for r in (f.union(g), f.intersection(g), f.complement()):
+            rebuilt = FuzzySet(r.universe, r.grades)
+            assert rebuilt == r and hash(rebuilt) == hash(r)
+            assert all(type(x) is Fraction and 0 <= x <= 1 for x in r.grades)
+
 
 class TestUniverse:
     def test_of_and_membership(self):

@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +139,34 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser once per process, so a call must not
+    see what an earlier call in the same process did."""
+
+    def test_calls_after_other_calls_print_what_a_fresh_call_prints(
+            self, capsys, tmp_path, monkeypatch):
+        # the file name is echoed and help wraps to COLUMNS: fix both
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("COLUMNS", "80")
+        (tmp_path / "doc.fst").write_text(VALID)
+        structured = ("axioms", "doc.fst", "--format", "structured")
+        calls = [("closure",), ("--help",), structured, structured,
+                 ("axioms", "doc.fst")]
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+            str(Path(__file__).resolve().parent.parent / "src"),
+            env.get("PYTHONPATH")]))
+        codes = []
+        for argv in calls:
+            code, out, _ = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-m", "fstopo.cli", *argv], cwd=tmp_path,
+                env=env, capture_output=True, text=True, timeout=120)
+            assert (code, out) == (fresh.returncode, fresh.stdout), argv
+            codes.append(code)
+        assert codes == [2, 0, 0, 0, 0]
 
 
 class TestReports:

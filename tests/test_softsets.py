@@ -99,6 +99,13 @@ class TestLatticeOps:
     def test_involution(self, g):
         assert g.complement().complement() == g
 
+    @given(desk_sets(), desk_sets())
+    def test_ops_match_the_validating_constructor(self, g, h):
+        for r in (g.union(h), g.intersection(h), g.complement()):
+            rebuilt = FuzzySoftSet(
+                U, E, tuple(FuzzySet(U, v.grades) for v in r.values))
+            assert rebuilt == r and hash(rebuilt) == hash(r)
+
 
 class TestDisjointness:
     def test_pointwise_reads_per_parameter(self):
