@@ -46,6 +46,9 @@ class Mutant(NamedTuple):
 
 
 ENGINE = "src/fstopo/engine.py"
+DECIDERS = "src/fstopo/deciders.py"
+MASK_ORACLE = ("tests/test_deciders.py::"
+               "test_masks_match_the_fraction_definitions")
 SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
 CORPUS = "src/fstopo/corpus.py"
 BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
@@ -125,6 +128,26 @@ MUTANTS = (
            "generators < spec.max_generators:\n",
            (BRUTE_FORCE, "tests/test_corpus.py::TestEnumeration::"
             "test_no_space_passes_the_opens_bound")),
+    Mutant("rank-without-closed-grades", DECIDERS,
+           "        self.rank, codes = rank_codes([*opens, *closeds, "
+           "space.carrier],\n"
+           "                                      cfg.lattice)\n",
+           "        self.rank, codes = rank_codes([*opens, space.carrier],\n"
+           "                                      cfg.lattice)\n"
+           "        codes[len(opens):len(opens)] = [\n"
+           "            tuple(map(self.rank.__getitem__, k.sort_key()))\n"
+           "            for k in closeds]\n",
+           (MASK_ORACLE,)),
+    Mutant("cross-parameter-as-pointwise", DECIDERS,
+           '        if self.cfg.disjointness_mode == "pointwise":\n'
+           "            return cells\n",
+           "        return cells\n",
+           (MASK_ORACLE, "tests/test_deciders.py::TestConnectedness::"
+            "test_cross_parameter_mode_changes_the_answer")),
+    Mutant("validate-last-pair-first", "src/fstopo/topology.py",
+           "for j in range(i + 1, len(order)):",
+           "for j in reversed(range(i + 1, len(order))):",
+           ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
     Mutant("complement-float-grades", "src/fstopo/algebra.py",
            "tuple(GRADE_ONE - g for g in self.grades)",
            "tuple(float(GRADE_ONE - g) for g in self.grades)",

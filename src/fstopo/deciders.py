@@ -26,12 +26,26 @@ set the opens above it, and the configured pair relation and regularity
 reading as a test of which pairs qualify.  Every scan runs in canonical
 order, so the first witness of a failure is deterministic.
 Connectedness has a scan of its own.
+
+The masks are built on rank codes, not on ``Fraction``s
+(``softsets.rank_codes``): the lattice grades and every grade of the
+opens, the closed sets and the carrier are ranked, and each set becomes
+its vector of ranks.  Ranking keeps the order of grades, so membership
+and inclusion are cellwise comparisons of codes, and a union is the
+cellwise max.  Rank 0 is grade 0, since every lattice holds 0, so a
+set's nonzero cells are its support: two sets are disjoint pointwise
+when their nonzero cells do not meet, and across parameters when the
+elements nonzero at some parameter do not.  Witnesses are rendered from
+the points and sets themselves.  ``point_in``, ``softsets.disjoint`` and
+``leq`` on ``Fraction``s remain the definitions, which
+``tests/test_deciders.py`` builds the masks from and compares.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from operator import le
 from typing import Optional
 
 from .algebra import GradeLattice
@@ -44,8 +58,8 @@ from .engine import (
     _t1_fail,
     _t2_fail,
 )
-from .points import enumerate_points, point_in
-from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, disjoint
+from .points import FuzzySoftPoint, enumerate_points
+from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, rank_codes
 from .topology import FuzzySoftTopology, SubspaceView
 
 PAIR_RELATIONS = ("distinct", "disjoint")
@@ -152,47 +166,107 @@ class AxiomVerdict:
 # the masks of one (space, config)
 
 class _Masks:
-    """The lattice points inside the carrier, in canonical order, with
-    the opens holding each; the masks only some scans read are built on
-    first use."""
+    """The rank codes of one (space, config) and the masks the scans
+    read, each built on first use.
+
+    The codes rank the lattice grades together with those of the opens,
+    the closed sets and the carrier, so every grade compared below has a
+    rank, and rank 0 is grade 0, which every lattice holds.  The lattice
+    points inside the carrier are enumerated only when a scan reads them,
+    so connectedness enumerates none."""
 
     def __init__(self, space: FuzzySoftTopology, cfg: DeciderConfig):
         self.space = space
         self.cfg = cfg
-        self.points = [
-            p
-            for p in enumerate_points(
-                space.universe, space.parameters, cfg.lattice, cfg.cap
-            )
-            if point_in(p, space.carrier)
-        ]
-        self.forms = [p.as_fss() for p in self.points]
-        self.omasks = [_mask(point_in(p, o) for o in space.opens)
-                       for p in self.points]
-        self.scanned = f"{len(self.points)} points scanned"
+        opens, closeds = space.opens, space.closed_sets
+        self.rank, codes = rank_codes([*opens, *closeds, space.carrier],
+                                      cfg.lattice)
+        self.ocodes = codes[:len(opens)]
+        self.kcodes = codes[len(opens):-1]
+        self.top = codes[-1]
+        self.width = len(space.universe)
+
+    def block(self, code: tuple[int, ...], s: int) -> tuple[int, ...]:
+        """The cells of ``code`` at the ``s``-th parameter."""
+        return code[s * self.width:(s + 1) * self.width]
+
+    def support(self, code: tuple[int, ...]) -> int:
+        """The nonzero cells of ``code`` as bits; under the cross-parameter
+        reading, the elements nonzero at some parameter.  Two sets are
+        disjoint exactly when their supports do not meet."""
+        cells = _mask(code)
+        if self.cfg.disjointness_mode == "pointwise":
+            return cells
+        width, elements = self.width, 0
+        while cells:
+            elements |= cells & ((1 << width) - 1)
+            cells >>= width
+        return elements
+
+    @functools.cached_property
+    def point_codes(self) -> list[tuple[FuzzySoftPoint, int, tuple[int, ...]]]:
+        """(point, parameter position, value code) of every lattice point
+        inside the carrier, in canonical order."""
+        space, rank = self.space, self.rank
+        out = []
+        for p in enumerate_points(space.universe, space.parameters,
+                                  self.cfg.lattice, self.cfg.cap):
+            s = space.parameters.index(p.support)
+            value = tuple(map(rank.__getitem__, p.value.grades))
+            if all(map(le, value, self.block(self.top, s))):
+                out.append((p, s, value))
+        return out
+
+    @functools.cached_property
+    def points(self) -> list[FuzzySoftPoint]:
+        return [p for p, _, _ in self.point_codes]
+
+    @property
+    def scanned(self) -> str:
+        return f"{len(self.point_codes)} points scanned"
+
+    @functools.cached_property
+    def forms(self) -> list[tuple[int, ...]]:
+        """The code of each point's soft-set form."""
+        width, cells = self.width, len(self.top)
+        return [(0,) * (s * width) + value + (0,) * (cells - (s + 1) * width)
+                for _, s, value in self.point_codes]
+
+    @functools.cached_property
+    def omasks(self) -> list[int]:
+        blocks = [[self.block(o, s) for o in self.ocodes]
+                  for s in range(len(self.space.parameters))]
+        return [_mask(all(map(le, value, o)) for o in blocks[s])
+                for _, s, value in self.point_codes]
+
+    @functools.cached_property
+    def osupp(self) -> list[int]:
+        return [self.support(o) for o in self.ocodes]
+
+    @functools.cached_property
+    def ksupp(self) -> list[int]:
+        return [self.support(k) for k in self.kcodes]
+
+    @functools.cached_property
+    def psupp(self) -> list[int]:
+        return [self.support(f) for f in self.forms]
 
     @functools.cached_property
     def odisj(self) -> list[int]:
-        opens, mode = self.space.opens, self.cfg.disjointness_mode
-        masks = [0] * len(opens)
-        for i, a in enumerate(opens):
-            for j in range(i, len(opens)):
-                if disjoint(a, opens[j], mode):
-                    masks[i] |= 1 << j
-                    masks[j] |= 1 << i
-        return masks
+        supp = self.osupp
+        return [_mask(not a & b for b in supp) for a in supp]
 
     @functools.cached_property
     def covers(self) -> list[int]:
-        opens = self.space.opens
-        return [_mask(k.leq(o) for o in opens) for k in self.space.closed_sets]
+        return [_mask(all(map(le, k, o)) for o in self.ocodes)
+                for k in self.kcodes]
 
     def pair_test(self, axiom: str):
         """The configured pair relation of ``axiom`` on point indices."""
         if self.cfg.relation_for(axiom) == "distinct":
             return _every_pair  # enumerated points are pairwise distinct
-        forms, mode = self.forms, self.cfg.disjointness_mode
-        return lambda a, b: disjoint(forms[a], forms[b], mode)
+        supp = self.psupp
+        return lambda a, b: not supp[a] & supp[b]
 
     def pair_verdict(self, axiom: str, pair, note: str) -> AxiomVerdict:
         witness = None if pair is None else Witness(
@@ -200,8 +274,17 @@ class _Masks:
         return _verdict(axiom, self.cfg, witness, self.scanned)
 
 
-# T3 and T4 re-run T1, regular and normal on the same (space, config)
-_masks = functools.lru_cache(maxsize=1)(_Masks)
+def _masks(space: FuzzySoftTopology, cfg: DeciderConfig) -> _Masks:
+    """The masks of the last (space, config) asked for, which T3 and T4
+    ask again to re-run T1, regular and normal.  The space is matched by
+    identity: hashing it would hash every grade."""
+    m = _LAST[0]
+    if m is None or m.space is not space or m.cfg != cfg:
+        m = _LAST[0] = _Masks(space, cfg)
+    return m
+
+
+_LAST: list[Optional[_Masks]] = [None]
 
 
 def _verdict(axiom: str, cfg: DeciderConfig, witness: Optional[Witness],
@@ -244,7 +327,7 @@ def is_t2(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
 def points_all_closed(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Every lattice point of the carrier is, as a soft set, a closed set."""
     m = _masks(space, cfg)
-    closed = set(space.closed_sets)
+    closed = set(m.kcodes)
     bad = next((p for p, form in zip(m.points, m.forms) if form not in closed),
                None)
     witness = None if bad is None else Witness(
@@ -257,11 +340,16 @@ def is_regular(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     m = _masks(space, cfg)
     closeds = space.closed_sets
     if cfg.regular_reading == "membership":
+        points, kcodes = m.point_codes, m.kcodes
+
         def avoids(a, k):
-            return not point_in(m.points[a], closeds[k])
+            _, s, value = points[a]
+            return not all(map(le, value, m.block(kcodes[k], s)))
     else:
+        psupp, ksupp = m.psupp, m.ksupp
+
         def avoids(a, k):
-            return disjoint(m.forms[a], closeds[k], cfg.disjointness_mode)
+            return not psupp[a] & ksupp[k]
     pair = _regular_fail(m.omasks, m.covers, m.odisj, avoids)
     witness = None if pair is None else Witness(
         "point-closed", (m.points[pair[0]].render(), closeds[pair[1]].render()),
@@ -273,9 +361,9 @@ def is_normal(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Disjoint closed pairs split into disjoint open covers."""
     m = _masks(space, cfg)
     closeds = space.closed_sets
-    pair = _normal_fail(
-        m.covers, m.odisj,
-        lambda i, j: disjoint(closeds[i], closeds[j], cfg.disjointness_mode))
+    ksupp = m.ksupp
+    pair = _normal_fail(m.covers, m.odisj,
+                        lambda i, j: not ksupp[i] & ksupp[j])
     witness = None if pair is None else set_witness(
         "closed-pair", closeds[pair[0]], closeds[pair[1]],
         note="no disjoint opens cover the closed pair")
@@ -313,17 +401,15 @@ def find_separation(
     space: FuzzySoftTopology, cfg: DeciderConfig
 ) -> Optional[tuple[FuzzySoftSet, FuzzySoftSet]]:
     """First pair of disjoint nonempty opens whose union is the carrier."""
-    opens = space.opens
-    for i, a in enumerate(opens):
-        if a.is_null():
+    m = _masks(space, cfg)
+    codes, supp = m.ocodes, m.osupp
+    for i, a in enumerate(codes):
+        if not supp[i]:  # the null set
             continue
-        for b in opens[i + 1 :]:
-            if b.is_null():
-                continue
-            if not disjoint(a, b, cfg.disjointness_mode):
-                continue
-            if a.union(b) == space.carrier:
-                return (a, b)
+        for j in range(i + 1, len(codes)):
+            if supp[j] and not supp[i] & supp[j] and (
+                    tuple(map(max, a, codes[j])) == m.top):
+                return space.opens[i], space.opens[j]
     return None
 
 

@@ -110,11 +110,13 @@ class FuzzySoftSet:
         unknown = [name for name in assignment if name not in parameters]
         if unknown:
             raise KeyError(f"unknown parameters: {unknown}")
-        zero = FuzzySet.constant(universe, GRADE_ZERO)
+        zero = None
         values = []
         for name in parameters:
             raw = assignment.get(name)
             if raw is None:
+                if zero is None:
+                    zero = FuzzySet.constant(universe, GRADE_ZERO)
                 values.append(zero)
             elif isinstance(raw, FuzzySet):
                 values.append(raw)
@@ -191,6 +193,25 @@ class FuzzySoftSet:
             f"{name}: {v.render()}" for name, v in zip(self.parameters, self.values)
         )
         return "{" + inner + "}"
+
+
+def rank_codes(
+    sets, grades=()
+) -> tuple[dict[Fraction, int], list[tuple[int, ...]]]:
+    """The rank of each distinct grade among ``grades`` and those of
+    ``sets``, and each set's grade vector as ranks (its code).
+
+    Ranking keeps the order of grades, and max and min only pick grades
+    that are already there, so codes compare, meet and join exactly as
+    the sets do: code(a union b) is the cellwise max of the codes, and
+    a.leq(b) holds when a's code lies cellwise under b's.
+    """
+    vectors = [s.sort_key() for s in sets]
+    distinct = set(grades)
+    for v in vectors:
+        distinct.update(v)
+    rank = {g: i for i, g in enumerate(sorted(distinct))}
+    return rank, [tuple(map(rank.__getitem__, v)) for v in vectors]
 
 
 def disjoint(g: FuzzySoftSet, h: FuzzySoftSet, mode: str = "pointwise") -> bool:

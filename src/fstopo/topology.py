@@ -17,6 +17,19 @@ Closure and interior are computed by direct scan:
 No lattice-theoretic shortcut is taken; on families of this size the scan
 is the definition, which keeps the engine self-evidently faithful.  Results
 are memoised per topology instance, which changes nothing observable.
+Closure and interior stay these ``Fraction`` scans: they are the oracle
+the integer engine and the tests check against.
+
+Validation does not compare ``Fraction``s pair by pair.  It ranks the
+distinct grades of the carrier and the candidates and codes each set as
+its vector of ranks (``softsets.rank_codes``).  Min and max only pick
+grades that are already there, and ranking keeps their order, so the
+cellwise min and max of two codes are the codes of the intersection and
+the union, and equal codes are equal sets: the axioms are decided on
+integer tuples exactly.  The pairs are scanned in canonical order and
+the witnesses rendered from the sets, so the violations are those of the
+scan over the sets.  The topology is then built without the
+constructor's re-check of what was just checked.
 
 A subspace at a carrier g below the parent carrier has opens {g min o}.
 Its subspace-relative closed sets are the traces {k min g} of the parent's
@@ -32,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import le
 
 from .algebra import ContextMismatchError, GradeLattice
 from .points import FuzzySoftPoint, point_in
-from .softsets import FuzzySoftSet, enumerate_lattice_sets
+from .softsets import FuzzySoftSet, enumerate_lattice_sets, rank_codes
 
 
 class CarrierBoundError(ValueError):
@@ -100,14 +114,19 @@ class FuzzySoftTopology:
     def parameters(self):
         return self.carrier.parameters
 
-    @property
+    @cached_property
     def null_set(self) -> FuzzySoftSet:
         return FuzzySoftSet.null(self.carrier.universe, self.carrier.parameters)
 
     @cached_property
     def closed_sets(self) -> tuple[FuzzySoftSet, ...]:
-        """Complements 1 - o of the opens, deduplicated, canonical order."""
-        return _canonical_family(o.complement() for o in self.opens)
+        """Complements 1 - o of the opens, deduplicated, canonical order.
+
+        1 - g reverses the order of grades, so it reverses the
+        lexicographic order of grade vectors: the complements of the
+        opens taken last to first are already distinct and canonical.
+        """
+        return tuple(o.complement() for o in reversed(self.opens))
 
     @cached_property
     def _open_set(self) -> frozenset[FuzzySoftSet]:
@@ -195,8 +214,7 @@ class FuzzySoftTopology:
         self._check_context(g)
         if not g.leq(self.carrier):
             raise CarrierBoundError("subspace carrier must lie below the carrier")
-        induced = _canonical_family(g.intersection(o) for o in self.opens)
-        space = validate_topology(g, induced)
+        space = validate_topology(g, [g.intersection(o) for o in self.opens])
         return SubspaceView(parent=self, space=space)
 
 
@@ -214,11 +232,18 @@ def validate_topology(
     for c in family:
         if c.universe != carrier.universe or c.parameters != carrier.parameters:
             raise ContextMismatchError("candidate open does not belong to the space")
-    opens = _canonical_family(family)
+    _, codes = rank_codes([carrier, *family])
+    top = codes[0]
+    # equal codes are equal sets; sorted codes are the canonical order
+    by_code: dict[tuple[int, ...], FuzzySoftSet] = {}
+    for code, s in zip(codes[1:], family):
+        by_code.setdefault(code, s)
+    order = sorted(by_code)
+    opens = tuple(by_code[code] for code in order)
     violations: list[AxiomViolation] = []
 
-    for o in opens:
-        if not o.leq(carrier):
+    for code, o in zip(order, opens):
+        if not all(map(le, code, top)):
             violations.append(
                 AxiomViolation(
                     "carrier-bound",
@@ -226,28 +251,29 @@ def validate_topology(
                     f"candidate exceeds the carrier: {o.render()}",
                 )
             )
-    null = FuzzySoftSet.null(carrier.universe, carrier.parameters)
-    if null not in set(opens):
+    # the null set comes first in canonical order when it is there at all
+    if not opens or not opens[0].is_null():
         violations.append(
             AxiomViolation("contains-null", (), "the null set is not in the family")
         )
-    if carrier not in set(opens):
+    present = by_code.keys()
+    if top not in present:
         violations.append(
             AxiomViolation(
                 "contains-carrier", (), "the carrier is not in the family"
             )
         )
-    present = set(opens)
     inter_witness = None
     union_witness = None
-    for i, a in enumerate(opens):
+    for i, a in enumerate(order):
         if inter_witness is not None and union_witness is not None:
             break
-        for b in opens[i + 1 :]:
-            if inter_witness is None and a.intersection(b) not in present:
-                inter_witness = (a, b)
-            if union_witness is None and a.union(b) not in present:
-                union_witness = (a, b)
+        for j in range(i + 1, len(order)):
+            b = order[j]
+            if inter_witness is None and tuple(map(min, a, b)) not in present:
+                inter_witness = (opens[i], opens[j])
+            if union_witness is None and tuple(map(max, a, b)) not in present:
+                union_witness = (opens[i], opens[j])
             if inter_witness is not None and union_witness is not None:
                 break
     if inter_witness is not None:
@@ -270,7 +296,11 @@ def validate_topology(
         )
     if violations:
         raise TopologyValidationError(tuple(violations))
-    return FuzzySoftTopology(carrier, opens)
+    # every invariant the constructor re-checks was checked above
+    space = object.__new__(FuzzySoftTopology)
+    object.__setattr__(space, "carrier", carrier)
+    object.__setattr__(space, "opens", opens)
+    return space
 
 
 @dataclass(frozen=True)

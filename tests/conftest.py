@@ -2,11 +2,13 @@ import functools
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
-from fstopo.algebra import GradeLattice, Universe
+from fstopo.algebra import FuzzySet, GradeLattice, Universe
 from fstopo.auditor import run_audit
 from fstopo.corpus import SetPool
-from fstopo.softsets import ParameterSet
+from fstopo.softsets import FuzzySoftSet, ParameterSet
+from fstopo.topology import validate_topology
 
 settings.register_profile(
     "suite",
@@ -60,3 +62,50 @@ def full_audit():
     so statuses here are the definitive ones.
     """
     return run_audit(workers=2)
+
+
+# grades off the usual lattices: 1/3 and 3/4 are in none of them, and
+# their complements 2/3 and 1/4 are new grades again
+OBJECT_GRADES = ("0", "1/3", "1/2", "3/4", "1")
+OBJECT_LATTICES = (GradeLattice.close([]), GradeLattice.close(["1/2"]),
+                   GradeLattice.uniform(3), GradeLattice.uniform(4))
+
+
+def min_max_closure(sets):
+    """The smallest family holding ``sets`` and closed under pairwise
+    min and max, by the Fraction operations."""
+    family = set(sets)
+    while True:
+        grown = family | {op(a, b) for a in family for b in family
+                          for op in (FuzzySoftSet.union,
+                                     FuzzySoftSet.intersection)}
+        if grown == family:
+            return family
+        family = grown
+
+
+@st.composite
+def object_sets(draw, universe, parameters):
+    """A soft set over the context with grades from OBJECT_GRADES."""
+    cell = st.sampled_from(OBJECT_GRADES)
+    return FuzzySoftSet(universe, parameters, tuple(
+        FuzzySet(universe, tuple(draw(cell) for _ in universe))
+        for _ in parameters))
+
+
+@st.composite
+def object_spaces(draw):
+    """A topology on 1x1 to 2x2 built from Fraction sets: up to three
+    drawn generators under the full carrier or a drawn one, closed under
+    min and max."""
+    universe = Universe(("x", "y")[:draw(st.integers(1, 2))])
+    parameters = ParameterSet(("e1", "e2")[:draw(st.integers(1, 2))])
+    sets = object_sets(universe, parameters)
+    carrier = FuzzySoftSet.full(universe, parameters)
+    if draw(st.booleans()):
+        carrier = draw(sets)
+    gens = [g.intersection(carrier)
+            for g in draw(st.lists(sets, min_size=1, max_size=3))]
+    family = min_max_closure(
+        [FuzzySoftSet.null(universe, parameters), carrier, *gens])
+    return validate_topology(carrier, family)

@@ -5,10 +5,17 @@ space on two elements is T4, the indiscrete space separates nothing,
 and the split topology {null, {x}, {y}, carrier} is disconnected.
 """
 
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from fstopo import deciders
 from fstopo.algebra import GradeLattice, Universe
 from fstopo.deciders import (
+    PAIR_RELATIONS,
+    REGULAR_READINGS,
     DeciderConfig,
     DeciderPreconditionError,
     clopen_witness,
@@ -24,8 +31,24 @@ from fstopo.deciders import (
     points_all_closed,
     subspace_separation,
 )
-from fstopo.softsets import FuzzySoftSet, ParameterSet
+from fstopo.engine import (
+    _mask,
+    _normal_fail,
+    _regular_fail,
+    _t0_fail,
+    _t1_fail,
+    _t2_fail,
+)
+from fstopo.points import enumerate_points, point_in
+from fstopo.softsets import (
+    DISJOINTNESS_MODES,
+    FuzzySoftSet,
+    ParameterSet,
+    disjoint,
+)
 from fstopo.topology import validate_topology
+
+from conftest import OBJECT_LATTICES, object_spaces
 
 U = Universe.of("x", "y")
 E = ParameterSet.of("e1")
@@ -219,3 +242,131 @@ class TestVerdictShape:
         assert payload["holds"] is False
         assert payload["witness"]["kind"] == "point-pair"
         assert "@" in verdict.witness.render()
+
+
+# -- the rank-coded masks against the Fraction definitions -----------------
+
+READINGS = list(product(DISJOINTNESS_MODES, (None, *PAIR_RELATIONS),
+                        REGULAR_READINGS))
+
+
+def fraction_masks(space, cfg):
+    """What the deciders' masks mean, built from the Fraction sets with
+    ``point_in``, ``disjoint`` and ``leq``: the lattice points inside the
+    carrier, the opens holding each, the opens disjoint from each open,
+    the opens above each closed set, and the pair tests."""
+    mode = cfg.disjointness_mode
+    opens, closeds = space.opens, space.closed_sets
+    points = [p for p in enumerate_points(
+        space.universe, space.parameters, cfg.lattice, cfg.cap)
+        if point_in(p, space.carrier)]
+    forms = [p.as_fss() for p in points]
+    if cfg.regular_reading == "membership":
+        def avoids(a, k):
+            return not point_in(points[a], closeds[k])
+    else:
+        def avoids(a, k):
+            return disjoint(forms[a], closeds[k], mode)
+    return dict(
+        points=points,
+        omasks=[_mask(point_in(p, o) for o in opens) for p in points],
+        odisj=[_mask(disjoint(a, b, mode) for b in opens) for a in opens],
+        covers=[_mask(k.leq(o) for o in opens) for k in closeds],
+        pair_test=lambda axiom: (
+            (lambda a, b: disjoint(forms[a], forms[b], mode))
+            if cfg.relation_for(axiom) == "disjoint" else lambda a, b: True),
+        avoids=avoids,
+        closeds_disjoint=lambda i, j: disjoint(closeds[i], closeds[j], mode),
+        not_closed=next((p for p, f in zip(points, forms)
+                         if f not in set(closeds)), None),
+    )
+
+
+def fraction_separation(space, mode):
+    """First pair of disjoint nonempty opens whose Fraction union is the
+    carrier."""
+    opens = space.opens
+    for i, a in enumerate(opens):
+        for b in opens[i + 1:]:
+            if (not a.is_null() and not b.is_null()
+                    and disjoint(a, b, mode)
+                    and a.union(b) == space.carrier):
+                return a, b
+    return None
+
+
+def rendered(items, pair):
+    return None if pair is None else tuple(items[i].render() for i in pair)
+
+
+def witness_of(verdict):
+    return None if verdict.holds else verdict.witness.rendered
+
+
+# the open {x: 1/3} has the closed set {x: 2/3}, a grade in neither the
+# lattice nor the opens; the carrier's 3/4 is outside the lattice too
+THIRDS = validate_topology(
+    FuzzySoftSet.build(Universe.of("x"), E, {"e1": {"x": "3/4"}}),
+    [FuzzySoftSet.null(Universe.of("x"), E),
+     FuzzySoftSet.build(Universe.of("x"), E, {"e1": {"x": "1/3"}}),
+     FuzzySoftSet.build(Universe.of("x"), E, {"e1": {"x": "3/4"}})])
+
+
+@given(object_spaces(), st.sampled_from(OBJECT_LATTICES))
+@example(THIRDS, CRISP)
+@example(THIRDS, GradeLattice.close(["1/2"]))
+def test_masks_match_the_fraction_definitions(space, lattice):
+    for mode, relation, reading in READINGS:
+        cfg = DeciderConfig(lattice=lattice, disjointness_mode=mode,
+                            point_pair_relation=relation,
+                            regular_reading=reading)
+        want = fraction_masks(space, cfg)
+        got = deciders._masks(space, cfg)
+        points = want["points"]
+        assert got.points == points
+        assert got.omasks == want["omasks"]
+        assert got.odisj == want["odisj"]
+        assert got.covers == want["covers"]
+        pairs = list(product(range(len(points)), repeat=2))
+        for axiom in ("T0", "T1", "T2"):
+            ok, want_ok = got.pair_test(axiom), want["pair_test"](axiom)
+            assert [ok(a, b) for a, b in pairs] == [
+                want_ok(a, b) for a, b in pairs], axiom
+        # the verdicts the shared scans give on the Fraction masks
+        om, od, cov = want["omasks"], want["odisj"], want["covers"]
+        closeds = space.closed_sets
+        assert witness_of(is_t0(space, cfg)) == rendered(
+            points, _t0_fail(om, want["pair_test"]("T0")))
+        t1 = _t1_fail(om, want["pair_test"]("T1"))
+        assert witness_of(is_t1(space, cfg)) == rendered(
+            points, None if t1 is None else sorted(t1))
+        assert witness_of(is_t2(space, cfg)) == rendered(
+            points, _t2_fail(om, od, want["pair_test"]("T2")))
+        pair = _regular_fail(om, cov, od, want["avoids"])
+        assert witness_of(is_regular(space, cfg)) == (
+            None if pair is None
+            else (points[pair[0]].render(), closeds[pair[1]].render()))
+        pair = _normal_fail(cov, od, want["closeds_disjoint"])
+        assert witness_of(is_normal(space, cfg)) == rendered(closeds, pair)
+        bad = want["not_closed"]
+        assert witness_of(points_all_closed(space, cfg)) == (
+            None if bad is None else (bad.render(),))
+        assert find_separation(space, cfg) == fraction_separation(space, mode)
+
+
+def test_connectedness_enumerates_no_points(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("points enumerated")
+
+    monkeypatch.setattr(deciders, "enumerate_points", refuse)
+    space = validate_topology(FULL, [NULL, OX, OY, FULL])
+    assert not is_connected(space, crisp_cfg()).holds
+    doc = tmp_path / "split.fst"
+    doc.write_text("universe: x y\nparameters: e1\nopen x:\n  e1: x=1\n"
+                   "open y:\n  e1: y=1\nopen none:\nopen all:\n"
+                   "  e1: x=1 y=1\n")
+    from fstopo import cli
+    assert cli.main(["connected", str(doc)]) == 0
+    assert "connected: no" in capsys.readouterr().out
+    with pytest.raises(AssertionError, match="points enumerated"):
+        is_t0(space, crisp_cfg())

@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from fstopo.algebra import ContextMismatchError, GradeLattice, Universe
 from fstopo.points import FuzzySoftPoint, point_in
@@ -11,6 +13,8 @@ from fstopo.topology import (
     TopologyValidationError,
     validate_topology,
 )
+
+from conftest import min_max_closure, object_sets, object_spaces
 
 U = Universe.of("x", "y")
 E = ParameterSet.of("e1", "e2")
@@ -182,13 +186,74 @@ def test_every_generated_family_validates():
     pool = enumerate_lattice_sets(U, E, DESK)
     sample = pool[::13]
     for g, h in combinations(sample, 2):
-        family = {NULL, FULL, g, h, g.union(h), g.intersection(h)}
-        closed = False
-        while not closed:
-            extra = {
-                a.union(b) for a, b in combinations(family, 2)
-            } | {a.intersection(b) for a, b in combinations(family, 2)}
-            closed = extra.issubset(family)
-            family |= extra
-        space = validate_topology(FULL, family)
+        space = validate_topology(FULL, min_max_closure([NULL, FULL, g, h]))
         assert space.is_open(g) and space.is_open(h)
+
+
+def fraction_violations(carrier, family):
+    """(axiom, members, detail) of each violation, by a scan over the
+    Fraction sets: every candidate against the carrier, then the first
+    pair in canonical order whose min, and the first whose max, is
+    missing."""
+    opens = sorted(set(family), key=lambda s: s.sort_key())
+    out = [("carrier-bound", (o,),
+            f"candidate exceeds the carrier: {o.render()}")
+           for o in opens if not o.leq(carrier)]
+    if FuzzySoftSet.null(carrier.universe, carrier.parameters) not in opens:
+        out.append(("contains-null", (), "the null set is not in the family"))
+    if carrier not in opens:
+        out.append(("contains-carrier", (),
+                    "the carrier is not in the family"))
+    pairs = list(combinations(opens, 2))
+    for axiom, op, word in (
+            ("intersection-closed", FuzzySoftSet.intersection, "intersection"),
+            ("union-closed", FuzzySoftSet.union, "union")):
+        missing = next(((a, b) for a, b in pairs if op(a, b) not in opens),
+                       None)
+        if missing is not None:
+            a, b = missing
+            out.append((axiom, missing,
+                        f"missing {word} of {a.render()} and {b.render()}"))
+    return out
+
+
+@st.composite
+def broken_families(draw):
+    """(carrier, family): a valid topology with one open dropped, or
+    with one stray set added, which may exceed the carrier."""
+    space = draw(object_spaces())
+    family = list(space.opens)
+    if draw(st.booleans()):
+        family.pop(draw(st.integers(0, len(family) - 1)))
+    else:
+        family.append(draw(object_sets(space.universe, space.parameters)))
+    return space.carrier, family
+
+
+# the first failing pair is ({y: 1/2}, {x: 1/2}) and ({y: 1/2}, {x: 3/4})
+# fails too: only canonical pair order picks the first
+TWO_PARTNERS = (fss({"e1": {"x": 1, "y": 1}}), [
+    NULL, fss({"e1": {"y": "1/2"}}), fss({"e1": {"y": 1}}),
+    fss({"e1": {"x": "1/2"}}), fss({"e1": {"x": "3/4"}}),
+    fss({"e1": {"x": 1, "y": 1}})])
+
+
+@given(broken_families())
+@example(TWO_PARTNERS)
+def test_violations_match_a_fraction_scan(drawn):
+    carrier, family = drawn
+    try:
+        validate_topology(carrier, family)
+        found = []
+    except TopologyValidationError as err:
+        found = [(v.axiom, v.members, v.detail) for v in err.violations]
+    assert found == fraction_violations(carrier, family)
+
+
+@given(object_spaces())
+def test_validated_spaces_meet_the_constructor_checks(space):
+    # validate_topology builds its result without the constructor's
+    # re-check, and takes the closed sets in reverse open order
+    assert FuzzySoftTopology(space.carrier, space.opens) == space
+    assert space.closed_sets == tuple(sorted(
+        {o.complement() for o in space.opens}, key=lambda s: s.sort_key()))
