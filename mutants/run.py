@@ -51,6 +51,7 @@ MASK_ORACLE = ("tests/test_deciders.py::"
                "test_masks_match_the_fraction_definitions")
 SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
 CORPUS = "src/fstopo/corpus.py"
+DOCUMENT = "src/fstopo/document.py"
 BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
                "test_enumeration_matches_brute_force")
 
@@ -148,6 +149,22 @@ MUTANTS = (
            "for j in range(i + 1, len(order)):",
            "for j in reversed(range(i + 1, len(order))):",
            ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
+    Mutant("grade-unicode-digits", "src/fstopo/algebra.py",
+           r'_FRACTION_RE = re.compile(r"\A([0-9]+)\s*/\s*([0-9]+)\Z")',
+           r'_FRACTION_RE = re.compile(r"\A(\d+)\s*/\s*(\d+)\Z")',
+           ("tests/test_algebra.py::TestAsGrade::"
+            "test_refuses_digits_outside_ascii",)),
+    # a memo that outlives one parse_document call
+    Mutant("document-memo-module-level", DOCUMENT,
+           "    memo: dict[str, Fraction] = {}  # grade token -> its "
+           "validated grade\n",
+           '    memo = globals().setdefault("_MEMO", {})\n',
+           ("tests/test_document.py::"
+            "test_each_distinct_grade_token_is_validated_once",)),
+    Mutant("document-grade-unchecked", DOCUMENT,
+           "grade = memo[token] = as_grade(token)",
+           "grade = memo[token] = Fraction(token)",
+           ("tests/test_document.py::test_errors_carry_line_numbers",)),
     Mutant("complement-float-grades", "src/fstopo/algebra.py",
            "tuple(GRADE_ONE - g for g in self.grades)",
            "tuple(float(GRADE_ONE - g) for g in self.grades)",

@@ -51,8 +51,9 @@ class CapExceededError(ValueError):
         super().__init__(f"{what}: {required} items exceed cap {cap}")
 
 
-_FRACTION_RE = re.compile(r"\A(\d+)\s*/\s*(\d+)\Z")
-_DECIMAL_RE = re.compile(r"\A(\d+)(?:\.(\d+))?\Z")
+# ASCII digits only: ``\d`` would also take other scripts' digits
+_FRACTION_RE = re.compile(r"\A([0-9]+)\s*/\s*([0-9]+)\Z")
+_DECIMAL_RE = re.compile(r"\A([0-9]+)(?:\.([0-9]+))?\Z")
 
 
 def parse_grade(text: str) -> Fraction:

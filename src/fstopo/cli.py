@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 
 from .algebra import CapExceededError, GradeError, GradeLattice, as_grade
 from .auditor import run_audit
@@ -151,10 +152,12 @@ def _read_document(path: str) -> SpaceDocument:
     return parse_document(text)
 
 
-def _resolve_lattice(spec: str, doc: SpaceDocument) -> GradeLattice:
+def _resolve_lattice(spec: str, grades: set[Fraction]) -> GradeLattice:
+    """The lattice ``spec`` names; ``auto`` closes ``grades``, the
+    document's occurring grades."""
     try:
         if spec == "auto":
-            return GradeLattice.close(doc.occurring_grades())
+            return GradeLattice.close(grades)
         if re.fullmatch(r"[0-9]+", spec):
             return GradeLattice.uniform(int(spec))
         if "," in spec:
@@ -167,12 +170,13 @@ def _resolve_lattice(spec: str, doc: SpaceDocument) -> GradeLattice:
                       "denominator, or a comma list of grades")
 
 
-def _check_lattice_covers(lattice: GradeLattice, doc: SpaceDocument) -> None:
-    for g in sorted(doc.occurring_grades()):
-        if g not in lattice:
-            raise _UsageError(
-                f"grade {g} from the document is not in the selected "
-                f"lattice {lattice.render()}")
+def _check_lattice_covers(lattice: GradeLattice, grades: set[Fraction]) -> None:
+    """Refuse, naming the least, any of ``grades`` outside ``lattice``."""
+    missing = grades.difference(lattice.grades)
+    if missing:
+        raise _UsageError(
+            f"grade {min(missing)} from the document is not in the selected "
+            f"lattice {lattice.render()}")
 
 
 def _config(args, lattice: GradeLattice) -> DeciderConfig:
@@ -218,8 +222,9 @@ def _load(args, build: bool = True):
     grades, and the validated topology, or None when ``build`` is off;
     a family failing the axioms is a validation failure."""
     doc = _read_document(args.file)
-    lattice = _resolve_lattice(args.lattice, doc)
-    _check_lattice_covers(lattice, doc)
+    grades = doc.occurring_grades()
+    lattice = _resolve_lattice(args.lattice, grades)
+    _check_lattice_covers(lattice, grades)
     if not build:
         return doc, lattice, None
     try:

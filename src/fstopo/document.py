@@ -22,6 +22,13 @@ not mentioned get grade 0, so the empty block is the null set.  Grades
 accept fractions, integers and decimal shorthand, and always render
 back as exact fractions.  The carrier block is optional and defaults to
 the all-one set.  Every parse problem is reported with its line number.
+
+Each distinct grade token is validated once per parse, by ``as_grade``,
+and its grade is reused wherever the token occurs again; nothing is
+kept from one parse to the next.  A row is filled over the whole
+universe from grades validated already, so it is built through the
+trusted path of the lattice operations, ``algebra._lattice_set``, and
+``FuzzySoftSet.build`` takes those rows without checking them again.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import FuzzySet, Universe, as_grade
+from .algebra import GRADE_ZERO, FuzzySet, Universe, _lattice_set, as_grade
 from .softsets import FuzzySoftSet, ParameterSet
 
 RESERVED_NAMES = ("carrier",)
@@ -103,11 +110,17 @@ def _render_rows(value: FuzzySoftSet) -> list[str]:
     return rows
 
 
-def _parse_grade(token: str, line_no: int) -> Fraction:
-    try:
-        return as_grade(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DocumentError(line_no, f"bad grade {token!r}: {exc}") from None
+def _parse_grade(token: str, line_no: int, memo: dict[str, Fraction]) -> Fraction:
+    """The grade ``token`` names: validated on its first occurrence and
+    read from ``memo`` after that.  A bad token is not kept."""
+    grade = memo.get(token)
+    if grade is None:
+        try:
+            grade = memo[token] = as_grade(token)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(
+                line_no, f"bad grade {token!r}: {exc}") from None
+    return grade
 
 
 def parse_document(text: str) -> SpaceDocument:
@@ -118,6 +131,7 @@ def parse_document(text: str) -> SpaceDocument:
     blocks: list[tuple[str, str, dict, int]] = []  # kind, name, rows, line
     current_rows: dict[str, FuzzySet] | None = None
     taken_names: set[str] = set()
+    memo: dict[str, Fraction] = {}  # grade token -> its validated grade
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -128,7 +142,7 @@ def parse_document(text: str) -> SpaceDocument:
         if indented:
             if current_rows is None:
                 raise DocumentError(line_no, "indented row outside any block")
-            _parse_row(raw, line_no, universe, parameters, current_rows)
+            _parse_row(raw, line_no, universe, parameters, current_rows, memo)
             continue
 
         current_rows = None
@@ -164,7 +178,7 @@ def parse_document(text: str) -> SpaceDocument:
             tokens = rest.split()
             if not tokens:
                 raise DocumentError(line_no, "lattice needs at least one grade")
-            lattice_spec = tuple(_parse_grade(t, line_no) for t in tokens)
+            lattice_spec = tuple(_parse_grade(t, line_no, memo) for t in tokens)
         elif head == "carrier":
             if rest:
                 raise DocumentError(line_no, "carrier takes no inline value")
@@ -227,7 +241,8 @@ def parse_document(text: str) -> SpaceDocument:
     )
 
 
-def _parse_row(raw: str, line_no: int, universe, parameters, rows) -> None:
+def _parse_row(raw: str, line_no: int, universe, parameters, rows,
+               memo: dict[str, Fraction]) -> None:
     if universe is None or parameters is None:
         raise DocumentError(
             line_no, "rows must come after universe and parameters")
@@ -250,8 +265,9 @@ def _parse_row(raw: str, line_no: int, universe, parameters, rows) -> None:
             raise DocumentError(line_no, f"unknown element {elem!r}")
         if elem in grades:
             raise DocumentError(line_no, f"duplicate element {elem!r}")
-        grades[elem] = _parse_grade(grade_text, line_no)
-    rows[param] = FuzzySet.from_mapping(universe, grades)
+        grades[elem] = _parse_grade(grade_text, line_no, memo)
+    rows[param] = _lattice_set(
+        universe, tuple([grades.get(name, GRADE_ZERO) for name in universe]))
 
 
 def document_from_topology(

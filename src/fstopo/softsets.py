@@ -30,6 +30,7 @@ from .algebra import (
     FuzzySet,
     GradeLattice,
     Universe,
+    _lattice_set,
     as_grade,
 )
 
@@ -116,7 +117,7 @@ class FuzzySoftSet:
             raw = assignment.get(name)
             if raw is None:
                 if zero is None:
-                    zero = FuzzySet.constant(universe, GRADE_ZERO)
+                    zero = _lattice_set(universe, (GRADE_ZERO,) * len(universe))
                 values.append(zero)
             elif isinstance(raw, FuzzySet):
                 values.append(raw)
@@ -288,13 +289,15 @@ def parse_fss_literal(
 
     Parameters or elements that are not mentioned default to grade 0, so
     ``parse_fss_literal(s.render(), ...) == s`` for every soft set ``s``.
+    Each distinct grade text is validated once, and the rows are built
+    from validated grades without checking them again.
     """
     stripped = text.strip()
     if not (stripped.startswith("{") and stripped.endswith("}")):
         raise ValueError(f"fuzzy soft set literal must be brace-delimited: {text!r}")
     body = stripped[1:-1]
-    assignment: dict[str, dict[str, Fraction]] = {}
-    consumed = 0
+    memo: dict[str, Fraction] = {}  # grade text -> its validated grade
+    assignment: dict[str, FuzzySet] = {}
     for m in _LITERAL_BLOCK_RE.finditer(body):
         pname = m.group(1)
         if pname not in parameters:
@@ -313,9 +316,13 @@ def parse_fss_literal(
                     raise KeyError(f"unknown universe element in literal: {name!r}")
                 if name in grades:
                     raise ValueError(f"element listed twice in literal: {name!r}")
-                grades[name] = as_grade(grade_text.strip())
-        assignment[pname] = grades
-        consumed += len(m.group(0))
+                grade_text = grade_text.strip()
+                grade = memo.get(grade_text)
+                if grade is None:
+                    grade = memo[grade_text] = as_grade(grade_text)
+                grades[name] = grade
+        assignment[pname] = _lattice_set(
+            universe, tuple([grades.get(n, GRADE_ZERO) for n in universe]))
     leftovers = _LITERAL_BLOCK_RE.sub("", body).replace(",", "").strip()
     if leftovers:
         raise ValueError(f"unparsable fragment in literal: {leftovers!r}")

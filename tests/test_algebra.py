@@ -45,6 +45,13 @@ class TestAsGrade:
         with pytest.raises(GradeError):
             as_grade(bad)
 
+    # Arabic-Indic, Devanagari and fullwidth digits: the grade syntax is ASCII
+    @pytest.mark.parametrize("bad", ["\u0661/\u0662", "\u0660.\u0665",
+                                     "\u0967", "\uff11/\uff12"])
+    def test_refuses_digits_outside_ascii(self, bad):
+        with pytest.raises(GradeError):
+            as_grade(bad)
+
     @given(grades(den=1000))
     def test_render_round_trip(self, g):
         assert as_grade(render_grade(g)) == g

@@ -15,7 +15,11 @@ from fstopo import cli
 from fstopo.algebra import GradeLattice, Universe
 from fstopo.corpus import SetPool, close_family
 from fstopo.deciders import DeciderConfig, is_regular, is_t3
-from fstopo.document import document_from_topology, parse_document
+from fstopo.document import (
+    SpaceDocument,
+    document_from_topology,
+    parse_document,
+)
 from fstopo.softsets import ParameterSet
 from fstopo.topology import validate_topology
 
@@ -103,9 +107,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "closure", invalid_doc, "a")
         assert code == 1
 
-    def test_lattice_not_covering_exits_2(self, capsys, valid_doc):
+    def test_lattice_not_covering_exits_2(self, capsys, valid_doc, tmp_path):
         code, _, err = run(capsys, "validate", valid_doc, "--lattice", "0,1")
         assert code == 2 and "1/2" in err
+        # of several grades outside the lattice, the least is named
+        p = tmp_path / "thirds.fst"
+        p.write_text("universe: x y\nparameters: e1\nopen o:\n"
+                     "  e1: x=2/3 y=1/3\n")
+        code, _, err = run(capsys, "validate", str(p), "--lattice", "4")
+        assert code == 2 and "grade 1/3 from" in err and "2/3" not in err
 
     def test_bad_lattice_spec_exits_2(self, capsys, valid_doc):
         code, _, _ = run(capsys, "validate", valid_doc, "--lattice", "zigzag")
@@ -139,6 +149,22 @@ class TestExitCodes:
     def test_help_exits_0(self, capsys):
         assert cli.main(["--help"]) == 0
         capsys.readouterr()
+
+
+class TestLoad:
+    @pytest.mark.parametrize("lattice", ["auto", "4"])
+    def test_occurring_grades_are_built_once_per_command(
+            self, capsys, valid_doc, monkeypatch, lattice):
+        calls = []
+        real = SpaceDocument.occurring_grades
+        monkeypatch.setattr(SpaceDocument, "occurring_grades",
+                            lambda doc: calls.append(doc) or real(doc))
+        for query in (["validate"], ["axioms"], ["connected"],
+                      ["closure", "probe"], ["interior", "probe"]):
+            calls.clear()
+            code, _, _ = run(capsys, query[0], valid_doc, *query[1:],
+                             "--lattice", lattice)
+            assert code == 0 and len(calls) == 1, query
 
 
 class TestRepeatedCalls:

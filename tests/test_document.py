@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from fstopo.algebra import GradeLattice
+from fstopo import document
+from fstopo.algebra import FuzzySet, GradeLattice
 from fstopo.document import (
     DocumentError,
     document_from_topology,
@@ -97,6 +100,10 @@ def test_occurring_grades_include_the_lattice_line():
         ("universe: x\nparameters: e1\nopen o:\n  e9: x=1\n", "line 4"),
         ("universe: x\nparameters: e1\nopen o:\n  e1: z=1\n", "line 4"),
         ("universe: x\nparameters: e1\nopen o:\n  e1: x=3/2\n", "line 4"),
+        # Arabic-Indic digits one half: the grade syntax is ASCII
+        ("universe: x\nparameters: e1\nopen o:\n  e1: x=\u0661/\u0662\n",
+         "line 4"),
+        ("universe: x\nparameters: e1\nlattice: 0 \u0661\n", "line 3"),
         ("universe: x\nparameters: e1\nopen o:\n  e1: x=1 x=0\n", "line 4"),
         ("universe: x\nparameters: e1\nwhatever: 1\n", "line 3"),
         ("universe: x\nparameters: e1\nopen carrier:\n", "reserved"),
@@ -138,3 +145,84 @@ def test_comments_and_blank_lines_ignored():
     doc = parse_document(text)
     assert doc.named_set("o") == FuzzySoftSet.build(
         doc.universe, doc.parameters, {"e1": {"x": 1}})
+
+
+# distinct spellings of the same grades, so equal grades come from
+# different tokens as well as from repeated ones
+TOKENS = ("0", "00", "1", "1.0", "1/2", "2/4", "0.5", "1/3", "0.25", "3/4")
+
+
+@st.composite
+def drawn_documents(draw):
+    """Document text and, for each block, its rows as token mappings."""
+    universe = ("x", "y", "z")[:draw(st.integers(1, 3))]
+    parameters = ("e1", "e2")[:draw(st.integers(1, 2))]
+    tokens = st.sampled_from(TOKENS)
+    lines = ["universe: " + " ".join(universe),
+             "parameters: " + " ".join(parameters)]
+    if draw(st.booleans()):
+        lines.append("lattice: " + " ".join(
+            draw(st.lists(tokens, min_size=1, max_size=4))))
+    names = ["carrier"] if draw(st.booleans()) else []
+    names += [f"o{i}" for i in range(draw(st.integers(0, 3)))]
+    blocks = {}
+    for name in names:
+        lines.append(f"{name}:" if name == "carrier" else f"open {name}:")
+        rows = {}
+        for param in parameters:
+            if draw(st.booleans()):
+                cells = {e: draw(tokens) for e in universe
+                         if draw(st.booleans())}
+                rows[param] = cells
+                lines.append(f"  {param}: " + " ".join(
+                    f"{e}={t}" for e, t in cells.items()))
+        blocks[name] = rows
+    return "\n".join(lines) + "\n", blocks
+
+
+@given(drawn_documents())
+def test_parsed_sets_equal_their_validating_rebuild(drawn):
+    text, blocks = drawn
+    doc = parse_document(text)
+    for name, rows in blocks.items():
+        parsed = doc.named_set(name)
+        rebuilt = FuzzySoftSet.build(doc.universe, doc.parameters, rows)
+        assert parsed == rebuilt and hash(parsed) == hash(rebuilt)
+        for param, cells in rows.items():
+            row = parsed.value_for(param)
+            again = FuzzySet.from_mapping(doc.universe, cells)
+            assert row == again and hash(row) == hash(again)
+    for value in (doc.carrier, *(v for _, v in doc.opens)):
+        assert all(type(g) is Fraction for row in value.values
+                   for g in row.grades)
+    assert all(type(g) is Fraction for g in doc.lattice_spec or ())
+    assert parse_document(doc.render()) == doc
+
+
+COUNTED = """\
+universe: x y
+parameters: e1 e2
+lattice: 0 1/2 1
+carrier:
+  e1: x=1 y=1
+  e2: x=1 y=0.5
+open o:
+  e1: x=1/2 y=0.5
+set g:
+  e2: x=1/2 y=1
+"""
+
+
+def test_each_distinct_grade_token_is_validated_once(monkeypatch):
+    calls = []
+    real = document.as_grade
+    monkeypatch.setattr(document, "as_grade",
+                        lambda token: calls.append(token) or real(token))
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        parse_document(COUNTED)
+        assert sorted(calls) == ["0", "0.5", "1", "1/2"]
+        counts.append(len(calls))
+    # nothing validated in one parse is reused by the next
+    assert counts == [4, 4]
