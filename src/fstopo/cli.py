@@ -170,7 +170,8 @@ def _resolve_lattice(spec: str, grades: set[Fraction]) -> GradeLattice:
                       "denominator, or a comma list of grades")
 
 
-def _check_lattice_covers(lattice: GradeLattice, grades: set[Fraction]) -> None:
+def _check_lattice_covers(lattice: GradeLattice,
+                          grades: set[Fraction]) -> None:
     """Refuse, naming the least, any of ``grades`` outside ``lattice``."""
     missing = grades.difference(lattice.grades)
     if missing:

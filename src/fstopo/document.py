@@ -110,7 +110,8 @@ def _render_rows(value: FuzzySoftSet) -> list[str]:
     return rows
 
 
-def _parse_grade(token: str, line_no: int, memo: dict[str, Fraction]) -> Fraction:
+def _parse_grade(token: str, line_no: int,
+                 memo: dict[str, Fraction]) -> Fraction:
     """The grade ``token`` names: validated on its first occurrence and
     read from ``memo`` after that.  A bad token is not kept."""
     grade = memo.get(token)
