@@ -52,6 +52,7 @@ MASK_ORACLE = ("tests/test_deciders.py::"
 SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
 CORPUS = "src/fstopo/corpus.py"
 DOCUMENT = "src/fstopo/document.py"
+ALGEBRA = "src/fstopo/algebra.py"
 BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
                "test_enumeration_matches_brute_force")
 
@@ -104,6 +105,18 @@ MUTANTS = (
            "                        acc = pool.join[acc][k]\n",
            ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
             "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
+    # CON.COARSER drawing its own probe again, with its own full scan on
+    # exhaustive cases past EXHAUSTIVE_LIMIT
+    Mutant("coarser-own-probe", "src/fstopo/claims.py",
+           "    indices = _scan_indices(case, t * t, CLOSED_PROBES * 2, 51)\n",
+           "    if case.exhaustive:\n"
+           "        indices = range(t * t)\n"
+           "    else:\n"
+           "        indices = _probe(t * t, CLOSED_PROBES * 2, "
+           "case.order * 131 + 51)\n",
+           ("tests/test_claims.py::test_only_the_scan_indices_draw_probes",
+            "tests/test_claims.py::"
+            "test_exhaustive_scans_past_the_limit_are_probed")),
     Mutant("above-in-low-blocks", CORPUS,
            "every_block >> (a * width) << (a * width)",
            "every_block >> (a * width)",
@@ -149,11 +162,18 @@ MUTANTS = (
            "for j in range(i + 1, len(order)):",
            "for j in reversed(range(i + 1, len(order))):",
            ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
-    Mutant("grade-unicode-digits", "src/fstopo/algebra.py",
-           r'_FRACTION_RE = re.compile(r"\A([0-9]+)\s*/\s*([0-9]+)\Z")',
-           r'_FRACTION_RE = re.compile(r"\A(\d+)\s*/\s*(\d+)\Z")',
+    Mutant("grade-unicode-digits", ALGEBRA,
+           r'_FRACTION_RE = re.compile(r"\A([0-9]+)[ \t]*/[ \t]*([0-9]+)\Z")',
+           r'_FRACTION_RE = re.compile(r"\A(\d+)[ \t]*/[ \t]*(\d+)\Z")',
            ("tests/test_algebra.py::TestAsGrade::"
             "test_refuses_digits_outside_ascii",)),
+    Mutant("grade-unicode-whitespace", ALGEBRA,
+           'stripped = text.strip(" \\t")',
+           "stripped = text.strip()",
+           ("tests/test_algebra.py::TestAsGrade::"
+            "test_refuses_whitespace_outside_ascii",
+            "tests/test_cli.py::TestExitCodes::"
+            "test_lattice_list_pads_with_ascii_spaces_only")),
     # a memo that outlives one parse_document call
     Mutant("document-memo-module-level", DOCUMENT,
            "    memo: dict[str, Fraction] = {}  # grade token -> its "
@@ -165,7 +185,7 @@ MUTANTS = (
            "grade = memo[token] = as_grade(token)",
            "grade = memo[token] = Fraction(token)",
            ("tests/test_document.py::test_errors_carry_line_numbers",)),
-    Mutant("complement-float-grades", "src/fstopo/algebra.py",
+    Mutant("complement-float-grades", ALGEBRA,
            "tuple(GRADE_ONE - g for g in self.grades)",
            "tuple(float(GRADE_ONE - g) for g in self.grades)",
            ("tests/test_algebra.py::TestFuzzySet::"

@@ -51,8 +51,9 @@ class CapExceededError(ValueError):
         super().__init__(f"{what}: {required} items exceed cap {cap}")
 
 
-# ASCII digits only: ``\d`` would also take other scripts' digits
-_FRACTION_RE = re.compile(r"\A([0-9]+)\s*/\s*([0-9]+)\Z")
+# ASCII digits, spaces and tabs only: ``\d`` and ``\s`` would also take
+# other scripts' digits and every Unicode space
+_FRACTION_RE = re.compile(r"\A([0-9]+)[ \t]*/[ \t]*([0-9]+)\Z")
 _DECIMAL_RE = re.compile(r"\A([0-9]+)(?:\.([0-9]+))?\Z")
 
 
@@ -60,9 +61,10 @@ def parse_grade(text: str) -> Fraction:
     """Parse ``"p/q"``, or a decimal with at most six fractional digits.
 
     Decimal literals are read exactly: ``"0.1"`` is one tenth, not the
-    nearest binary float.
+    nearest binary float.  Spaces and tabs may pad the text and the
+    slash; no other whitespace is accepted.
     """
-    stripped = text.strip()
+    stripped = text.strip(" \t")
     m = _FRACTION_RE.match(stripped)
     if m:
         num, den = int(m.group(1)), int(m.group(2))

@@ -32,8 +32,10 @@ through their digits.
 Where a claim quantifies over pairs or subsets inside one case, it either
 scans them completely or probes a deterministic arithmetic sample (no
 hashing, so results never depend on interpreter state); each claim's
-``coverage`` string says which.  Cases flagged ``exhaustive`` widen every
-probe to a full scan, bounded by ``EXHAUSTIVE_LIMIT``.
+``coverage`` string says which.  Every probe is drawn by
+``_scan_indices``: cases flagged ``exhaustive`` widen it to a full scan
+of at most ``EXHAUSTIVE_LIMIT`` indices, and past that to eight times
+the probe.
 
 Three drivers own the failure cap, and every claim that can fail more
 than ``_MAX_FAILS`` times reports through one of them; the rest decide
@@ -917,10 +919,8 @@ def _normchar_property(case: SpaceCase, probe: bool):
     opens = case.opens
     closeds = case.closeds
     total = len(closeds) * len(opens)
-    if probe and not case.exhaustive:
-        indices = _probe(total, CLOSED_PROBES * 2, case.order * 131 + 46)
-    else:
-        indices = range(total)
+    indices = (_scan_indices(case, total, CLOSED_PROBES * 2, 46) if probe
+               else range(total))
     checked = hits = 0
     first_bad = None
     for t in indices:
@@ -1037,10 +1037,7 @@ def _eval_con_coarser(case: SpaceCase):
     meet, join = pool.meet, pool.join
     opens = case.opens
     t = len(opens)
-    if case.exhaustive:
-        indices = range(t * t)
-    else:
-        indices = _probe(t * t, CLOSED_PROBES * 2, case.order * 131 + 51)
+    indices = _scan_indices(case, t * t, CLOSED_PROBES * 2, 51)
 
     def outcomes():
         for idx in indices:

@@ -161,8 +161,8 @@ def _resolve_lattice(spec: str, grades: set[Fraction]) -> GradeLattice:
         if re.fullmatch(r"[0-9]+", spec):
             return GradeLattice.uniform(int(spec))
         if "," in spec:
-            grades = tuple(as_grade(t.strip())
-                           for t in spec.split(",") if t.strip())
+            grades = tuple(as_grade(t.strip(" \t"))
+                           for t in spec.split(",") if t.strip(" \t"))
             return GradeLattice(tuple(sorted(set(grades))))
     except (ValueError, GradeError) as exc:
         raise _UsageError(f"bad lattice {spec!r}: {exc}") from None

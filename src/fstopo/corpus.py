@@ -50,6 +50,7 @@ from typing import Iterable, Optional
 from .algebra import CapExceededError, FuzzySet, GradeLattice, Universe
 from .engine import _bits
 from .softsets import FuzzySoftSet, ParameterSet
+from .topology import FuzzySoftTopology
 
 DEFAULT_MAX_GENERATORS = 3
 DEFAULT_MAX_OPENS = 64
@@ -181,6 +182,13 @@ class SetPool:
             for g in value.grades:
                 digits.append(self._grade_index[g])
         return self._encode(tuple(digits))
+
+    def topology(self, ids: Iterable[int]) -> FuzzySoftTopology:
+        """The topology whose opens are the sets ``ids`` name; the
+        largest id, the top of the family, is its carrier."""
+        ids = sorted(ids)
+        return FuzzySoftTopology(carrier=self.decode(ids[-1]),
+                                 opens=tuple(map(self.decode, ids)))
 
     # ---- points over the pool ----------------------------------------
     # A point is (parameter index, nonzero value vector) and lies in a set
@@ -394,15 +402,6 @@ class SpaceCorpus:
     def label(self, index: int) -> str:
         return f"enum-{index:05d}"
 
-    def materialize(self, space_ids: tuple[int, ...]):
-        from .topology import FuzzySoftTopology
-
-        pool = self.pool
-        return FuzzySoftTopology(
-            carrier=pool.decode(pool.full_id),
-            opens=tuple(pool.decode(i) for i in sorted(space_ids)),
-        )
-
 
 def random_space_ids(seed: int, spec: CorpusSpec, pool: SetPool) -> tuple[int, ...]:
     """Generator family drawn uniformly, closed; deterministic in seed."""
@@ -435,15 +434,6 @@ class NamedSpace:
     @property
     def carrier_id(self) -> int:
         return self.ids[-1]
-
-    def materialize(self):
-        from .topology import FuzzySoftTopology
-
-        pool = self.pool
-        return FuzzySoftTopology(
-            carrier=pool.decode(self.carrier_id),
-            opens=tuple(pool.decode(i) for i in self.ids),
-        )
 
 
 def _named(label: str, elements: tuple[str, ...], params: tuple[str, ...],

@@ -17,7 +17,6 @@ takes every grade to 1 - grade.  Two disjointness readings are provided:
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,7 +30,6 @@ from .algebra import (
     GradeLattice,
     Universe,
     _lattice_set,
-    as_grade,
 )
 
 DISJOINTNESS_MODES = ("pointwise", "cross_parameter")
@@ -277,53 +275,3 @@ def enumerate_lattice_sets(
         )
         out.append(FuzzySoftSet(universe, parameters, values))
     return tuple(out)
-
-
-_LITERAL_BLOCK_RE = re.compile(r"([^\s{},:]+)\s*:\s*\{([^{}]*)\}")
-
-
-def parse_fss_literal(
-    text: str, universe: Universe, parameters: ParameterSet
-) -> FuzzySoftSet:
-    """Parse the canonical one-line form, e.g. ``{e1: {x: 1/2, y: 0}}``.
-
-    Parameters or elements that are not mentioned default to grade 0, so
-    ``parse_fss_literal(s.render(), ...) == s`` for every soft set ``s``.
-    Each distinct grade text is validated once, and the rows are built
-    from validated grades without checking them again.
-    """
-    stripped = text.strip()
-    if not (stripped.startswith("{") and stripped.endswith("}")):
-        raise ValueError(f"fuzzy soft set literal must be brace-delimited: {text!r}")
-    body = stripped[1:-1]
-    memo: dict[str, Fraction] = {}  # grade text -> its validated grade
-    assignment: dict[str, FuzzySet] = {}
-    for m in _LITERAL_BLOCK_RE.finditer(body):
-        pname = m.group(1)
-        if pname not in parameters:
-            raise KeyError(f"unknown parameter in literal: {pname!r}")
-        if pname in assignment:
-            raise ValueError(f"parameter listed twice in literal: {pname!r}")
-        grades: dict[str, Fraction] = {}
-        inner = m.group(2).strip()
-        if inner:
-            for item in inner.split(","):
-                name, _, grade_text = item.partition(":")
-                name = name.strip()
-                if not _:
-                    raise ValueError(f"bad element entry in literal: {item!r}")
-                if name not in universe:
-                    raise KeyError(f"unknown universe element in literal: {name!r}")
-                if name in grades:
-                    raise ValueError(f"element listed twice in literal: {name!r}")
-                grade_text = grade_text.strip()
-                grade = memo.get(grade_text)
-                if grade is None:
-                    grade = memo[grade_text] = as_grade(grade_text)
-                grades[name] = grade
-        assignment[pname] = _lattice_set(
-            universe, tuple([grades.get(n, GRADE_ZERO) for n in universe]))
-    leftovers = _LITERAL_BLOCK_RE.sub("", body).replace(",", "").strip()
-    if leftovers:
-        raise ValueError(f"unparsable fragment in literal: {leftovers!r}")
-    return FuzzySoftSet.build(universe, parameters, assignment)

@@ -15,8 +15,7 @@ Closure and interior are computed by direct scan:
 * interior(g) is the union of every open subset of g.
 
 No lattice-theoretic shortcut is taken; on families of this size the scan
-is the definition, which keeps the engine self-evidently faithful.  Results
-are memoised per topology instance, which changes nothing observable.
+is the definition, which keeps the engine self-evidently faithful.
 Closure and interior stay these ``Fraction`` scans: they are the oracle
 the integer engine and the tests check against.
 
@@ -136,14 +135,6 @@ class FuzzySoftTopology:
     def _closed_set(self) -> frozenset[FuzzySoftSet]:
         return frozenset(self.closed_sets)
 
-    @cached_property
-    def _closure_memo(self) -> dict:
-        return {}
-
-    @cached_property
-    def _interior_memo(self) -> dict:
-        return {}
-
     def _check_context(self, g: FuzzySoftSet) -> None:
         if g.universe != self.universe or g.parameters != self.parameters:
             raise ContextMismatchError("set does not belong to this space")
@@ -162,28 +153,20 @@ class FuzzySoftTopology:
     def closure(self, g: FuzzySoftSet) -> FuzzySoftSet:
         """Intersection of every closed superset of ``g``."""
         self._check_context(g)
-        cached = self._closure_memo.get(g)
-        if cached is not None:
-            return cached
         result = None
         for k in self.closed_sets:
             if g.leq(k):
                 result = k if result is None else result.intersection(k)
         assert result is not None  # the all-one set is always closed
-        self._closure_memo[g] = result
         return result
 
     def interior(self, g: FuzzySoftSet) -> FuzzySoftSet:
         """Union of every open subset of ``g``."""
         self._check_context(g)
-        cached = self._interior_memo.get(g)
-        if cached is not None:
-            return cached
         result = self.null_set
         for o in self.opens:
             if o.leq(g):
                 result = result.union(o)
-        self._interior_memo[g] = result
         return result
 
     def is_neighborhood(self, n: FuzzySoftSet, p: FuzzySoftPoint) -> bool:

@@ -28,6 +28,7 @@ class TestAsGrade:
         assert as_grade("2/5") == Fraction(2, 5)
         assert as_grade("0.5") == HALF
         assert as_grade("0.125") == Fraction(1, 8)
+        assert as_grade(" 1 /\t2\t") == as_grade("\t0.5 ") == HALF
 
     def test_decimal_precision_bound(self):
         assert as_grade("0.333333") == Fraction(333333, 10**6)
@@ -49,6 +50,14 @@ class TestAsGrade:
     @pytest.mark.parametrize("bad", ["\u0661/\u0662", "\u0660.\u0665",
                                      "\u0967", "\uff11/\uff12"])
     def test_refuses_digits_outside_ascii(self, bad):
+        with pytest.raises(GradeError):
+            as_grade(bad)
+
+    # em, ideographic and no-break spaces, and a newline: the grade syntax
+    # pads with ASCII spaces and tabs only
+    @pytest.mark.parametrize("bad", ["1\u2003/\u20032", "1/2\u3000",
+                                     "\u00a01/2", "0.5\n"])
+    def test_refuses_whitespace_outside_ascii(self, bad):
         with pytest.raises(GradeError):
             as_grade(bad)
 

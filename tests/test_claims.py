@@ -25,6 +25,8 @@ from fstopo.claims import (
     AUDITED,
     CLAIM_INDEX,
     CLAIMS,
+    CLOSED_PROBES,
+    EXHAUSTIVE_LIMIT,
     PAIR_PROBES,
     REPRODUCED,
     _MAX_FAILS,
@@ -45,8 +47,9 @@ from fstopo.corpus import (
     _extend,
     named_spaces,
 )
+from fstopo.algebra import GradeLattice, Universe
 from fstopo.points import FuzzySoftPoint
-from fstopo.softsets import FuzzySoftSet
+from fstopo.softsets import FuzzySoftSet, ParameterSet
 from fstopo.deciders import (
     DeciderConfig,
     find_separation,
@@ -129,7 +132,7 @@ class TestCrossCheck:
 
     def test_closure_and_interior_rows(self, corpus):
         for case in make_cases(corpus, stride=1901):
-            space = case_space(case)
+            space = case.pool.topology(case.ids)
             cl, it = case.cl(), case.interior()
             pool = case.pool
             for g in range(0, pool.size, 5):
@@ -144,7 +147,7 @@ class TestCrossCheck:
         )
         failed = set()
         for case in make_cases(corpus):
-            space = case_space(case)
+            space = case.pool.topology(case.ids)
             cfg = DeciderConfig(lattice=case.pool.lattice)
             for name, decide in deciders:
                 verdict = decide(space, cfg)
@@ -159,7 +162,7 @@ class TestCrossCheck:
 
     def test_connectedness_agrees(self, corpus):
         for case in make_cases(corpus):
-            space = case_space(case)
+            space = case.pool.topology(case.ids)
             cfg = DeciderConfig(lattice=case.pool.lattice)
             sep = case.separation
             assert case.connected() == (sep is None), case.label
@@ -173,7 +176,7 @@ class TestCrossCheck:
 
     def test_traces_match_subspace_opens(self, corpus):
         case = make_cases(corpus, stride=2500)[0]
-        space = case_space(case)
+        space = case.pool.topology(case.ids)
         pool = case.pool
         for g in case.opens:
             view = space.subspace(pool.decode(g))
@@ -192,16 +195,6 @@ def axiom_witness(case, name, note):
     render_second = case.render_point if name.startswith("t") \
         else case.render_set
     return render_first(first), render_second(second)
-
-
-def case_space(case):
-    pool = case.pool
-    from fstopo.topology import FuzzySoftTopology
-
-    return FuzzySoftTopology(
-        carrier=pool.decode(case.carrier),
-        opens=tuple(pool.decode(i) for i in case.ids),
-    )
 
 
 class TestEvaluation:
@@ -351,6 +344,48 @@ def test_only_the_drivers_read_the_failure_cap():
                 compared.append(getattr(fn, "name", "<lambda>"))
     assert set(readers) == {"_scan", "_tally", "_first_fails"}
     assert compared == ["_tally"]
+
+
+def test_only_the_scan_indices_draw_probes():
+    # every probed claim draws its indices through _scan_indices, so the
+    # exhaustive widening and its EXHAUSTIVE_LIMIT bound hold everywhere;
+    # NORMCHAR-rev alone reads the flag, to skip the cases it needs whole
+    tree = ast.parse(inspect.getsource(claims))
+    probers, flag_readers = set(), set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Name) and node.func.id == "_probe":
+                probers.add(name)
+            if isinstance(node, ast.Attribute) and node.attr == "exhaustive":
+                flag_readers.add(name)
+    assert probers == {"_scan_indices"}
+    assert flag_readers - {"_scan_indices"} == {"_eval_normchar_rev"}
+
+
+def test_exhaustive_scans_past_the_limit_are_probed():
+    # the full chain over one cell: 256 sets, every one open, so the
+    # space is connected and normal and its open pairs (256**2) pass
+    # EXHAUSTIVE_LIMIT; the two pair claims then probe like every other
+    pool = SetPool(Universe.of("x"), ParameterSet.of("e"),
+                   GradeLattice.uniform(255))
+    case = SpaceCase("chain", pool, tuple(range(pool.size)),
+                     exhaustive=True)
+    assert case.connected() and case.normal()
+    total = pool.size * pool.size
+    assert total > EXHAUSTIVE_LIMIT
+    results = evaluate_space_case(
+        case, idents=["CON.COARSER", "SEP.NORMCHAR-fwd"])
+    # CON.COARSER checks the pairs i < j among its indices, every one a hit
+    pairs = sum(i < j for i, j in (
+        divmod(t, pool.size)
+        for t in _scan_indices(case, total, 2 * CLOSED_PROBES, 51)))
+    assert results["CON.COARSER"] == (pairs, pairs, [])
+    normchar = _scan_indices(case, total, 2 * CLOSED_PROBES, 46)
+    assert results["SEP.NORMCHAR-fwd"][0] == len(normchar) < total
 
 
 def test_only_the_pool_reads_the_id_format():
@@ -536,7 +571,7 @@ def test_engines_agree_on_drawn_spaces(shape, data):
     # the integer engine against the object path, witnesses included
     case, sets = data.draw(small_spaces([shape], split=True))
     pool = case.pool
-    space = case_space(case)
+    space = pool.topology(case.ids)
     cfg = DeciderConfig(lattice=pool.lattice)
     for name, decide in AXIOM_DECIDERS:
         verdict = decide(space, cfg)

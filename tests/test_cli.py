@@ -121,6 +121,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "validate", valid_doc, "--lattice", "zigzag")
         assert code == 2
 
+    def test_lattice_list_pads_with_ascii_spaces_only(self, capsys,
+                                                      valid_doc):
+        code, _, _ = run(capsys, "validate", valid_doc, "--lattice",
+                         " 0,\t1/2 , 1")
+        assert code == 0
+        code, _, err = run(capsys, "validate", valid_doc, "--lattice",
+                           "0,1/2\u3000,1")
+        assert code == 2 and "bad lattice" in err
+
     def test_unknown_claim_exits_2(self, capsys):
         code, _, err = run(capsys, "audit", "--claim", "XX.1")
         assert code == 2 and "XX.1" in err

@@ -233,7 +233,7 @@ class TestEnumeration:
 
     def test_every_space_validates(self, tiny):
         for ids in tiny.spaces:
-            space = tiny.materialize(ids)
+            space = tiny.pool.topology(ids)
             revalidated = validate_topology(space.carrier, space.opens)
             assert revalidated.opens == space.opens
 
@@ -323,7 +323,7 @@ class TestNamedCatalogue:
         labels = [n.label for n in catalogue]
         assert len(labels) == len(set(labels)) == 9
         for named in catalogue:
-            space = named.materialize()
+            space = named.pool.topology(named.ids)
             assert validate_topology(space.carrier, space.opens)
             assert named.carrier_id == max(named.ids)
 

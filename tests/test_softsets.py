@@ -11,14 +11,12 @@ from fstopo.algebra import (
     GradeLattice,
     Universe,
 )
-from fstopo import softsets
 from fstopo.softsets import (
     FuzzySoftSet,
     ParameterSet,
     count_lattice_sets,
     disjoint,
     enumerate_lattice_sets,
-    parse_fss_literal,
 )
 
 U = Universe.of("x", "y")
@@ -149,37 +147,3 @@ class TestEnumeration:
             enumerate_lattice_sets(U, E, DESK, cap=10)
         assert err.value.required == 81
 
-
-class TestLiteral:
-    @given(desk_sets())
-    def test_render_parse_round_trip(self, g):
-        assert parse_fss_literal(g.render(), U, E) == g
-
-    def test_each_distinct_grade_text_is_validated_once(self, monkeypatch):
-        calls = []
-        real = softsets.as_grade
-        monkeypatch.setattr(softsets, "as_grade",
-                            lambda text: calls.append(text) or real(text))
-        text = "{e1: {x: 1/2, y: 0.5}, e2: {x: 1/2, y: 1}}"
-        for _ in range(2):
-            calls.clear()
-            g = parse_fss_literal(text, U, E)
-            assert sorted(calls) == ["0.5", "1", "1/2"]
-        rebuilt = fss({"e1": {"x": "1/2", "y": "0.5"},
-                       "e2": {"x": "1/2", "y": "1"}})
-        assert g == rebuilt and hash(g) == hash(rebuilt)
-        assert all(type(c) is Fraction for v in g.values for c in v.grades)
-
-    def test_partial_literal_defaults_to_zero(self):
-        g = parse_fss_literal("{e2: {y: 1}}", U, E)
-        assert g == fss({"e2": {"y": 1}})
-
-    def test_bad_literals(self):
-        with pytest.raises(ValueError):
-            parse_fss_literal("e1: {x: 1}", U, E)
-        with pytest.raises(KeyError):
-            parse_fss_literal("{zz: {x: 1}}", U, E)
-        with pytest.raises(KeyError):
-            parse_fss_literal("{e1: {zz: 1}}", U, E)
-        with pytest.raises(ValueError):
-            parse_fss_literal("{e1: {x: 1} junk}", U, E)
