@@ -55,6 +55,11 @@ DOCUMENT = "src/fstopo/document.py"
 ALGEBRA = "src/fstopo/algebra.py"
 BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
                "test_enumeration_matches_brute_force")
+AUDITOR = "src/fstopo/auditor.py"
+SCHEDULE = ("tests/test_auditor.py::TestRunAudit::"
+            "test_every_scheduled_case_is_evaluated")
+CLOSE_ONCE = ("tests/test_algebra.py::TestGradeLattice::"
+              "test_close_validates_each_seed_once")
 
 MUTANTS = (
     Mutant("t1-no-reversal", ENGINE,
@@ -149,7 +154,8 @@ MUTANTS = (
            "        self.rank, codes = rank_codes([*opens, space.carrier],\n"
            "                                      cfg.lattice)\n"
            "        codes[len(opens):len(opens)] = [\n"
-           "            tuple(map(self.rank.__getitem__, k.sort_key()))\n"
+           "            tuple(map(self.rank.__getitem__,\n"
+           "                      map(grade_key, k.sort_key())))\n"
            "            for k in closeds]\n",
            (MASK_ORACLE,)),
     Mutant("cross-parameter-as-pointwise", DECIDERS,
@@ -185,6 +191,23 @@ MUTANTS = (
            "grade = memo[token] = as_grade(token)",
            "grade = memo[token] = Fraction(token)",
            ("tests/test_document.py::test_errors_carry_line_numbers",)),
+    Mutant("close-seeds-unchecked", ALGEBRA,
+           "            g = as_grade(seed)\n",
+           "            g = Fraction(seed)\n",
+           (CLOSE_ONCE,)),
+    # the lattice built through the validating constructor again
+    Mutant("close-validates-twice", ALGEBRA,
+           "        lattice = object.__new__(cls)\n"
+           '        object.__setattr__(lattice, "grades", '
+           "tuple(sorted(grades)))\n",
+           "        lattice = cls(tuple(sorted(grades)))\n",
+           (CLOSE_ONCE,)),
+    # ranks keyed by the Fraction again, one hash per cell
+    Mutant("rank-keyed-by-fraction", "src/fstopo/softsets.py",
+           "grade_key = Fraction.as_integer_ratio\n",
+           "grade_key = Fraction\n",
+           ("tests/test_softsets.py::TestRankCodes::"
+            "test_no_fraction_is_hashed_per_cell",)),
     Mutant("complement-float-grades", ALGEBRA,
            "tuple(GRADE_ONE - g for g in self.grades)",
            "tuple(float(GRADE_ONE - g) for g in self.grades)",
@@ -202,6 +225,33 @@ MUTANTS = (
            "args.cap is not None and args.cap < 0",
            "args.cap is not None and args.cap < -99",
            ("tests/test_cli.py::TestExitCodes::test_negative_cap_exits_2",)),
+    Mutant("document-case-probed", AUDITOR,
+           "[(label, pool, tuple(ids), 0, True)]",
+           "[(label, pool, tuple(ids), 0, False)]",
+           ("tests/test_auditor.py::TestRunAudit::test_single_case_schedule",)),
+    Mutant("random-draws-unscheduled", AUDITOR,
+           "    for j in range(random_count):\n",
+           "    for j in range(0):\n",
+           (SCHEDULE,)),
+    Mutant("named-cases-unscheduled", AUDITOR,
+           "for order, ns in enumerate(named)]",
+           "for order, ns in enumerate(named[:0])]",
+           (SCHEDULE,)),
+    # the last row of the schedule left out of every forked chunk
+    Mutant("chunks-drop-the-last-case", AUDITOR,
+           "bounds = [(lo, min(lo + step, len(rows)))",
+           "bounds = [(lo, min(lo + step, len(rows) - 1))",
+           ("tests/test_auditor.py::TestRunAudit::"
+            "test_workers_are_capped_at_the_usable_cpus",)),
+    # a second SpaceCase site: the document case built outside the chunks
+    Mutant("document-case-outside-the-chunks", AUDITOR,
+           "    if space and rows:\n",
+           "    if space and len(rows) == 1:\n"
+           "        case = SpaceCase(*rows[0][:3], exhaustive=True)\n"
+           "        for ident, r in evaluate_space_case(case, space).items():\n"
+           "            tallies[ident].add(0, case.label, r)\n"
+           "    elif space and rows:\n",
+           ("tests/test_auditor.py::test_one_site_builds_the_space_cases",)),
 )
 
 

@@ -54,7 +54,7 @@ from .deciders import (
 )
 from .corpus import CorpusSpec, NamedSpace, SetPool, SpaceCorpus, named_spaces
 from .claims import CLAIMS, Claim, SpaceCase, select_claims
-from .auditor import AuditReport, run_audit, search_counterexample
+from .auditor import AuditReport, audit_space, run_audit, search_counterexample
 from .document import (
     DocumentError,
     SpaceDocument,
@@ -94,6 +94,7 @@ __all__ = [
     "Universe",
     "Witness",
     "as_grade",
+    "audit_space",
     "clopen_witness",
     "document_from_topology",
     "find_separation",

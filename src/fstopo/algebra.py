@@ -13,7 +13,8 @@ Grades are validated once, where they enter: ``as_grade``, the
 operations (union, intersection, complement) take grades that were
 checked already, and max, min and 1 - g of Fractions in [0, 1] are
 Fractions in [0, 1], so they build their results through ``_lattice_set``
-without checking them again.
+without checking them again.  ``GradeLattice.close`` likewise checks its
+seeds and not the lattice it builds from them.
 """
 
 from __future__ import annotations
@@ -263,7 +264,10 @@ class GradeLattice:
             g = as_grade(seed)
             grades.add(g)
             grades.add(GRADE_ONE - g)
-        return cls(tuple(sorted(grades)))
+        # sorted and distinct, with 0 and 1, closed under complement: valid
+        lattice = object.__new__(cls)
+        object.__setattr__(lattice, "grades", tuple(sorted(grades)))
+        return lattice
 
     @classmethod
     def uniform(cls, denominator: int) -> "GradeLattice":

@@ -1,8 +1,13 @@
 """Corpus-wide claim audit.
 
-Drives every registered claim over three kinds of cases (the named
-catalogue, the enumerated corpus, seeded random draws), aggregates the
-outcomes per claim and derives one of three statuses:
+Each audit schedules its space cases as one list of ``(label, pool, ids,
+order, exhaustive)`` rows: ``run_audit`` schedules the named catalogue,
+the enumerated corpus up to the budget and seeded random draws, and
+``audit_space`` the one space of ``fstopo audit FILE``.  One chunk
+function evaluates every row, in this process or split over forked
+workers; the tallies merge independently of order.  Both entry points
+then run the pool and fixed claims, aggregate the outcomes per claim in
+one report builder and derive one of three statuses:
 
 * ``counterexample-found``: at least one failing instance was recorded.
 * ``proved-by-exhaustion-at-spec-sizes``: the claim scans its whole
@@ -101,30 +106,52 @@ class _Tally:
             del self.witnesses[WITNESS_CAP:]
 
 
-def _tally_case(tallies: dict, case: SpaceCase, idents) -> None:
-    """Evaluate the chosen space claims on ``case`` into ``tallies``."""
-    for ident, result in evaluate_space_case(case, idents).items():
-        tallies.setdefault(ident, _Tally()).add(case.order, case.label,
-                                                result)
-
-
 # worker context for fork-based parallelism; set in the parent right
 # before the pool spawns so children inherit it
 _CTX: dict = {}
 
 
 def _eval_enum_chunk(bounds: tuple[int, int]) -> dict:
-    corpus = _CTX["corpus"]
+    """Packed tallies of the space claims over schedule rows start..end
+    (every space case of every audit; ``perfbench`` traces this name)."""
     idents = _CTX["idents"]
+    tallies = {ident: _Tally() for ident in idents}
     start, end = bounds
-    tallies: dict[str, _Tally] = {}
-    for i in range(start, end):
-        _tally_case(tallies, SpaceCase(
-            corpus.label(i), corpus.pool, corpus.spaces[i],
-            order=ENUM_ORDER_BASE + i,
-            exhaustive=_is_exhaustive_enum(i),
-        ), idents)
+    for label, pool, ids, order, exhaustive in _CTX["rows"][start:end]:
+        case = SpaceCase(label, pool, ids, order=order, exhaustive=exhaustive)
+        for ident, result in evaluate_space_case(case, idents).items():
+            tallies[ident].add(order, label, result)
     return {ident: t.pack() for ident, t in tallies.items()}
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _eval_schedule(rows: list, idents: set, workers: int) -> list[dict]:
+    """The chunk tallies of ``rows``: one chunk in this process, or about
+    eight chunks per forked worker."""
+    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        # workers inherit the rows through fork; the serial scan gives the
+        # same payload
+        print("note: the fork start method is unavailable here; "
+              "auditing with one worker", file=sys.stderr)
+        workers = 1
+    # no more workers than this process may run on at once
+    workers = min(workers, _usable_cpus())
+    _CTX.update(rows=rows, idents=idents)
+    try:
+        if workers == 1:
+            return [_eval_enum_chunk((0, len(rows)))]
+        step = -(-len(rows) // (workers * 8))
+        bounds = [(lo, min(lo + step, len(rows)))
+                  for lo in range(0, len(rows), step)]
+        with multiprocessing.get_context("fork").Pool(workers) as mp:
+            return mp.map(_eval_enum_chunk, bounds)
+    finally:
+        _CTX.clear()
 
 
 def claim_status(claim, failures: int, truncated: bool) -> str:
@@ -192,10 +219,11 @@ class AuditReport:
         return "\n".join(lines) + "\n"
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+def _select(claim_filter: str | None) -> tuple:
+    chosen = select_claims(claim_filter)
+    if not chosen:
+        raise ValueError(f"no claim matches {claim_filter!r}")
+    return chosen
 
 
 def run_audit(
@@ -206,99 +234,86 @@ def run_audit(
     workers: int = 1,
     base_seed: int = 0,
     random_count: int = 200,
-    single_case: tuple | None = None,
 ) -> AuditReport:
-    """Evaluate the selected claims over the full case schedule.
-
-    ``single_case`` as (label, pool, ids) swaps the whole schedule for
-    one user-supplied space: no enumeration, no random draws, no named
-    catalogue; pool claims run on that space's pool alone.
-    """
+    """Evaluate the selected claims over the corpus schedule: the named
+    catalogue, the enumerated corpus up to ``budget`` and
+    ``random_count`` seeded random draws, with the pool claims on the
+    corpus pool and each distinct named pool."""
     started = time.monotonic()
-    chosen = select_claims(claim_filter)
-    if not chosen:
-        raise ValueError(f"no claim matches {claim_filter!r}")
+    chosen = _select(claim_filter)
+    corpus = SpaceCorpus(spec or CorpusSpec.desk())
+    pool, total = corpus.pool, len(corpus.spaces)
+    scan = total if budget is None else max(0, min(budget, total))
+    named = named_spaces()
+    rows = [(ns.label, ns.pool, ns.ids, order, True)
+            for order, ns in enumerate(named)]
+    rows += [(corpus.label(i), pool, corpus.spaces[i], ENUM_ORDER_BASE + i,
+              _is_exhaustive_enum(i)) for i in range(scan)]
+    for j in range(random_count):
+        seed = base_seed + 1 + j
+        rows.append((f"random-{seed:03d}", pool,
+                     random_space_ids(seed, corpus.spec, pool),
+                     ENUM_ORDER_BASE + total + j,
+                     j % RANDOM_EXHAUSTIVE_STRIDE == 0))
+    # set pools: the corpus pool plus each distinct named shape
+    pools: dict[tuple, object] = {}
+    for p in (pool, *(ns.pool for ns in named)):
+        pools.setdefault((tuple(p.universe), tuple(p.parameters),
+                          tuple(p.lattice.grades)), p)
+    corpus_payload = {
+        **corpus.spec.to_payload(),
+        "source": "enumeration",
+        "families_scanned": corpus.stats.families_scanned,
+        "skipped_over_max_opens": corpus.stats.skipped_over_max_opens,
+        "distinct_topologies": corpus.stats.distinct,
+    }
+    cases = {"named": len(named), "enumerated_total": total,
+             "enumerated_scanned": scan, "random": random_count,
+             "base_seed": base_seed, "pools": len(pools),
+             "truncated": scan < total}
+    return _report(started, chosen, rows, list(pools.values()), workers,
+                   corpus_payload, cases, claim_filter, budget)
+
+
+def audit_space(label: str, pool, ids, *,
+                claim_filter: str | None = None) -> AuditReport:
+    """Evaluate the selected claims on one space, scanned exhaustively,
+    with the pool claims on its pool alone: no enumeration, no random
+    draws, no named catalogue."""
+    started = time.monotonic()
+    chosen = _select(claim_filter)
+    corpus_payload = {
+        "source": "document",
+        "universe": list(pool.universe),
+        "parameters": list(pool.parameters),
+        "lattice": [str(g) for g in pool.lattice.grades],
+        "document": label,
+    }
+    # the document case counts as the one named case
+    cases = {"named": 1, "enumerated_total": 0, "enumerated_scanned": 0,
+             "random": 0, "base_seed": 0, "pools": 1, "truncated": False}
+    return _report(started, chosen, [(label, pool, tuple(ids), 0, True)],
+                   [pool], 1, corpus_payload, cases, claim_filter, None)
+
+
+def _report(started: float, chosen: tuple, rows: list, pools: list,
+            workers: int, corpus_payload: dict, cases: dict,
+            claim_filter: str | None, budget: int | None) -> AuditReport:
+    """Evaluate ``chosen`` over the space cases ``rows``, the set
+    ``pools`` and the recorded data, and build the report."""
     idents = {c.ident for c in chosen}
-
-    tallies: dict[str, _Tally] = {c.ident: _Tally() for c in chosen}
-
-    if single_case is not None:
-        label, single_pool, single_ids = single_case
-        _tally_case(tallies, SpaceCase(label, single_pool, tuple(single_ids),
-                                       order=0, exhaustive=True), idents)
-        corpus = None
-        named = ()
-        named_count = 1  # the document case itself
-        total = scan = 0
-        truncated = False
-        random_labels = 0
-        pools = [("pool-" + _shape_tag(single_pool), single_pool)]
-    else:
-        corpus = SpaceCorpus(spec or CorpusSpec.desk())
-        total = len(corpus.spaces)
-        scan = total if budget is None else max(0, min(budget, total))
-        truncated = scan < total
-
-        # named catalogue, evaluated in-process
-        named = named_spaces()
-        named_count = len(named)
-        for order, ns in enumerate(named):
-            _tally_case(tallies, SpaceCase(ns.label, ns.pool, ns.ids,
-                                           order=order, exhaustive=True),
-                        idents)
-
-        # enumerated corpus, split across workers when asked
-        if scan and any(c.scope == "space" for c in chosen):
-            _CTX["corpus"] = corpus
-            _CTX["idents"] = idents
-            if workers > 1 and \
-                    "fork" not in multiprocessing.get_all_start_methods():
-                # workers inherit the corpus through fork; the serial scan
-                # gives the same payload
-                print("note: the fork start method is unavailable here; "
-                      "auditing with one worker", file=sys.stderr)
-                workers = 1
-            # no more workers than this process may run on at once
-            workers = min(workers, _usable_cpus())
-            try:
-                if workers > 1:
-                    step = max(1, -(-scan // (workers * 8)))
-                    bounds = [(lo, min(lo + step, scan))
-                              for lo in range(0, scan, step)]
-                    ctx = multiprocessing.get_context("fork")
-                    with ctx.Pool(workers) as mp:
-                        parts = mp.map(_eval_enum_chunk, bounds)
-                else:
-                    parts = [_eval_enum_chunk((0, scan))]
-            finally:
-                _CTX.clear()
-            for part in parts:
-                for ident, packed in part.items():
-                    tallies[ident].merge(packed)
-
-        # random draws over the corpus pool
-        for j in range(random_count):
-            seed = base_seed + 1 + j
-            _tally_case(tallies, SpaceCase(
-                f"random-{seed:03d}", corpus.pool,
-                random_space_ids(seed, corpus.spec, corpus.pool),
-                order=ENUM_ORDER_BASE + total + j,
-                exhaustive=j % RANDOM_EXHAUSTIVE_STRIDE == 0), idents)
-        random_labels = random_count
-
-        # set pools: the corpus pool plus each distinct named shape
-        pools = [("pool-" + _shape_tag(corpus.pool), corpus.pool)]
-        seen_shapes = {_shape_key(corpus.pool)}
-        for ns in named:
-            key = _shape_key(ns.pool)
-            if key not in seen_shapes:
-                seen_shapes.add(key)
-                pools.append(("pool-" + _shape_tag(ns.pool), ns.pool))
+    tallies = {ident: _Tally() for ident in idents}
+    space = {c.ident for c in chosen if c.scope == "space"}
+    if space and rows:
+        for part in _eval_schedule(rows, space, workers):
+            for ident, packed in part.items():
+                tallies[ident].merge(packed)
     if any(c.scope == "pool" for c in chosen):
-        for order, (label, pool) in enumerate(pools):
+        for order, pool in enumerate(pools):
+            label = (f"pool-{len(pool.universe)}x{len(pool.parameters)}"
+                     f"x{len(pool.lattice.grades)}")
             for ident, result in evaluate_pool_claims(pool, idents).items():
                 tallies[ident].add(order, label, result)
-
     for ident, result in evaluate_fixed_claims(idents).items():
         tallies[ident].add(0, "recorded-data", result)
 
@@ -307,7 +322,7 @@ def run_audit(
     alarms = []
     for claim in chosen:
         t = tallies[claim.ident]
-        status = claim_status(claim, t.failures, truncated)
+        status = claim_status(claim, t.failures, cases["truncated"])
         counts[status] += 1
         witnesses = [{"case": label, "detail": detail}
                      for _, label, detail in sorted(t.witnesses)]
@@ -328,34 +343,9 @@ def run_audit(
                 alarms.append({"claim": claim.ident, "case": w["case"],
                                "detail": w["detail"]})
 
-    if corpus is not None:
-        corpus_payload = {
-            **corpus.spec.to_payload(),
-            "source": "enumeration",
-            "families_scanned": corpus.stats.families_scanned,
-            "skipped_over_max_opens": corpus.stats.skipped_over_max_opens,
-            "distinct_topologies": corpus.stats.distinct,
-        }
-    else:
-        single_pool = pools[0][1]
-        corpus_payload = {
-            "source": "document",
-            "universe": list(single_pool.universe),
-            "parameters": list(single_pool.parameters),
-            "lattice": [str(g) for g in single_pool.lattice.grades],
-            "document": single_case[0],
-        }
     payload = {
         "corpus": corpus_payload,
-        "cases": {
-            "named": named_count,
-            "enumerated_total": total,
-            "enumerated_scanned": scan,
-            "random": random_labels,
-            "base_seed": base_seed,
-            "pools": len(pools),
-            "truncated": truncated,
-        },
+        "cases": cases,
         "filter": claim_filter or "all",
         "budget": budget,
         "claims": claims_payload,
@@ -364,16 +354,6 @@ def run_audit(
         "summary": {"claims": len(chosen), **counts},
     }
     return AuditReport(payload=payload, elapsed=time.monotonic() - started)
-
-
-def _shape_key(pool) -> tuple:
-    return (tuple(pool.universe), tuple(pool.parameters),
-            tuple(pool.lattice.grades))
-
-
-def _shape_tag(pool) -> str:
-    return (f"{len(pool.universe)}x{len(pool.parameters)}"
-            f"x{len(pool.lattice.grades)}")
 
 
 def search_counterexample(

@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from .algebra import CapExceededError, GradeError, GradeLattice, as_grade
-from .auditor import run_audit
+from .auditor import audit_space, run_audit
 from .claims import select_claims
 from .corpus import SetPool
 from .deciders import (
@@ -409,10 +409,8 @@ def cmd_audit(args) -> int:
         ids = tuple(sorted(pool.encode(o) for o in space.opens))
         # named as the echo names it, so doc.fst and ./doc.fst are one case;
         # only the name is normalised, since ".." after a symlink differs
-        report_obj = run_audit(
-            claim_filter=args.claim,
-            single_case=(os.path.normpath(args.file), pool, ids),
-        )
+        report_obj = audit_space(os.path.normpath(args.file), pool, ids,
+                                 claim_filter=args.claim)
         lattice_echo = lattice
     else:
         report_obj = run_audit(

@@ -59,7 +59,7 @@ from .engine import (
     _t2_fail,
 )
 from .points import FuzzySoftPoint, enumerate_points
-from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, rank_codes
+from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_key, rank_codes
 from .topology import FuzzySoftTopology, SubspaceView
 
 PAIR_RELATIONS = ("distinct", "disjoint")
@@ -212,7 +212,8 @@ class _Masks:
         for p in enumerate_points(space.universe, space.parameters,
                                   self.cfg.lattice, self.cfg.cap):
             s = space.parameters.index(p.support)
-            value = tuple(map(rank.__getitem__, p.value.grades))
+            value = tuple(map(rank.__getitem__,
+                              map(grade_key, p.value.grades)))
             if all(map(le, value, self.block(self.top, s))):
                 out.append((p, s, value))
         return out

@@ -194,22 +194,29 @@ class FuzzySoftSet:
         return "{" + inner + "}"
 
 
+# a grade's key in rank tables: its lowest-terms (numerator, denominator),
+# which hashes as two ints, where a Fraction's hash is a modular inverse
+grade_key = Fraction.as_integer_ratio
+
+
 def rank_codes(
     sets, grades=()
-) -> tuple[dict[Fraction, int], list[tuple[int, ...]]]:
+) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]]]:
     """The rank of each distinct grade among ``grades`` and those of
-    ``sets``, and each set's grade vector as ranks (its code).
+    ``sets``, keyed by ``grade_key``, and each set's grade vector as
+    ranks (its code).
 
     Ranking keeps the order of grades, and max and min only pick grades
     that are already there, so codes compare, meet and join exactly as
     the sets do: code(a union b) is the cellwise max of the codes, and
     a.leq(b) holds when a's code lies cellwise under b's.
     """
-    vectors = [s.sort_key() for s in sets]
-    distinct = set(grades)
+    vectors = [tuple(map(grade_key, s.sort_key())) for s in sets]
+    distinct = set(map(grade_key, grades))
     for v in vectors:
         distinct.update(v)
-    rank = {g: i for i, g in enumerate(sorted(distinct))}
+    ordered = sorted(distinct, key=lambda r: Fraction(*r))
+    rank = {r: i for i, r in enumerate(ordered)}
     return rank, [tuple(map(rank.__getitem__, v)) for v in vectors]
 
 

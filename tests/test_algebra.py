@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from fstopo import algebra
 from fstopo.algebra import (
     FuzzySet,
     GradeError,
@@ -87,6 +88,20 @@ class TestGradeLattice:
 
     def test_close_of_nothing_is_crisp(self):
         assert list(GradeLattice.close([])) == [0, 1]
+
+    def test_close_validates_each_seed_once(self, monkeypatch):
+        calls = []
+        real = algebra.as_grade
+        monkeypatch.setattr(algebra, "as_grade",
+                            lambda g: calls.append(g) or real(g))
+        lat = GradeLattice.close(["1/3", HALF, 1])
+        assert calls == ["1/3", HALF, 1]
+        # the unchecked build equals the validating constructor's
+        assert lat == GradeLattice(lat.grades)
+        with pytest.raises(GradeError):
+            GradeLattice.close(["3/2"])
+        with pytest.raises(GradeError):
+            GradeLattice.close([0.5])
 
     def test_uniform(self):
         lat = GradeLattice.uniform(4)

@@ -1,17 +1,26 @@
+import ast
+import inspect
 import json
 
 import pytest
 
+from fstopo import auditor
 from fstopo.auditor import (
     STATUS_BUDGET,
     STATUS_COUNTEREXAMPLE,
     STATUS_PROVED,
     _Tally,
+    audit_space,
     claim_status,
     run_audit,
     search_counterexample,
 )
-from fstopo.claims import CLAIM_INDEX, CLAIMS
+from fstopo.claims import (
+    CLAIM_INDEX,
+    CLAIMS,
+    SpaceCase,
+    evaluate_space_case,
+)
 from fstopo.corpus import CorpusSpec
 
 
@@ -83,7 +92,7 @@ class TestRunAudit:
         assert small_audit().to_payload() == small_audit(workers=2).to_payload()
 
     def test_workers_fall_back_without_fork(self, monkeypatch, capsys):
-        # one space claim keeps the enumerated scan, where workers apply
+        # one space claim keeps the case schedule, which workers split
         serial = small_audit(claim_filter="CL.1").to_payload()
         monkeypatch.setattr("multiprocessing.get_all_start_methods",
                             lambda: ["spawn"])
@@ -174,8 +183,7 @@ class TestRunAudit:
 
     def test_single_case_schedule(self, desk_pool):
         ids = (desk_pool.null_id, desk_pool.full_id)
-        report = run_audit(
-            claim_filter="CL", single_case=("the-space", desk_pool, ids))
+        report = audit_space("the-space", desk_pool, ids, claim_filter="CL")
         payload = report.to_payload()
         assert payload["cases"]["named"] == 1
         assert payload["cases"]["enumerated_total"] == 0
@@ -183,12 +191,39 @@ class TestRunAudit:
         entry = payload["claims"]["CL.1"]
         assert entry["status"] == STATUS_PROVED
         assert entry["cases"] == 1
+        # and every probed claim scans the case whole
+        case = SpaceCase("the-space", desk_pool, ids, exhaustive=True)
+        for ident, (checked, hits, fails) in evaluate_space_case(
+                case, set(payload["claims"])).items():
+            got = payload["claims"][ident]
+            assert (got["instances"], got["hypothesis_hits"],
+                    got["failures"]) == (checked, hits, len(fails)), ident
+
+    def test_every_scheduled_case_is_evaluated(self):
+        # CL.1 checks every case, so its case count is the schedule's
+        payload = run_audit(claim_filter="CL.1", budget=5, random_count=3,
+                            workers=2).to_payload()
+        cases = payload["cases"]
+        assert (cases["named"], cases["enumerated_scanned"],
+                cases["random"]) == (9, 5, 3)
+        assert payload["claims"]["CL.1"]["cases"] == 9 + 5 + 3
 
     def test_render_text_shape(self):
         text = small_audit().render_text()
         assert "claim audit:" in text
         assert "alarms: none" in text
         assert "summary:" in text
+
+
+def test_one_site_builds_the_space_cases():
+    # every space case of both entry points is a schedule row that the one
+    # chunk function turns into a SpaceCase
+    sites = [fn.name for fn in ast.walk(ast.parse(inspect.getsource(auditor)))
+             if isinstance(fn, ast.FunctionDef)
+             for node in ast.walk(fn)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "SpaceCase"]
+    assert sites == ["_eval_enum_chunk"]
 
 
 class TestSearch:

@@ -17,6 +17,8 @@ from fstopo.softsets import (
     count_lattice_sets,
     disjoint,
     enumerate_lattice_sets,
+    grade_key,
+    rank_codes,
 )
 
 U = Universe.of("x", "y")
@@ -104,6 +106,26 @@ class TestLatticeOps:
             rebuilt = FuzzySoftSet(
                 U, E, tuple(FuzzySet(U, v.grades) for v in r.values))
             assert rebuilt == r and hash(rebuilt) == hash(r)
+
+
+class TestRankCodes:
+    def test_ranks_follow_the_grade_order(self):
+        sets = enumerate_lattice_sets(U, E, GradeLattice.uniform(6))[::7]
+        rank, codes = rank_codes(sets, DESK)
+        grades = sorted({g for s in sets for g in s.sort_key()} | set(DESK))
+        assert rank == {grade_key(g): i for i, g in enumerate(grades)}
+        assert codes == [tuple(grades.index(g) for g in s.sort_key())
+                         for s in sets]
+
+    def test_no_fraction_is_hashed_per_cell(self, monkeypatch):
+        sets = enumerate_lattice_sets(U, E, DESK)
+        hashed = []
+        real = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda g: hashed.append(g) or real(g))
+        rank_codes(sets, DESK)
+        # 81 sets of 4 cells over 3 distinct grades
+        assert len(hashed) <= 3
 
 
 class TestDisjointness:
