@@ -84,8 +84,8 @@ MUTANTS = (
            'return self.holds("regular", g)',
            ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
     Mutant("subspace-ambient-disjointness", ENGINE,
-           "got = self._odisj[g] = {o: disj[mg[o]] & opens",
-           "got = self._odisj[g] = {o: disj[o] & opens",
+           "return {o: disj[mg[o]] & opens for o in self.opens}",
+           "return {o: disj[o] & opens for o in self.opens}",
            ("tests/test_claims.py::"
             "test_subspace_verdicts_match_built_subspaces",)),
     Mutant("connected-sets-keep-null", ENGINE,
@@ -147,6 +147,18 @@ MUTANTS = (
            "generators < spec.max_generators:\n",
            (BRUTE_FORCE, "tests/test_corpus.py::TestEnumeration::"
             "test_no_space_passes_the_opens_bound")),
+    # seen holding frozensets again, turned back into tuples at the end
+    Mutant("seen-keeps-frozensets", CORPUS,
+           "        self.spaces = sorted(seen, key=lambda t: (len(t), t))\n",
+           "        seen = {frozenset(t) for t in seen}\n"
+           "        self.spaces = sorted((tuple(sorted(s)) for s in seen),\n"
+           "                             key=lambda t: (len(t), t))\n",
+           ("tests/test_corpus.py::TestEnumeration::"
+            "test_building_peaks_near_the_tuples_it_keeps",)),
+    Mutant("closed-mask-from-the-opens", ENGINE,
+           "self.closed_mask = sum(map((1).__lshift__, self.closeds))",
+           "self.closed_mask = sum(map((1).__lshift__, ids))",
+           ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
     Mutant("rank-without-closed-grades", DECIDERS,
            "        self.rank, codes = rank_codes([*opens, *closeds, "
            "space.carrier],\n"
@@ -226,8 +238,8 @@ MUTANTS = (
            "args.cap is not None and args.cap < -99",
            ("tests/test_cli.py::TestExitCodes::test_negative_cap_exits_2",)),
     Mutant("document-case-probed", AUDITOR,
-           "[(label, pool, tuple(ids), 0, True)]",
-           "[(label, pool, tuple(ids), 0, False)]",
+           "[(label, pool, ids, 0, True)]",
+           "[(label, pool, ids, 0, False)]",
            ("tests/test_auditor.py::TestRunAudit::test_single_case_schedule",)),
     Mutant("random-draws-unscheduled", AUDITOR,
            "    for j in range(random_count):\n",

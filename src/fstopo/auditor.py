@@ -277,9 +277,9 @@ def run_audit(
 
 def audit_space(label: str, pool, ids, *,
                 claim_filter: str | None = None) -> AuditReport:
-    """Evaluate the selected claims on one space, scanned exhaustively,
-    with the pool claims on its pool alone: no enumeration, no random
-    draws, no named catalogue."""
+    """Evaluate the selected claims on one space, its opens' ascending
+    id tuple ``ids`` scanned exhaustively, with the pool claims on its
+    pool alone: no enumeration, no random draws, no named catalogue."""
     started = time.monotonic()
     chosen = _select(claim_filter)
     corpus_payload = {
@@ -292,7 +292,7 @@ def audit_space(label: str, pool, ids, *,
     # the document case counts as the one named case
     cases = {"named": 1, "enumerated_total": 0, "enumerated_scanned": 0,
              "random": 0, "base_seed": 0, "pools": 1, "truncated": False}
-    return _report(started, chosen, [(label, pool, tuple(ids), 0, True)],
+    return _report(started, chosen, [(label, pool, ids, 0, True)],
                    [pool], 1, corpus_payload, cases, claim_filter, None)
 
 

@@ -209,13 +209,13 @@ def _first_fails(found) -> list:
 
 
 def _ax3_eval(case: SpaceCase, table, operation: str):
-    opens, members = case.opens, case.open_set
+    opens, members = case.opens, case.open_mask
     n = len(opens) * (len(opens) + 1) // 2
     return n, n, _first_fails(
         f"{operation} of opens {case.render_set(a)} and "
         f"{case.render_set(b)} is not open"
         for i, a in enumerate(opens) for b in opens[i:]
-        if table[a][b] not in members)
+        if not (members >> table[a][b]) & 1)
 
 
 @_claim("TOP.AX3-union", ASSERTED, "space",
@@ -322,11 +322,11 @@ def _eval_cl7_cond(case: SpaceCase):
     checked = 2
     hits = 0
     fails = []
-    if 0 in case.closed_set:
+    if case.closed_mask & 1:
         hits += 1
         if cl[0] != 0:
             fails.append("the null set is closed yet not fixed by closure")
-    if case.carrier in case.closed_set:
+    if (case.closed_mask >> case.carrier) & 1:
         hits += 1
         if cl[case.carrier] != case.carrier:
             fails.append("the carrier is closed yet not fixed by closure")
@@ -456,12 +456,12 @@ def _eval_cl12_rev(case: SpaceCase):
         "A set is closed exactly when closure fixes it.", _EVERY_SET)
 def _eval_cl_fixed(case: SpaceCase):
     cl = case.cl()
-    closed = case.closed_set
+    closed = case.closed_mask
     n = case.pool.size
     return n, n, _first_fails(
         f"{case.render_set(g)}: "
-        f"{'closed but moved' if g in closed else 'fixed but not closed'}"
-        for g in range(n) if (g in closed) != (cl[g] == g))
+        f"{'closed but moved' if cl[g] != g else 'fixed but not closed'}"
+        for g in range(n) if ((closed >> g) & 1) != (cl[g] == g))
 
 
 def _nbhd_eval(case: SpaceCase, failing: list[int], reason):
@@ -546,11 +546,11 @@ def _eval_nbd3(case: SpaceCase):
         "same point.", "every (point, set) pair of each case")
 def _eval_nbd4(case: SpaceCase):
     it = case.interior()
-    opens = case.open_set
+    opens = case.open_mask
     meet = case.pool.meet
     # the sets whose interior is not an open below them: the failing
     # neighborhoods of any point their interior holds
-    no_open = _mask(o not in opens or meet[o][nb] != o
+    no_open = _mask(not (opens >> o) & 1 or meet[o][nb] != o
                     for nb, o in enumerate(it))
     return _nbhd_eval(
         case, [m & no_open for m in case.nbhds()],
@@ -564,15 +564,16 @@ def _eval_nbd4(case: SpaceCase):
 def _eval_nbd_open_iff(case: SpaceCase):
     it = case.interior()
     meet = case.pool.meet
-    opens = case.open_set
+    opens = case.open_mask
     n = case.pool.size
     # a set is a neighborhood of each of its points when it lies below
     # its interior
     return n, n, _first_fails(
         f"{case.render_set(g)}: "
-        + ("open but not a neighborhood of each of its points" if g in opens
+        + ("open but not a neighborhood of each of its points"
+           if (opens >> g) & 1
            else "a neighborhood of each of its points but not open")
-        for g in range(n) if (g in opens) != (meet[g][it[g]] == g))
+        for g in range(n) if ((opens >> g) & 1) != (meet[g][it[g]] == g))
 
 
 @_claim("SUB.CLOSED", ASSERTED, "space",
@@ -1020,10 +1021,9 @@ def _eval_con_clopen_rev(case: SpaceCase):
 
 
 def _proper_clopen(case: SpaceCase):
-    for o in case.opens:
-        if o != 0 and o != case.carrier and o in case.closed_set:
-            return o
-    return None
+    # bit 0 is the null set
+    clopen = case.open_mask & case.closed_mask & ~1 & ~(1 << case.carrier)
+    return next(_bits(clopen), None)
 
 
 @_claim("CON.COARSER", ASSERTED, "space",
@@ -1129,7 +1129,7 @@ def _eval_con_union_hub(case: SpaceCase):
     def check(t):
         hub, rest = divmod(t, n * n)
         g, h = divmod(rest, n)
-        if any(not (conn >> m) & 1 for m in (hub, g, h)):
+        if not (conn >> hub) & (conn >> g) & (conn >> h) & 1:
             return None
         if meet[hub][g] == 0 or meet[hub][h] == 0:
             return None

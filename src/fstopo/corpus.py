@@ -29,9 +29,10 @@ The corpus is every min/max closure of null, full and at most
 ``max_generators`` ids, grown as a tree: a family with generators
 ``g1 < ... < gk`` is its parent's closure, the family of ``g1 .. gk-1``,
 extended by ``gk``, so ``_extend`` only pairs the members it adds with
-the rest.  A family past ``max_opens`` is skipped, and so is every family
-grown from it.  The tree's size is known up front, and ``family_cap``
-refuses it before any closure runs.
+the rest.  A family is its ascending id tuple, the one form the
+enumeration deduplicates, sorts and keeps.  A family past ``max_opens``
+is skipped, and so is every family grown from it.  The tree's size is
+known up front, and ``family_cap`` refuses it before any closure runs.
 
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
@@ -304,17 +305,18 @@ class CorpusSpec:
 
 
 def close_family(pool: SetPool, generators: tuple[int, ...],
-                 max_opens: int) -> Optional[frozenset[int]]:
-    """Min/max closure of {null, full} + generators; None when it would
-    exceed max_opens."""
-    return _extend(pool, frozenset(),
-                   (pool.null_id, pool.full_id, *generators), max_opens)
+                 max_opens: int) -> Optional[tuple[int, ...]]:
+    """Min/max closure of {null, full} + generators as an ascending id
+    tuple; None when it would exceed max_opens."""
+    return _extend(pool, (), (pool.null_id, pool.full_id, *generators),
+                   max_opens)
 
 
-def _extend(pool: SetPool, closed: frozenset[int], new: Iterable[int],
-            max_opens: int) -> Optional[frozenset[int]]:
+def _extend(pool: SetPool, closed: tuple[int, ...], new: Iterable[int],
+            max_opens: int) -> Optional[tuple[int, ...]]:
     """Min/max closure of the closed family ``closed`` with the ids
-    ``new`` added; None when it would exceed max_opens."""
+    ``new`` added; None when it would exceed max_opens.  A family, given
+    or returned, is its ascending id tuple."""
     meet, join = pool.meet, pool.join
     members = set(closed)
     elems = list(closed)
@@ -346,7 +348,7 @@ def _extend(pool: SetPool, closed: frozenset[int], new: Iterable[int],
                     return None
                 elems.append(u)
         i += 1
-    return frozenset(members)
+    return tuple(sorted(elems))
 
 
 @dataclass
@@ -372,17 +374,17 @@ class SpaceCorpus:
         count = spec.family_count(self.pool.size)
         if count > spec.family_cap:
             raise CapExceededError("generator families", count, spec.family_cap)
-        self.stats = EnumerationStats()
+        # every family of the tree is scanned, kept or skipped
+        self.stats = EnumerationStats(families_scanned=count)
         self.spaces: list[tuple[int, ...]] = []
         self._enumerate()
 
     def _enumerate(self) -> None:
         pool, spec, stats = self.pool, self.spec, self.stats
-        seen: set[frozenset[int]] = set()
+        seen: set[tuple[int, ...]] = set()
 
-        def grow(family: Optional[frozenset[int]], first: int,
+        def grow(family: Optional[tuple[int, ...]], first: int,
                  generators: int) -> None:
-            stats.families_scanned += 1
             if family is None:
                 stats.skipped_over_max_opens += 1
             else:
@@ -394,9 +396,7 @@ class SpaceCorpus:
                     grow(child, g + 1, generators + 1)
 
         grow(close_family(pool, (), spec.max_opens), 0, 0)
-        self.spaces = sorted(
-            (tuple(sorted(s)) for s in seen), key=lambda t: (len(t), t)
-        )
+        self.spaces = sorted(seen, key=lambda t: (len(t), t))
         stats.distinct = len(self.spaces)
 
     def label(self, index: int) -> str:
@@ -411,7 +411,7 @@ def random_space_ids(seed: int, spec: CorpusSpec, pool: SetPool) -> tuple[int, .
         gens = tuple(sorted(rng.sample(range(pool.size), k)))
         closure = close_family(pool, gens, spec.max_opens)
         if closure is not None:
-            return tuple(sorted(closure))
+            return closure
     raise RuntimeError("no family within the opens bound after 1000 draws")
 
 

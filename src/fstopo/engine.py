@@ -2,14 +2,16 @@
 
 A ``SpaceCase`` is one topology over a ``SetPool``, given as the sorted
 ids of its opens, with its closure and interior tables and the masks
-its axioms are read from, each built on first use.  Every mask is over
-pool ids, cut to the case's opens with one ``open_mask``, so its bits
-come in open order.  The five axiom scans (``_t0_fail`` ...
-``_normal_fail``) read only masks and a pair-eligibility test:
-``SpaceCase`` runs them over pool ids, the deciders of ``deciders.py``
-over open positions.  ``SpaceCase.ax(name, g)`` runs them on the space
-or, given g, on the subspace at g without building it.  Connectedness
-has a search of its own, ``_separations``.
+its axioms are read from, each built on first use.  A set is open
+(closed) exactly when its bit is set in ``open_mask`` (``closed_mask``).
+Every mask is over pool ids, cut to the case's opens with one
+``open_mask``, so its bits come in open order.  The five axiom scans
+(``_t0_fail`` ... ``_normal_fail``) read only masks and a
+pair-eligibility test: ``SpaceCase`` runs them over pool ids, the
+deciders of ``deciders.py`` over open positions.
+``SpaceCase.ax(name, g)`` runs them on the space or, given g, on the
+subspace at g without building it.  Connectedness has a search of its
+own, ``_separations``.
 """
 
 from __future__ import annotations
@@ -131,22 +133,19 @@ class SpaceCase:
                  order: int = 0, exhaustive: bool = False):
         self.label = label
         self.pool = pool
-        self.ids = ids
+        self.ids = self.opens = ids
         self.order = order
         self.exhaustive = exhaustive
         self.carrier = ids[-1]
-        self.opens = list(ids)
-        self.open_set = frozenset(ids)
-        self.open_mask = sum(map((1).__lshift__, self.open_set))
-        self.closeds = sorted({pool.comp[o] for o in ids})
-        self.closed_set = frozenset(self.closeds)
+        self.open_mask = sum(map((1).__lshift__, ids))
+        self.closeds = sorted(map(pool.comp.__getitem__, ids))
+        self.closed_mask = sum(map((1).__lshift__, self.closeds))
         self.pts = list(_bits(pool.pt_set_mask[self.carrier]))
         self._cl: list[int] | None = None
         self._int: list[int] | None = None
         self._omasks: list[int] | None = None
         self._nbhds: list[int] | None = None
         self._dis: int | None = None
-        self._odisj: dict[int | None, dict[int, int]] = {}
         self._ax: dict = {}
 
     # -- operator tables ---------------------------------------------------
@@ -198,14 +197,10 @@ class SpaceCase:
     def odisj(self, g: int | None = None) -> dict[int, int]:
         """Per open, the mask of the opens disjoint from it; given ``g``,
         of those whose trace on g is disjoint from its trace on g."""
-        got = self._odisj.get(g)
-        if got is None:
-            # an open is its own trace on the carrier
-            disj, opens = self.pool.disj_mask, self.open_mask
-            mg = self.pool.meet[self.carrier if g is None else g]
-            got = self._odisj[g] = {o: disj[mg[o]] & opens
-                                    for o in self.opens}
-        return got
+        # an open is its own trace on the carrier
+        disj, opens = self.pool.disj_mask, self.open_mask
+        mg = self.pool.meet[self.carrier if g is None else g]
+        return {o: disj[mg[o]] & opens for o in self.opens}
 
     def nbhds(self) -> list[int]:
         """Per point (aligned with self.pts), the bitmask over pool ids of
@@ -245,7 +240,7 @@ class SpaceCase:
         disj, pin, form = pool.disj_mask, pool.pt_in_mask, pool.pt_form_id
         if name == "points_closed":
             return next((p for p in self.pts
-                         if form[p] not in self.closed_set), None)
+                         if not (self.closed_mask >> form[p]) & 1), None)
         if name != "normal":
             pts, omasks = self.pts, self.omasks()
             if g is not None:

@@ -753,7 +753,7 @@ def _scalar_nbd1(case):
 def _scalar_nbd4(case):
     it = case.interior()
     pin = case.pool.pt_in_mask
-    opens = case.open_set
+    opens = set(case.opens)
     meet = case.pool.meet
     checked = hits = 0
     fails = []
