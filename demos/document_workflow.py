@@ -37,14 +37,14 @@ space = validate_topology(doc.carrier, [s for _, s in doc.opens])
 print("validated with", len(space.opens), "opens")
 
 # subspace at the open a; its opens are the traces a min o
-view = space.subspace(doc.named_set("a"))
-print("subspace carrier:", view.carrier.render())
-for o in view.opens:
+sub = space.subspace(doc.named_set("a"))
+print("subspace carrier:", sub.carrier.render())
+for o in sub.opens:
     print("   open:", o.render())
 
 # emit the induced space; grades written as exact fractions, 0.5 never
 emitted = document_from_topology(
-    view.carrier, view.opens, lattice_spec=tuple(GradeLattice.close(["1/2"])))
+    sub.carrier, sub.opens, lattice_spec=tuple(GradeLattice.close(["1/2"])))
 out = Path(tempfile.mkdtemp()) / "subspace.fst"
 out.write_text(emitted.render())
 print("\nemitted document:")

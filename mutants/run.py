@@ -47,6 +47,8 @@ class Mutant(NamedTuple):
 
 ENGINE = "src/fstopo/engine.py"
 DECIDERS = "src/fstopo/deciders.py"
+TOPOLOGY = "src/fstopo/topology.py"
+SUBSPACE_TESTS = "tests/test_topology.py::TestFinerAndSubspace::"
 MASK_ORACLE = ("tests/test_deciders.py::"
                "test_masks_match_the_fraction_definitions")
 SCAN_ORACLE = "tests/test_engine.py::test_scans_match_their_definitions"
@@ -176,7 +178,29 @@ MUTANTS = (
            "        return cells\n",
            (MASK_ORACLE, "tests/test_deciders.py::TestConnectedness::"
             "test_cross_parameter_mode_changes_the_answer")),
-    Mutant("validate-last-pair-first", "src/fstopo/topology.py",
+    # the relative closure scan keeping the traces below h, not above it
+    Mutant("relative-closure-below", TOPOLOGY,
+           "        if h.leq(k):\n",
+           "        if k.leq(h):\n",
+           (SUBSPACE_TESTS
+            + "test_relative_closure_agrees_with_parent_route",)),
+    Mutant("subspace-opens-uncut", TOPOLOGY,
+           "[g.intersection(o) for o in self.opens]",
+           "list(self.opens)",
+           (SUBSPACE_TESTS
+            + "test_subspace_is_the_validated_family_of_traces",
+            SUBSPACE_TESTS + "test_subspace_opens_are_traces")),
+    Mutant("separation-carrier-unbounded", DECIDERS,
+           "    space._check_subspace(g)\n",
+           "",
+           ("tests/test_deciders.py::TestSubspaceSeparation::"
+            "test_rejects_a_carrier_outside_the_space",)),
+    # NBD.3 concluding from its first neighborhood, not the intersection
+    Mutant("nbd3-reads-the-first-set", "src/fstopo/claims.py",
+           "        if (nm >> meet[n1][n2]) & 1:\n",
+           "        if (nm >> n1) & 1:\n",
+           ("tests/test_claims.py::test_space_claims_match_scalar_scans",)),
+    Mutant("validate-last-pair-first", TOPOLOGY,
            "for j in range(i + 1, len(order)):",
            "for j in reversed(range(i + 1, len(order))):",
            ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),

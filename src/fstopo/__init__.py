@@ -30,7 +30,6 @@ from .topology import (
     AxiomViolation,
     CarrierBoundError,
     FuzzySoftTopology,
-    SubspaceView,
     TopologyValidationError,
     validate_topology,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "SpaceCase",
     "SpaceCorpus",
     "SpaceDocument",
-    "SubspaceView",
     "TopologyValidationError",
     "Universe",
     "Witness",

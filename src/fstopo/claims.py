@@ -492,19 +492,17 @@ def _eval_nbd1(case: SpaceCase):
         "Any superset of a neighborhood is again a neighborhood.",
         _PROBE_PAIRS, complete=False)
 def _eval_nbd2(case: SpaceCase):
-    it = case.interior()
     meet = case.pool.meet
-    pin = case.pool.pt_in_mask
     n = case.pool.size
-    pts = case.pts
+    pts, nbhds = case.pts, case.nbhds()
 
     def check(t):
         pi, rest = divmod(t, n * n)
         nb, m = divmod(rest, n)
-        pm = pin[pts[pi]]
-        if meet[nb][m] != nb or not (pm >> it[nb]) & 1:  # need nb <= m
+        nm = nbhds[pi]
+        if meet[nb][m] != nb or not (nm >> nb) & 1:  # need nb <= m
             return None
-        if (pm >> it[m]) & 1:
+        if (nm >> m) & 1:
             return True
         return lambda m=m, pi=pi: (
             f"{case.render_set(m)} extends a neighborhood of "
@@ -520,19 +518,17 @@ def _eval_nbd2(case: SpaceCase):
         f"case), full scan on exhaustive cases when it fits",
         complete=False)
 def _eval_nbd3(case: SpaceCase):
-    it = case.interior()
     meet = case.pool.meet
-    pin = case.pool.pt_in_mask
     n = case.pool.size
-    pts = case.pts
+    pts, nbhds = case.pts, case.nbhds()
 
     def check(t):
         pi, rest = divmod(t, n * n)
         n1, n2 = divmod(rest, n)
-        pm = pin[pts[pi]]
-        if not ((pm >> it[n1]) & 1 and (pm >> it[n2]) & 1):
+        nm = nbhds[pi]
+        if not ((nm >> n1) & 1 and (nm >> n2) & 1):
             return None
-        if (pm >> it[meet[n1][n2]]) & 1:
+        if (nm >> meet[n1][n2]) & 1:
             return True
         return lambda pi=pi: (
             f"intersection of two neighborhoods of "

@@ -362,24 +362,24 @@ def cmd_subspace(args) -> int:
     doc, lattice, space = _load(args)
     g = _named_set(doc, args.name)
     try:
-        view = space.subspace(g)
+        sub = space.subspace(g)
     except CarrierBoundError as exc:
         raise _ValidationFailure(str(exc)) from None
     out_doc = document_from_topology(
-        view.carrier, view.opens, lattice_spec=tuple(lattice))
+        sub.carrier, sub.opens, lattice_spec=tuple(lattice))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(out_doc.render())
     except OSError as exc:
         raise _UsageError(f"cannot write {args.out}: {exc.strerror}") from None
     results = {
-        "carrier": view.carrier.render(),
-        "opens": [o.render() for o in view.opens],
+        "carrier": sub.carrier.render(),
+        "opens": [o.render() for o in sub.opens],
         "out": args.out,
     }
-    lines = [f"subspace carrier: {view.carrier.render()}",
-             f"induced opens ({len(view.opens)}):"]
-    lines.extend(f"  {o.render()}" for o in view.opens)
+    lines = [f"subspace carrier: {sub.carrier.render()}",
+             f"induced opens ({len(sub.opens)}):"]
+    lines.extend(f"  {o.render()}" for o in sub.opens)
     lines.append(f"written to {args.out}")
     return _emit(args, lattice, results, lines)
 

@@ -60,7 +60,7 @@ from .engine import (
 )
 from .points import FuzzySoftPoint, enumerate_points
 from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_key, rank_codes
-from .topology import FuzzySoftTopology, SubspaceView
+from .topology import FuzzySoftTopology
 
 PAIR_RELATIONS = ("distinct", "disjoint")
 REGULAR_READINGS = ("membership", "disjoint")
@@ -432,23 +432,23 @@ def clopen_witness(space: FuzzySoftTopology) -> Optional[FuzzySoftSet]:
 
 
 def subspace_separation(
-    view: SubspaceView,
+    space: FuzzySoftTopology,
+    g: FuzzySoftSet,
     k: FuzzySoftSet,
     h: FuzzySoftSet,
-    cfg: DeciderConfig,
 ) -> bool:
-    """Whether k and h split the subspace in the closure sense: each misses
-    the parent closure of the other.
+    """Whether k and h split the subspace of ``space`` at ``g`` in the
+    closure sense: each misses the closure in ``space`` of the other.
 
     Whether this coincides with "k, h are a separation of the subspace" is a
     question for the auditor, not an assumption made here.
     """
+    space._check_subspace(g)
     if k.is_null() or h.is_null():
         raise DeciderPreconditionError("separation parts must be nonempty")
-    if k.union(h) != view.carrier:
+    if k.union(h) != g:
         raise DeciderPreconditionError("parts must union to the subspace carrier")
-    parent = view.parent
     return (
-        k.intersection(parent.closure(h)).is_null()
-        and h.intersection(parent.closure(k)).is_null()
+        k.intersection(space.closure(h)).is_null()
+        and h.intersection(space.closure(k)).is_null()
     )

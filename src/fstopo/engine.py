@@ -342,7 +342,7 @@ class SpaceCase:
     def separation(self):
         """The first pair of disjoint non-null opens joining to the
         carrier, or None; two claims render it."""
-        return _sep_pair(self.pool, self.traces(self.carrier), self.carrier)
+        return _sep_pair(self.pool, self.opens, self.carrier)
 
     # -- rendering ---------------------------------------------------------
 

@@ -30,14 +30,15 @@ the witnesses rendered from the sets, so the violations are those of the
 scan over the sets.  The topology is then built without the
 constructor's re-check of what was just checked.
 
-A subspace at a carrier g below the parent carrier has opens {g min o}.
-Its subspace-relative closed sets are the traces {k min g} of the parent's
-closed sets, and relative closure scans those traces.  Relative closure
-provably equals closure-in-the-parent intersected with g; both routes are
-exposed so the equation can be checked rather than assumed.  The induced
-family also forms a topology in its own right, whose absolute closed sets
-(1 - o) are a different family in general; the claim registry audits the
-gap between the two readings instead of hiding it.
+A subspace at a carrier g below the carrier is itself a topology:
+``subspace(g)`` returns the validated family {g min o}.  Its absolute
+closed sets (1 - o) are in general not its relative closed sets, the
+traces {k min g} of the parent's closed sets, so the relative reading is
+asked of the parent: ``relative_closed_sets(g)`` and
+``relative_closure(g, h)``, which scans those traces.  Relative closure
+provably equals ``closure(h) min g``; both routes are exposed so the
+equation can be checked rather than assumed, and the claim registry
+audits the gap between the two readings instead of hiding it.
 """
 
 from __future__ import annotations
@@ -192,13 +193,40 @@ class FuzzySoftTopology:
             )
         return self._open_set.issuperset(other.opens)
 
-    def subspace(self, g: FuzzySoftSet) -> "SubspaceView":
-        """The subspace at carrier ``g``: opens are the traces g min o."""
+    def _check_subspace(self, g: FuzzySoftSet) -> None:
         self._check_context(g)
         if not g.leq(self.carrier):
             raise CarrierBoundError("subspace carrier must lie below the carrier")
-        space = validate_topology(g, [g.intersection(o) for o in self.opens])
-        return SubspaceView(parent=self, space=space)
+
+    def subspace(self, g: FuzzySoftSet) -> "FuzzySoftTopology":
+        """The subspace at carrier ``g``: opens are the traces g min o."""
+        self._check_subspace(g)
+        return validate_topology(g, [g.intersection(o) for o in self.opens])
+
+    def relative_closed_sets(self, g: FuzzySoftSet) -> tuple[FuzzySoftSet, ...]:
+        """Closed sets of the subspace at ``g``: the traces k min g of the
+        closed sets, deduplicated, canonical order."""
+        self._check_subspace(g)
+        return _canonical_family(k.intersection(g) for k in self.closed_sets)
+
+    def relative_closure(self, g: FuzzySoftSet, h: FuzzySoftSet) -> FuzzySoftSet:
+        """Closure of ``h`` inside the subspace at ``g``: intersection of
+        every relative closed superset of ``h``.
+
+        Must (and does) coincide with ``closure(h) min g``; that route is
+        left to the caller so agreement stays a check, not a tautology.
+        """
+        closeds = self.relative_closed_sets(g)
+        if not h.leq(g):
+            raise CarrierBoundError(
+                "relative closure expects a subset of the subspace carrier"
+            )
+        result = None
+        for k in closeds:
+            if h.leq(k):
+                result = k if result is None else result.intersection(k)
+        assert result is not None  # g itself is a relative closed set
+        return result
 
 
 def validate_topology(
@@ -285,50 +313,3 @@ def validate_topology(
     object.__setattr__(space, "opens", opens)
     return space
 
-
-@dataclass(frozen=True)
-class SubspaceView:
-    """A subspace together with the parent it was cut from.
-
-    ``space`` is the induced topology (a full citizen: it can be handed to
-    any decider).  The subspace-relative closed sets and relative closure
-    live here because they are defined through the parent.
-    """
-
-    parent: FuzzySoftTopology
-    space: FuzzySoftTopology
-
-    @property
-    def carrier(self) -> FuzzySoftSet:
-        return self.space.carrier
-
-    @property
-    def opens(self) -> tuple[FuzzySoftSet, ...]:
-        return self.space.opens
-
-    @cached_property
-    def relative_closed_sets(self) -> tuple[FuzzySoftSet, ...]:
-        """Traces k min g of the parent's closed sets."""
-        g = self.carrier
-        return _canonical_family(
-            k.intersection(g) for k in self.parent.closed_sets
-        )
-
-    def closure_in(self, h: FuzzySoftSet) -> FuzzySoftSet:
-        """Closure inside the subspace: intersection of every relative
-        closed superset of ``h``.
-
-        Must (and does) coincide with ``parent.closure(h) min carrier``;
-        the parent-route is left to the caller so agreement stays a check,
-        not a tautology.
-        """
-        if not h.leq(self.carrier):
-            raise CarrierBoundError(
-                "closure_in expects a subset of the subspace carrier"
-            )
-        result = None
-        for k in self.relative_closed_sets:
-            if h.leq(k):
-                result = k if result is None else result.intersection(k)
-        assert result is not None  # the carrier itself is a relative closed set
-        return result

@@ -29,6 +29,7 @@ from fstopo.claims import (
     EXHAUSTIVE_LIMIT,
     PAIR_PROBES,
     REPRODUCED,
+    TRIPLE_PROBES,
     _MAX_FAILS,
     SpaceCase,
     _claim,
@@ -668,7 +669,9 @@ def corrupt_case_and_flips(corpus, seed):
     index = rng.randrange(len(corpus.spaces))
     case = SpaceCase(corpus.label(index), pool, corpus.spaces[index],
                      exhaustive=True)
-    case.closeds = sorted(set(case.closeds) | {rng.randrange(pool.size)})
+    extra = rng.randrange(pool.size)
+    case.closeds = sorted(set(case.closeds) | {extra})
+    case.closed_mask |= 1 << extra
     cl, it = case.cl()[:], case.interior()[:]
     for row in (cl, it):
         for _ in range(1 + seed % 4):
@@ -727,7 +730,7 @@ def test_rows_match_checks(corpus):
     assert failed["corrupt"] == ROW_CLAIMS
 
 
-# NBD.1 and NBD.4 read per-point neighborhood bitmasks, and CON.SEPCHAR-rev
+# The NBD claims read per-point neighborhood bitmasks, and CON.SEPCHAR-rev
 # builds its splittings from place values; these are the loops they replace.
 
 
@@ -747,6 +750,51 @@ def _scalar_nbd1(case):
                 fails.append(
                     f"{case.render_point(p)} has neighborhood "
                     f"{case.render_set(nb)} without belonging to it")
+    return checked, hits, fails
+
+
+def _scalar_nbd2(case):
+    it = case.interior()
+    meet = case.pool.meet
+    pin = case.pool.pt_in_mask
+    n = case.pool.size
+    checked = hits = 0
+    fails = []
+    for t in _scan_indices(case, len(case.pts) * n * n, PAIR_PROBES, 21):
+        pi, rest = divmod(t, n * n)
+        nb, m = divmod(rest, n)
+        checked += 1
+        pm = pin[case.pts[pi]]
+        if meet[nb][m] != nb or not (pm >> it[nb]) & 1:
+            continue
+        hits += 1
+        if not (pm >> it[m]) & 1 and len(fails) < _MAX_FAILS:
+            fails.append(
+                f"{case.render_set(m)} extends a neighborhood of "
+                f"{case.render_point(case.pts[pi])} but is no neighborhood "
+                f"itself")
+    return checked, hits, fails
+
+
+def _scalar_nbd3(case):
+    it = case.interior()
+    meet = case.pool.meet
+    pin = case.pool.pt_in_mask
+    n = case.pool.size
+    checked = hits = 0
+    fails = []
+    for t in _scan_indices(case, len(case.pts) * n * n, TRIPLE_PROBES, 22):
+        pi, rest = divmod(t, n * n)
+        n1, n2 = divmod(rest, n)
+        checked += 1
+        pm = pin[case.pts[pi]]
+        if not ((pm >> it[n1]) & 1 and (pm >> it[n2]) & 1):
+            continue
+        hits += 1
+        if not (pm >> it[meet[n1][n2]]) & 1 and len(fails) < _MAX_FAILS:
+            fails.append(
+                f"intersection of two neighborhoods of "
+                f"{case.render_point(case.pts[pi])} is no neighborhood")
     return checked, hits, fails
 
 
@@ -810,6 +858,8 @@ def _scalar_sepchar_rev(case):
 
 SCALAR_SPACE_SCANS = {
     "NBD.1": _scalar_nbd1,
+    "NBD.2": _scalar_nbd2,
+    "NBD.3": _scalar_nbd3,
     "NBD.4": _scalar_nbd4,
     "CON.SEPCHAR-rev": _scalar_sepchar_rev,
 }
@@ -1092,7 +1142,7 @@ def test_point_claim_triples_are_pinned(shape_pool):
 POINT_TRIPLES_DIGEST = (
     "a8f5a35fbfb1f2c6aec2b645b49023f69b243b382ba2d486f67a518978d77c9a")
 SPACE_TRIPLES_DIGEST = (
-    "d91dbf1adbec12dd3d798f08ccfde348f0f7a6c2c9956df3a0cfe8fabf9e4c83")
+    "3fc7bdea1f1cefc5b0f6aa3b6b3d984524d4c9ab3d2c4e0c711d0fadb2fb6e30")
 POOL_TRIPLES_DIGEST = (
     "8a2c02574366f77762ab6f32f209d93d55955514cc245be7030c2128104a54dd")
 

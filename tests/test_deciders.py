@@ -46,7 +46,7 @@ from fstopo.softsets import (
     ParameterSet,
     disjoint,
 )
-from fstopo.topology import validate_topology
+from fstopo.topology import CarrierBoundError, validate_topology
 
 from conftest import OBJECT_LATTICES, object_spaces
 
@@ -213,20 +213,22 @@ class TestConnectedness:
 
 class TestSubspaceSeparation:
     def test_closure_sense_split(self, discrete):
-        view = discrete.subspace(FULL)
-        assert subspace_separation(view, OX, OY, crisp_cfg())
+        assert subspace_separation(discrete, FULL, OX, OY)
 
     def test_rejects_null_parts_and_wrong_unions(self, discrete):
-        view = discrete.subspace(FULL)
         with pytest.raises(DeciderPreconditionError):
-            subspace_separation(view, NULL, FULL, crisp_cfg())
+            subspace_separation(discrete, FULL, NULL, FULL)
         with pytest.raises(DeciderPreconditionError):
-            subspace_separation(view, OX, OX, crisp_cfg())
+            subspace_separation(discrete, FULL, OX, OX)
 
     def test_overlapping_closures_are_not_a_split(self, sierpinski):
-        view = sierpinski.subspace(FULL)
         # cl({x}) is the carrier, which meets {y}
-        assert not subspace_separation(view, OX, OY, crisp_cfg())
+        assert not subspace_separation(sierpinski, FULL, OX, OY)
+
+    def test_rejects_a_carrier_outside_the_space(self):
+        small = validate_topology(OX, [NULL, OX])
+        with pytest.raises(CarrierBoundError):
+            subspace_separation(small, FULL, OX, OY)
 
 
 class TestVerdictShape:

@@ -165,21 +165,32 @@ class TestFinerAndSubspace:
         with pytest.raises(CarrierBoundError):
             small.subspace(FULL)
 
+    def test_subspace_is_the_validated_family_of_traces(self, chain_space):
+        sub = chain_space.subspace(B)
+        assert isinstance(sub, FuzzySoftTopology)
+        assert sub == validate_topology(
+            B, [B.intersection(o) for o in chain_space.opens])
+
     def test_relative_closeds_are_traces_of_parent_closeds(self, chain_space):
-        view = chain_space.subspace(B)
         expected = {k.intersection(B) for k in chain_space.closed_sets}
-        assert set(view.relative_closed_sets) == expected
+        assert set(chain_space.relative_closed_sets(B)) == expected
 
     def test_relative_closure_agrees_with_parent_route(self, chain_space):
-        view = chain_space.subspace(B)
         for h in enumerate_lattice_sets(U, E, DESK, bound=B):
-            assert view.closure_in(h) == chain_space.closure(h).intersection(B)
+            assert (chain_space.relative_closure(B, h)
+                    == chain_space.closure(h).intersection(B))
 
     def test_closure_in_rejects_sets_outside_the_carrier(self, chain_space):
-        view = chain_space.subspace(A)
         with pytest.raises(CarrierBoundError):
-            view.closure_in(B)
+            chain_space.relative_closure(A, B)
 
+    def test_relative_closure_rejects_a_carrier_outside_the_space(
+            self, chain_space):
+        small = validate_topology(B, [NULL, A, B])
+        with pytest.raises(CarrierBoundError):
+            small.relative_closure(FULL, A)
+        with pytest.raises(CarrierBoundError):
+            small.relative_closed_sets(FULL)
 
 def test_every_generated_family_validates():
     """Closing any pair of desk sets under min/max yields a valid family."""
