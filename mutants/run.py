@@ -161,21 +161,17 @@ MUTANTS = (
            "self.closed_mask = sum(map((1).__lshift__, self.closeds))",
            "self.closed_mask = sum(map((1).__lshift__, ids))",
            ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
+    # the closed sets coded with a coder ranked on the opens alone
     Mutant("rank-without-closed-grades", DECIDERS,
-           "        self.rank, codes = rank_codes([*opens, *closeds, "
-           "space.carrier],\n"
-           "                                      cfg.lattice)\n",
-           "        self.rank, codes = rank_codes([*opens, space.carrier],\n"
-           "                                      cfg.lattice)\n"
+           "            [*opens, *closeds, space.carrier], cfg.lattice)\n",
+           "            [*opens, space.carrier], cfg.lattice)\n"
            "        codes[len(opens):len(opens)] = [\n"
-           "            tuple(map(self.rank.__getitem__,\n"
-           "                      map(grade_key, k.sort_key())))\n"
-           "            for k in closeds]\n",
+           "            self.coder(k.sort_key()) for k in closeds]\n",
            (MASK_ORACLE,)),
     Mutant("cross-parameter-as-pointwise", DECIDERS,
            '        if self.cfg.disjointness_mode == "pointwise":\n'
-           "            return cells\n",
-           "        return cells\n",
+           "            return code\n",
+           "        return code\n",
            (MASK_ORACLE, "tests/test_deciders.py::TestConnectedness::"
             "test_cross_parameter_mode_changes_the_answer")),
     # the relative closure scan keeping the traces below h, not above it
@@ -238,6 +234,24 @@ MUTANTS = (
            "tuple(sorted(grades)))\n",
            "        lattice = cls(tuple(sorted(grades)))\n",
            (CLOSE_ONCE,)),
+    # a field too narrow for the highest rank, which spills into the
+    # next cell's field
+    Mutant("rank-field-one-bit-short", "src/fstopo/softsets.py",
+           "    width = len(ordered) - 1\n",
+           "    width = len(ordered) - 2\n",
+           ("tests/test_softsets.py::TestRankCodes::"
+            "test_ranks_follow_the_grade_order",)),
+    Mutant("validate-meet-read-as-join", TOPOLOGY,
+           "a & b not in present",
+           "a | b not in present",
+           ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
+    Mutant("lattice-denominator-uncapped", "src/fstopo/cli.py",
+           '    if re.fullmatch(r"[0-9]+", spec) and int(spec) > cap:\n'
+           '        raise CapExceededError("lattice denominator", '
+           "int(spec), cap)\n",
+           "",
+           ("tests/test_cli.py::TestExitCodes::"
+            "test_lattice_denominator_above_the_cap_exits_3",)),
     # ranks keyed by the Fraction again, one hash per cell
     Mutant("rank-keyed-by-fraction", "src/fstopo/softsets.py",
            "grade_key = Fraction.as_integer_ratio\n",

@@ -42,6 +42,7 @@ from .document import (
     document_from_topology,
     parse_document,
 )
+from .points import DEFAULT_POINT_CAP
 from .topology import (
     CarrierBoundError,
     TopologyValidationError,
@@ -152,9 +153,13 @@ def _read_document(path: str) -> SpaceDocument:
     return parse_document(text)
 
 
-def _resolve_lattice(spec: str, grades: set[Fraction]) -> GradeLattice:
+def _resolve_lattice(spec: str, grades: set[Fraction],
+                     cap: int) -> GradeLattice:
     """The lattice ``spec`` names; ``auto`` closes ``grades``, the
-    document's occurring grades."""
+    document's occurring grades.  A denominator above ``cap`` is refused
+    before its grades are built."""
+    if re.fullmatch(r"[0-9]+", spec) and int(spec) > cap:
+        raise CapExceededError("lattice denominator", int(spec), cap)
     try:
         if spec == "auto":
             return GradeLattice.close(grades)
@@ -224,7 +229,9 @@ def _load(args, build: bool = True):
     a family failing the axioms is a validation failure."""
     doc = _read_document(args.file)
     grades = doc.occurring_grades()
-    lattice = _resolve_lattice(args.lattice, grades)
+    lattice = _resolve_lattice(
+        args.lattice, grades,
+        DEFAULT_POINT_CAP if args.cap is None else args.cap)
     _check_lattice_covers(lattice, grades)
     if not build:
         return doc, lattice, None

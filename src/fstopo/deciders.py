@@ -30,22 +30,22 @@ Connectedness has a scan of its own.
 The masks are built on rank codes, not on ``Fraction``s
 (``softsets.rank_codes``): the lattice grades and every grade of the
 opens, the closed sets and the carrier are ranked, and each set becomes
-its vector of ranks.  Ranking keeps the order of grades, so membership
-and inclusion are cellwise comparisons of codes, and a union is the
-cellwise max.  Rank 0 is grade 0, since every lattice holds 0, so a
-set's nonzero cells are its support: two sets are disjoint pointwise
-when their nonzero cells do not meet, and across parameters when the
-elements nonzero at some parameter do not.  Witnesses are rendered from
-the points and sets themselves.  ``point_in``, ``softsets.disjoint`` and
-``leq`` on ``Fraction``s remain the definitions, which
-``tests/test_deciders.py`` builds the masks from and compares.
+one thermometer-coded ``int``, and each point the code of its soft-set
+form.  Membership and inclusion read ``a & ~b == 0`` and a union is
+``a | b``.  Rank 0 is grade 0, since every lattice holds 0, so a
+nonzero cell sets the low bit of its field and a code is its own
+support: two sets are disjoint pointwise when ``a & b`` is 0, and
+across parameters when their codes with the parameter blocks folded
+together do not meet.  Witnesses are rendered from the points and sets
+themselves.  ``point_in``, ``softsets.disjoint`` and ``leq`` on
+``Fraction``s remain the definitions, which ``tests/test_deciders.py``
+builds the masks from and compares.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from operator import le
 from typing import Optional
 
 from .algebra import GradeLattice
@@ -58,8 +58,8 @@ from .engine import (
     _t1_fail,
     _t2_fail,
 )
-from .points import FuzzySoftPoint, enumerate_points
-from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_key, rank_codes
+from .points import DEFAULT_POINT_CAP, FuzzySoftPoint, enumerate_points
+from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, rank_codes
 from .topology import FuzzySoftTopology
 
 PAIR_RELATIONS = ("distinct", "disjoint")
@@ -78,7 +78,7 @@ class DeciderConfig:
     disjointness_mode: str = "pointwise"
     point_pair_relation: Optional[str] = None  # None: per-axiom default
     regular_reading: str = "membership"
-    cap: int = 10**6
+    cap: int = DEFAULT_POINT_CAP
 
     def __post_init__(self) -> None:
         if self.disjointness_mode not in DISJOINTNESS_MODES:
@@ -179,66 +179,55 @@ class _Masks:
         self.space = space
         self.cfg = cfg
         opens, closeds = space.opens, space.closed_sets
-        self.rank, codes = rank_codes([*opens, *closeds, space.carrier],
-                                      cfg.lattice)
+        self.coder, width, codes = rank_codes(
+            [*opens, *closeds, space.carrier], cfg.lattice)
         self.ocodes = codes[:len(opens)]
         self.kcodes = codes[len(opens):-1]
         self.top = codes[-1]
-        self.width = len(space.universe)
+        self.span = len(space.universe) * width  # bits per parameter
 
-    def block(self, code: tuple[int, ...], s: int) -> tuple[int, ...]:
-        """The cells of ``code`` at the ``s``-th parameter."""
-        return code[s * self.width:(s + 1) * self.width]
-
-    def support(self, code: tuple[int, ...]) -> int:
-        """The nonzero cells of ``code`` as bits; under the cross-parameter
-        reading, the elements nonzero at some parameter.  Two sets are
-        disjoint exactly when their supports do not meet."""
-        cells = _mask(code)
+    def support(self, code: int) -> int:
+        """``code`` itself, or under the cross-parameter reading its
+        parameter blocks folded into one.  Two sets are disjoint exactly
+        when their supports do not meet."""
         if self.cfg.disjointness_mode == "pointwise":
-            return cells
-        width, elements = self.width, 0
-        while cells:
-            elements |= cells & ((1 << width) - 1)
-            cells >>= width
+            return code
+        span, elements = self.span, 0
+        while code:
+            elements |= code & ((1 << span) - 1)
+            code >>= span
         return elements
 
     @functools.cached_property
-    def point_codes(self) -> list[tuple[FuzzySoftPoint, int, tuple[int, ...]]]:
-        """(point, parameter position, value code) of every lattice point
-        inside the carrier, in canonical order."""
-        space, rank = self.space, self.rank
+    def point_forms(self) -> list[tuple[FuzzySoftPoint, int]]:
+        """Each lattice point inside the carrier, in canonical order, with
+        the code of its soft-set form."""
+        space, span, top = self.space, self.span, self.top
+        last = len(space.parameters) - 1
         out = []
         for p in enumerate_points(space.universe, space.parameters,
                                   self.cfg.lattice, self.cfg.cap):
-            s = space.parameters.index(p.support)
-            value = tuple(map(rank.__getitem__,
-                              map(grade_key, p.value.grades)))
-            if all(map(le, value, self.block(self.top, s))):
-                out.append((p, s, value))
+            form = self.coder(p.value.grades) << span * (
+                last - space.parameters.index(p.support))
+            if not form & ~top:
+                out.append((p, form))
         return out
 
     @functools.cached_property
     def points(self) -> list[FuzzySoftPoint]:
-        return [p for p, _, _ in self.point_codes]
+        return [p for p, _ in self.point_forms]
+
+    @functools.cached_property
+    def forms(self) -> list[int]:
+        return [form for _, form in self.point_forms]
 
     @property
     def scanned(self) -> str:
-        return f"{len(self.point_codes)} points scanned"
-
-    @functools.cached_property
-    def forms(self) -> list[tuple[int, ...]]:
-        """The code of each point's soft-set form."""
-        width, cells = self.width, len(self.top)
-        return [(0,) * (s * width) + value + (0,) * (cells - (s + 1) * width)
-                for _, s, value in self.point_codes]
+        return f"{len(self.points)} points scanned"
 
     @functools.cached_property
     def omasks(self) -> list[int]:
-        blocks = [[self.block(o, s) for o in self.ocodes]
-                  for s in range(len(self.space.parameters))]
-        return [_mask(all(map(le, value, o)) for o in blocks[s])
-                for _, s, value in self.point_codes]
+        return [_mask(not f & ~o for o in self.ocodes) for f in self.forms]
 
     @functools.cached_property
     def osupp(self) -> list[int]:
@@ -259,8 +248,7 @@ class _Masks:
 
     @functools.cached_property
     def covers(self) -> list[int]:
-        return [_mask(all(map(le, k, o)) for o in self.ocodes)
-                for k in self.kcodes]
+        return [_mask(not k & ~o for o in self.ocodes) for k in self.kcodes]
 
     def pair_test(self, axiom: str):
         """The configured pair relation of ``axiom`` on point indices."""
@@ -341,11 +329,10 @@ def is_regular(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     m = _masks(space, cfg)
     closeds = space.closed_sets
     if cfg.regular_reading == "membership":
-        points, kcodes = m.point_codes, m.kcodes
+        forms, kcodes = m.forms, m.kcodes
 
         def avoids(a, k):
-            _, s, value = points[a]
-            return not all(map(le, value, m.block(kcodes[k], s)))
+            return forms[a] & ~kcodes[k] != 0
     else:
         psupp, ksupp = m.psupp, m.ksupp
 
@@ -408,8 +395,7 @@ def find_separation(
         if not supp[i]:  # the null set
             continue
         for j in range(i + 1, len(codes)):
-            if supp[j] and not supp[i] & supp[j] and (
-                    tuple(map(max, a, codes[j])) == m.top):
+            if supp[j] and not supp[i] & supp[j] and a | codes[j] == m.top:
                 return space.opens[i], space.opens[j]
     return None
 

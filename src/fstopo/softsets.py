@@ -199,25 +199,33 @@ class FuzzySoftSet:
 grade_key = Fraction.as_integer_ratio
 
 
-def rank_codes(
-    sets, grades=()
-) -> tuple[dict[tuple[int, int], int], list[tuple[int, ...]]]:
-    """The rank of each distinct grade among ``grades`` and those of
-    ``sets``, keyed by ``grade_key``, and each set's grade vector as
-    ranks (its code).
+def rank_codes(sets, grades=()):
+    """A coder for grade vectors, the field width, and each set's code.
 
-    Ranking keeps the order of grades, and max and min only pick grades
-    that are already there, so codes compare, meet and join exactly as
-    the sets do: code(a union b) is the cellwise max of the codes, and
-    a.leq(b) holds when a's code lies cellwise under b's.
+    The distinct grades of ``grades`` and ``sets`` are ranked in
+    ascending order, keyed by ``grade_key``.  A code is an ``int`` with
+    one field of ``width`` bits per cell, the first cell highest, and a
+    cell of rank r sets the low r bits of its field (a thermometer code),
+    so codes sort like the grade vectors.  Max and min only pick grades
+    that are already there, so ``a | b`` and ``a & b`` are the codes of
+    the union and the intersection, and a.leq(b) when ``a & ~b`` is 0.
     """
     vectors = [tuple(map(grade_key, s.sort_key())) for s in sets]
     distinct = set(map(grade_key, grades))
     for v in vectors:
         distinct.update(v)
     ordered = sorted(distinct, key=lambda r: Fraction(*r))
-    rank = {r: i for i, r in enumerate(ordered)}
-    return rank, [tuple(map(rank.__getitem__, v)) for v in vectors]
+    width = len(ordered) - 1
+    field = {r: (1 << i) - 1 for i, r in enumerate(ordered)}
+
+    def encode(keys) -> int:
+        code = 0
+        for r in keys:
+            code = code << width | field[r]
+        return code
+
+    return (lambda vector: encode(map(grade_key, vector)), width,
+            list(map(encode, vectors)))
 
 
 def disjoint(g: FuzzySoftSet, h: FuzzySoftSet, mode: str = "pointwise") -> bool:

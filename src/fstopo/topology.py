@@ -21,14 +21,15 @@ the integer engine and the tests check against.
 
 Validation does not compare ``Fraction``s pair by pair.  It ranks the
 distinct grades of the carrier and the candidates and codes each set as
-its vector of ranks (``softsets.rank_codes``).  Min and max only pick
-grades that are already there, and ranking keeps their order, so the
-cellwise min and max of two codes are the codes of the intersection and
-the union, and equal codes are equal sets: the axioms are decided on
-integer tuples exactly.  The pairs are scanned in canonical order and
-the witnesses rendered from the sets, so the violations are those of the
-scan over the sets.  The topology is then built without the
-constructor's re-check of what was just checked.
+one thermometer-coded ``int`` (``softsets.rank_codes``).  Min and max
+only pick grades that are already there, and ranking keeps their order,
+so ``a & b`` and ``a | b`` are the codes of the intersection and the
+union, a set lies under the carrier when ``code & ~top`` is 0, equal
+codes are equal sets and sorted codes are the canonical order: the
+axioms are decided on ints exactly.  The pairs are scanned in
+canonical order and the witnesses rendered from the sets, so the
+violations are those of the scan over the sets.  The topology is then
+built without the constructor's re-check of what was just checked.
 
 A subspace at a carrier g below the carrier is itself a topology:
 ``subspace(g)`` returns the validated family {g min o}.  Its absolute
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import le
 
 from .algebra import ContextMismatchError, GradeLattice
 from .points import FuzzySoftPoint, point_in
@@ -243,68 +243,42 @@ def validate_topology(
     for c in family:
         if c.universe != carrier.universe or c.parameters != carrier.parameters:
             raise ContextMismatchError("candidate open does not belong to the space")
-    _, codes = rank_codes([carrier, *family])
+    _, _, codes = rank_codes([carrier, *family])
     top = codes[0]
     # equal codes are equal sets; sorted codes are the canonical order
-    by_code: dict[tuple[int, ...], FuzzySoftSet] = {}
+    by_code: dict[int, FuzzySoftSet] = {}
     for code, s in zip(codes[1:], family):
         by_code.setdefault(code, s)
     order = sorted(by_code)
     opens = tuple(by_code[code] for code in order)
-    violations: list[AxiomViolation] = []
-
-    for code, o in zip(order, opens):
-        if not all(map(le, code, top)):
-            violations.append(
-                AxiomViolation(
-                    "carrier-bound",
-                    (o,),
-                    f"candidate exceeds the carrier: {o.render()}",
-                )
-            )
+    violations = [
+        AxiomViolation("carrier-bound", (o,),
+                       f"candidate exceeds the carrier: {o.render()}")
+        for code, o in zip(order, opens) if code & ~top]
     # the null set comes first in canonical order when it is there at all
     if not opens or not opens[0].is_null():
-        violations.append(
-            AxiomViolation("contains-null", (), "the null set is not in the family")
-        )
+        violations.append(AxiomViolation(
+            "contains-null", (), "the null set is not in the family"))
     present = by_code.keys()
     if top not in present:
-        violations.append(
-            AxiomViolation(
-                "contains-carrier", (), "the carrier is not in the family"
-            )
-        )
-    inter_witness = None
-    union_witness = None
+        violations.append(AxiomViolation(
+            "contains-carrier", (), "the carrier is not in the family"))
+    inter = union = None
     for i, a in enumerate(order):
-        if inter_witness is not None and union_witness is not None:
-            break
         for j in range(i + 1, len(order)):
             b = order[j]
-            if inter_witness is None and tuple(map(min, a, b)) not in present:
-                inter_witness = (opens[i], opens[j])
-            if union_witness is None and tuple(map(max, a, b)) not in present:
-                union_witness = (opens[i], opens[j])
-            if inter_witness is not None and union_witness is not None:
-                break
-    if inter_witness is not None:
-        a, b = inter_witness
-        violations.append(
-            AxiomViolation(
-                "intersection-closed",
-                inter_witness,
-                f"missing intersection of {a.render()} and {b.render()}",
-            )
-        )
-    if union_witness is not None:
-        a, b = union_witness
-        violations.append(
-            AxiomViolation(
-                "union-closed",
-                union_witness,
-                f"missing union of {a.render()} and {b.render()}",
-            )
-        )
+            if inter is None and a & b not in present:
+                inter = (opens[i], opens[j])
+            if union is None and a | b not in present:
+                union = (opens[i], opens[j])
+        if inter is not None and union is not None:
+            break
+    for axiom, what, pair in (("intersection-closed", "intersection", inter),
+                              ("union-closed", "union", union)):
+        if pair is not None:
+            violations.append(AxiomViolation(
+                axiom, pair,
+                f"missing {what} of {pair[0].render()} and {pair[1].render()}"))
     if violations:
         raise TopologyValidationError(tuple(violations))
     # every invariant the constructor re-checks was checked above

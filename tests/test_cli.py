@@ -138,6 +138,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "audit", valid_doc, "--cap", "10")
         assert code == 3 and "cap" in err
 
+    def test_lattice_denominator_above_the_cap_exits_3(
+            self, capsys, valid_doc, monkeypatch):
+        code, out, err = run(capsys, "validate", valid_doc,
+                             "--cap", "10", "--lattice", "11")
+        assert (code, out) == (3, "") and "lattice denominator: 11 " in err
+        code, _, _ = run(capsys, "validate", valid_doc,
+                         "--cap", "10", "--lattice", "10")
+        assert code == 0
+        # without --cap, the point cap is the one in force
+        monkeypatch.setattr(cli, "DEFAULT_POINT_CAP", 10)
+        code, _, err = run(capsys, "validate", valid_doc, "--lattice", "11")
+        assert code == 3 and "cap 10" in err
+
     def test_negative_cap_exits_2(self, capsys, valid_doc, tmp_path):
         out_path = tmp_path / "sub.fst"
         for argv in (("validate", valid_doc), ("closure", valid_doc, "a"),

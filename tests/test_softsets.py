@@ -17,7 +17,6 @@ from fstopo.softsets import (
     count_lattice_sets,
     disjoint,
     enumerate_lattice_sets,
-    grade_key,
     rank_codes,
 )
 
@@ -110,12 +109,19 @@ class TestLatticeOps:
 
 class TestRankCodes:
     def test_ranks_follow_the_grade_order(self):
-        sets = enumerate_lattice_sets(U, E, GradeLattice.uniform(6))[::7]
-        rank, codes = rank_codes(sets, DESK)
-        grades = sorted({g for s in sets for g in s.sort_key()} | set(DESK))
-        assert rank == {grade_key(g): i for i, g in enumerate(grades)}
-        assert codes == [tuple(grades.index(g) for g in s.sort_key())
-                         for s in sets]
+        sets = enumerate_lattice_sets(U, E, GradeLattice.uniform(6))[::97]
+        code, width, codes = rank_codes(sets, DESK)
+        grades = {g for s in sets for g in s.sort_key()} | set(DESK)
+        assert width == len(grades) - 1
+        # the sets come in canonical order, each once
+        assert codes == sorted(set(codes))
+        assert codes == [code(s.sort_key()) for s in sets]
+        for g, a in zip(sets, codes):
+            for h, b in zip(sets, codes):
+                assert a | b == code(g.union(h).sort_key())
+                assert a & b == code(g.intersection(h).sort_key())
+                assert (a & ~b == 0) == g.leq(h)
+                assert (a == b) == (g == h)
 
     def test_no_fraction_is_hashed_per_cell(self, monkeypatch):
         sets = enumerate_lattice_sets(U, E, DESK)
