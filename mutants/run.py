@@ -163,11 +163,25 @@ MUTANTS = (
            ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
     # the closed sets coded with a coder ranked on the opens alone
     Mutant("rank-without-closed-grades", DECIDERS,
-           "            [*opens, *closeds, space.carrier], cfg.lattice)\n",
-           "            [*opens, space.carrier], cfg.lattice)\n"
+           "            [*opens, *closeds, space.carrier])\n",
+           "            [*opens, space.carrier])\n"
            "        codes[len(opens):len(opens)] = [\n"
            "            self.coder(k.sort_key()) for k in closeds]\n",
            (MASK_ORACLE,)),
+    # a point taken for the closed set whose code its ceiling code is
+    Mutant("point-closed-by-code-alone", DECIDERS,
+           "                if form not in closed\n"
+           "                or closed[form].value_for(p.support) != p.value"
+           "), None)\n",
+           "                if form not in closed), None)\n",
+           ("tests/test_deciders.py::"
+            "test_a_point_is_closed_only_at_its_exact_grade",)),
+    # the lattice grades ranked with the space's, widening every field
+    Mutant("rank-lattice-grades", DECIDERS,
+           "            [*opens, *closeds, space.carrier])\n",
+           "            [*opens, *closeds, space.carrier], cfg.lattice)\n",
+           ("tests/test_deciders.py::"
+            "test_codes_do_not_widen_with_the_lattice",)),
     Mutant("cross-parameter-as-pointwise", DECIDERS,
            '        if self.cfg.disjointness_mode == "pointwise":\n'
            "            return code\n",
@@ -237,8 +251,8 @@ MUTANTS = (
     # a field too narrow for the highest rank, which spills into the
     # next cell's field
     Mutant("rank-field-one-bit-short", "src/fstopo/softsets.py",
-           "    width = len(ordered) - 1\n",
-           "    width = len(ordered) - 2\n",
+           "    width = len(ranked) - 1\n",
+           "    width = len(ranked) - 2\n",
            ("tests/test_softsets.py::TestRankCodes::"
             "test_ranks_follow_the_grade_order",)),
     Mutant("validate-meet-read-as-join", TOPOLOGY,
@@ -246,9 +260,9 @@ MUTANTS = (
            "a | b not in present",
            ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
     Mutant("lattice-denominator-uncapped", "src/fstopo/cli.py",
-           '    if re.fullmatch(r"[0-9]+", spec) and int(spec) > cap:\n'
-           '        raise CapExceededError("lattice denominator", '
-           "int(spec), cap)\n",
+           "            if n > cap:\n"
+           '                raise CapExceededError("lattice denominator", '
+           "n, cap)\n",
            "",
            ("tests/test_cli.py::TestExitCodes::"
             "test_lattice_denominator_above_the_cap_exits_3",)),

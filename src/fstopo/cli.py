@@ -158,17 +158,20 @@ def _resolve_lattice(spec: str, grades: set[Fraction],
     """The lattice ``spec`` names; ``auto`` closes ``grades``, the
     document's occurring grades.  A denominator above ``cap`` is refused
     before its grades are built."""
-    if re.fullmatch(r"[0-9]+", spec) and int(spec) > cap:
-        raise CapExceededError("lattice denominator", int(spec), cap)
     try:
         if spec == "auto":
             return GradeLattice.close(grades)
         if re.fullmatch(r"[0-9]+", spec):
-            return GradeLattice.uniform(int(spec))
+            n = int(spec)
+            if n > cap:
+                raise CapExceededError("lattice denominator", n, cap)
+            return GradeLattice.uniform(n)
         if "," in spec:
             grades = tuple(as_grade(t.strip(" \t"))
                            for t in spec.split(",") if t.strip(" \t"))
             return GradeLattice(tuple(sorted(set(grades))))
+    except CapExceededError:
+        raise
     except (ValueError, GradeError) as exc:
         raise _UsageError(f"bad lattice {spec!r}: {exc}") from None
     raise _UsageError(f"bad lattice {spec!r}: expected 'auto', a "

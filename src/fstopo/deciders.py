@@ -28,18 +28,20 @@ order, so the first witness of a failure is deterministic.
 Connectedness has a scan of its own.
 
 The masks are built on rank codes, not on ``Fraction``s
-(``softsets.rank_codes``): the lattice grades and every grade of the
-opens, the closed sets and the carrier are ranked, and each set becomes
-one thermometer-coded ``int``, and each point the code of its soft-set
-form.  Membership and inclusion read ``a & ~b == 0`` and a union is
-``a | b``.  Rank 0 is grade 0, since every lattice holds 0, so a
-nonzero cell sets the low bit of its field and a code is its own
-support: two sets are disjoint pointwise when ``a & b`` is 0, and
-across parameters when their codes with the parameter blocks folded
-together do not meet.  Witnesses are rendered from the points and sets
-themselves.  ``point_in``, ``softsets.disjoint`` and ``leq`` on
-``Fraction``s remain the definitions, which ``tests/test_deciders.py``
-builds the masks from and compares.
+(``softsets.rank_codes``): every grade of the opens, the closed sets
+and the carrier is ranked, and each set becomes one thermometer-coded
+``int``, and each point the code of its soft-set form, a lattice grade
+that no set has coded as the least ranked grade above it, so the
+lattice never widens a code.  Membership and inclusion read
+``a & ~b == 0`` and a union is ``a | b``.  Rank 0 is grade 0, since the
+null set is open, so a nonzero cell sets the low bit of its field and a
+code is its own support: two sets are disjoint pointwise when ``a & b``
+is 0, and across parameters when their codes with the parameter blocks
+folded together do not meet.  A point is closed when its code is a
+closed set's and its value that set's own.  Witnesses are rendered from
+the points and sets themselves.  ``point_in``, ``softsets.disjoint``
+and ``leq`` on ``Fraction``s remain the definitions, which
+``tests/test_deciders.py`` builds the masks from and compares.
 """
 
 from __future__ import annotations
@@ -169,18 +171,17 @@ class _Masks:
     """The rank codes of one (space, config) and the masks the scans
     read, each built on first use.
 
-    The codes rank the lattice grades together with those of the opens,
-    the closed sets and the carrier, so every grade compared below has a
-    rank, and rank 0 is grade 0, which every lattice holds.  The lattice
-    points inside the carrier are enumerated only when a scan reads them,
-    so connectedness enumerates none."""
+    The codes rank the grades of the opens, the closed sets and the
+    carrier, and rank 0 is grade 0, which the null set holds.  The
+    lattice points inside the carrier are enumerated only when a scan
+    reads them, so connectedness enumerates none."""
 
     def __init__(self, space: FuzzySoftTopology, cfg: DeciderConfig):
         self.space = space
         self.cfg = cfg
         opens, closeds = space.opens, space.closed_sets
         self.coder, width, codes = rank_codes(
-            [*opens, *closeds, space.carrier], cfg.lattice)
+            [*opens, *closeds, space.carrier])
         self.ocodes = codes[:len(opens)]
         self.kcodes = codes[len(opens):-1]
         self.top = codes[-1]
@@ -201,14 +202,17 @@ class _Masks:
     @functools.cached_property
     def point_forms(self) -> list[tuple[FuzzySoftPoint, int]]:
         """Each lattice point inside the carrier, in canonical order, with
-        the code of its soft-set form."""
+        the code of its soft-set form.  A point with a grade above every
+        grade of the carrier has no code and lies outside it."""
         space, span, top = self.space, self.span, self.top
         last = len(space.parameters) - 1
         out = []
         for p in enumerate_points(space.universe, space.parameters,
                                   self.cfg.lattice, self.cfg.cap):
-            form = self.coder(p.value.grades) << span * (
-                last - space.parameters.index(p.support))
+            value = self.coder(p.value.grades)
+            if value is None:
+                continue
+            form = value << span * (last - space.parameters.index(p.support))
             if not form & ~top:
                 out.append((p, form))
         return out
@@ -316,9 +320,10 @@ def is_t2(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
 def points_all_closed(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Every lattice point of the carrier is, as a soft set, a closed set."""
     m = _masks(space, cfg)
-    closed = set(m.kcodes)
-    bad = next((p for p, form in zip(m.points, m.forms) if form not in closed),
-               None)
+    closed = dict(zip(m.kcodes, space.closed_sets))
+    bad = next((p for p, form in zip(m.points, m.forms)
+                if form not in closed
+                or closed[form].value_for(p.support) != p.value), None)
     witness = None if bad is None else Witness(
         "point", (bad.render(),), "its soft-set form is not closed")
     return _verdict("points-closed", cfg, witness, m.scanned)

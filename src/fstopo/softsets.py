@@ -17,10 +17,11 @@ takes every grade to 1 - grade.  Two disjointness readings are provided:
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, Optional
 
 from .algebra import (
     GRADE_ZERO,
@@ -209,19 +210,30 @@ def rank_codes(sets, grades=()):
     so codes sort like the grade vectors.  Max and min only pick grades
     that are already there, so ``a | b`` and ``a & b`` are the codes of
     the union and the intersection, and a.leq(b) when ``a & ~b`` is 0.
+
+    The coder codes a grade that is not ranked as the least ranked grade
+    above it: ``a & ~b`` against a ranked code b, and a nonzero test when
+    0 is ranked, stay exact, but equal codes no longer mean equal grades.
+    A vector with a grade above every ranked one has no code (None).
     """
     vectors = [tuple(map(grade_key, s.sort_key())) for s in sets]
     distinct = set(map(grade_key, grades))
     for v in vectors:
         distinct.update(v)
-    ordered = sorted(distinct, key=lambda r: Fraction(*r))
-    width = len(ordered) - 1
-    field = {r: (1 << i) - 1 for i, r in enumerate(ordered)}
+    ranked = sorted(Fraction(*r) for r in distinct)
+    width = len(ranked) - 1
+    field = {grade_key(g): (1 << i) - 1 for i, g in enumerate(ranked)}
 
-    def encode(keys) -> int:
+    def encode(keys) -> Optional[int]:
         code = 0
         for r in keys:
-            code = code << width | field[r]
+            if r not in field:  # not ranked: the least ranked grade above
+                i = bisect_left(ranked, Fraction(*r))
+                field[r] = (1 << i) - 1 if i < len(ranked) else None
+            f = field[r]
+            if f is None:
+                return None
+            code = code << width | f
         return code
 
     return (lambda vector: encode(map(grade_key, vector)), width,

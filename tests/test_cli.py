@@ -150,6 +150,10 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "DEFAULT_POINT_CAP", 10)
         code, _, err = run(capsys, "validate", valid_doc, "--lattice", "11")
         assert code == 3 and "cap 10" in err
+        # a denominator too long for int() is a bad lattice, not a crash
+        code, _, err = run(capsys, "validate", valid_doc,
+                           "--lattice", "1" * 5000)
+        assert code == 2 and "bad lattice" in err
 
     def test_negative_cap_exits_2(self, capsys, valid_doc, tmp_path):
         out_path = tmp_path / "sub.fst"

@@ -5,6 +5,7 @@ space on two elements is T4, the indiscrete space separates nothing,
 and the split topology {null, {x}, {y}, carrier} is disconnected.
 """
 
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -372,3 +373,38 @@ def test_connectedness_enumerates_no_points(monkeypatch, tmp_path, capsys):
     assert "connected: no" in capsys.readouterr().out
     with pytest.raises(AssertionError, match="points enumerated"):
         is_t0(space, crisp_cfg())
+
+
+def test_codes_do_not_widen_with_the_lattice():
+    # only the space's grades 0, 1/2 and 1 are ranked, so a code has two
+    # bits per cell at any lattice; ranking all 20001 grades would keep
+    # about 31 MB of ints before connectedness scans a pair
+    u1 = Universe.of("x")
+    full = FuzzySoftSet.full(u1, E)
+    half = FuzzySoftSet.build(u1, E, {"e1": {"x": "1/2"}})
+    space = validate_topology(full, [FuzzySoftSet.null(u1, E), half, full])
+    cfg = DeciderConfig(lattice=GradeLattice.uniform(20000))
+    tracemalloc.start()
+    try:
+        assert is_connected(space, cfg).holds
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    m = deciders._masks(space, cfg)
+    assert len(m.forms) == 20000 and max(m.forms) == 0b11
+
+
+def test_a_point_is_closed_only_at_its_exact_grade():
+    # 1/6 codes as 1/2, the least grade of the space above it, which is
+    # the code of the closed set {x: 1/2}; the point is still not closed
+    u1 = Universe.of("x")
+    full = FuzzySoftSet.full(u1, E)
+    half = FuzzySoftSet.build(u1, E, {"e1": {"x": "1/2"}})
+    space = validate_topology(full, [FuzzySoftSet.null(u1, E), half, full])
+    assert points_all_closed(space, crisp_cfg()).holds
+    assert points_all_closed(
+        space, DeciderConfig(lattice=GradeLattice.close(["1/2"]))).holds
+    verdict = points_all_closed(
+        space, DeciderConfig(lattice=GradeLattice.uniform(6)))
+    assert witness_of(verdict) == ("e1 @ {x: 1/6}",)

@@ -123,6 +123,15 @@ class TestRankCodes:
                 assert (a & ~b == 0) == g.leq(h)
                 assert (a == b) == (g == h)
 
+    def test_unranked_grades_code_as_the_next_ranked_one(self):
+        code, width, _ = rank_codes([], DESK)  # ranks 0, 1/2 and 1
+        assert width == 2
+        zero, third, half, one = map(Fraction, ("0", "1/3", "1/2", "1"))
+        assert code([zero, half, one]) == 0b000111
+        assert code([third, zero, Fraction(2, 3)]) == 0b010011
+        code, _, _ = rank_codes([], [zero, half])
+        assert code([third]) == 0b1 and code([third, one]) is None
+
     def test_no_fraction_is_hashed_per_cell(self, monkeypatch):
         sets = enumerate_lattice_sets(U, E, DESK)
         hashed = []
