@@ -62,6 +62,9 @@ SCHEDULE = ("tests/test_auditor.py::TestRunAudit::"
             "test_every_scheduled_case_is_evaluated")
 CLOSE_ONCE = ("tests/test_algebra.py::TestGradeLattice::"
               "test_close_validates_each_seed_once")
+SOFTSETS = "src/fstopo/softsets.py"
+CLAIMS = "src/fstopo/claims.py"
+ROW_ORACLE = "tests/test_claims.py::test_rows_match_checks"
 
 MUTANTS = (
     Mutant("t1-no-reversal", ENGINE,
@@ -316,6 +319,50 @@ MUTANTS = (
            "            tallies[ident].add(0, case.label, r)\n"
            "    elif space and rows:\n",
            ("tests/test_auditor.py::test_one_site_builds_the_space_cases",)),
+    # the pair scan stopping at the first row with either violation, so
+    # a violation of the other kind first seen in a later row is lost
+    Mutant("validate-stops-at-either-violation", TOPOLOGY,
+           "        if inter is not None and union is not None:\n",
+           "        if inter is not None or union is not None:\n",
+           ("tests/test_cli.py::TestReports::"
+            "test_validate_reports_both_closure_violations",)),
+    Mutant("pool-cap-refuses-the-cap", CORPUS,
+           "        if size > cap:\n",
+           "        if size >= cap:\n",
+           ("tests/test_corpus.py::TestSetPool::"
+            "test_cap_admits_exactly_the_cap",)),
+    Mutant("family-cap-refuses-the-cap", CORPUS,
+           "        if count > spec.family_cap:\n",
+           "        if count >= spec.family_cap:\n",
+           ("tests/test_corpus.py::TestEnumeration::"
+            "test_family_cap_admits_exactly_the_cap",)),
+    Mutant("enumeration-cap-refuses-the-cap", SOFTSETS,
+           "    if count > cap:\n",
+           "    if count >= cap:\n",
+           ("tests/test_softsets.py::TestEnumeration::"
+            "test_cap_admits_exactly_the_cap",)),
+    Mutant("parameter-name-empty", SOFTSETS,
+           "if not isinstance(name, str) or not name:",
+           "if not isinstance(name, str) and not name:",
+           ("tests/test_softsets.py::TestConstruction::"
+            "test_parameter_names_must_be_nonempty_strings",)),
+    # the law kernels joining f(g)'s code where they meet it, and back
+    Mutant("lane-join-read-as-meet", CLAIMS,
+           "parts = map(packed.__or__ if union else packed.__and__,",
+           "parts = map(packed.__and__ if union else packed.__or__,",
+           (ROW_ORACLE,)),
+    # the monotonicity kernel testing every h, not only those over g
+    Mutant("monotone-above-unmasked", CLAIMS,
+           "map(operator.and_, lanes.above, lanes.broadcast(image))",
+           "map(operator.and_, itertools.repeat(-1), lanes.broadcast(image))",
+           (ROW_ORACLE,)),
+    # codes read in their first byte only
+    Mutant("lanes-first-byte-only", CORPUS,
+           "for j in range(max(1, -(-pool.cells * bits // 8)))]",
+           "for j in range(1)]",
+           ("tests/test_claims.py::test_rows_match_checks_over_wide_codes",
+            "tests/test_corpus.py::TestSetPool::"
+            "test_lane_tables_code_the_tables")),
 )
 
 

@@ -49,12 +49,21 @@ of failure strings is drawn only up to the cap.
 
 A pair claim over the pool's n sets may also hand ``_scan`` its rows.
 When the scan covers every pair (an exhaustive case with n**2 at most
-``EXHAUSTIVE_LIMIT``), the driver reads one row per set g instead of
-calling the check n**2 times: the row's hypothesis hits and its failing
-partners h, worked out with ``map``, comprehensions or bitmasks over
-whole table rows.  The check stays the claim's definition: it still
-renders every failure kept, so counts, witnesses and their order are
-those of the per-pair scan, and the probed scans still call it per pair.
+``EXHAUSTIVE_LIMIT``, so every id fits in a byte), ``_scan`` reads one
+row per set g instead of calling the check n**2 times: the row's
+hypothesis hits and its failing partners h.  The rows come from a
+whole-row kernel over the byte rows of ``SetPool.lanes()``, one byte
+per h, run for all n rows at once as ``map`` pipelines, lane by lane: a
+``bytes.translate`` of g's meet or join row through a lane table of
+``cl()`` or ``interior()`` (``SpaceCase.lanes``) gives the thermometer
+codes of f(g op h) for every h, and a few int operations per row
+compare them with f(g)'s code met or joined with the packed codes of
+f(h); the failing h of a row are the bytes (or bits) left nonzero.  A
+kernel reads closure and interior as data and takes only order, meet
+and join from their cellwise definitions, never the law its claim
+audits.  The check stays the claim's definition: it still renders every
+failure kept, so counts, witnesses and their order are those of the
+per-pair scan, and the probed scans still call it per pair.
 """
 
 from __future__ import annotations
@@ -83,6 +92,9 @@ CLOSED_PROBES = 6
 EXHAUSTIVE_LIMIT = 40000
 _STRIDE = 7919  # prime, larger than any probe total we stride over
 _MAX_FAILS = 3
+
+# a translate table flagging every id but the null set's 0
+_NON_NULL = b"\x00" + b"\xff" * 255
 
 # coverage strings shared by several claims
 _PROBE_PAIRS = (f"ordered set pairs probed ({PAIR_PROBES} per case), full "
@@ -163,12 +175,12 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check,
     build closure cells on every call, hit or miss.
 
     A pair claim (``total`` is n**2 over the pool's n sets, ``t`` is
-    ``g * n + h``) may also pass ``rows``, a generator function yielding,
-    for g = 0 .. n-1 in turn, the row's hypothesis hits and an iterable
-    of its failing h in ascending order.  When the scan is the whole
-    range, the rows replace the per-pair calls; ``check`` still renders
-    the failures kept, and a row's failures are not drawn once the cap
-    is reached.
+    ``g * n + h``) may also pass ``rows``, a function returning an
+    iterator over g = 0 .. n-1 of the row's hypothesis hits and an
+    iterable of its failing h in ascending order.  When the scan is the
+    whole range, the rows replace the per-pair calls; ``check`` still
+    renders the failures kept, and a row's failures are not drawn once
+    the cap is reached.
     """
     indices = _scan_indices(case, total, probes, salt)
     if rows is None or not isinstance(indices, range):
@@ -176,10 +188,15 @@ def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check,
     hits = 0
     fails: list[str] = []
     n = case.pool.size
+    room = _MAX_FAILS
     for g, (row_hits, bad) in enumerate(rows()):
         hits += row_hits
-        for h in itertools.islice(bad, _MAX_FAILS - len(fails)):
-            fails.append(check(g * n + h)())
+        if room:
+            for h in bad:
+                fails.append(check(g * n + h)())
+                room -= 1
+                if not room:
+                    break
     return total, hits, fails
 
 
@@ -258,8 +275,10 @@ def _eval_cl2(case: SpaceCase):
     return _dual_eval(case, True)
 
 
-def _monotone_eval(case: SpaceCase, f: list[int], noun: str, salt: int):
-    """``f`` (closure or interior) preserves the order on every pair."""
+def _monotone_eval(case: SpaceCase, name: str, noun: str, salt: int):
+    """Closure (``name`` "cl") or interior ("interior") preserves the
+    order on every pair."""
+    f = getattr(case, name)()
     meet = case.pool.meet
     n = case.pool.size
 
@@ -274,11 +293,15 @@ def _monotone_eval(case: SpaceCase, f: list[int], noun: str, salt: int):
             f"{noun} are not ordered")
 
     def rows():
-        above = case.pool.order_rows()[0]
-        for g in range(n):
-            up, fg = above[g], f[g]
-            yield len(up), itertools.compress(up, map(
-                fg.__ne__, map(meet[fg].__getitem__, map(f.__getitem__, up))))
+        # h over g fails when f(g)'s code has a bit f(h)'s lacks
+        lanes = case.pool.lanes()
+        bad = [0] * n
+        for image, packed in case.lanes(name):
+            bad = list(map(operator.or_, bad, map(
+                (~packed).__and__,
+                map(operator.and_, lanes.above, lanes.broadcast(image)))))
+        return zip(map(int.bit_count, case.pool.above),
+                   map(lanes.positions, bad))
 
     return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
 
@@ -287,14 +310,14 @@ def _monotone_eval(case: SpaceCase, f: list[int], noun: str, salt: int):
         "Closure is monotone with respect to set inclusion.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl3(case: SpaceCase):
-    return _monotone_eval(case, case.cl(), "closures", 3)
+    return _monotone_eval(case, "cl", "closures", 3)
 
 
 @_claim("CL.4", ASSERTED, "space",
         "Interior is monotone with respect to set inclusion.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl4(case: SpaceCase):
-    return _monotone_eval(case, case.interior(), "interiors", 4)
+    return _monotone_eval(case, "interior", "interiors", 4)
 
 
 def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
@@ -361,20 +384,18 @@ def _eval_cl8(case: SpaceCase):
     return 2, 2, fails
 
 
-def _not_below(meet, lows, highs):
-    """Per position, whether ``lows[i] <= highs[i]`` fails; ``lows`` is
-    read twice, so it must be a list."""
-    return map(operator.ne,
-               map(operator.getitem, map(meet.__getitem__, lows), highs), lows)
-
-
-def _law_eval(case: SpaceCase, f: list[int], table, law: str, op: str,
-              part: str, salt: int):
-    """``f`` (closure or interior) against ``table`` (union or
-    intersection) on every pair: with ``law`` "=", f(g part h) is
-    f(g) part f(h); with "<=" it lies below it, with ">=" above it."""
-    meet = case.pool.meet
-    n = case.pool.size
+def _law_eval(case: SpaceCase, name: str, noun: str, part: str, law: str,
+              salt: int):
+    """Closure (``name`` "cl") or interior ("interior"), the ``noun``,
+    against ``part`` ("union" or "intersection") on every pair: with
+    ``law`` "=", f(g part h) is f(g) part f(h); with "<=" it lies below
+    it, with ">=" above it."""
+    f = getattr(case, name)()
+    union = part == "union"
+    pool = case.pool
+    meet = pool.meet
+    table = pool.join if union else meet
+    n = pool.size
     verb = "is not" if law == "=" else "exceeds"
 
     def check(t):
@@ -391,23 +412,30 @@ def _law_eval(case: SpaceCase, f: list[int], table, law: str, op: str,
             return True
         if law == ">=":
             return lambda g=g, h=h: (
-                f"{part} of the {op}s of {case.render_set(g)} and "
-                f"{case.render_set(h)} exceeds the {op} of the {part}")
+                f"{part} of the {noun}s of {case.render_set(g)} and "
+                f"{case.render_set(h)} exceeds the {noun} of the {part}")
         return lambda g=g, h=h: (
-            f"{op} of the {part} of {case.render_set(g)} and "
-            f"{case.render_set(h)} {verb} the {part} of the {op}s")
+            f"{noun} of the {part} of {case.render_set(g)} and "
+            f"{case.render_set(h)} {verb} the {part} of the {noun}s")
 
     def rows():
-        for g in range(n):
-            whole = list(map(f.__getitem__, table[g]))
-            parts = list(map(table[f[g]].__getitem__, f))
+        # per lane, the codes of f(g part h) over h, read off g's table
+        # row, against f(g)'s code joined (met) with the codes of f(h)
+        lanes = pool.lanes()
+        byte_rows = lanes.join if union else lanes.meet
+        bad = [0] * n
+        for image, packed in case.lanes(name):
+            whole = lanes.read(byte_rows, image)
+            parts = map(packed.__or__ if union else packed.__and__,
+                        lanes.broadcast(image))
             if law == "=":
-                bad = map(operator.ne, whole, parts)
+                lane = map(operator.xor, whole, parts)
             elif law == "<=":
-                bad = _not_below(meet, whole, parts)
+                lane = map(operator.and_, whole, map(operator.invert, parts))
             else:
-                bad = _not_below(meet, parts, whole)
-            yield n, itertools.compress(range(n), bad)
+                lane = map(operator.and_, parts, map(operator.invert, whole))
+            bad = list(map(operator.or_, bad, lane))
+        return zip(itertools.repeat(n), map(lanes.positions, bad))
 
     return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
 
@@ -416,40 +444,36 @@ def _law_eval(case: SpaceCase, f: list[int], table, law: str, op: str,
         "Closure distributes over pairwise union.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl9(case: SpaceCase):
-    return _law_eval(case, case.cl(), case.pool.join, "=", "closure",
-                     "union", 9)
+    return _law_eval(case, "cl", "closure", "union", "=", 9)
 
 
 @_claim("CL.10", ASSERTED, "space",
         "Interior distributes over pairwise intersection.",
         _PROBE_PAIRS, complete=False)
 def _eval_cl10(case: SpaceCase):
-    return _law_eval(case, case.interior(), case.pool.meet, "=", "interior",
-                     "intersection", 10)
+    return _law_eval(case, "interior", "interior", "intersection", "=",
+                     10)
 
 
 @_claim("CL.11", ASSERTED, "space",
         "The closure of an intersection lies below the intersection "
         "of the closures.", _PROBE_PAIRS, complete=False)
 def _eval_cl11(case: SpaceCase):
-    return _law_eval(case, case.cl(), case.pool.meet, "<=", "closure",
-                     "intersection", 11)
+    return _law_eval(case, "cl", "closure", "intersection", "<=", 11)
 
 
 @_claim("CL.12", AUDITED, "space",
         "The interior of a union lies below the union of the "
         "interiors.", _PROBE_PAIRS, complete=False)
 def _eval_cl12(case: SpaceCase):
-    return _law_eval(case, case.interior(), case.pool.join, "<=",
-                     "interior", "union", 120)
+    return _law_eval(case, "interior", "interior", "union", "<=", 120)
 
 
 @_claim("CL.12-rev", ASSERTED, "space",
         "The union of the interiors lies below the interior of the "
         "union.", _PROBE_PAIRS, complete=False)
 def _eval_cl12_rev(case: SpaceCase):
-    return _law_eval(case, case.interior(), case.pool.join, ">=",
-                     "interior", "union", 12)
+    return _law_eval(case, "interior", "interior", "union", ">=", 12)
 
 
 @_claim("CL.FIXED", ASSERTED, "space",
@@ -593,10 +617,17 @@ def _eval_sub_closed(case: SpaceCase):
             f"fixed by relative closure")
 
     def rows():
-        for g, hs, r_closeds, sub_cl in _sub_rows(case):
-            closed = set(r_closeds)
-            yield len(hs), [h for h in hs
-                            if (h in closed) != (sub_cl[h] == h)]
+        # h is fixed when every lane of its relative closure's code is
+        # its own; a failure is a trace not fixed or a fixed non-trace
+        lanes = case.pool.lanes()
+        traced, closures = case.relative_closures()
+        moved = [0] * n
+        for acc, (_, own) in zip(closures, lanes.image(range(n))):
+            moved = list(map(operator.or_, moved, map(own.__xor__, acc)))
+        same = map(operator.xor, traced, map(lanes.bits, moved))
+        return zip(map(int.bit_count, case.pool.below), map(
+            _bits, map(operator.and_, case.pool.below,
+                       map(operator.invert, same))))
 
     return _scan(case, n * n, PAIR_PROBES, 31, check, rows)
 
@@ -623,15 +654,22 @@ def _eval_sub_closed_abs(case: SpaceCase):
             f"about {case.render_set(h)}")
 
     def rows():
-        below = case.pool.order_rows()[1]
-        closed_rows = [meet[k] for k in case.closeds]
-        open_rows = [meet[o] for o in case.opens]
-        for g in range(n):
-            r_closeds = {row[g] for row in closed_rows}
-            abs_closeds = {comp[row[g]] for row in open_rows}
-            hs = below[g]
-            yield len(hs), [h for h in hs if (h in r_closeds)
-                            != (h in abs_closeds)]
+        # the claim fails on most spaces, so a row's traces are read only
+        # when its first failure is drawn, and none once the cap is full
+        lanes = case.pool.lanes()
+        below = case.pool.below
+        closeds, opens = bytes(case.closeds), bytes(case.opens)
+        pad = bytes(256 - n)
+        complement = bytes(comp) + pad
+
+        def failing(g):
+            meets = lanes.meet[g] + pad
+            traced = sum(map((1).__lshift__, set(closeds.translate(meets))))
+            absolute = sum(map((1).__lshift__, set(
+                opens.translate(meets).translate(complement))))
+            yield from _bits((traced ^ absolute) & below[g])
+
+        return zip(map(int.bit_count, below), map(failing, range(n)))
 
     return _scan(case, n * n, PAIR_PROBES, 32, check, rows)
 
@@ -644,23 +682,6 @@ def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
         if mh[k] == h:
             acc = meet[acc][k]
     return acc
-
-
-def _sub_rows(case: SpaceCase):
-    """Per g, in order: the ids h below g, the closed traces at g and the
-    relative closure (``_sub_closure``) of each such h, as a dict."""
-    meet = case.pool.meet
-    below = case.pool.order_rows()[1]
-    for g in range(case.pool.size):
-        hs = below[g]
-        r_closeds = case.closed_traces(g)
-        # each trace k folds into the h below it, in ascending k as in
-        # _sub_closure; k lies under g, so every h under k is in hs
-        sub_cl = dict.fromkeys(hs, g)
-        for k in r_closeds:
-            for h in below[k]:
-                sub_cl[h] = meet[sub_cl[h]][k]
-        yield g, hs, r_closeds, sub_cl
 
 
 @_claim("SUB.CLOSURE", ASSERTED, "space",
@@ -684,8 +705,16 @@ def _eval_sub_closure(case: SpaceCase):
             f"closure")
 
     def rows():
-        for g, hs, _, sub_cl in _sub_rows(case):
-            yield len(hs), [h for h in hs if sub_cl[h] != meet[cl[h]][g]]
+        # the code of cl(h) ∧ g is cl(h)'s code & g's
+        lanes = case.pool.lanes()
+        _, closures = case.relative_closures()
+        bad = [0] * n
+        for acc, (_, packed), table in zip(closures, case.lanes("cl"),
+                                           lanes.code):
+            bad = list(map(operator.or_, bad, map(operator.xor, acc, map(
+                packed.__and__, lanes.broadcast(table)))))
+        return zip(map(int.bit_count, case.pool.below), map(
+            lanes.positions, map(operator.and_, bad, lanes.below)))
 
     return _scan(case, n * n, PAIR_PROBES, 33, check, rows)
 
@@ -1098,14 +1127,18 @@ def _eval_con_union_common(case: SpaceCase):
             f"{case.render_set(h)} with a disconnected union")
 
     def rows():
-        sides = list(_bits(conn))
-        for g in range(n):
-            if not (conn >> g) & 1:
-                yield 0, ()
-                continue
-            mg, jg = meet[g], join[g]
-            hs = [h for h in sides if mg[h]]
-            yield len(hs), [h for h in hs if (dis >> jg[h]) & 1]
+        # h is a hit when its byte is set in both the connected row (none
+        # when g is not connected) and g's non-null meets, and fails when
+        # g ∨ h is disconnected
+        lanes = pool.lanes()
+        gate = lanes.spread(conn)
+        sides = int.from_bytes(gate, "little")
+        hs = list(map(operator.and_, [sides if b else 0 for b in gate],
+                      lanes.read(lanes.meet, _NON_NULL)))
+        bad = map(operator.and_, hs,
+                  lanes.read(lanes.join, lanes.spread(dis, 256)))
+        return zip([h.bit_count() >> 3 for h in hs],
+                   map(lanes.positions, bad))
 
     return _scan(case, n * n, PAIR_PROBES, 53, check, rows)
 

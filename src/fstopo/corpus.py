@@ -16,14 +16,16 @@ a leading cell of grade index ``a`` in front of sub-id ``x`` gives id
 concatenation of one sub-row shifted into the blocks ``min(a, b)`` (or
 ``max(a, b)``).  The order is kept as bitmasks over ids, built by the
 same recursion: ``below[w]`` and ``above[w]`` mark the sets under and
-over ``w``, and ``order_rows()`` lists their bits for the scans that
-iterate them.  A point lies in a set exactly when its form lies under
-the set, so each point's membership mask over set ids is the ``above``
-row at its form.  ``engine.SpaceCase`` reads the membership, order and
+over ``w``.  A point lies in a set exactly when its form lies under the
+set, so each point's membership mask over set ids is the ``above`` row
+at its form.  ``engine.SpaceCase`` reads the membership, order and
 disjointness masks as they are, over set ids, cut to a case's opens.
 The transposed per-set masks over point indices give a case its points
 and let the pool claims in ``claims.py`` flag offending points with
 whole-row mask operations and re-scan only those.
+For the whole-row kernels of the pair claims, ``SetPool.lanes()``
+rewrites the tables of a pool of at most 256 sets, on first use, as
+byte rows and as lanes of thermometer codes (``Lanes``).
 
 The corpus is every min/max closure of null, full and at most
 ``max_generators`` ids, grown as a tree: a family with generators
@@ -79,7 +81,7 @@ class SetPool:
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
         self._splits: dict[int, tuple[tuple[int, int], ...]] = {}
-        self._order_rows: tuple[list[list[int]], list[list[int]]] | None = None
+        self._lanes: Lanes | None = None
         self._build_tables()
         self.build_points()
 
@@ -116,14 +118,13 @@ class SetPool:
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
 
-    def order_rows(self) -> tuple[list[list[int]], list[list[int]]]:
-        """Per id g, the ascending ids over g and those under g: the bits
-        of ``above[g]`` and ``below[g]`` as lists, listed on first use for
-        the full-range row scans of ``claims.py``, which iterate them."""
-        if self._order_rows is None:
-            self._order_rows = ([list(_bits(m)) for m in self.above],
-                                [list(_bits(m)) for m in self.below])
-        return self._order_rows
+    def lanes(self) -> Lanes:
+        """The byte-row tables of the whole-row kernels, built on first
+        use: only a full-range row scan, on a pool of at most 256 sets,
+        asks for them."""
+        if self._lanes is None:
+            self._lanes = Lanes(self)
+        return self._lanes
 
     def restrictions(self, set_id: int) -> list[int]:
         """Per parameter, in order, the id of the set that keeps
@@ -229,6 +230,99 @@ class SetPool:
         pi, vec = self.points[index]
         value = FuzzySet(self.universe, tuple(self._grades[d] for d in vec))
         return FuzzySoftPoint(self.parameters.names[pi], value, self.parameters)
+
+
+# '0' -> 0x00 and '1' -> 0xFF turn a bitmask's binary digits, read low
+# bit first, into a byte row; 0 -> '0' and every other byte -> '1' turn
+# a byte row, read high byte first, back into the binary digits of one
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\xff")
+_BYTE_BITS = b"0" + b"1" * 255
+
+
+class Lanes:
+    """A pool's tables for whole-row kernels, over ids of one byte.
+
+    A row is one byte per id h of the pool's n, read as an int with byte
+    h at bits ``8h .. 8h+7`` (little-endian), so one int operation acts
+    on all n ids at once.  ``meet[g]`` and ``join[g]`` are the rows of
+    the pool tables as bytes, ready for ``bytes.translate``.  A set's
+    thermometer code has one field of ``radix - 1`` bits per cell, grade
+    index d setting its low d bits, so the code of a meet is the ``&``
+    of the codes, of a join the ``|``, and a <= b when ``a & ~b`` is 0;
+    ``code[j]`` is the translate table from an id to byte j (lane j) of
+    its code, and every cellwise test runs lane by lane.  ``above[g]``
+    and ``below[g]`` hold 0xFF at the h over (under) g, and
+    ``up[j][r]`` holds lane j of r's code at the h under r and 0xFF
+    elsewhere (a negative int, every bit past the row set), so ANDing it
+    in meets r into exactly the bytes of the h under r.  ``ones`` has
+    the byte 1 at every h, so ``b * ones`` repeats the byte b over a row.
+    """
+
+    def __init__(self, pool: SetPool):
+        n = pool.size
+        if n > 256:
+            raise ValueError(f"lane tables need ids of one byte, not {n}")
+        self.size = n
+        self.ones = int.from_bytes(b"\x01" * n, "little")
+        self.meet = [bytes(row) for row in pool.meet]
+        self.join = [bytes(row) for row in pool.join]
+        self.above = [int.from_bytes(self.spread(m), "little")
+                      for m in pool.above]
+        self.below = [int.from_bytes(self.spread(m), "little")
+                      for m in pool.below]
+        bits = pool.radix - 1
+        codes = []
+        for vec in pool._vectors:
+            code = 0
+            for d in vec:
+                code = code << bits | (1 << d) - 1
+            codes.append(code)
+        pad = bytes(256 - n)
+        self.code = [bytes(c >> 8 * j & 255 for c in codes) + pad
+                     for j in range(max(1, -(-pool.cells * bits // 8)))]
+        self.up = [[table[r] * self.ones | ~self.below[r] for r in range(n)]
+                   for table in self.code]
+
+    def spread(self, mask: int, width: int | None = None) -> bytes:
+        """The bitmask ``mask``, of bits under ``width`` (the pool's n by
+        default), as a byte row of ``width`` bytes: 0xFF at each set bit,
+        0 elsewhere."""
+        width = self.size if width is None else width
+        return format(mask, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
+
+    def image(self, row: list[int]) -> list[tuple[bytes, int]]:
+        """Per lane j, the map ``h -> row[h]`` read through ``code[j]``:
+        as a 256-byte translate table and as the packed row of its n
+        bytes."""
+        ids = bytes(row)
+        pad = bytes(256 - len(ids))
+        out = []
+        for table in self.code:
+            codes = ids.translate(table)
+            out.append((codes + pad, int.from_bytes(codes, "little")))
+        return out
+
+    def broadcast(self, table: bytes):
+        """Per id h, the byte ``table[h]`` repeated over a row, lazily."""
+        return map(self.ones.__mul__, table[:self.size])
+
+    def read(self, rows, table: bytes):
+        """Each byte row of ``rows`` put through the translate table
+        ``table`` and read as an int, lazily."""
+        return map(int.from_bytes, map(bytes.translate, rows,
+                                       itertools.repeat(table)),
+                   itertools.repeat("little"))
+
+    def bits(self, row: int) -> int:
+        """The bitmask of the bytes of ``row`` that are not 0."""
+        return int(row.to_bytes(self.size, "big").translate(_BYTE_BITS), 2)
+
+    def positions(self, row: int):
+        """The h whose byte of ``row`` is not 0, ascending."""
+        if not row:
+            return ()
+        return itertools.compress(range(self.size),
+                                  row.to_bytes(self.size, "little"))
 
 
 def _lead_cell(radix: int, width: int, meet, join, comp, disj, below,

@@ -1,8 +1,10 @@
 """The integer engine: separation axioms and connectedness on set-pool ids.
 
 A ``SpaceCase`` is one topology over a ``SetPool``, given as the sorted
-ids of its opens, with its closure and interior tables and the masks
-its axioms are read from, each built on first use.  A set is open
+ids of its opens, with its closure and interior tables, the masks its
+axioms are read from and, for the whole-row kernels of ``claims.py``,
+its closure and interior as code lanes and its relative closures in
+every subspace, each built on first use.  A set is open
 (closed) exactly when its bit is set in ``open_mask`` (``closed_mask``).
 Every mask is over pool ids, cut to the case's opens with one
 ``open_mask``, so its bits come in open order.  The five axiom scans
@@ -17,6 +19,7 @@ own, ``_separations``.
 from __future__ import annotations
 
 import functools
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -147,6 +150,8 @@ class SpaceCase:
         self._nbhds: list[int] | None = None
         self._dis: int | None = None
         self._ax: dict = {}
+        self._lanes: dict = {}
+        self._rel: tuple | None = None
 
     # -- operator tables ---------------------------------------------------
 
@@ -184,6 +189,14 @@ class SpaceCase:
                 row.append(acc)
             self._int = row
         return self._int
+
+    def lanes(self, name: str) -> list[tuple[bytes, int]]:
+        """``SetPool.lanes().image`` of the closure (``name`` "cl") or
+        the interior ("interior") row, built on first use."""
+        if name not in self._lanes:
+            row = getattr(self, name)()
+            self._lanes[name] = self.pool.lanes().image(row)
+        return self._lanes[name]
 
     # -- point structure ---------------------------------------------------
 
@@ -309,6 +322,31 @@ class SpaceCase:
     def closed_traces(self, g: int) -> list[int]:
         meet = self.pool.meet
         return sorted({meet[k][g] for k in self.closeds})
+
+    def relative_closures(self) -> tuple[list[int], list[list[int]]]:
+        """Per g, the mask over pool ids of the closed traces k∧g; and per
+        lane of ``SetPool.lanes()``, per g, the packed codes of the
+        relative closure of every h under g, the meet of g and of the
+        traces over h (the bytes of the other h are not read).  Built on
+        first use."""
+        if self._rel is None:
+            pool = self.pool
+            lanes = pool.lanes()
+            n = pool.size
+            traced = [0] * n
+            accs = [list(lanes.broadcast(table)) for table in lanes.code]
+            # closed set k's trace at every g is meet row k: the trace
+            # marks its id in the mask at g and meets its code into the h
+            # under it
+            for k in self.closeds:
+                traces = pool.meet[k]
+                traced = list(map(operator.or_, traced,
+                                  map((1).__lshift__, traces)))
+                accs = [list(map(operator.and_, acc,
+                                 map(up.__getitem__, traces)))
+                        for acc, up in zip(accs, lanes.up)]
+            self._rel = traced, accs
+        return self._rel
 
     def disconnected(self) -> int:
         """Bitmask over pool ids: bit g is set when the subspace at ``g``,

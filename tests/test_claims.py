@@ -730,6 +730,48 @@ def test_rows_match_checks(corpus):
     assert failed["corrupt"] == ROW_CLAIMS
 
 
+def test_pools_past_the_limit_build_no_lane_tables(shape_pool):
+    # 729 sets: n**2 is past EXHAUSTIVE_LIMIT, so even an exhaustive case
+    # probes its pairs and no row kernel asks for the byte rows
+    pool = shape_pool(3, 2, 3)
+    ids = (pool.null_id, pool.full_id)
+    evaluate_space_case(SpaceCase("big", pool, ids, exhaustive=True),
+                        ROW_CLAIMS)
+    assert pool._lanes is None
+
+
+# codes wider than one byte: 3 cells of 4 grades (9 bits) and 1 cell of
+# 13 grades (12 bits), each read in two lanes.  On the one-cell chain a
+# union is one of its sides and a meet of closed traces is a trace, so
+# three row claims cannot fail there.
+WIDE_CODE_SPECS = {
+    "3x1x4": (CorpusSpec(Universe.of("x", "y", "z"), ParameterSet.of("e1"),
+                         GradeLattice.close(["1/3"]), max_generators=2),
+              ROW_CLAIMS),
+    "1x1x13": (CorpusSpec(Universe.of("x"), ParameterSet.of("e1"),
+                          GradeLattice.close([f"{k}/12" for k in range(13)])),
+               ROW_CLAIMS - {"CL.12", "SUB.CLOSED", "CON.UNION-COMMON"}),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(WIDE_CODE_SPECS))
+def test_rows_match_checks_over_wide_codes(shape):
+    spec, failing = WIDE_CODE_SPECS[shape]
+    wide = SpaceCorpus(spec)
+    assert len(wide.pool.lanes().code) == 2
+    enumerated = [SpaceCase(wide.label(i), wide.pool, wide.spaces[i],
+                            exhaustive=True)
+                  for i in range(0, len(wide.spaces),
+                                 max(1, len(wide.spaces) // 40))]
+    corrupt = [corrupt_case(wide, seed) for seed in range(16)]
+    failed = set()
+    for case in enumerated + corrupt:
+        rows = evaluate_space_case(case, ROW_CLAIMS)
+        assert rows == by_checks(case, ROW_CLAIMS), case.label
+        failed.update(ident for ident, r in rows.items() if r[2])
+    assert failed == failing
+
+
 # The NBD claims read per-point neighborhood bitmasks, and CON.SEPCHAR-rev
 # builds its splittings from place values; these are the loops they replace.
 

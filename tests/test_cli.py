@@ -285,6 +285,23 @@ class TestReports:
         axioms = {v["axiom"] for v in payload["results"]["violations"]}
         assert "contains-null" in axioms
 
+    def test_validate_reports_both_closure_violations(self, capsys,
+                                                     tmp_path):
+        # crisp sets over w x y z: 0010 | 1001 is the first missing union,
+        # and the first missing intersection, 0110 & 1100, shows up only
+        # in a later row of the pair scan
+        rows = ["", "y=1", "x=1 y=1", "w=1 z=1", "w=1 x=1", "w=1 x=1 z=1",
+                "w=1 x=1 y=1", "w=1 x=1 y=1 z=1"]
+        p = tmp_path / "crisp.fst"
+        p.write_text("universe: w x y z\nparameters: e1\n" + "".join(
+            f"open o{i}:\n" + (f"  e1: {row}\n" if row else "")
+            for i, row in enumerate(rows)))
+        code, out, _ = run(capsys, "validate", str(p), "--format",
+                           "structured")
+        axioms = [v["axiom"] for v in json.loads(out)["results"]["violations"]]
+        assert code == 1
+        assert axioms == ["intersection-closed", "union-closed"]
+
 
 class TestSubspace:
     def test_emitted_document_revalidates(self, capsys, valid_doc, tmp_path):

@@ -81,13 +81,51 @@ class TestSetPool:
                              ids=lambda s: "x".join(map(str, s)))
     def test_order_masks_match_meet(self, shape_pool, shape):
         pool = shape_pool(*shape)
-        ups, downs = pool.order_rows()
         for w in range(pool.size):
             under = [h for h in range(pool.size) if pool.meet[h][w] == h]
             over = [h for h in range(pool.size) if pool.meet[w][h] == w]
             assert pool.below[w] == sum(1 << h for h in under)
             assert pool.above[w] == sum(1 << h for h in over)
-            assert downs[w] == under and ups[w] == over
+
+    @pytest.mark.parametrize("shape", [s for s in DIFFERENTIAL_SHAPES
+                                       if s[2] ** (s[0] * s[1]) <= 256],
+                             ids=lambda s: "x".join(map(str, s)))
+    def test_lane_tables_code_the_tables(self, shape_pool, shape):
+        # the kernels read meet, join and order off the codes lane by
+        # lane; here each is checked against the pool tables
+        pool = shape_pool(*shape)
+        lanes = pool.lanes()
+        n = pool.size
+
+        def code(i):
+            return sum(table[i] << 8 * j for j, table in enumerate(lanes.code))
+
+        assert len(lanes.code) == -(-pool.cells * (pool.radix - 1) // 8)
+        assert len({code(i) for i in range(n)}) == n
+        for a in range(n):
+            assert lanes.meet[a] == bytes(pool.meet[a])
+            assert lanes.join[a] == bytes(pool.join[a])
+            for b in range(n):
+                assert code(pool.meet[a][b]) == code(a) & code(b)
+                assert code(pool.join[a][b]) == code(a) | code(b)
+                assert (code(a) & ~code(b) == 0) == pool.leq(a, b)
+            assert lanes.below[a] == int.from_bytes(
+                bytes(255 if pool.leq(h, a) else 0 for h in range(n)),
+                "little")
+            assert lanes.above[a] == int.from_bytes(
+                bytes(255 if pool.leq(a, h) else 0 for h in range(n)),
+                "little")
+            for table, up in zip(lanes.code, lanes.up):
+                assert up[a] & (1 << 8 * n) - 1 == int.from_bytes(
+                    bytes(table[a] if pool.leq(h, a) else 255
+                          for h in range(n)), "little")
+            assert lanes.bits(lanes.below[a]) == pool.below[a]
+            assert lanes.spread(pool.above[a]) == lanes.above[a].to_bytes(
+                n, "little")
+
+    def test_lane_tables_need_ids_of_one_byte(self, shape_pool):
+        with pytest.raises(ValueError):
+            shape_pool(3, 2, 3).lanes()
 
     def test_disjointness_mask(self, desk_pool):
         for i in range(desk_pool.size):
@@ -98,6 +136,11 @@ class TestSetPool:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             SetPool_small()
+
+    def test_cap_admits_exactly_the_cap(self):
+        assert SetPool_small(cap=81).size == 81
+        with pytest.raises(CapExceededError):
+            SetPool_small(cap=80)
 
     @pytest.mark.parametrize("shape", DIFFERENTIAL_SHAPES,
                              ids=lambda s: "x".join(map(str, s)))
@@ -262,6 +305,13 @@ class TestEnumeration:
         with pytest.raises(CapExceededError, match="1752382 items"):
             SpaceCorpus(CorpusSpec.desk(max_generators=4))
         assert calls == []
+
+    def test_family_cap_admits_exactly_the_cap(self):
+        # 1 + 9 + 36 + 84 generator families on the 9-set pool
+        assert SpaceCorpus(spec_of(NINE, family_cap=130)).stats \
+            .families_scanned == 130
+        with pytest.raises(CapExceededError, match="130 items"):
+            SpaceCorpus(spec_of(NINE, family_cap=129))
 
     def test_no_space_passes_the_opens_bound(self):
         # null, full, 1, 2 and 5 on the 9-set pool are five ids closed

@@ -50,6 +50,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             FuzzySoftSet(U, E, (one,))
 
+    def test_parameter_names_must_be_nonempty_strings(self):
+        with pytest.raises(ValueError):
+            ParameterSet.of("e1", "")
+        with pytest.raises(ValueError):
+            ParameterSet.of("e1", 2)
+
     def test_null_and_full(self):
         assert FuzzySoftSet.null(U, E).is_null()
         assert FuzzySoftSet.full(U, E).is_full()
@@ -183,4 +189,9 @@ class TestEnumeration:
         with pytest.raises(CapExceededError) as err:
             enumerate_lattice_sets(U, E, DESK, cap=10)
         assert err.value.required == 81
+
+    def test_cap_admits_exactly_the_cap(self):
+        assert len(enumerate_lattice_sets(U, E, DESK, cap=81)) == 81
+        with pytest.raises(CapExceededError):
+            enumerate_lattice_sets(U, E, DESK, cap=80)
 
