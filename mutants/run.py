@@ -132,34 +132,71 @@ MUTANTS = (
            "every_block >> (a * width)",
            ("tests/test_corpus.py::TestSetPool::"
             "test_order_masks_match_meet",)),
+    # the added id joined to every member but met with none: g & b read
+    # as g & full
     Mutant("first-new-id-unpaired", CORPUS,
-           "    i = fresh\n",
-           "    i = fresh + 1\n",
+           "        rows = [lanes.meet[b][first:stop].translate(",
+           "        rows = [lanes.meet[-1][first:stop].translate(",
            (BRUTE_FORCE, "tests/test_corpus.py::"
             "test_extension_matches_the_fixed_point")),
+    # a closure kept whatever its size
     Mutant("generators-unbounded", CORPUS,
-           "    if len(members) > max_opens:\n"
-           "        return None\n"
-           "    # a pair of old members",
-           "    # a pair of old members",
+           "    return [tuple(sorted(s)) if len(s) <= max_opens else None\n",
+           "    return [tuple(sorted(s))\n",
            ("tests/test_corpus.py::TestCloseFamily::"
             "test_generators_alone_past_the_bound_are_refused",
             "tests/test_corpus.py::TestEnumeration::"
             "test_no_space_passes_the_opens_bound")),
+    # a skipped family counted alone, not with the families grown from it
     Mutant("skipped-family-not-grown", CORPUS,
-           "            if generators < spec.max_generators:\n",
-           "            if family is not None and "
-           "generators < spec.max_generators:\n",
+           "                stats.skipped_over_max_opens += _families(\n"
+           "                    pool.size - first, top - generators)\n",
+           "                stats.skipped_over_max_opens += 1\n",
            (BRUTE_FORCE, "tests/test_corpus.py::TestEnumeration::"
             "test_no_space_passes_the_opens_bound")),
     # seen holding frozensets again, turned back into tuples at the end
     Mutant("seen-keeps-frozensets", CORPUS,
-           "        self.spaces = sorted(seen, key=lambda t: (len(t), t))\n",
+           "        for family in seen:\n",
            "        seen = {frozenset(t) for t in seen}\n"
-           "        self.spaces = sorted((tuple(sorted(s)) for s in seen),\n"
-           "                             key=lambda t: (len(t), t))\n",
+           "        for family in map(tuple, map(sorted, seen)):\n",
            ("tests/test_corpus.py::TestEnumeration::"
             "test_building_peaks_near_the_tuples_it_keeps",)),
+    # column g of the rows read for id g + 1.  The walk alone cannot
+    # see it: its root then skips only the null generator, which adds
+    # nothing, and each skipped family counts one id too many, which
+    # makes up the null's skipped subtree exactly
+    Mutant("closure-rows-shifted", CORPUS,
+           "lanes.meet[b][first:stop]",
+           "lanes.meet[b][first + 1:stop]",
+           ("tests/test_corpus.py::test_extension_matches_the_fixed_point",)),
+    # a child grown from its own id again, not from the id after it
+    Mutant("child-regrown-from-its-id", CORPUS,
+           "for g, child in enumerate(children, first + 1):",
+           "for g, child in enumerate(children, first):",
+           (BRUTE_FORCE,)),
+    # the pairs a with itself dropped, and with them the family's members
+    Mutant("closure-pairs-without-self", CORPUS,
+           "for i, a in enumerate(family) for b in family[i:]",
+           "for i, a in enumerate(family) for b in family[i + 1:]",
+           (BRUTE_FORCE,)),
+    # the pairs taken with b <= a, where a | (g & b) is a
+    Mutant("closure-pairs-reversed", CORPUS,
+           "             if pool.meet[a][b] == a]\n",
+           "             if pool.meet[a][b] == b]\n",
+           (BRUTE_FORCE,)),
+    # a pool of exactly 256 sets sent to the list rows: the same
+    # closures, slower
+    Mutant("byte-rows-refuse-256", CORPUS,
+           "    if pool.size <= 256:\n        lanes = pool.lanes()\n",
+           "    if pool.size < 256:\n        lanes = pool.lanes()\n",
+           ("tests/test_corpus.py::"
+            "test_a_pool_of_256_sets_reads_byte_rows",)),
+    # the list rows of a pool past 256 sets gathered through the meets
+    Mutant("list-rows-read-meet", CORPUS,
+           "map(pool.join[a].__getitem__, pool.meet[b][first:stop])",
+           "map(pool.meet[a].__getitem__, pool.meet[b][first:stop])",
+           ("tests/test_corpus.py::"
+            "test_pools_past_one_byte_gather_list_rows",)),
     Mutant("closed-mask-from-the-opens", ENGINE,
            "self.closed_mask = sum(map((1).__lshift__, self.closeds))",
            "self.closed_mask = sum(map((1).__lshift__, ids))",
@@ -356,6 +393,12 @@ MUTANTS = (
            "map(operator.and_, lanes.above, lanes.broadcast(image))",
            "map(operator.and_, itertools.repeat(-1), lanes.broadcast(image))",
            (ROW_ORACLE,)),
+    # the sampler drawing sites inside annotations, which never run
+    Mutant("sampler-mutates-annotations", "mutants/sample.py",
+           "            skip.update(map(id, ast.walk(note)))\n",
+           "            pass\n",
+           ("tests/test_mutants.py::"
+            "test_sampler_lists_operator_sites_outside_annotations",)),
     # codes read in their first byte only
     Mutant("lanes-first-byte-only", CORPUS,
            "for j in range(max(1, -(-pool.cells * bits // 8)))]",
@@ -383,13 +426,22 @@ def stale(root: pathlib.Path, mutants=MUTANTS) -> list[str]:
     return problems
 
 
-def _outcome(tree: pathlib.Path, node: str) -> str:
-    """'failed', 'passed' or 'timeout' for one test node run in ``tree``."""
+def copy_tree(tmp: str) -> pathlib.Path:
+    """A copy of the checkout under ``tmp``, without caches or history."""
+    tree = pathlib.Path(tmp) / "tree"
+    shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
+        ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work*"))
+    return tree
+
+
+def _outcome(tree: pathlib.Path, *nodes: str) -> str:
+    """'failed', 'passed' or 'timeout' for test nodes (ids or files) run
+    in ``tree``, stopping at the first failure."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p",
-             "no:cacheprovider", node],
+             "no:cacheprovider", *nodes],
             cwd=tree, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
@@ -400,9 +452,7 @@ def _outcome(tree: pathlib.Path, node: str) -> str:
 def run(mutants) -> dict[str, str]:
     """The outcome of each mutant, by name."""
     with tempfile.TemporaryDirectory(prefix="fstopo-mutants-") as tmp:
-        tree = pathlib.Path(tmp) / "tree"
-        shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
-            ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".work*"))
+        tree = copy_tree(tmp)
         problems = stale(tree, mutants)
         if problems:
             raise SystemExit("stale mutants:\n  " + "\n  ".join(problems))

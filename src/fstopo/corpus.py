@@ -30,11 +30,11 @@ byte rows and as lanes of thermometer codes (``Lanes``).
 The corpus is every min/max closure of null, full and at most
 ``max_generators`` ids, grown as a tree: a family with generators
 ``g1 < ... < gk`` is its parent's closure, the family of ``g1 .. gk-1``,
-extended by ``gk``, so ``_extend`` only pairs the members it adds with
-the rest.  A family is its ascending id tuple, the one form the
-enumeration deduplicates, sorts and keeps.  A family past ``max_opens``
-is skipped, and so is every family grown from it.  The tree's size is
-known up front, and ``family_cap`` refuses it before any closure runs.
+with ``gk`` added, and ``_closures`` gives every child of a family at
+once.  A family is its ascending id tuple, the one form the enumeration
+deduplicates, sorts and keeps.  A family past ``max_opens`` is skipped,
+and so is every family grown from it.  The tree's size is known up
+front, and ``family_cap`` refuses it before any closure runs.
 
 The corpus pins the carrier to the all-one set.  Sub-carrier spaces enter
 the test bed through the named catalogue instead, where the interesting
@@ -43,6 +43,7 @@ complement pathologies are constructed by hand.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -245,7 +246,8 @@ class Lanes:
     A row is one byte per id h of the pool's n, read as an int with byte
     h at bits ``8h .. 8h+7`` (little-endian), so one int operation acts
     on all n ids at once.  ``meet[g]`` and ``join[g]`` are the rows of
-    the pool tables as bytes, ready for ``bytes.translate``.  A set's
+    the pool tables as bytes, and ``join_tables[g]`` is ``join[g]``
+    padded to a 256-byte translate table from h to g | h.  A set's
     thermometer code has one field of ``radix - 1`` bits per cell, grade
     index d setting its low d bits, so the code of a meet is the ``&``
     of the codes, of a join the ``|``, and a <= b when ``a & ~b`` is 0;
@@ -266,6 +268,8 @@ class Lanes:
         self.ones = int.from_bytes(b"\x01" * n, "little")
         self.meet = [bytes(row) for row in pool.meet]
         self.join = [bytes(row) for row in pool.join]
+        pad = bytes(256 - n)
+        self.join_tables = [row + pad for row in self.join]
         self.above = [int.from_bytes(self.spread(m), "little")
                       for m in pool.above]
         self.below = [int.from_bytes(self.spread(m), "little")
@@ -277,7 +281,6 @@ class Lanes:
             for d in vec:
                 code = code << bits | (1 << d) - 1
             codes.append(code)
-        pad = bytes(256 - n)
         self.code = [bytes(c >> 8 * j & 255 for c in codes) + pad
                      for j in range(max(1, -(-pool.cells * bits // 8)))]
         self.up = [[table[r] * self.ones | ~self.below[r] for r in range(n)]
@@ -385,8 +388,7 @@ class CorpusSpec:
         )
 
     def family_count(self, pool_size: int) -> int:
-        return sum(math.comb(pool_size, k)
-                   for k in range(self.max_generators + 1))
+        return _families(pool_size, self.max_generators)
 
     def to_payload(self) -> dict:
         return {
@@ -398,51 +400,48 @@ class CorpusSpec:
         }
 
 
+def _families(ids: int, generators: int) -> int:
+    """The families of at most ``generators`` ids drawn from ``ids``."""
+    return sum(math.comb(ids, k) for k in range(generators + 1))
+
+
 def close_family(pool: SetPool, generators: tuple[int, ...],
                  max_opens: int) -> Optional[tuple[int, ...]]:
     """Min/max closure of {null, full} + generators as an ascending id
-    tuple; None when it would exceed max_opens."""
-    return _extend(pool, (), (pool.null_id, pool.full_id, *generators),
-                   max_opens)
-
-
-def _extend(pool: SetPool, closed: tuple[int, ...], new: Iterable[int],
-            max_opens: int) -> Optional[tuple[int, ...]]:
-    """Min/max closure of the closed family ``closed`` with the ids
-    ``new`` added; None when it would exceed max_opens.  A family, given
-    or returned, is its ascending id tuple."""
-    meet, join = pool.meet, pool.join
-    members = set(closed)
-    elems = list(closed)
-    fresh = len(elems)
-    for g in new:
-        if g not in members:
-            members.add(g)
-            elems.append(g)
-    if len(members) > max_opens:
+    tuple; None when it would exceed max_opens.  Each generator is added
+    as the one column of a ``_closures`` call."""
+    family = (pool.null_id, pool.full_id)
+    if len(family) > max_opens:
         return None
-    # a pair of old members is closed already; every other unordered pair
-    # is visited once, when its later element's turn comes
-    i = fresh
-    while i < len(elems):
-        x = elems[i]
-        mrow, jrow = meet[x], join[x]
-        for k in range(i):
-            y = elems[k]
-            m = mrow[y]
-            if m not in members:
-                members.add(m)
-                if len(members) > max_opens:
-                    return None
-                elems.append(m)
-            u = jrow[y]
-            if u not in members:
-                members.add(u)
-                if len(members) > max_opens:
-                    return None
-                elems.append(u)
-        i += 1
-    return tuple(sorted(elems))
+    for g in generators:
+        family, = _closures(pool, family, g, max_opens, g + 1)
+        if family is None:
+            return None
+    return family
+
+
+def _closures(pool: SetPool, family: tuple[int, ...], first: int,
+              max_opens: int, stop: Optional[int] = None) -> list:
+    """The min/max closure of the closed family ``family`` (ascending,
+    holding null and full) with one id g added, for each g from ``first``
+    up to ``stop``: an ascending id tuple, or None past ``max_opens``.
+
+    The pool's lattice is distributive, so that closure is every
+    ``a | (g & b)`` with a <= b in ``family``, since a with b gives what
+    a with ``a | b`` gives (Graetzer, *Lattice Theory: Foundation*, 2011).
+    A pair is one row over every g: b's meet row, ``g & b`` at g, read
+    through a's join row.  Column g of the rows holds g's closure."""
+    pairs = [(a, b) for i, a in enumerate(family) for b in family[i:]
+             if pool.meet[a][b] == a]
+    if pool.size <= 256:
+        lanes = pool.lanes()
+        rows = [lanes.meet[b][first:stop].translate(lanes.join_tables[a])
+                for a, b in pairs]
+    else:  # ids past one byte: gather from the list tables
+        rows = [map(pool.join[a].__getitem__, pool.meet[b][first:stop])
+                for a, b in pairs]
+    return [tuple(sorted(s)) if len(s) <= max_opens else None
+            for s in map(set, zip(*rows))]
 
 
 @dataclass
@@ -456,9 +455,9 @@ class SpaceCorpus:
     """Deduplicated enumeration of all topologies generated by at most
     ``max_generators`` ids of one pool, as id tuples sorted by size and
     then by ids.  Each family is its parent's closure extended by one
-    generator above the parent's last, so no closure is recomputed from
-    scratch, and a family past ``max_opens`` is skipped along with every
-    family grown from it."""
+    generator above the parent's last, every child of a family from one
+    ``_closures`` call, and a family past ``max_opens`` is skipped along
+    with every family grown from it."""
 
     def __init__(self, spec: CorpusSpec):
         self.spec = spec
@@ -475,22 +474,33 @@ class SpaceCorpus:
 
     def _enumerate(self) -> None:
         pool, spec, stats = self.pool, self.spec, self.stats
+        top = spec.max_generators
         seen: set[tuple[int, ...]] = set()
 
         def grow(family: Optional[tuple[int, ...]], first: int,
                  generators: int) -> None:
             if family is None:
-                stats.skipped_over_max_opens += 1
+                # the family and every family grown from it
+                stats.skipped_over_max_opens += _families(
+                    pool.size - first, top - generators)
+                return
+            seen.add(family)
+            if generators == top:
+                return
+            children = _closures(pool, family, first, spec.max_opens)
+            if generators + 1 < top:
+                for g, child in enumerate(children, first + 1):
+                    grow(child, g, generators + 1)
             else:
-                seen.add(family)
-            if generators < spec.max_generators:
-                for g in range(first, pool.size):
-                    child = None if family is None else _extend(
-                        pool, family, (g,), spec.max_opens)
-                    grow(child, g + 1, generators + 1)
+                # the last level: nothing grows from these
+                seen.update(filter(None, children))
+                stats.skipped_over_max_opens += children.count(None)
 
         grow(close_family(pool, (), spec.max_opens), 0, 0)
-        self.spaces = sorted(seen, key=lambda t: (len(t), t))
+        by_size = collections.defaultdict(list)
+        for family in seen:
+            by_size[len(family)].append(family)
+        self.spaces = [f for k in sorted(by_size) for f in sorted(by_size[k])]
         stats.distinct = len(self.spaces)
 
     def label(self, index: int) -> str:

@@ -41,6 +41,18 @@ def shape_pool_of(elements: int, parameters: int, radix: int) -> SetPool:
     )
 
 
+def fixed_point(pool, start):
+    """The min/max closure of ``start`` as an ascending id tuple, by
+    adding every meet and join of the family until none is new."""
+    family = set(start)
+    while True:
+        more = {table[a][b] for table in (pool.meet, pool.join)
+                for a in family for b in family}
+        if more <= family:
+            return tuple(sorted(family))
+        family |= more
+
+
 # every shape from 1x1 to 3x2 with 2 to 4 grades and at most 729 sets
 DIFFERENTIAL_SHAPES = [(elements, parameters, radix)
                        for elements in (1, 2, 3) for parameters in (1, 2)

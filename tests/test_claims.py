@@ -45,7 +45,6 @@ from fstopo.corpus import (
     CorpusSpec,
     SetPool,
     SpaceCorpus,
-    _extend,
     named_spaces,
 )
 from fstopo.algebra import GradeLattice, Universe
@@ -64,7 +63,7 @@ from fstopo.deciders import (
     points_all_closed,
 )
 
-from conftest import DIFFERENTIAL_SHAPES, shape_pool_of
+from conftest import DIFFERENTIAL_SHAPES, fixed_point, shape_pool_of
 
 
 @pytest.fixture(scope="module")
@@ -540,10 +539,10 @@ def small_spaces(draw, shapes=DRAWN_SHAPES, split=False):
     splits = pool.cell_splits(carrier)
     if split and splits and draw(st.booleans()):
         start.update(draw(st.sampled_from(splits)))
-    family = _extend(pool, frozenset(), start, DEFAULT_MAX_OPENS)
-    assume(family is not None)
+    family = fixed_point(pool, start)
+    assume(len(family) <= DEFAULT_MAX_OPENS)
     sets = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=6))
-    return SpaceCase("drawn", pool, tuple(sorted(family))), sets
+    return SpaceCase("drawn", pool, family), sets
 
 
 @given(small_spaces())

@@ -1,4 +1,5 @@
 import itertools
+import random
 import sys
 import tracemalloc
 
@@ -12,7 +13,7 @@ from fstopo.corpus import (
     CorpusSpec,
     EnumerationStats,
     SpaceCorpus,
-    _extend,
+    _closures,
     close_family,
     named_spaces,
     random_space_ids,
@@ -21,7 +22,7 @@ from fstopo.points import point_in
 from fstopo.softsets import ParameterSet
 from fstopo.topology import validate_topology
 
-from conftest import DIFFERENTIAL_SHAPES, shape_pool_of
+from conftest import DIFFERENTIAL_SHAPES, fixed_point, shape_pool_of
 
 
 class TestSetPool:
@@ -223,18 +224,6 @@ NINE = (2, 1, 3)
 SMALL_SHAPES = [NINE, (2, 1, 2), (1, 2, 2)]
 
 
-def fixed_point(pool, start):
-    """The min/max closure of ``start`` as an ascending id tuple, by
-    adding every meet and join of the family until none is new."""
-    family = set(start)
-    while True:
-        more = {table[a][b] for table in (pool.meet, pool.join)
-                for a in family for b in family}
-        if more <= family:
-            return tuple(sorted(family))
-        family |= more
-
-
 def bounded(family, max_opens):
     return family if len(family) <= max_opens else None
 
@@ -249,21 +238,61 @@ def spec_of(shape, **overrides):
 def test_extension_matches_the_fixed_point(shape, data):
     pool = shape_pool_of(*shape)
     ids = st.lists(st.integers(0, pool.size - 1), max_size=4)
-    closed = fixed_point(pool, data.draw(ids))
-    new = data.draw(ids)
+    family = fixed_point(pool, {pool.null_id, pool.full_id, *data.draw(ids)})
+    first = data.draw(st.integers(0, pool.size))
+    stop = data.draw(st.integers(first, pool.size))
     max_opens = data.draw(st.integers(0, pool.size + 1))
-    want = fixed_point(pool, {*closed, *new})
-    assert _extend(pool, closed, new, pool.size) == want
-    assert _extend(pool, closed, new, max_opens) == bounded(want, max_opens)
+    want = [fixed_point(pool, {*family, g}) for g in range(first, pool.size)]
+    assert _closures(pool, family, first, pool.size) == want
+    assert _closures(pool, family, first, max_opens) == [
+        bounded(w, max_opens) for w in want]
+    assert _closures(pool, family, first, pool.size, stop) == \
+        want[:stop - first]
+    new = data.draw(ids)
     want = fixed_point(pool, {pool.null_id, pool.full_id, *new})
     assert close_family(pool, tuple(new), pool.size) == want
     assert close_family(pool, tuple(new), max_opens) == bounded(
         want, max_opens)
-    # as the enumeration grows a family: one id at a time
-    family = ()
-    for g in new:
-        family = _extend(pool, family, (g,), pool.size)
-    assert family == fixed_point(pool, new)
+
+
+def test_pools_past_one_byte_gather_list_rows():
+    # ids past 255 do not fit a byte row: the 729-set pool gathers its
+    # rows from the list tables, and never builds the byte tables
+    shape = (3, 2, 3)
+    pool = shape_pool_of(*shape)
+    rng = random.Random(729)
+    for _ in range(20):
+        gens = tuple(rng.sample(range(pool.size), rng.randint(1, 4)))
+        want = fixed_point(pool, {pool.null_id, pool.full_id, *gens})
+        for max_opens in (len(want) - 1, len(want)):
+            assert close_family(pool, gens, max_opens) == bounded(
+                want, max_opens)
+    family = close_family(pool, (100, 300), pool.size)
+    first = 500
+    assert _closures(pool, family, first, pool.size, first + 30) == [
+        fixed_point(pool, {*family, g}) for g in range(first, first + 30)]
+    # one generator: each family a chain null < g < full, or fewer
+    closures = [fixed_point(pool, {pool.null_id, pool.full_id, g})
+                for g in range(pool.size)]
+    for max_opens in (2, 3):
+        kept = [bounded(family, max_opens) for family in closures]
+        seen = {(pool.null_id, pool.full_id), *filter(None, kept)}
+        got = SpaceCorpus(spec_of(shape, max_generators=1,
+                                  max_opens=max_opens))
+        assert got.stats == EnumerationStats(pool.size + 1, kept.count(None),
+                                             len(seen))
+        assert got.spaces == sorted(seen, key=lambda t: (len(t), t))
+        assert got.pool._lanes is None
+    assert pool._lanes is None
+
+
+def test_a_pool_of_256_sets_reads_byte_rows():
+    # ids 0 .. 255 fit a byte, so the 2x2 pool over four grades closes
+    # its families through the byte tables
+    got = SpaceCorpus(spec_of((2, 2, 4), max_generators=1))
+    assert got.pool.size == 256
+    assert got.pool._lanes is not None
+    assert got.stats == EnumerationStats(257, 0, 255)
 
 
 @pytest.fixture(scope="module")
@@ -299,7 +328,7 @@ class TestEnumeration:
         calls = []
         monkeypatch.setattr(corpus, "close_family",
                             lambda *args: calls.append(args))
-        monkeypatch.setattr(corpus, "_extend",
+        monkeypatch.setattr(corpus, "_closures",
                             lambda *args: calls.append(args))
         # 4 generators on the 81-set desk pool give 1,752,382 families
         with pytest.raises(CapExceededError, match="1752382 items"):
@@ -322,9 +351,9 @@ class TestEnumeration:
         assert max(map(len, bounded_nine.spaces)) == 4
 
     def test_building_peaks_near_the_tuples_it_keeps(self):
-        # a family has one form, its id tuple, from _extend to spaces: the
-        # peak, pool tables included, is 2.9 times the tuples' bytes, and
-        # a frozenset kept beside each tuple puts it near 7.6
+        # a family has one form, its id tuple, from _closures to spaces: the
+        # peak, pool and byte tables included, is 2.6 times the tuples'
+        # bytes, and a frozenset kept beside each tuple puts it near 9.6
         tracemalloc.start()
         try:
             got = SpaceCorpus(CorpusSpec.desk(max_generators=2))
