@@ -201,33 +201,53 @@ MUTANTS = (
            "self.closed_mask = sum(map((1).__lshift__, self.closeds))",
            "self.closed_mask = sum(map((1).__lshift__, ids))",
            ("tests/test_claims.py::test_engines_agree_on_drawn_spaces",)),
-    # the closed sets coded with a coder ranked on the opens alone
+    # the closed sets indexed at the least rank of an open or the carrier
+    # at or above theirs, as a rank over those grades alone would
     Mutant("rank-without-closed-grades", DECIDERS,
-           "            [*opens, *closeds, space.carrier])\n",
-           "            [*opens, space.carrier])\n"
-           "        codes[len(opens):len(opens)] = [\n"
-           "            self.coder(k.sort_key()) for k in closeds]\n",
+           "        self.index = [_entries(column)"
+           " for column in zip(*self.ranks)]\n",
+           "        n = len(space.opens)\n"
+           "        self.index = [_entries([*column[:n], *(\n"
+           "            min((g for g in {*column[:n], column[-1]} if g >= k),\n"
+           "                default=k) for k in column[n:-1]), column[-1]])\n"
+           "            for column in zip(*self.ranks)]\n",
            (MASK_ORACLE,)),
-    # a point taken for the closed set whose code its ceiling code is
+    # a point taken as closed when some closed set holds it, as if the
+    # least grade of the space above its own were its own
     Mutant("point-closed-by-code-alone", DECIDERS,
-           "                if form not in closed\n"
-           "                or closed[form].value_for(p.support) != p.value"
-           "), None)\n",
-           "                if form not in closed), None)\n",
+           "    bad = next((p for p in m.points"
+           " if not space.is_closed(p.as_fss())), None)\n",
+           "    bad = next((p for p, mask in m.held"
+           " if not mask >> len(space.opens) & m.opens), None)\n",
            ("tests/test_deciders.py::"
             "test_a_point_is_closed_only_at_its_exact_grade",)),
-    # the lattice grades ranked with the space's, widening every field
+    # the lattice grades ranked with the space's
     Mutant("rank-lattice-grades", DECIDERS,
-           "            [*opens, *closeds, space.carrier])\n",
-           "            [*opens, *closeds, space.carrier], cfg.lattice)\n",
+           "        self.grades, self.ranks = grade_ranks(sets)\n",
+           "        grades, ranks = grade_ranks(sets)\n"
+           "        self.grades = sorted({*grades, *cfg.lattice})\n"
+           "        self.ranks = [[self.grades.index(grades[r]) for r in v]\n"
+           "                      for v in ranks]\n",
            ("tests/test_deciders.py::"
             "test_codes_do_not_widen_with_the_lattice",)),
     Mutant("cross-parameter-as-pointwise", DECIDERS,
            '        if self.cfg.disjointness_mode == "pointwise":\n'
-           "            return code\n",
-           "        return code\n",
+           "            return _mask(ranks) << base\n",
+           "        return _mask(ranks) << base\n",
            (MASK_ORACLE, "tests/test_deciders.py::TestConnectedness::"
             "test_cross_parameter_mode_changes_the_answer")),
+    # each point's omask read off a thermometer code of its soft-set form,
+    # as wide as a set: the same masks at cells * grades bits a point
+    Mutant("omasks-from-point-codes", DECIDERS,
+           "        return [mask & self.opens for _, mask in self.held]\n",
+           "        from .softsets import rank_codes\n"
+           "        opens = self.space.opens\n"
+           "        codes = rank_codes(\n"
+           "            [*opens, *(p.as_fss() for p in self.points)])\n"
+           "        return [_mask(not f & ~o for o in codes[:len(opens)])\n"
+           "                for f in codes[len(opens):]]\n",
+           ("tests/test_deciders.py::"
+            "test_is_t1_memory_does_not_grow_with_cells_times_grades",)),
     # the relative closure scan keeping the traces below h, not above it
     Mutant("relative-closure-below", TOPOLOGY,
            "        if h.leq(k):\n",
@@ -291,8 +311,8 @@ MUTANTS = (
     # a field too narrow for the highest rank, which spills into the
     # next cell's field
     Mutant("rank-field-one-bit-short", "src/fstopo/softsets.py",
-           "    width = len(ranked) - 1\n",
-           "    width = len(ranked) - 2\n",
+           "    width = len(grades) - 1\n",
+           "    width = len(grades) - 2\n",
            ("tests/test_softsets.py::TestRankCodes::"
             "test_ranks_follow_the_grade_order",)),
     Mutant("validate-meet-read-as-join", TOPOLOGY,

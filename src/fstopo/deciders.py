@@ -27,19 +27,14 @@ reading as a test of which pairs qualify.  Every scan runs in canonical
 order, so the first witness of a failure is deterministic.
 Connectedness has a scan of its own.
 
-The masks are built on rank codes, not on ``Fraction``s
-(``softsets.rank_codes``): every grade of the opens, the closed sets
-and the carrier is ranked, and each set becomes one thermometer-coded
-``int``, and each point the code of its soft-set form, a lattice grade
-that no set has coded as the least ranked grade above it, so the
-lattice never widens a code.  Membership and inclusion read
-``a & ~b == 0`` and a union is ``a | b``.  Rank 0 is grade 0, since the
-null set is open, so a nonzero cell sets the low bit of its field and a
-code is its own support: two sets are disjoint pointwise when ``a & b``
-is 0, and across parameters when their codes with the parameter blocks
-folded together do not meet.  A point is closed when its code is a
-closed set's and its value that set's own.  Witnesses are rendered from
-the points and sets themselves.  ``point_in``, ``softsets.disjoint``
+The masks are read off one grade index, not off ``Fraction``s: for each
+cell, the grade ranks (``softsets.grade_ranks``) that occur there, each
+with the mask of the sets at or above it.  A point's mask is the AND,
+over its parameter's cells, of the entry at the least indexed rank at
+or above its grade, so the lattice never widens the index, and the
+opens and closed sets holding it are slices of that mask.  Disjointness
+reads the cells where a set is nonzero, folded over the parameters
+under the cross-parameter reading.  ``point_in``, ``softsets.disjoint``
 and ``leq`` on ``Fraction``s remain the definitions, which
 ``tests/test_deciders.py`` builds the masks from and compares.
 """
@@ -47,7 +42,10 @@ and ``leq`` on ``Fraction``s remain the definitions, which
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
 from typing import Optional
 
 from .algebra import GradeLattice
@@ -61,7 +59,7 @@ from .engine import (
     _t2_fail,
 )
 from .points import DEFAULT_POINT_CAP, FuzzySoftPoint, enumerate_points
-from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, rank_codes
+from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_key, grade_ranks
 from .topology import FuzzySoftTopology
 
 PAIR_RELATIONS = ("distinct", "disjoint")
@@ -167,63 +165,74 @@ class AxiomVerdict:
 # ---------------------------------------------------------------------------
 # the masks of one (space, config)
 
-class _Masks:
-    """The rank codes of one (space, config) and the masks the scans
-    read, each built on first use.
+def _entries(column) -> tuple[list[int], list[int]]:
+    """One cell of the index: the grade ranks of ``column``, the i-th
+    set's at i, in ascending order, and for each the mask of the sets at
+    or above it, then 0 for a grade above them all."""
+    at = {}
+    for i, r in enumerate(column):
+        at[r] = at.get(r, 0) | 1 << i
+    ranks = sorted(at)
+    # OR the sets at each rank into those above it, from the top down
+    masks = list(accumulate(map(at.get, reversed(ranks)), or_))
+    return ranks, [*reversed(masks), 0]
 
-    The codes rank the grades of the opens, the closed sets and the
-    carrier, and rank 0 is grade 0, which the null set holds.  The
-    lattice points inside the carrier are enumerated only when a scan
-    reads them, so connectedness enumerates none."""
+
+class _Masks:
+    """The grade index of one (space, config) and the masks the scans
+    read, each built on first use.  Bit i of an index entry stands for
+    the i-th of ``[*opens, *closed_sets, carrier]``.  Points are
+    enumerated only when a scan reads them, so connectedness enumerates
+    none."""
 
     def __init__(self, space: FuzzySoftTopology, cfg: DeciderConfig):
         self.space = space
         self.cfg = cfg
-        opens, closeds = space.opens, space.closed_sets
-        self.coder, width, codes = rank_codes(
-            [*opens, *closeds, space.carrier])
-        self.ocodes = codes[:len(opens)]
-        self.kcodes = codes[len(opens):-1]
-        self.top = codes[-1]
-        self.span = len(space.universe) * width  # bits per parameter
+        sets = [*space.opens, *space.closed_sets, space.carrier]
+        self.grades, self.ranks = grade_ranks(sets)
+        self.index = [_entries(column) for column in zip(*self.ranks)]
+        self.opens = (1 << len(space.opens)) - 1
 
-    def support(self, code: int) -> int:
-        """``code`` itself, or under the cross-parameter reading its
-        parameter blocks folded into one.  Two sets are disjoint exactly
-        when their supports do not meet."""
+    def above(self, cells, ranks) -> int:
+        """The sets at or above ``ranks`` at ``cells``: at each cell, the
+        entry at the least indexed rank at or above the given one."""
+        mask = -1
+        for c, r in zip(cells, ranks):
+            indexed, masks = self.index[c]
+            mask &= masks[bisect_left(indexed, r)]
+        return mask
+
+    def support(self, ranks, base: int = 0) -> int:
+        """The cells from ``base`` on where ``ranks`` are nonzero (rank 0
+        is grade 0, the null set's), or under the cross-parameter reading
+        the elements where some parameter's are.  Two sets are disjoint
+        exactly when their supports do not meet."""
         if self.cfg.disjointness_mode == "pointwise":
-            return code
-        span, elements = self.span, 0
-        while code:
-            elements |= code & ((1 << span) - 1)
-            code >>= span
-        return elements
+            return _mask(ranks) << base
+        width = len(self.space.universe)
+        return _mask(any(ranks[e::width]) for e in range(width))
 
     @functools.cached_property
-    def point_forms(self) -> list[tuple[FuzzySoftPoint, int]]:
+    def held(self) -> list[tuple[FuzzySoftPoint, int]]:
         """Each lattice point inside the carrier, in canonical order, with
-        the code of its soft-set form.  A point with a grade above every
-        grade of the carrier has no code and lies outside it."""
-        space, span, top = self.space, self.span, self.top
-        last = len(space.parameters) - 1
+        the mask of the sets holding it.  A lattice grade that no set has
+        looks up as the rank of the least grade above it."""
+        space, width = self.space, len(self.space.universe)
+        rank = {grade_key(g): bisect_left(self.grades, g)
+                for g in self.cfg.lattice}
         out = []
         for p in enumerate_points(space.universe, space.parameters,
                                   self.cfg.lattice, self.cfg.cap):
-            value = self.coder(p.value.grades)
-            if value is None:
-                continue
-            form = value << span * (last - space.parameters.index(p.support))
-            if not form & ~top:
-                out.append((p, form))
+            base = width * space.parameters.index(p.support)
+            mask = self.above(range(base, base + width),
+                              [rank[grade_key(g)] for g in p.value.grades])
+            if mask >> len(self.ranks) - 1:  # the carrier's bit, the top one
+                out.append((p, mask))
         return out
 
     @functools.cached_property
     def points(self) -> list[FuzzySoftPoint]:
-        return [p for p, _ in self.point_forms]
-
-    @functools.cached_property
-    def forms(self) -> list[int]:
-        return [form for _, form in self.point_forms]
+        return [p for p, _ in self.held]
 
     @property
     def scanned(self) -> str:
@@ -231,19 +240,22 @@ class _Masks:
 
     @functools.cached_property
     def omasks(self) -> list[int]:
-        return [_mask(not f & ~o for o in self.ocodes) for f in self.forms]
+        return [mask & self.opens for _, mask in self.held]
 
     @functools.cached_property
     def osupp(self) -> list[int]:
-        return [self.support(o) for o in self.ocodes]
+        return [self.support(r) for r in self.ranks[:len(self.space.opens)]]
 
     @functools.cached_property
     def ksupp(self) -> list[int]:
-        return [self.support(k) for k in self.kcodes]
+        n = len(self.space.opens)
+        return [self.support(r) for r in self.ranks[n:-1]]
 
     @functools.cached_property
     def psupp(self) -> list[int]:
-        return [self.support(f) for f in self.forms]
+        width, index = len(self.space.universe), self.space.parameters.index
+        return [self.support(p.value.grades, width * index(p.support))
+                for p in self.points]
 
     @functools.cached_property
     def odisj(self) -> list[int]:
@@ -252,7 +264,9 @@ class _Masks:
 
     @functools.cached_property
     def covers(self) -> list[int]:
-        return [_mask(not k & ~o for o in self.ocodes) for k in self.kcodes]
+        cells, n = range(len(self.index)), len(self.space.opens)
+        return [self.above(cells, ranks) & self.opens
+                for ranks in self.ranks[n:-1]]
 
     def pair_test(self, axiom: str):
         """The configured pair relation of ``axiom`` on point indices."""
@@ -320,10 +334,7 @@ def is_t2(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
 def points_all_closed(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     """Every lattice point of the carrier is, as a soft set, a closed set."""
     m = _masks(space, cfg)
-    closed = dict(zip(m.kcodes, space.closed_sets))
-    bad = next((p for p, form in zip(m.points, m.forms)
-                if form not in closed
-                or closed[form].value_for(p.support) != p.value), None)
+    bad = next((p for p in m.points if not space.is_closed(p.as_fss())), None)
     witness = None if bad is None else Witness(
         "point", (bad.render(),), "its soft-set form is not closed")
     return _verdict("points-closed", cfg, witness, m.scanned)
@@ -334,10 +345,10 @@ def is_regular(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
     m = _masks(space, cfg)
     closeds = space.closed_sets
     if cfg.regular_reading == "membership":
-        forms, kcodes = m.forms, m.kcodes
+        held, n = m.held, len(space.opens)
 
-        def avoids(a, k):
-            return forms[a] & ~kcodes[k] != 0
+        def avoids(a, k):  # k's bit in the mask of the sets holding a
+            return not held[a][1] >> n + k & 1
     else:
         psupp, ksupp = m.psupp, m.ksupp
 
@@ -395,12 +406,15 @@ def find_separation(
 ) -> Optional[tuple[FuzzySoftSet, FuzzySoftSet]]:
     """First pair of disjoint nonempty opens whose union is the carrier."""
     m = _masks(space, cfg)
-    codes, supp = m.ocodes, m.osupp
-    for i, a in enumerate(codes):
-        if not supp[i]:  # the null set
+    supp = m.osupp
+    # per cell, the sets at the carrier's grade, one of a covering pair
+    tops = [m.above([c], [r]) for c, r in enumerate(m.ranks[-1])]
+    for i, a in enumerate(supp):
+        if not a:  # the null set
             continue
-        for j in range(i + 1, len(codes)):
-            if supp[j] and not supp[i] & supp[j] and a | codes[j] == m.top:
+        for j in range(i + 1, len(supp)):
+            pair = 1 << i | 1 << j
+            if supp[j] and not a & supp[j] and all(t & pair for t in tops):
                 return space.opens[i], space.opens[j]
     return None
 

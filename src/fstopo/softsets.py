@@ -17,11 +17,10 @@ takes every grade to 1 - grade.  Two disjointness readings are provided:
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping
 
 from .algebra import (
     GRADE_ZERO,
@@ -200,44 +199,30 @@ class FuzzySoftSet:
 grade_key = Fraction.as_integer_ratio
 
 
-def rank_codes(sets, grades=()):
-    """A coder for grade vectors, the field width, and each set's code.
+def grade_ranks(sets) -> tuple[list[Fraction], list[list[int]]]:
+    """The distinct grades of ``sets``, ascending, and each set's grade
+    vector (``sort_key``) as ranks into them.  Grades are told apart by
+    ``grade_key``, so no ``Fraction`` is hashed."""
+    keys = [[grade_key(g) for v in s.values for g in v.grades] for s in sets]
+    grades = sorted(Fraction(*r) for r in set().union(*keys))
+    rank = {grade_key(g): i for i, g in enumerate(grades)}
+    return grades, [list(map(rank.__getitem__, vector)) for vector in keys]
 
-    The distinct grades of ``grades`` and ``sets`` are ranked in
-    ascending order, keyed by ``grade_key``.  A code is an ``int`` with
-    one field of ``width`` bits per cell, the first cell highest, and a
-    cell of rank r sets the low r bits of its field (a thermometer code),
-    so codes sort like the grade vectors.  Max and min only pick grades
-    that are already there, so ``a | b`` and ``a & b`` are the codes of
-    the union and the intersection, and a.leq(b) when ``a & ~b`` is 0.
 
-    The coder codes a grade that is not ranked as the least ranked grade
-    above it: ``a & ~b`` against a ranked code b, and a nonzero test when
-    0 is ranked, stay exact, but equal codes no longer mean equal grades.
-    A vector with a grade above every ranked one has no code (None).
-    """
-    vectors = [tuple(map(grade_key, s.sort_key())) for s in sets]
-    distinct = set(map(grade_key, grades))
-    for v in vectors:
-        distinct.update(v)
-    ranked = sorted(Fraction(*r) for r in distinct)
-    width = len(ranked) - 1
-    field = {grade_key(g): (1 << i) - 1 for i, g in enumerate(ranked)}
-
-    def encode(keys) -> Optional[int]:
+def rank_codes(sets) -> list[int]:
+    """Each set's grade vector as one thermometer-coded ``int``: a field
+    of (grades - 1) bits per cell, the first cell highest, where rank r
+    (``grade_ranks``) sets the low r bits.  ``topology.validate_topology``
+    decides the axioms on these; its docstring says why that is exact."""
+    grades, vectors = grade_ranks(sets)
+    width = len(grades) - 1
+    codes = []
+    for vector in vectors:
         code = 0
-        for r in keys:
-            if r not in field:  # not ranked: the least ranked grade above
-                i = bisect_left(ranked, Fraction(*r))
-                field[r] = (1 << i) - 1 if i < len(ranked) else None
-            f = field[r]
-            if f is None:
-                return None
-            code = code << width | f
-        return code
-
-    return (lambda vector: encode(map(grade_key, vector)), width,
-            list(map(encode, vectors)))
+        for r in vector:
+            code = code << width | (1 << r) - 1
+        codes.append(code)
+    return codes
 
 
 def disjoint(g: FuzzySoftSet, h: FuzzySoftSet, mode: str = "pointwise") -> bool:

@@ -21,15 +21,15 @@ the integer engine and the tests check against.
 
 Validation does not compare ``Fraction``s pair by pair.  It ranks the
 distinct grades of the carrier and the candidates and codes each set as
-one thermometer-coded ``int`` (``softsets.rank_codes``).  Min and max
-only pick grades that are already there, and ranking keeps their order,
-so ``a & b`` and ``a | b`` are the codes of the intersection and the
-union, a set lies under the carrier when ``code & ~top`` is 0, equal
-codes are equal sets and sorted codes are the canonical order: the
-axioms are decided on ints exactly.  The pairs are scanned in
-canonical order and the witnesses rendered from the sets, so the
-violations are those of the scan over the sets.  The topology is then
-built without the constructor's re-check of what was just checked.
+one thermometer-coded ``int`` (``softsets.rank_codes``, read only here).
+Min and max only pick grades that are already there, and ranking keeps
+their order, so ``a & b`` and ``a | b`` are the codes of the
+intersection and the union, a set lies under the carrier when
+``code & ~top`` is 0, equal codes are equal sets and sorted codes are
+the canonical order: the axioms are decided on ints exactly.  The pairs
+are scanned in canonical order and the witnesses rendered from the sets,
+so the violations are those of the scan over the sets.  The topology is
+then built without the constructor's re-check of what was just checked.
 
 A subspace at a carrier g below the carrier is itself a topology:
 ``subspace(g)`` returns the validated family {g min o}.  Its absolute
@@ -243,7 +243,7 @@ def validate_topology(
     for c in family:
         if c.universe != carrier.universe or c.parameters != carrier.parameters:
             raise ContextMismatchError("candidate open does not belong to the space")
-    _, _, codes = rank_codes([carrier, *family])
+    codes = rank_codes([carrier, *family])
     top = codes[0]
     # equal codes are equal sets; sorted codes are the canonical order
     by_code: dict[int, FuzzySoftSet] = {}

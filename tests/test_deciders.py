@@ -6,6 +6,7 @@ and the split topology {null, {x}, {y}, carrier} is disconnected.
 """
 
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -247,7 +248,7 @@ class TestVerdictShape:
         assert "@" in verdict.witness.render()
 
 
-# -- the rank-coded masks against the Fraction definitions -----------------
+# -- the indexed masks against the Fraction definitions --------------------
 
 READINGS = list(product(DISJOINTNESS_MODES, (None, *PAIR_RELATIONS),
                         REGULAR_READINGS))
@@ -315,9 +316,29 @@ THIRDS = validate_topology(
      FuzzySoftSet.build(Universe.of("x"), E, {"e1": {"x": "3/4"}})])
 
 
+def chain_space(opens, parameters):
+    """One element x, ``parameters`` parameters, the null set, the all-one
+    carrier and a chain of ``opens`` opens, open s holding
+    (s*P + p + 1)/(2SP + 7) at parameter p, so every cell of every open
+    has a grade of its own."""
+    u1 = Universe.of("x")
+    names = ParameterSet.of(*(f"e{p + 1}" for p in range(parameters)))
+    d = 2 * opens * parameters + 7
+    chain = [FuzzySoftSet.build(u1, names, {
+        f"e{p + 1}": {"x": Fraction(s * parameters + p + 1, d)}
+        for p in range(parameters)}) for s in range(opens)]
+    full = FuzzySoftSet.full(u1, names)
+    return validate_topology(
+        full, [FuzzySoftSet.null(u1, names), *chain, full])
+
+
+CHAIN = chain_space(3, 2)
+
+
 @given(object_spaces(), st.sampled_from(OBJECT_LATTICES))
 @example(THIRDS, CRISP)
 @example(THIRDS, GradeLattice.close(["1/2"]))
+@example(CHAIN, DeciderConfig.auto_for(CHAIN).lattice)
 def test_masks_match_the_fraction_definitions(space, lattice):
     for mode, relation, reading in READINGS:
         cfg = DeciderConfig(lattice=lattice, disjointness_mode=mode,
@@ -376,9 +397,9 @@ def test_connectedness_enumerates_no_points(monkeypatch, tmp_path, capsys):
 
 
 def test_codes_do_not_widen_with_the_lattice():
-    # only the space's grades 0, 1/2 and 1 are ranked, so a code has two
-    # bits per cell at any lattice; ranking all 20001 grades would keep
-    # about 31 MB of ints before connectedness scans a pair
+    # only the space's grades 0, 1/2 and 1 are indexed, so the one cell
+    # keeps three entries at any lattice; ranking all 20001 grades into
+    # codes would keep about 31 MB of ints before connectedness scans a pair
     u1 = Universe.of("x")
     full = FuzzySoftSet.full(u1, E)
     half = FuzzySoftSet.build(u1, E, {"e1": {"x": "1/2"}})
@@ -392,7 +413,28 @@ def test_codes_do_not_widen_with_the_lattice():
         tracemalloc.stop()
     assert peak < 100_000
     m = deciders._masks(space, cfg)
-    assert len(m.forms) == 20000 and max(m.forms) == 0b11
+    # bits 0-2 the opens and 3-5 the closed sets, each null, half and
+    # full; bit 6 the carrier
+    assert len(m.points) == 20000 and m.grades == [0, Fraction(1, 2), 1]
+    assert m.index == [([0, 1, 2], [0b1111111, 0b1110110, 0b1100100, 0])]
+
+
+def test_is_t1_memory_does_not_grow_with_cells_times_grades():
+    # 16,020 points over 20 cells of 802 distinct grades: a code per point
+    # as wide as a set, cells * (grades - 1) bits, peaked at about 23 MB;
+    # a mask over the 45 sets per point keeps the points themselves the
+    # bulk of the peak
+    space = chain_space(20, 20)
+    cfg = DeciderConfig.auto_for(space)
+    tracemalloc.start()
+    try:
+        verdict = is_t1(space, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not verdict.holds
+    assert len(deciders._masks(space, cfg).points) == 16020
+    assert peak < 10_000_000
 
 
 def test_a_point_is_closed_only_at_its_exact_grade():

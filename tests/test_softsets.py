@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -116,27 +117,23 @@ class TestLatticeOps:
 class TestRankCodes:
     def test_ranks_follow_the_grade_order(self):
         sets = enumerate_lattice_sets(U, E, GradeLattice.uniform(6))[::97]
-        code, width, codes = rank_codes(sets, DESK)
-        grades = {g for s in sets for g in s.sort_key()} | set(DESK)
-        assert width == len(grades) - 1
+        pairs = list(product(sets, repeat=2))
+        codes = rank_codes([*sets, *(g.union(h) for g, h in pairs),
+                            *(g.intersection(h) for g, h in pairs),
+                            FuzzySoftSet.full(U, E)])
+        n, m = len(sets), len(pairs)
+        own, unions, meets = codes[:n], codes[n:n + m], codes[n + m:-1]
+        # one field of (grades - 1) bits per cell
+        grades = {g for s in sets for g in s.sort_key()} | {Fraction(1)}
+        assert codes[-1] == (1 << 4 * (len(grades) - 1)) - 1
         # the sets come in canonical order, each once
-        assert codes == sorted(set(codes))
-        assert codes == [code(s.sort_key()) for s in sets]
-        for g, a in zip(sets, codes):
-            for h, b in zip(sets, codes):
-                assert a | b == code(g.union(h).sort_key())
-                assert a & b == code(g.intersection(h).sort_key())
-                assert (a & ~b == 0) == g.leq(h)
-                assert (a == b) == (g == h)
-
-    def test_unranked_grades_code_as_the_next_ranked_one(self):
-        code, width, _ = rank_codes([], DESK)  # ranks 0, 1/2 and 1
-        assert width == 2
-        zero, third, half, one = map(Fraction, ("0", "1/3", "1/2", "1"))
-        assert code([zero, half, one]) == 0b000111
-        assert code([third, zero, Fraction(2, 3)]) == 0b010011
-        code, _, _ = rank_codes([], [zero, half])
-        assert code([third]) == 0b1 and code([third, one]) is None
+        assert own == sorted(set(own))
+        for (g, h), (a, b), union, meet in zip(
+                pairs, product(own, repeat=2), unions, meets):
+            assert a | b == union
+            assert a & b == meet
+            assert (a & ~b == 0) == g.leq(h)
+            assert (a == b) == (g == h)
 
     def test_no_fraction_is_hashed_per_cell(self, monkeypatch):
         sets = enumerate_lattice_sets(U, E, DESK)
@@ -144,7 +141,7 @@ class TestRankCodes:
         real = Fraction.__hash__
         monkeypatch.setattr(Fraction, "__hash__",
                             lambda g: hashed.append(g) or real(g))
-        rank_codes(sets, DESK)
+        rank_codes(sets)
         # 81 sets of 4 cells over 3 distinct grades
         assert len(hashed) <= 3
 
