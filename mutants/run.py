@@ -65,6 +65,10 @@ CLOSE_ONCE = ("tests/test_algebra.py::TestGradeLattice::"
 SOFTSETS = "src/fstopo/softsets.py"
 CLAIMS = "src/fstopo/claims.py"
 ROW_ORACLE = "tests/test_claims.py::test_rows_match_checks"
+LANE_TABLES = "tests/test_engine.py::test_lane_tables_match_the_loops"
+LANE_256 = ("tests/test_engine.py::"
+            "test_a_256_set_pool_builds_each_table_on_its_lanes")
+POINTS = "src/fstopo/points.py"
 
 MUTANTS = (
     Mutant("t1-no-reversal", ENGINE,
@@ -103,18 +107,37 @@ MUTANTS = (
     # the closure of test_criterion_6_mutation_alarm: a join fold from
     # the null set over the closed supersets
     Mutant("closure-join-fold", ENGINE,
-           "                acc = top\n"
-           "                mg = meet[g]\n"
-           "                for k in closeds:\n"
-           "                    if mg[k] == g:\n"
-           "                        acc = meet[acc][k]\n",
-           "                acc = 0\n"
-           "                mg = meet[g]\n"
-           "                for k in closeds:\n"
-           "                    if mg[k] == g:\n"
-           "                        acc = pool.join[acc][k]\n",
+           "_lane_fold(pool.full_id, pool.size,\n"
+           "                                           self.closeds, lanes.meet_tables,",
+           "_lane_fold(pool.null_id, pool.size,\n"
+           "                                           self.closeds, lanes.join_tables,",
            ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
             "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
+    # the lane-built closure folding each closed set in over the sets
+    # above it, not under it
+    Mutant("closure-fold-keeps-above", ENGINE,
+           "lanes.below))",
+           "lanes.above))",
+           (LANE_TABLES,)),
+    # a 256-set pool, whose ids still fit one byte, sent to the loops
+    Mutant("closure-loops-at-256", ENGINE,
+           "if pool.size > 256:\n                self._cl =",
+           "if pool.size >= 256:\n                self._cl =",
+           (LANE_256,)),
+    Mutant("interior-loops-at-256", ENGINE,
+           "if pool.size > 256:\n                self._int =",
+           "if pool.size >= 256:\n                self._int =",
+           (LANE_256,)),
+    Mutant("nbhds-loops-at-256", ENGINE,
+           "if pool.size > 256:\n                self._nbhds =",
+           "if pool.size >= 256:\n                self._nbhds =",
+           (LANE_256,)),
+    # each point's neighborhoods read through the membership digits of
+    # the point before it
+    Mutant("nbhds-digits-of-the-next-point", ENGINE,
+           "int(row.translate(digits[p]), 2)",
+           "int(row.translate(digits[p - 1]), 2)",
+           (LANE_TABLES,)),
     # CON.COARSER drawing its own probe again, with its own full scan on
     # exhaustive cases past EXHAUSTIVE_LIMIT
     Mutant("coarser-own-probe", "src/fstopo/claims.py",
@@ -426,6 +449,25 @@ MUTANTS = (
            ("tests/test_claims.py::test_rows_match_checks_over_wide_codes",
             "tests/test_corpus.py::TestSetPool::"
             "test_lane_tables_code_the_tables")),
+    # enumerated points holding their grades in a list, which the
+    # validated construction never does and which cannot be hashed
+    Mutant("point-grades-as-list", POINTS,
+           "_lattice_set(universe, vector)",
+           "_lattice_set(universe, list(vector))",
+           ("tests/test_points.py::"
+            "test_enumerated_points_equal_the_validated_construction",)),
+    # decoded points built with their grades reversed
+    Mutant("decoded-point-grades-reversed", CORPUS,
+           "tuple(self._grades[d] for d in vec))",
+           "tuple(self._grades[d] for d in vec[::-1]))",
+           ("tests/test_points.py::"
+            "test_enumerated_points_equal_the_validated_construction",)),
+    # a set's text rendered afresh on every call
+    Mutant("set-text-not-kept", SOFTSETS,
+           "    @functools.cached_property\n    def _text",
+           "    @property\n    def _text",
+           ("tests/test_points.py::"
+            "test_decoded_sets_and_points_render_their_values_once",)),
 )
 
 

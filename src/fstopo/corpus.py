@@ -51,7 +51,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import CapExceededError, FuzzySet, GradeLattice, Universe
+from .algebra import (CapExceededError, FuzzySet, GradeLattice, Universe,
+                      _lattice_set)
 from .engine import _bits
 from .softsets import FuzzySoftSet, ParameterSet
 from .topology import FuzzySoftTopology
@@ -81,6 +82,7 @@ class SetPool:
         self._grades = tuple(lattice)
         self._grade_index = {g: i for i, g in enumerate(self._grades)}
         self._decoded: dict[int, FuzzySoftSet] = {}
+        self._decoded_points: dict = {}
         self._splits: dict[int, tuple[tuple[int, int], ...]] = {}
         self._lanes: Lanes | None = None
         self._build_tables()
@@ -120,9 +122,9 @@ class SetPool:
         return self.meet[i][j] == i
 
     def lanes(self) -> Lanes:
-        """The byte-row tables of the whole-row kernels, built on first
-        use: only a full-range row scan, on a pool of at most 256 sets,
-        asks for them."""
+        """The byte-row tables of the whole-row kernels and of a case's
+        closure, interior and neighborhood tables, built on first use by
+        a pool of at most 256 sets."""
         if self._lanes is None:
             self._lanes = Lanes(self)
         return self._lanes
@@ -226,11 +228,18 @@ class SetPool:
         self.pt_form_id = form_ids
 
     def decode_point(self, index: int):
+        got = self._decoded_points.get(index)
+        if got is not None:
+            return got
         from .points import FuzzySoftPoint
 
         pi, vec = self.points[index]
-        value = FuzzySet(self.universe, tuple(self._grades[d] for d in vec))
-        return FuzzySoftPoint(self.parameters.names[pi], value, self.parameters)
+        # lattice grades were validated when the lattice was built
+        value = _lattice_set(self.universe,
+                             tuple(self._grades[d] for d in vec))
+        got = self._decoded_points[index] = FuzzySoftPoint(
+            self.parameters.names[pi], value, self.parameters)
+        return got
 
 
 # '0' -> 0x00 and '1' -> 0xFF turn a bitmask's binary digits, read low
@@ -246,8 +255,11 @@ class Lanes:
     A row is one byte per id h of the pool's n, read as an int with byte
     h at bits ``8h .. 8h+7`` (little-endian), so one int operation acts
     on all n ids at once.  ``meet[g]`` and ``join[g]`` are the rows of
-    the pool tables as bytes, and ``join_tables[g]`` is ``join[g]``
-    padded to a 256-byte translate table from h to g | h.  A set's
+    the pool tables as bytes, and ``meet_tables[g]`` and
+    ``join_tables[g]`` are them padded to 256-byte translate tables from
+    h to g & h and g | h.  ``point_digits[p]`` is the translate table
+    from a set id to the digit b"1" when point p lies in the set and
+    b"0" when not.  A set's
     thermometer code has one field of ``radix - 1`` bits per cell, grade
     index d setting its low d bits, so the code of a meet is the ``&``
     of the codes, of a join the ``|``, and a <= b when ``a & ~b`` is 0;
@@ -269,11 +281,14 @@ class Lanes:
         self.meet = [bytes(row) for row in pool.meet]
         self.join = [bytes(row) for row in pool.join]
         pad = bytes(256 - n)
+        self.meet_tables = [row + pad for row in self.meet]
         self.join_tables = [row + pad for row in self.join]
         self.above = [int.from_bytes(self.spread(m), "little")
                       for m in pool.above]
         self.below = [int.from_bytes(self.spread(m), "little")
                       for m in pool.below]
+        self.point_digits = [self.spread(m, 256).translate(_BYTE_BITS)
+                             for m in pool.pt_in_mask]
         bits = pool.radix - 1
         codes = []
         for vec in pool._vectors:

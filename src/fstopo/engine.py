@@ -4,7 +4,16 @@ A ``SpaceCase`` is one topology over a ``SetPool``, given as the sorted
 ids of its opens, with its closure and interior tables, the masks its
 axioms are read from and, for the whole-row kernels of ``claims.py``,
 its closure and interior as code lanes and its relative closures in
-every subspace, each built on first use.  A set is open
+every subspace, each built on first use.  On a pool of at most 256
+sets the closure, interior and neighborhood tables come from the
+pool's byte lanes (``SetPool.lanes()``): each closed set (open) is
+folded into the whole row by one ``bytes.translate`` through its meet
+(join) table, kept at the sets under (over) it, and a point's
+neighborhoods are the interior row read through the point's membership
+digits.  Larger pools run the list loops, which are also the
+definitions these tables are tested against.  A witness renders
+through the pool's memo of decoded sets and points, each of which
+computes its text once.  A set is open
 (closed) exactly when its bit is set in ``open_mask`` (``closed_mask``).
 Every mask is over pool ids, cut to the case's opens with one
 ``open_mask``, so its bits come in open order.  The five axiom scans
@@ -159,35 +168,26 @@ class SpaceCase:
         """Closure of every pool set: meet of the closed supersets."""
         if self._cl is None:
             pool = self.pool
-            meet = pool.meet
-            closeds = self.closeds
-            top = pool.full_id
-            row = []
-            for g in range(pool.size):
-                acc = top
-                mg = meet[g]
-                for k in closeds:
-                    if mg[k] == g:
-                        acc = meet[acc][k]
-                row.append(acc)
-            self._cl = row
+            if pool.size > 256:
+                self._cl = _closure_loop(pool, self.closeds)
+            else:
+                lanes = pool.lanes()
+                self._cl = list(_lane_fold(pool.full_id, pool.size,
+                                           self.closeds, lanes.meet_tables,
+                                           lanes.below))
         return self._cl
 
     def interior(self) -> list[int]:
         """Interior of every pool set: join of the open subsets."""
         if self._int is None:
             pool = self.pool
-            meet, join = pool.meet, pool.join
-            opens = self.opens
-            row = []
-            for g in range(pool.size):
-                acc = 0
-                mg = meet[g]
-                for o in opens:
-                    if mg[o] == o:
-                        acc = join[acc][o]
-                row.append(acc)
-            self._int = row
+            if pool.size > 256:
+                self._int = _interior_loop(pool, self.opens)
+            else:
+                lanes = pool.lanes()
+                self._int = list(_lane_fold(pool.null_id, pool.size,
+                                            self.opens, lanes.join_tables,
+                                            lanes.above))
         return self._int
 
     def lanes(self, name: str) -> list[tuple[bytes, int]]:
@@ -217,15 +217,19 @@ class SpaceCase:
 
     def nbhds(self) -> list[int]:
         """Per point (aligned with self.pts), the bitmask over pool ids of
-        its neighborhoods, the sets whose interior holds it: the union of
-        the interior's preimages of the sets holding the point."""
+        its neighborhoods, the sets whose interior holds it."""
         if self._nbhds is None:
-            preimage: dict[int, int] = {}
-            for nb, o in enumerate(self.interior()):
-                preimage[o] = preimage.get(o, 0) | 1 << nb
-            pin = self.pool.pt_in_mask
-            self._nbhds = [sum(m for o, m in preimage.items() if (pm >> o) & 1)
-                           for pm in map(pin.__getitem__, self.pts)]
+            pool, it = self.pool, self.interior()
+            if pool.size > 256:
+                self._nbhds = _nbhds_loop(pool, it, self.pts)
+            else:
+                # the interior row, highest id first, read through each
+                # point's membership digits is the binary numeral of
+                # its neighborhoods
+                digits = pool.lanes().point_digits
+                row = bytes(reversed(it))
+                self._nbhds = [int(row.translate(digits[p]), 2)
+                               for p in self.pts]
         return self._nbhds
 
     # -- separation axioms -------------------------------------------------
@@ -389,6 +393,65 @@ class SpaceCase:
 
     def render_point(self, index: int) -> str:
         return self.pool.decode_point(index).render()
+
+
+# ---------------------------------------------------------------------------
+# the operator tables
+#
+# A pool of at most 256 sets, whose ids fit one byte, folds a table over
+# whole byte rows (``_lane_fold``); a larger one runs the loops below.
+
+def _lane_fold(start: int, n: int, sets, tables, keep) -> bytes:
+    """Per id g of a pool of n <= 256 sets, ``start`` folded through the
+    translate tables ``tables[s]`` of the sets s, in order, whose byte
+    row ``keep[s]`` marks g: one translate per set over the whole row,
+    its bytes kept only where ``keep[s]`` is 0xFF."""
+    row = bytes((start,)) * n
+    acc = int.from_bytes(row, "little")
+    for s in sets:
+        new = int.from_bytes(row.translate(tables[s]), "little")
+        acc ^= (acc ^ new) & keep[s]
+        row = acc.to_bytes(n, "little")
+    return row
+
+
+def _closure_loop(pool: SetPool, closeds) -> list[int]:
+    """Per pool set g, the meet of the closed sets over g."""
+    meet = pool.meet
+    row = []
+    for g in range(pool.size):
+        acc = pool.full_id
+        mg = meet[g]
+        for k in closeds:
+            if mg[k] == g:
+                acc = meet[acc][k]
+        row.append(acc)
+    return row
+
+
+def _interior_loop(pool: SetPool, opens) -> list[int]:
+    """Per pool set g, the join of the opens under g."""
+    meet, join = pool.meet, pool.join
+    row = []
+    for g in range(pool.size):
+        acc = pool.null_id
+        mg = meet[g]
+        for o in opens:
+            if mg[o] == o:
+                acc = join[acc][o]
+        row.append(acc)
+    return row
+
+
+def _nbhds_loop(pool: SetPool, interior, pts) -> list[int]:
+    """Per point of ``pts``, the mask of the sets whose interior holds
+    it: the union of the interior's preimages of the sets holding it."""
+    preimage: dict[int, int] = {}
+    for nb, o in enumerate(interior):
+        preimage[o] = preimage.get(o, 0) | 1 << nb
+    pin = pool.pt_in_mask
+    return [sum(m for o, m in preimage.items() if (pm >> o) & 1)
+            for pm in map(pin.__getitem__, pts)]
 
 
 def _ids(pair, first, second):

@@ -8,6 +8,7 @@ parameter only; every other parameter of the point's soft-set form is zero.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 
@@ -18,6 +19,7 @@ from .algebra import (
     FuzzySet,
     GradeLattice,
     Universe,
+    _lattice_set,
 )
 from .softsets import FuzzySoftSet, ParameterSet
 
@@ -67,6 +69,11 @@ class FuzzySoftPoint:
         return FuzzySoftPoint(self.support, self.value.complement(), self.parameters)
 
     def render(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """The rendered point, built on first use and kept."""
         return f"{self.support} @ {self.value.render()}"
 
 
@@ -126,5 +133,7 @@ def enumerate_points(
         for vector in product(grades, repeat=len(universe)):
             if all(g == GRADE_ZERO for g in vector):
                 continue
-            out.append(FuzzySoftPoint(name, FuzzySet(universe, vector), parameters))
+            # lattice grades were validated when the lattice was built
+            out.append(FuzzySoftPoint(name, _lattice_set(universe, vector),
+                                      parameters))
     return tuple(out)

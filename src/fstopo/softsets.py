@@ -17,6 +17,7 @@ takes every grade to 1 - grade.  Two disjointness readings are provided:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -188,6 +189,12 @@ class FuzzySoftSet:
         return tuple(g for v in self.values for g in v.grades)
 
     def render(self) -> str:
+        return self._text
+
+    @functools.cached_property
+    def _text(self) -> str:
+        """The rendered set, built on first use and kept: the audit
+        renders one pool set for many failures."""
         inner = ", ".join(
             f"{name}: {v.render()}" for name, v in zip(self.parameters, self.values)
         )

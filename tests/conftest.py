@@ -1,4 +1,5 @@
 import functools
+import random
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from fstopo.algebra import FuzzySet, GradeLattice, Universe
 from fstopo.auditor import run_audit
 from fstopo.corpus import SetPool
+from fstopo.engine import SpaceCase
 from fstopo.softsets import FuzzySoftSet, ParameterSet
 from fstopo.topology import validate_topology
 
@@ -51,6 +53,33 @@ def fixed_point(pool, start):
         if more <= family:
             return tuple(sorted(family))
         family |= more
+
+
+def corrupt_case(corpus, seed):
+    """An exhaustive enumerated case with seeded wrong entries in its
+    closure and interior rows, an extra closed set and connectedness
+    verdicts flipped to disconnected."""
+    return corrupt_case_and_flips(corpus, seed)[0]
+
+
+def corrupt_case_and_flips(corpus, seed):
+    """``corrupt_case`` with the ids whose subspaces it flipped."""
+    rng = random.Random(f"corrupt-case:{seed}")
+    pool = corpus.pool
+    index = rng.randrange(len(corpus.spaces))
+    case = SpaceCase(corpus.label(index), pool, corpus.spaces[index],
+                     exhaustive=True)
+    extra = rng.randrange(pool.size)
+    case.closeds = sorted(set(case.closeds) | {extra})
+    case.closed_mask |= 1 << extra
+    cl, it = case.cl()[:], case.interior()[:]
+    for row in (cl, it):
+        for _ in range(1 + seed % 4):
+            row[rng.randrange(pool.size)] = rng.randrange(pool.size)
+    case._cl, case._int = cl, it
+    flipped = rng.sample(range(1, pool.size), 1 + seed % 3)
+    case._dis = case.disconnected() | sum(1 << x for x in flipped)
+    return case, frozenset(flipped)
 
 
 # every shape from 1x1 to 3x2 with 2 to 4 grades and at most 729 sets

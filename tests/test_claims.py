@@ -63,7 +63,8 @@ from fstopo.deciders import (
     points_all_closed,
 )
 
-from conftest import DIFFERENTIAL_SHAPES, fixed_point, shape_pool_of
+from conftest import (DIFFERENTIAL_SHAPES, corrupt_case, corrupt_case_and_flips,
+                      fixed_point, shape_pool_of)
 
 
 @pytest.fixture(scope="module")
@@ -654,33 +655,6 @@ def by_checks(case, idents):
         claims._scan = scan
 
 
-def corrupt_case(corpus, seed):
-    """An exhaustive enumerated case with seeded wrong entries in its
-    closure and interior rows, an extra closed set and connectedness
-    verdicts flipped to disconnected."""
-    return corrupt_case_and_flips(corpus, seed)[0]
-
-
-def corrupt_case_and_flips(corpus, seed):
-    """``corrupt_case`` with the ids whose subspaces it flipped."""
-    rng = random.Random(f"corrupt-case:{seed}")
-    pool = corpus.pool
-    index = rng.randrange(len(corpus.spaces))
-    case = SpaceCase(corpus.label(index), pool, corpus.spaces[index],
-                     exhaustive=True)
-    extra = rng.randrange(pool.size)
-    case.closeds = sorted(set(case.closeds) | {extra})
-    case.closed_mask |= 1 << extra
-    cl, it = case.cl()[:], case.interior()[:]
-    for row in (cl, it):
-        for _ in range(1 + seed % 4):
-            row[rng.randrange(pool.size)] = rng.randrange(pool.size)
-    case._cl, case._int = cl, it
-    flipped = rng.sample(range(1, pool.size), 1 + seed % 3)
-    case._dis = case.disconnected() | sum(1 << x for x in flipped)
-    return case, frozenset(flipped)
-
-
 def row_cases(corpus):
     pool = corpus.pool
     named = [SpaceCase(ns.label, ns.pool, ns.ids, exhaustive=True)
@@ -1006,11 +980,13 @@ SCALAR_POOL_SCANS = {
 
 def pool_copy(pool):
     """A shallow copy of POOL whose meet, join, complement and point
-    tables the caller may replace.  Nothing a pool builds on first use
-    reads those tables, so the copy shares all of it but the memo of
-    decoded sets."""
+    tables the caller may replace.  The copy shares what the pool built
+    on first use but the memos of decoded sets and points and the lane
+    tables, which it builds again from its own tables."""
     bad = copy.copy(pool)
     bad._decoded = {}
+    bad._decoded_points = {}
+    bad._lanes = None
     return bad
 
 

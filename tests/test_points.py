@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from fstopo.algebra import FuzzySet, GradeLattice, Universe
+from fstopo.corpus import SetPool
 from fstopo.points import (
     FuzzySoftPoint,
     NotAPointError,
@@ -100,3 +102,40 @@ def test_enumeration_count_and_order():
 def test_render():
     p = FuzzySoftPoint("e1", val(x="1/2"), E)
     assert p.render() == "e1 @ {x: 1/2, y: 0}"
+
+
+@pytest.mark.parametrize("lattice", [GradeLattice.close(["1/2"]),
+                                     GradeLattice.uniform(4)],
+                         ids=["3-grades", "5-grades"])
+def test_enumerated_points_equal_the_validated_construction(lattice):
+    # both build their values from lattice grades without validating
+    # them again; FuzzySet validates
+    validated = tuple(FuzzySoftPoint(name, FuzzySet(U, vector), E)
+                      for name in E
+                      for vector in product(lattice, repeat=len(U))
+                      if any(vector))
+    pts = enumerate_points(U, E, lattice)
+    assert pts == validated
+    assert len(set(pts)) == len(pts)
+    pool = SetPool(U, E, lattice)
+    decoded = tuple(map(pool.decode_point, range(len(pool.points))))
+    assert decoded == validated
+    assert all(pool.decode_point(i) is p for i, p in enumerate(decoded))
+
+
+def test_decoded_sets_and_points_render_their_values_once(monkeypatch):
+    pool = SetPool(U, E, GradeLattice.close(["1/2"]))
+    rendered = []
+    render = FuzzySet.render
+
+    def counting(self):
+        rendered.append(self)
+        return render(self)
+
+    monkeypatch.setattr(FuzzySet, "render", counting)
+    g, p = pool.decode(40), pool.decode_point(3)
+    texts = [g.render(), p.render(), g.render(), p.render()]
+    assert texts[2:] == texts[:2] == ["{e1: {x: 1/2, y: 1/2}, "
+                                      "e2: {x: 1/2, y: 1/2}}",
+                                      "e1 @ {x: 1/2, y: 1/2}"]
+    assert len(rendered) == len(E) + 1
