@@ -119,19 +119,14 @@ MUTANTS = (
            "lanes.below))",
            "lanes.above))",
            (LANE_TABLES,)),
-    # a 256-set pool, whose ids still fit one byte, sent to the loops
-    Mutant("closure-loops-at-256", ENGINE,
-           "if pool.size > 256:\n                self._cl =",
-           "if pool.size >= 256:\n                self._cl =",
-           (LANE_256,)),
-    Mutant("interior-loops-at-256", ENGINE,
-           "if pool.size > 256:\n                self._int =",
-           "if pool.size >= 256:\n                self._int =",
-           (LANE_256,)),
-    Mutant("nbhds-loops-at-256", ENGINE,
-           "if pool.size > 256:\n                self._nbhds =",
-           "if pool.size >= 256:\n                self._nbhds =",
-           (LANE_256,)),
+    # a 256-set pool, whose ids still fit one byte, refused its lanes:
+    # its cases run the loops and its closures read the list rows, with
+    # the same tables and closures, slower
+    Mutant("lanes-refuse-256", CORPUS,
+           "if self._lanes is None and self.size <= 256:",
+           "if self._lanes is None and self.size < 256:",
+           (LANE_256, "tests/test_corpus.py::"
+            "test_a_pool_of_256_sets_reads_byte_rows")),
     # each point's neighborhoods read through the membership digits of
     # the point before it
     Mutant("nbhds-digits-of-the-next-point", ENGINE,
@@ -207,13 +202,6 @@ MUTANTS = (
            "             if pool.meet[a][b] == a]\n",
            "             if pool.meet[a][b] == b]\n",
            (BRUTE_FORCE,)),
-    # a pool of exactly 256 sets sent to the list rows: the same
-    # closures, slower
-    Mutant("byte-rows-refuse-256", CORPUS,
-           "    if pool.size <= 256:\n        lanes = pool.lanes()\n",
-           "    if pool.size < 256:\n        lanes = pool.lanes()\n",
-           ("tests/test_corpus.py::"
-            "test_a_pool_of_256_sets_reads_byte_rows",)),
     # the list rows of a pool past 256 sets gathered through the meets
     Mutant("list-rows-read-meet", CORPUS,
            "map(pool.join[a].__getitem__, pool.meet[b][first:stop])",
@@ -240,7 +228,7 @@ MUTANTS = (
     Mutant("point-closed-by-code-alone", DECIDERS,
            "    bad = next((p for p in m.points"
            " if not space.is_closed(p.as_fss())), None)\n",
-           "    bad = next((p for p, mask in m.held"
+           "    bad = next((p for p, (*_, mask) in zip(m.points, m.held)"
            " if not mask >> len(space.opens) & m.opens), None)\n",
            ("tests/test_deciders.py::"
             "test_a_point_is_closed_only_at_its_exact_grade",)),
@@ -262,7 +250,7 @@ MUTANTS = (
     # each point's omask read off a thermometer code of its soft-set form,
     # as wide as a set: the same masks at cells * grades bits a point
     Mutant("omasks-from-point-codes", DECIDERS,
-           "        return [mask & self.opens for _, mask in self.held]\n",
+           "        return [mask & self.opens for *_, mask in self.held]\n",
            "        from .softsets import rank_codes\n"
            "        opens = self.space.opens\n"
            "        codes = rank_codes(\n"
@@ -338,6 +326,25 @@ MUTANTS = (
            "    width = len(grades) - 2\n",
            ("tests/test_softsets.py::TestRankCodes::"
             "test_ranks_follow_the_grade_order",)),
+    # each row of the pair scan starting one before its own set, which
+    # puts the row's pair with the last set first
+    Mutant("validate-row-starts-before-itself", TOPOLOGY,
+           "range(i + 1, len(order))",
+           "range(i - 1, len(order))",
+           ("tests/test_topology.py::test_violations_match_a_fraction_scan",)),
+    # a set with the space's universe and other parameters taken as
+    # one of its own
+    Mutant("space-context-by-universe-alone", TOPOLOGY,
+           "if g.universe != self.universe or g.parameters != self.parameters:",
+           "if g.universe != self.universe and g.parameters != self.parameters:",
+           ("tests/test_topology.py::TestValidation::"
+            "test_wrong_context_is_a_usage_error",)),
+    # the violations' text replaced by the generic fallback
+    Mutant("validation-message-generic", TOPOLOGY,
+           'v.render() for v in violations) or "invalid topology"',
+           'v.render() for v in violations) and "invalid topology"',
+           ("tests/test_topology.py::TestValidation::"
+            "test_missing_union_and_intersection",)),
     Mutant("validate-meet-read-as-join", TOPOLOGY,
            "a & b not in present",
            "a | b not in present",
@@ -421,7 +428,11 @@ MUTANTS = (
            "    if count >= cap:\n",
            ("tests/test_softsets.py::TestEnumeration::"
             "test_cap_admits_exactly_the_cap",)),
-    Mutant("parameter-name-empty", SOFTSETS,
+    Mutant("point-cap-refuses-the-cap", POINTS,
+           "    if total > cap:\n",
+           "    if total >= cap:\n",
+           ("tests/test_points.py::test_enumeration_count_and_order",)),
+    Mutant("parameter-name-empty", ALGEBRA,
            "if not isinstance(name, str) or not name:",
            "if not isinstance(name, str) and not name:",
            ("tests/test_softsets.py::TestConstruction::"
@@ -452,16 +463,32 @@ MUTANTS = (
     # enumerated points holding their grades in a list, which the
     # validated construction never does and which cannot be hashed
     Mutant("point-grades-as-list", POINTS,
-           "_lattice_set(universe, vector)",
-           "_lattice_set(universe, list(vector))",
+           "_lattice_set(universe, tuple(map(",
+           "_lattice_set(universe, list(map(",
            ("tests/test_points.py::"
             "test_enumerated_points_equal_the_validated_construction",)),
-    # decoded points built with their grades reversed
-    Mutant("decoded-point-grades-reversed", CORPUS,
-           "tuple(self._grades[d] for d in vec))",
-           "tuple(self._grades[d] for d in vec[::-1]))",
+    # points built with their grades reversed
+    Mutant("decoded-point-grades-reversed", POINTS,
+           "                                             digits)))",
+           "                                             digits[::-1])))",
            ("tests/test_points.py::"
             "test_enumerated_points_equal_the_validated_construction",)),
+    # a bounded enumeration keeping only the grades strictly under the
+    # bound's
+    Mutant("bound-below-strictly", SOFTSETS,
+           "per_cell = [range(bisect_right(lattice.grades, g))",
+           "per_cell = [range(sum(h < g for h in lattice.grades))",
+           ("tests/test_points.py::"
+            "test_enumerated_points_equal_the_validated_construction",
+            "tests/test_softsets.py::TestEnumeration::"
+            "test_bounded_enumeration")),
+    # the deciders' points all built on the first parameter
+    Mutant("decider-points-on-the-first-parameter", DECIDERS,
+           "self.cfg.lattice, pi, digits)",
+           "self.cfg.lattice, 0, digits)",
+           ("tests/test_points.py::"
+            "test_enumerated_points_equal_the_validated_construction",
+            MASK_ORACLE)),
     # a set's text rendered afresh on every call
     Mutant("set-text-not-kept", SOFTSETS,
            "    @functools.cached_property\n    def _text",

@@ -113,42 +113,53 @@ def render_grade(g: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class Universe:
-    """Ordered finite set of element identifiers.
+class Names:
+    """Ordered finite list of distinct nonempty names.
 
     The order is fixed at construction and drives every canonical
     serialisation, so equal structures always render to identical text.
+    Each subclass sets the nouns of its error texts: the list
+    (``whole``), one name (``entry``), the names (``entries``) and what
+    a lookup misses (``member``).  Lists of two subclasses are never
+    equal.
     """
 
-    elements: tuple[str, ...]
+    names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.elements:
-            raise ValueError("universe must not be empty")
-        for name in self.elements:
+        if not self.names:
+            raise ValueError(f"{self.whole} must not be empty")
+        for name in self.names:
             if not isinstance(name, str) or not name:
-                raise ValueError(f"bad element identifier: {name!r}")
-        if len(set(self.elements)) != len(self.elements):
-            raise ValueError("duplicate universe elements")
+                raise ValueError(f"bad {self.entry}: {name!r}")
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"duplicate {self.entries}")
 
     @classmethod
-    def of(cls, *names: str) -> "Universe":
+    def of(cls, *names: str):
         return cls(tuple(names))
 
     def index(self, name: str) -> int:
         try:
-            return self.elements.index(name)
+            return self.names.index(name)
         except ValueError:
-            raise KeyError(f"unknown universe element: {name!r}") from None
+            raise KeyError(f"unknown {self.member}: {name!r}") from None
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.names)
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self.elements)
+        return iter(self.names)
 
     def __contains__(self, name: object) -> bool:
-        return name in self.elements
+        return name in self.names
+
+
+class Universe(Names):
+    """Ordered finite set of element identifiers."""
+
+    whole, entry = "universe", "element identifier"
+    entries, member = "universe elements", "universe element"
 
 
 def _require_same_universe(a: "FuzzySet", b: "FuzzySet") -> None:
@@ -189,13 +200,13 @@ class FuzzySet:
     @classmethod
     def constant(cls, universe: Universe, grade: Fraction | int | str) -> "FuzzySet":
         g = as_grade(grade)
-        return cls(universe, tuple(g for _ in universe.elements))
+        return cls(universe, (g,) * len(universe))
 
     def grade_of(self, name: str) -> Fraction:
         return self.grades[self.universe.index(name)]
 
     def is_null(self) -> bool:
-        return all(g == GRADE_ZERO for g in self.grades)
+        return not any(self.grades)
 
     def is_full(self) -> bool:
         return all(g == GRADE_ONE for g in self.grades)

@@ -2,7 +2,11 @@
 
 Sets over a fixed (universe, parameters, lattice) shape are encoded as
 integers: each cell (parameter, element) holds a lattice index, and the id
-is the big-endian mixed-radix number of the index vector.  Id order then
+is the big-endian mixed-radix number of the index vector, the set's
+digits.  The pool decodes digits with the trusted constructors
+``softsets.lattice_soft_set`` and ``points.lattice_point``, and its
+points are the (parameter index, digits) pairs of
+``points.lattice_points``.  Id order then
 coincides with the canonical sort order of the decoded sets, id 0 is the
 null set and the last id is the all-one carrier.  Meet, join and
 complement become table lookups, which keeps enumerating tens of
@@ -25,7 +29,8 @@ and let the pool claims in ``claims.py`` flag offending points with
 whole-row mask operations and re-scan only those.
 For the whole-row kernels of the pair claims, ``SetPool.lanes()``
 rewrites the tables of a pool of at most 256 sets, on first use, as
-byte rows and as lanes of thermometer codes (``Lanes``).
+byte rows and as lanes of thermometer codes (``Lanes``); past 256 sets
+it is None, and its callers read the list tables.
 
 The corpus is every min/max closure of null, full and at most
 ``max_generators`` ids, grown as a tree: a family with generators
@@ -51,10 +56,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .algebra import (CapExceededError, FuzzySet, GradeLattice, Universe,
-                      _lattice_set)
+from .algebra import CapExceededError, GradeLattice, Universe
 from .engine import _bits
-from .softsets import FuzzySoftSet, ParameterSet
+from .points import FuzzySoftPoint, lattice_point, lattice_points
+from .softsets import FuzzySoftSet, ParameterSet, lattice_soft_set, thermometer
 from .topology import FuzzySoftTopology
 
 DEFAULT_MAX_GENERATORS = 3
@@ -79,10 +84,9 @@ class SetPool:
         self.size = size
         self.null_id = 0
         self.full_id = size - 1
-        self._grades = tuple(lattice)
-        self._grade_index = {g: i for i, g in enumerate(self._grades)}
+        self._grade_index = {g: i for i, g in enumerate(lattice)}
         self._decoded: dict[int, FuzzySoftSet] = {}
-        self._decoded_points: dict = {}
+        self._decoded_points: dict[int, FuzzySoftPoint] = {}
         self._splits: dict[int, tuple[tuple[int, int], ...]] = {}
         self._lanes: Lanes | None = None
         self._build_tables()
@@ -121,11 +125,12 @@ class SetPool:
     def leq(self, i: int, j: int) -> bool:
         return self.meet[i][j] == i
 
-    def lanes(self) -> Lanes:
+    def lanes(self) -> Lanes | None:
         """The byte-row tables of the whole-row kernels and of a case's
-        closure, interior and neighborhood tables, built on first use by
-        a pool of at most 256 sets."""
-        if self._lanes is None:
+        closure, interior and neighborhood tables, built on first use; or
+        None past 256 sets, whose ids do not fit one byte.  The one place
+        that knows the bound: callers take None for the list tables."""
+        if self._lanes is None and self.size <= 256:
             self._lanes = Lanes(self)
         return self._lanes
 
@@ -167,19 +172,11 @@ class SetPool:
 
     def decode(self, set_id: int) -> FuzzySoftSet:
         got = self._decoded.get(set_id)
-        if got is not None:
-            return got
-        vec = self._vectors[set_id]
-        values = []
-        per = len(self.universe)
-        for k in range(len(self.parameters)):
-            chunk = vec[k * per : (k + 1) * per]
-            values.append(
-                FuzzySet(self.universe, tuple(self._grades[d] for d in chunk))
-            )
-        fss = FuzzySoftSet(self.universe, self.parameters, tuple(values))
-        self._decoded[set_id] = fss
-        return fss
+        if got is None:
+            got = self._decoded[set_id] = lattice_soft_set(
+                self.universe, self.parameters, self.lattice,
+                self._vectors[set_id])
+        return got
 
     def encode(self, fss: FuzzySoftSet) -> int:
         digits = []
@@ -196,27 +193,23 @@ class SetPool:
                                  opens=tuple(map(self.decode, ids)))
 
     # ---- points over the pool ----------------------------------------
-    # A point is (parameter index, nonzero value vector) and lies in a set
-    # exactly when its form, the set holding the vector on that parameter
-    # and null elsewhere, lies under the set: pt_in_mask[p] is the order
-    # row above[pt_form_id[p]], and its transpose pt_set_mask[s] has bit p
-    # set for the same pairs.  Built once, with the pool.
+    # A point is (parameter index, nonzero digits), as
+    # ``points.lattice_points`` lists it, and lies in a set exactly when
+    # its form, the set holding the digits on that parameter and null
+    # elsewhere, lies under the set: pt_in_mask[p] is the order row
+    # above[pt_form_id[p]], and its transpose pt_set_mask[s] has bit p set
+    # for the same pairs.  Built once, with the pool.
 
     def build_points(self) -> None:
         if hasattr(self, "points"):
             return
-        per = len(self.universe)
-        nparams = len(self.parameters)
-        radix = self.radix
-        points = []
-        form_ids = []
-        for pi in range(nparams):
-            # the parameter's cells are one block of digits in the id
-            place = radix ** (per * (nparams - 1 - pi))
-            for vec in itertools.product(range(radix), repeat=per):
-                if any(vec):
-                    points.append((pi, vec))
-                    form_ids.append(self._encode(vec) * place)
+        # fewer points than sets: the pool's cap bounds them
+        points = lattice_points(self.universe, self.parameters,
+                                self.lattice, self.size)
+        # the parameter's cells are one block of digits in the id
+        block = self.radix ** len(self.universe)
+        form_ids = [self._encode(vec) * (self.size // block ** (pi + 1))
+                    for pi, vec in points]
         masks = [self.above[f] for f in form_ids]
         set_masks = [0] * self.size
         for p, mask in enumerate(masks):
@@ -227,18 +220,12 @@ class SetPool:
         self.pt_set_mask = set_masks
         self.pt_form_id = form_ids
 
-    def decode_point(self, index: int):
+    def decode_point(self, index: int) -> FuzzySoftPoint:
         got = self._decoded_points.get(index)
-        if got is not None:
-            return got
-        from .points import FuzzySoftPoint
-
-        pi, vec = self.points[index]
-        # lattice grades were validated when the lattice was built
-        value = _lattice_set(self.universe,
-                             tuple(self._grades[d] for d in vec))
-        got = self._decoded_points[index] = FuzzySoftPoint(
-            self.parameters.names[pi], value, self.parameters)
+        if got is None:
+            got = self._decoded_points[index] = lattice_point(
+                self.universe, self.parameters, self.lattice,
+                *self.points[index])
         return got
 
 
@@ -259,12 +246,12 @@ class Lanes:
     ``join_tables[g]`` are them padded to 256-byte translate tables from
     h to g & h and g | h.  ``point_digits[p]`` is the translate table
     from a set id to the digit b"1" when point p lies in the set and
-    b"0" when not.  A set's
-    thermometer code has one field of ``radix - 1`` bits per cell, grade
-    index d setting its low d bits, so the code of a meet is the ``&``
-    of the codes, of a join the ``|``, and a <= b when ``a & ~b`` is 0;
-    ``code[j]`` is the translate table from an id to byte j (lane j) of
-    its code, and every cellwise test runs lane by lane.  ``above[g]``
+    b"0" when not.  A set's code
+    is the ``softsets.thermometer`` code of its digits, ``radix - 1``
+    bits a cell, so meet, join and order are ``&``, ``|`` and
+    ``a & ~b == 0`` on codes; ``code[j]`` is the translate table from an
+    id to byte j (lane j) of its code, and every cellwise test runs lane
+    by lane.  ``above[g]``
     and ``below[g]`` hold 0xFF at the h over (under) g, and
     ``up[j][r]`` holds lane j of r's code at the h under r and 0xFF
     elsewhere (a negative int, every bit past the row set), so ANDing it
@@ -273,10 +260,7 @@ class Lanes:
     """
 
     def __init__(self, pool: SetPool):
-        n = pool.size
-        if n > 256:
-            raise ValueError(f"lane tables need ids of one byte, not {n}")
-        self.size = n
+        n = self.size = pool.size
         self.ones = int.from_bytes(b"\x01" * n, "little")
         self.meet = [bytes(row) for row in pool.meet]
         self.join = [bytes(row) for row in pool.join]
@@ -290,12 +274,7 @@ class Lanes:
         self.point_digits = [self.spread(m, 256).translate(_BYTE_BITS)
                              for m in pool.pt_in_mask]
         bits = pool.radix - 1
-        codes = []
-        for vec in pool._vectors:
-            code = 0
-            for d in vec:
-                code = code << bits | (1 << d) - 1
-            codes.append(code)
+        codes = [thermometer(vec, bits) for vec in pool._vectors]
         self.code = [bytes(c >> 8 * j & 255 for c in codes) + pad
                      for j in range(max(1, -(-pool.cells * bits // 8)))]
         self.up = [[table[r] * self.ones | ~self.below[r] for r in range(n)]
@@ -448,8 +427,8 @@ def _closures(pool: SetPool, family: tuple[int, ...], first: int,
     through a's join row.  Column g of the rows holds g's closure."""
     pairs = [(a, b) for i, a in enumerate(family) for b in family[i:]
              if pool.meet[a][b] == a]
-    if pool.size <= 256:
-        lanes = pool.lanes()
+    lanes = pool.lanes()
+    if lanes is not None:
         rows = [lanes.meet[b][first:stop].translate(lanes.join_tables[a])
                 for a, b in pairs]
     else:  # ids past one byte: gather from the list tables

@@ -29,10 +29,13 @@ Connectedness has a scan of its own.
 
 The masks are read off one grade index, not off ``Fraction``s: for each
 cell, the grade ranks (``softsets.grade_ranks``) that occur there, each
-with the mask of the sets at or above it.  A point's mask is the AND,
-over its parameter's cells, of the entry at the least indexed rank at
-or above its grade, so the lattice never widens the index, and the
-opens and closed sets holding it are slices of that mask.  Disjointness
+with the mask of the sets at or above it.  The points are the digit
+vectors of ``points.lattice_points``, each lattice digit read as a rank
+through one list per config.  A point's mask is the AND, over its
+parameter's cells, of the entry at the least indexed rank at or above
+its grade, so the lattice never widens the index, and the opens and
+closed sets holding it are slices of that mask.  ``FuzzySoftPoint``s
+are built only for ``points_all_closed`` and the witnesses.  Disjointness
 reads the cells where a set is nonzero, folded over the parameters
 under the cross-parameter reading.  ``point_in``, ``softsets.disjoint``
 and ``leq`` on ``Fraction``s remain the definitions, which
@@ -58,8 +61,9 @@ from .engine import (
     _t1_fail,
     _t2_fail,
 )
-from .points import DEFAULT_POINT_CAP, FuzzySoftPoint, enumerate_points
-from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_key, grade_ranks
+from .points import (DEFAULT_POINT_CAP, FuzzySoftPoint, lattice_point,
+                     lattice_points)
+from .softsets import DISJOINTNESS_MODES, FuzzySoftSet, grade_ranks
 from .topology import FuzzySoftTopology
 
 PAIR_RELATIONS = ("distinct", "disjoint")
@@ -213,34 +217,38 @@ class _Masks:
         return _mask(any(ranks[e::width]) for e in range(width))
 
     @functools.cached_property
-    def held(self) -> list[tuple[FuzzySoftPoint, int]]:
-        """Each lattice point inside the carrier, in canonical order, with
-        the mask of the sets holding it.  A lattice grade that no set has
-        looks up as the rank of the least grade above it."""
+    def held(self) -> list[tuple[int, tuple[int, ...], int]]:
+        """Each lattice point inside the carrier, in canonical order, as
+        ``points.lattice_points`` lists it, its parameter index and
+        digits, with the mask of the sets holding it.  A digit looks up
+        as the space's rank of the least grade at or above its lattice
+        grade, so a lattice grade that no set has reads as the next one
+        that some set has."""
         space, width = self.space, len(self.space.universe)
-        rank = {grade_key(g): bisect_left(self.grades, g)
-                for g in self.cfg.lattice}
+        rank = [bisect_left(self.grades, g) for g in self.cfg.lattice]
         out = []
-        for p in enumerate_points(space.universe, space.parameters,
-                                  self.cfg.lattice, self.cfg.cap):
-            base = width * space.parameters.index(p.support)
-            mask = self.above(range(base, base + width),
-                              [rank[grade_key(g)] for g in p.value.grades])
+        for pi, digits in lattice_points(space.universe, space.parameters,
+                                         self.cfg.lattice, self.cfg.cap):
+            mask = self.above(range(pi * width, pi * width + width),
+                              map(rank.__getitem__, digits))
             if mask >> len(self.ranks) - 1:  # the carrier's bit, the top one
-                out.append((p, mask))
+                out.append((pi, digits, mask))
         return out
 
     @functools.cached_property
     def points(self) -> list[FuzzySoftPoint]:
-        return [p for p, _ in self.held]
+        space = self.space
+        return [lattice_point(space.universe, space.parameters,
+                              self.cfg.lattice, pi, digits)
+                for pi, digits, _ in self.held]
 
     @property
     def scanned(self) -> str:
-        return f"{len(self.points)} points scanned"
+        return f"{len(self.held)} points scanned"
 
     @functools.cached_property
     def omasks(self) -> list[int]:
-        return [mask & self.opens for _, mask in self.held]
+        return [mask & self.opens for *_, mask in self.held]
 
     @functools.cached_property
     def osupp(self) -> list[int]:
@@ -253,9 +261,9 @@ class _Masks:
 
     @functools.cached_property
     def psupp(self) -> list[int]:
-        width, index = len(self.space.universe), self.space.parameters.index
-        return [self.support(p.value.grades, width * index(p.support))
-                for p in self.points]
+        width = len(self.space.universe)
+        return [self.support(digits, width * pi)
+                for pi, digits, _ in self.held]
 
     @functools.cached_property
     def odisj(self) -> list[int]:
@@ -348,7 +356,7 @@ def is_regular(space: FuzzySoftTopology, cfg: DeciderConfig) -> AxiomVerdict:
         held, n = m.held, len(space.opens)
 
         def avoids(a, k):  # k's bit in the mask of the sets holding a
-            return not held[a][1] >> n + k & 1
+            return not held[a][2] >> n + k & 1
     else:
         psupp, ksupp = m.psupp, m.ksupp
 

@@ -167,11 +167,10 @@ class SpaceCase:
     def cl(self) -> list[int]:
         """Closure of every pool set: meet of the closed supersets."""
         if self._cl is None:
-            pool = self.pool
-            if pool.size > 256:
+            pool, lanes = self.pool, self.pool.lanes()
+            if lanes is None:
                 self._cl = _closure_loop(pool, self.closeds)
             else:
-                lanes = pool.lanes()
                 self._cl = list(_lane_fold(pool.full_id, pool.size,
                                            self.closeds, lanes.meet_tables,
                                            lanes.below))
@@ -180,11 +179,10 @@ class SpaceCase:
     def interior(self) -> list[int]:
         """Interior of every pool set: join of the open subsets."""
         if self._int is None:
-            pool = self.pool
-            if pool.size > 256:
+            pool, lanes = self.pool, self.pool.lanes()
+            if lanes is None:
                 self._int = _interior_loop(pool, self.opens)
             else:
-                lanes = pool.lanes()
                 self._int = list(_lane_fold(pool.null_id, pool.size,
                                             self.opens, lanes.join_tables,
                                             lanes.above))
@@ -219,14 +217,14 @@ class SpaceCase:
         """Per point (aligned with self.pts), the bitmask over pool ids of
         its neighborhoods, the sets whose interior holds it."""
         if self._nbhds is None:
-            pool, it = self.pool, self.interior()
-            if pool.size > 256:
+            pool, it, lanes = self.pool, self.interior(), self.pool.lanes()
+            if lanes is None:
                 self._nbhds = _nbhds_loop(pool, it, self.pts)
             else:
                 # the interior row, highest id first, read through each
                 # point's membership digits is the binary numeral of
                 # its neighborhoods
-                digits = pool.lanes().point_digits
+                digits = lanes.point_digits
                 row = bytes(reversed(it))
                 self._nbhds = [int(row.translate(digits[p]), 2)
                                for p in self.pts]

@@ -4,6 +4,14 @@ A point carries a support parameter, a non-null fuzzy value at that
 parameter, and the parameter list it lives in.  Membership of a point in a
 soft set compares the value against the set's fuzzy set at the support
 parameter only; every other parameter of the point's soft-set form is zero.
+
+The points whose grades come from a finite lattice are listed in one
+place, ``lattice_points``, as digit vectors: a point is its support's
+parameter index and the lattice index of each element's grade.
+``corpus.SetPool`` and the deciders of ``deciders.py`` read those pairs
+as they are; ``lattice_point`` builds the ``FuzzySoftPoint`` of one
+without checking the lattice's grades again, and ``enumerate_points``
+builds them all.
 """
 
 from __future__ import annotations
@@ -13,7 +21,6 @@ from dataclasses import dataclass
 from itertools import product
 
 from .algebra import (
-    GRADE_ZERO,
     CapExceededError,
     ContextMismatchError,
     FuzzySet,
@@ -107,10 +114,35 @@ def canonical_points(g: FuzzySoftSet) -> tuple[FuzzySoftPoint, ...]:
     )
 
 
-def count_points(
-    universe: Universe, parameters: ParameterSet, lattice: GradeLattice
-) -> int:
-    return len(parameters) * (len(lattice) ** len(universe) - 1)
+def lattice_points(
+    universe: Universe,
+    parameters: ParameterSet,
+    lattice: GradeLattice,
+    cap: int = DEFAULT_POINT_CAP,
+) -> list[tuple[int, tuple[int, ...]]]:
+    """Every point with grades drawn from the lattice, as its support's
+    parameter index and its value's digits (the lattice index of each
+    element's grade), in canonical order: parameter-major, then
+    lexicographically ascending digits, which is ascending values.
+
+    Refuses with the exact count when the enumeration would exceed ``cap``.
+    """
+    total = len(parameters) * (len(lattice) ** len(universe) - 1)
+    if total > cap:
+        raise CapExceededError("point enumeration", total, cap)
+    # the first digit vector is the null value, which no point carries
+    values = list(product(range(len(lattice)), repeat=len(universe)))[1:]
+    return [(pi, digits) for pi in range(len(parameters)) for digits in values]
+
+
+def lattice_point(universe: Universe, parameters: ParameterSet,
+                  lattice: GradeLattice, pi: int, digits) -> FuzzySoftPoint:
+    """The point on the ``pi``-th parameter whose value holds the lattice
+    grades that ``digits`` index.  The lattice validated its grades when
+    it was built, so they are not checked again."""
+    value = _lattice_set(universe, tuple(map(lattice.grades.__getitem__,
+                                             digits)))
+    return FuzzySoftPoint(parameters.names[pi], value, parameters)
 
 
 def enumerate_points(
@@ -119,21 +151,7 @@ def enumerate_points(
     lattice: GradeLattice,
     cap: int = DEFAULT_POINT_CAP,
 ) -> tuple[FuzzySoftPoint, ...]:
-    """Every point with grades drawn from the lattice, in canonical order:
-    parameter-major, then lexicographically ascending value vectors.
-
-    Refuses with the exact count when the enumeration would exceed ``cap``.
-    """
-    total = count_points(universe, parameters, lattice)
-    if total > cap:
-        raise CapExceededError("point enumeration", total, cap)
-    grades = tuple(lattice)
-    out = []
-    for name in parameters:
-        for vector in product(grades, repeat=len(universe)):
-            if all(g == GRADE_ZERO for g in vector):
-                continue
-            # lattice grades were validated when the lattice was built
-            out.append(FuzzySoftPoint(name, _lattice_set(universe, vector),
-                                      parameters))
-    return tuple(out)
+    """The points of ``lattice_points`` as ``FuzzySoftPoint``s."""
+    return tuple(lattice_point(universe, parameters, lattice, pi, digits)
+                 for pi, digits in lattice_points(universe, parameters,
+                                                  lattice, cap))

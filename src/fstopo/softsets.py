@@ -18,10 +18,12 @@ takes every grade to 1 - grade.  Two disjointness readings are provided:
 from __future__ import annotations
 
 import functools
+import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .algebra import (
     GRADE_ZERO,
@@ -29,6 +31,7 @@ from .algebra import (
     ContextMismatchError,
     FuzzySet,
     GradeLattice,
+    Names,
     Universe,
     _lattice_set,
 )
@@ -36,39 +39,11 @@ from .algebra import (
 DISJOINTNESS_MODES = ("pointwise", "cross_parameter")
 
 
-@dataclass(frozen=True)
-class ParameterSet:
+class ParameterSet(Names):
     """Ordered finite list of parameter names."""
 
-    names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        if not self.names:
-            raise ValueError("parameter set must not be empty")
-        for name in self.names:
-            if not isinstance(name, str) or not name:
-                raise ValueError(f"bad parameter name: {name!r}")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("duplicate parameter names")
-
-    @classmethod
-    def of(cls, *names: str) -> "ParameterSet":
-        return cls(tuple(names))
-
-    def index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise KeyError(f"unknown parameter: {name!r}") from None
-
-    def __len__(self) -> int:
-        return len(self.names)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.names)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.names
+    whole, entry = "parameter set", "parameter name"
+    entries, member = "parameter names", "parameter"
 
 
 def _require_same_context(a: "FuzzySoftSet", b: "FuzzySoftSet") -> None:
@@ -167,11 +142,7 @@ class FuzzySoftSet:
     def _like(self, values: tuple[FuzzySet, ...]) -> "FuzzySoftSet":
         """A soft set in this one's context, from values built over its
         universe, one per parameter, without checking them again."""
-        fss = object.__new__(FuzzySoftSet)
-        object.__setattr__(fss, "universe", self.universe)
-        object.__setattr__(fss, "parameters", self.parameters)
-        object.__setattr__(fss, "values", values)
-        return fss
+        return _soft_set(self.universe, self.parameters, values)
 
     def leq(self, other: "FuzzySoftSet") -> bool:
         _require_same_context(self, other)
@@ -216,20 +187,26 @@ def grade_ranks(sets) -> tuple[list[Fraction], list[list[int]]]:
     return grades, [list(map(rank.__getitem__, vector)) for vector in keys]
 
 
+def thermometer(vector, width: int) -> int:
+    """The thermometer code of a vector of grade indices: one field of
+    ``width`` bits per cell, the first cell highest, where index d sets
+    the field's low d bits.  With ``width`` at least the highest index,
+    the code of a cellwise max is the ``|`` of the codes, of a min the
+    ``&``, and a <= b cellwise exactly when ``a & ~b`` is 0."""
+    code = 0
+    for d in vector:
+        code = code << width | (1 << d) - 1
+    return code
+
+
 def rank_codes(sets) -> list[int]:
-    """Each set's grade vector as one thermometer-coded ``int``: a field
-    of (grades - 1) bits per cell, the first cell highest, where rank r
-    (``grade_ranks``) sets the low r bits.  ``topology.validate_topology``
-    decides the axioms on these; its docstring says why that is exact."""
+    """Each set's grade vector as the ``thermometer`` code of its ranks
+    (``grade_ranks``), a field of (grades - 1) bits per cell.
+    ``topology.validate_topology`` decides the axioms on these; its
+    docstring says why that is exact."""
     grades, vectors = grade_ranks(sets)
     width = len(grades) - 1
-    codes = []
-    for vector in vectors:
-        code = 0
-        for r in vector:
-            code = code << width | (1 << r) - 1
-        codes.append(code)
-    return codes
+    return [thermometer(vector, width) for vector in vectors]
 
 
 def disjoint(g: FuzzySoftSet, h: FuzzySoftSet, mode: str = "pointwise") -> bool:
@@ -247,21 +224,27 @@ def disjoint(g: FuzzySoftSet, h: FuzzySoftSet, mode: str = "pointwise") -> bool:
     return True
 
 
-def count_lattice_sets(
-    universe: Universe,
-    parameters: ParameterSet,
-    lattice: GradeLattice,
-    bound: FuzzySoftSet | None = None,
-) -> int:
-    """How many lattice-representable fuzzy soft sets lie below ``bound``."""
-    total = 1
-    if bound is None:
-        total = len(lattice) ** (len(universe) * len(parameters))
-    else:
-        for v in bound.values:
-            for cap_grade in v.grades:
-                total *= sum(1 for g in lattice if g <= cap_grade)
-    return total
+def _soft_set(universe: Universe, parameters: ParameterSet,
+              values: tuple[FuzzySet, ...]) -> FuzzySoftSet:
+    """A ``FuzzySoftSet`` from values already built over ``universe``,
+    one per parameter, without checking them again."""
+    fss = object.__new__(FuzzySoftSet)
+    object.__setattr__(fss, "universe", universe)
+    object.__setattr__(fss, "parameters", parameters)
+    object.__setattr__(fss, "values", values)
+    return fss
+
+
+def lattice_soft_set(universe: Universe, parameters: ParameterSet,
+                     lattice: GradeLattice, digits) -> FuzzySoftSet:
+    """The soft set whose cells, parameter-major, hold the lattice
+    grades that ``digits`` index.  The lattice validated its grades when
+    it was built, so nothing is checked again."""
+    grades, width = lattice.grades, len(universe)
+    return _soft_set(universe, parameters, tuple(
+        _lattice_set(universe, tuple(map(grades.__getitem__,
+                                         digits[i:i + width])))
+        for i in range(0, len(digits), width)))
 
 
 def enumerate_lattice_sets(
@@ -276,21 +259,13 @@ def enumerate_lattice_sets(
 
     Refuses with the exact count if the enumeration would exceed ``cap``.
     """
-    count = count_lattice_sets(universe, parameters, lattice, bound)
+    if bound is None:
+        per_cell = [range(len(lattice))] * (len(universe) * len(parameters))
+    else:  # the lattice grades at or under each of the bound's
+        per_cell = [range(bisect_right(lattice.grades, g))
+                    for g in bound.sort_key()]
+    count = math.prod(map(len, per_cell))
     if count > cap:
         raise CapExceededError("lattice set enumeration", count, cap)
-    if bound is None:
-        bound = FuzzySoftSet.full(universe, parameters)
-    per_coord: list[tuple[Fraction, ...]] = []
-    for v in bound.values:
-        for cap_grade in v.grades:
-            per_coord.append(tuple(g for g in lattice if g <= cap_grade))
-    width = len(universe)
-    out = []
-    for flat in product(*per_coord):
-        values = tuple(
-            FuzzySet(universe, flat[i * width : (i + 1) * width])
-            for i in range(len(parameters))
-        )
-        out.append(FuzzySoftSet(universe, parameters, values))
-    return tuple(out)
+    return tuple(lattice_soft_set(universe, parameters, lattice, digits)
+                 for digits in product(*per_cell))

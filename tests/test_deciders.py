@@ -382,7 +382,7 @@ def test_connectedness_enumerates_no_points(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("points enumerated")
 
-    monkeypatch.setattr(deciders, "enumerate_points", refuse)
+    monkeypatch.setattr(deciders, "lattice_points", refuse)
     space = validate_topology(FULL, [NULL, OX, OY, FULL])
     assert not is_connected(space, crisp_cfg()).holds
     doc = tmp_path / "split.fst"

@@ -3,19 +3,20 @@ from itertools import product
 
 import pytest
 
-from fstopo.algebra import FuzzySet, GradeLattice, Universe
+from fstopo import deciders
+from fstopo.algebra import CapExceededError, FuzzySet, GradeLattice, Universe
 from fstopo.corpus import SetPool
 from fstopo.points import (
     FuzzySoftPoint,
     NotAPointError,
     NotComparableError,
     canonical_points,
-    count_points,
     enumerate_points,
     point_from_fss,
     point_in,
 )
-from fstopo.softsets import FuzzySoftSet, ParameterSet
+from fstopo.softsets import FuzzySoftSet, ParameterSet, enumerate_lattice_sets
+from fstopo.topology import validate_topology
 
 U = Universe.of("x", "y")
 E = ParameterSet.of("e1", "e2")
@@ -91,7 +92,12 @@ def test_canonical_points_union_to_the_set():
 def test_enumeration_count_and_order():
     lat = GradeLattice.close(["1/2"])
     pts = enumerate_points(U, E, lat)
-    assert len(pts) == count_points(U, E, lat) == 2 * (9 - 1)
+    assert len(pts) == 2 * (9 - 1)
+    # the cap admits exactly the count and refuses one under it
+    assert len(enumerate_points(U, E, lat, cap=16)) == 16
+    with pytest.raises(CapExceededError) as err:
+        enumerate_points(U, E, lat, cap=15)
+    assert err.value.required == 16
     assert len(set(pts)) == len(pts)
     assert all(not p.value.is_null() for p in pts)
     # parameter-major order
@@ -108,8 +114,9 @@ def test_render():
                                      GradeLattice.uniform(4)],
                          ids=["3-grades", "5-grades"])
 def test_enumerated_points_equal_the_validated_construction(lattice):
-    # both build their values from lattice grades without validating
-    # them again; FuzzySet validates
+    # every producer builds its sets and points from lattice digits
+    # without validating the grades again; FuzzySet and
+    # FuzzySoftSet.build validate
     validated = tuple(FuzzySoftPoint(name, FuzzySet(U, vector), E)
                       for name in E
                       for vector in product(lattice, repeat=len(U))
@@ -121,6 +128,21 @@ def test_enumerated_points_equal_the_validated_construction(lattice):
     decoded = tuple(map(pool.decode_point, range(len(pool.points))))
     assert decoded == validated
     assert all(pool.decode_point(i) is p for i, p in enumerate(decoded))
+    # every point lies in the all-one carrier
+    full = FuzzySoftSet.full(U, E)
+    space = validate_topology(full, [FuzzySoftSet.null(U, E), full])
+    cfg = deciders.DeciderConfig(lattice)
+    assert deciders._masks(space, cfg).points == list(validated)
+    sets = tuple(FuzzySoftSet.build(U, E, {
+        name: dict(zip(U, flat[i * len(U):])) for i, name in enumerate(E)})
+        for flat in product(lattice, repeat=len(U) * len(E)))
+    assert tuple(map(pool.decode, range(pool.size))) == sets
+    assert enumerate_lattice_sets(U, E, lattice) == sets
+    # 1/3 is no lattice grade: the cell takes the lattice grades under it
+    bound = FuzzySoftSet.build(U, E, {"e1": {"x": "1/2", "y": 1},
+                                      "e2": {"x": "1/3"}})
+    assert enumerate_lattice_sets(U, E, lattice, bound) == tuple(
+        g for g in sets if g.leq(bound))
 
 
 def test_decoded_sets_and_points_render_their_values_once(monkeypatch):

@@ -58,16 +58,23 @@ class TestValidation:
             validate_topology(FULL, [NULL, left, right, FULL])
         axioms = {v.axiom for v in err.value.violations}
         assert axioms == {"union-closed", "intersection-closed"}
+        assert str(err.value) == "; ".join(
+            v.render() for v in err.value.violations)
 
     def test_carrier_bound_violation(self):
         with pytest.raises(TopologyValidationError) as err:
             validate_topology(B, [NULL, A, B, FULL])
         assert any(v.axiom == "carrier-bound" for v in err.value.violations)
 
-    def test_wrong_context_is_a_usage_error(self):
+    def test_wrong_context_is_a_usage_error(self, chain_space):
         stranger = FuzzySoftSet.null(Universe.of("z"), E)
         with pytest.raises(ContextMismatchError):
             validate_topology(FULL, [NULL, stranger, FULL])
+        # a space refuses a set over another universe or other parameters
+        for g in (stranger, FuzzySoftSet.null(U, ParameterSet.of("e1"))):
+            for query in (chain_space.is_open, chain_space.is_closed):
+                with pytest.raises(ContextMismatchError):
+                    query(g)
 
     def test_constructor_rejects_unordered_opens(self):
         with pytest.raises(ValueError):
@@ -247,10 +254,16 @@ TWO_PARTNERS = (fss({"e1": {"x": 1, "y": 1}}), [
     NULL, fss({"e1": {"y": "1/2"}}), fss({"e1": {"y": 1}}),
     fss({"e1": {"x": "1/2"}}), fss({"e1": {"x": "3/4"}}),
     fss({"e1": {"x": 1, "y": 1}})])
+# three crisp atoms, no null and no carrier: the first atom's union and
+# intersection with either other atom are missing, so only a scan from
+# the next atom on picks the second atom as the partner
+THREE_ATOMS = (FULL, [fss({"e1": {"x": 1}}), fss({"e1": {"y": 1}}),
+                      fss({"e2": {"x": 1}})])
 
 
 @given(broken_families())
 @example(TWO_PARTNERS)
+@example(THREE_ATOMS)
 def test_violations_match_a_fraction_scan(drawn):
     carrier, family = drawn
     try:
