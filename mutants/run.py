@@ -65,6 +65,12 @@ CLOSE_ONCE = ("tests/test_algebra.py::TestGradeLattice::"
 SOFTSETS = "src/fstopo/softsets.py"
 CLAIMS = "src/fstopo/claims.py"
 ROW_ORACLE = "tests/test_claims.py::test_rows_match_checks"
+PROBE_IDENTITY = ("tests/test_claims.py::"
+                  "test_probes_equal_their_arithmetic_definition")
+EVERY_SET_ORACLE = ("tests/test_claims.py::"
+                    "test_every_set_rows_match_the_set_scans")
+CHARACTERISATIONS = ("tests/test_claims.py::"
+                     "test_characterisations_match_their_definitions")
 LANE_TABLES = "tests/test_engine.py::test_lane_tables_match_the_loops"
 LANE_256 = ("tests/test_engine.py::"
             "test_a_256_set_pool_builds_each_table_on_its_lanes")
@@ -107,17 +113,17 @@ MUTANTS = (
     # the closure of test_criterion_6_mutation_alarm: a join fold from
     # the null set over the closed supersets
     Mutant("closure-join-fold", ENGINE,
-           "_lane_fold(pool.full_id, pool.size,\n"
-           "                                           self.closeds, lanes.meet_tables,",
-           "_lane_fold(pool.null_id, pool.size,\n"
-           "                                           self.closeds, lanes.join_tables,",
+           "_lane_fold(pool.full_id, pool.size, self.closeds,\n"
+           "                                 lanes.meet_tables,",
+           "_lane_fold(pool.null_id, pool.size, self.closeds,\n"
+           "                                 lanes.join_tables,",
            ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
             "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
     # the lane-built closure folding each closed set in over the sets
     # above it, not under it
     Mutant("closure-fold-keeps-above", ENGINE,
-           "lanes.below))",
-           "lanes.above))",
+           "lanes.meet_tables, lanes.below)",
+           "lanes.meet_tables, lanes.above)",
            (LANE_TABLES,)),
     # a 256-set pool, whose ids still fit one byte, refused its lanes:
     # its cases run the loops and its closures read the list rows, with
@@ -278,8 +284,8 @@ MUTANTS = (
             "test_rejects_a_carrier_outside_the_space",)),
     # NBD.3 concluding from its first neighborhood, not the intersection
     Mutant("nbd3-reads-the-first-set", "src/fstopo/claims.py",
-           "        if (nm >> meet[n1][n2]) & 1:\n",
-           "        if (nm >> n1) & 1:\n",
+           "if not (nm >> meet[n1][n2]) & 1]",
+           "if not (nm >> n1) & 1]",
            ("tests/test_claims.py::test_space_claims_match_scalar_scans",)),
     Mutant("validate-last-pair-first", TOPOLOGY,
            "for j in range(i + 1, len(order)):",
@@ -345,6 +351,13 @@ MUTANTS = (
            'v.render() for v in violations) and "invalid topology"',
            ("tests/test_topology.py::TestValidation::"
             "test_missing_union_and_intersection",)),
+    # the validation error's message replaced with a generic one, which
+    # the CLI would then print for every invalid document
+    Mutant("validation-message-replaced", TOPOLOGY,
+           '"; ".join(v.render() for v in violations) or "invalid topology"',
+           '"invalid topology"',
+           ("tests/test_cli.py::TestExitCodes::"
+            "test_invalid_space_reports_the_validation_message",)),
     Mutant("validate-meet-read-as-join", TOPOLOGY,
            "a & b not in present",
            "a | b not in present",
@@ -447,9 +460,80 @@ MUTANTS = (
            "map(operator.and_, lanes.above, lanes.broadcast(image))",
            "map(operator.and_, itertools.repeat(-1), lanes.broadcast(image))",
            (ROW_ORACLE,)),
+    # a probe sliced from the stride cycle one entry late
+    Mutant("probe-slice-starts-one-late", CLAIMS,
+           "start = salt * inverse % total",
+           "start = (salt * inverse + 1) % total",
+           (PROBE_IDENTITY,)),
+    # the every-set claims passing a case exactly when their byte rows
+    # differ, so a failing case reports no failure
+    Mutant("duality-rows-inverted", CLAIMS,
+           "        if same:\n            return n, n, []\n",
+           "        if not same:\n            return n, n, []\n",
+           (EVERY_SET_ORACLE,)),
+    Mutant("idempotence-rows-inverted", CLAIMS,
+           "if data is not None and data.translate(_table(data)) == data:",
+           "if data is not None and data.translate(_table(data)) != data:",
+           (EVERY_SET_ORACLE,)),
+    Mutant("fixed-rows-inverted", CLAIMS,
+           "if moved == ~closed & (1 << n) - 1:",
+           "if moved != ~closed & (1 << n) - 1:",
+           (EVERY_SET_ORACLE,)),
+    Mutant("open-iff-rows-inverted", CLAIMS,
+           "if lanes.bits(over) == ~opens & (1 << n) - 1:",
+           "if lanes.bits(over) != ~opens & (1 << n) - 1:",
+           (EVERY_SET_ORACLE,)),
+    # NBD.4 reading the sets over their interior, not under it
+    Mutant("nbd4-rows-order-reversed", CLAIMS,
+           "row |= image & ~own",
+           "row |= own & ~image",
+           (EVERY_SET_ORACLE,)),
+    # NBD.OPEN-IFF's byte path never flagging a set over its interior, so
+    # it passes whenever every set is open (sampled)
+    Mutant("open-iff-rows-never-flag", CLAIMS,
+           "over |= own & ~image",
+           "over &= own & ~image",
+           (EVERY_SET_ORACLE,)),
+    # the closure-avoiding opens of SEP.T2CHAR joined instead of met, and
+    # SEP.REGCHAR-rev taking either half of its hypothesis (sampled)
+    Mutant("t2char-closures-joined", CLAIMS,
+           "inside &= pt_sets[cl[s]]",
+           "inside |= pt_sets[cl[s]]",
+           (CHARACTERISATIONS,)),
+    Mutant("regchar-rev-either-hypothesis", CLAIMS,
+           "lambda: case.t1() and _regchar_property(case) is None,",
+           "lambda: case.t1() or _regchar_property(case) is None,",
+           (CHARACTERISATIONS,)),
+    # PT.6's outside masks off by two bits, which flags too few points
+    # where a point lies in no meet of the sets holding it (sampled)
+    Mutant("pt6-outside-masks-off", CLAIMS,
+           "every = (1 << len(pool.points)) - 1\n"
+           "    outside_of = [every ^ m for m in sets_of]\n"
+           "    flagged = 0\n"
+           "    for g in range(n):\n"
+           "        mg = meet[g]\n",
+           "every = (1 << len(pool.points)) + 1\n"
+           "    outside_of = [every ^ m for m in sets_of]\n"
+           "    flagged = 0\n"
+           "    for g in range(n):\n"
+           "        mg = meet[g]\n",
+           ("tests/test_claims.py::test_pool_claims_match_scalar_scans",)),
+    # the connected and disconnected flags of the union claims read with
+    # bit 0 at the far end
+    Mutant("flags-read-backwards", CLAIMS,
+           'format(mask, f"0{n}b")[::-1]',
+           'format(mask, f"0{n}b")',
+           ("tests/test_claims.py::test_claim_triples_are_pinned",)),
     # the sampler drawing sites inside annotations, which never run
     Mutant("sampler-mutates-annotations", "mutants/sample.py",
            "            skip.update(map(id, ast.walk(note)))\n",
+           "            pass\n",
+           ("tests/test_mutants.py::"
+            "test_sampler_lists_operator_sites_outside_annotations",)),
+    # the sampler listing operators inside f-strings, which have no
+    # operator token of their own
+    Mutant("sampler-mutates-fstrings", "mutants/sample.py",
+           "            skip.update(map(id, ast.walk(node)))\n",
            "            pass\n",
            ("tests/test_mutants.py::"
             "test_sampler_lists_operator_sites_outside_annotations",)),

@@ -5,12 +5,13 @@ Every operator site of the named modules is listed: ``&`` and ``|``,
 ``<<`` and ``>>``, and ``and`` and ``or`` are swapped (in augmented
 assignments too), and ``not`` and ``~`` are dropped.  Annotations are
 skipped: under ``from __future__ import annotations`` they are never
-evaluated, so a mutant there cannot be told apart.  A seeded sample of
-the sites is drawn.  With the hand table's runner (``mutants/run.py``)
-the script copies the tree to a temporary directory, checks that the
-fast test files pass there unmutated, then applies one mutant at a
-time, runs those files (stopping at the first failure) under a timeout,
-and restores the file.
+evaluated, so a mutant there cannot be told apart.  So are f-strings,
+which tokenize as one string with no operator tokens to swap.  A seeded
+sample of the sites is drawn.  With the hand table's runner
+(``mutants/run.py``) the script copies the tree to a temporary
+directory, checks that the fast test files pass there unmutated, then
+applies one mutant at a time, runs those files (stopping at the first
+failure) under a timeout, and restores the file.
 
 A survivor either gets a test that kills it, and a row in the hand
 table of ``mutants/run.py``, or a line in ``mutants/equivalent.txt``:
@@ -43,7 +44,7 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "mutants" / "equivalent.txt"
 MODULES = ("src/fstopo/engine.py", "src/fstopo/deciders.py",
            "src/fstopo/softsets.py", "src/fstopo/topology.py",
-           "src/fstopo/corpus.py")
+           "src/fstopo/corpus.py", "src/fstopo/claims.py")
 # every test file but the slow acceptance run, the demos and the table
 # check, the likeliest to fail first
 FAST_TESTS = ("tests/test_corpus.py", "tests/test_engine.py",
@@ -84,9 +85,9 @@ class Site(NamedTuple):
 
 
 def sites(path: str, source: str) -> list[Site]:
-    """Every operator site of ``source`` outside annotations, in source
-    order.  A label names the function, the line's code and the swap,
-    so it survives edits elsewhere in the module."""
+    """Every operator site of ``source`` outside annotations and
+    f-strings, in source order.  A label names the function, the line's
+    code and the swap, so it survives edits elsewhere in the module."""
     lines = source.splitlines()
     tokens = [t for t in tokenize.generate_tokens(io.StringIO(source).readline)
               if t.type in (tokenize.OP, tokenize.NAME)]
@@ -115,6 +116,9 @@ def sites(path: str, source: str) -> list[Site]:
             notes.append(node.returns)
         elif isinstance(node, ast.AnnAssign):
             notes.append(node.annotation)
+        elif isinstance(node, ast.JoinedStr):
+            # an f-string is one STRING token, so its operators have none
+            skip.update(map(id, ast.walk(node)))
         for note in filter(None, notes):
             skip.update(map(id, ast.walk(note)))
 

@@ -35,23 +35,25 @@ hashing, so results never depend on interpreter state); each claim's
 ``coverage`` string says which.  Every probe is drawn by
 ``_scan_indices``: cases flagged ``exhaustive`` widen it to a full scan
 of at most ``EXHAUSTIVE_LIMIT`` indices, and past that to eight times
-the probe.
+the probe.  A probe is a slice of a stride cycle kept per total
+(``_probe``).
 
-Three drivers own the failure cap, and every claim that can fail more
-than ``_MAX_FAILS`` times reports through one of them; the rest decide
-once per case and return at most two failures.  ``_scan`` drives a
-check over a claim's scanned indices; ``_tally`` counts a stream of
-check outcomes, for claims that walk their own loops; ``_first_fails``
-takes the first failures of a lazy stream of them, for claims whose
-instance counts are arithmetic.  A failure is rendered only when it is
-kept: a check hands it back as a function that renders it, and a stream
-of failure strings is drawn only up to the cap.
+A claim decides its whole sample in one pass.  ``_scan`` drives a claim
+over its scanned indices with two functions the claim hands it:
+``test(indices)`` returns the hypothesis hits and the failing indices in
+scan order, as comprehensions over the pool's list rows, and
+``render(t)`` formats the failure at index t.  The claims that walk
+samples of their own (CON.COARSER, CON.SEPCHAR-*, CON.BETWEEN,
+CON.CLOSURE-CONN) list their instances the same way.  Every claim keeps
+its failures through ``_first_fails``, which draws a lazy stream of
+failure strings up to ``_MAX_FAILS``, so a failure is rendered only when
+it is kept and the cap is read in one place.
 
 A pair claim over the pool's n sets may also hand ``_scan`` its rows.
 When the scan covers every pair (an exhaustive case with n**2 at most
 ``EXHAUSTIVE_LIMIT``, so every id fits in a byte), ``_scan`` reads one
-row per set g instead of calling the check n**2 times: the row's
-hypothesis hits and its failing partners h.  The rows come from a
+row per set g instead of running the test over the n**2 pairs: the
+row's hypothesis hits and its failing partners h.  The rows come from a
 whole-row kernel over the byte rows of ``SetPool.lanes()``, one byte
 per h, run for all n rows at once as ``map`` pipelines, lane by lane: a
 ``bytes.translate`` of g's meet or join row through a lane table of
@@ -61,9 +63,16 @@ compare them with f(g)'s code met or joined with the packed codes of
 f(h); the failing h of a row are the bytes (or bits) left nonzero.  A
 kernel reads closure and interior as data and takes only order, meet
 and join from their cellwise definitions, never the law its claim
-audits.  The check stays the claim's definition: it still renders every
-failure kept, so counts, witnesses and their order are those of the
-per-pair scan, and the probed scans still call it per pair.
+audits.  The test stays the claim's definition: ``test(range(n**2))``
+gives the rows' counts and failures, in their order, and the probed
+scans run it.
+
+On a pool of at most 256 sets the claims over every set (CL.1, CL.2,
+CL.5, CL.6, CL.FIXED and NBD.OPEN-IFF) first compare whole byte rows,
+gathered by ``bytes.translate`` from ``SpaceCase.row_bytes``, and list
+their failing sets only when the rows differ; NBD.4 reads the sets that
+no open interpolates off the same rows.  Larger pools run the per-set
+generators, which are the definitions.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
+from array import array
 from dataclasses import dataclass
 
 from .algebra import FuzzySet, Universe
@@ -90,11 +100,13 @@ TRIPLE_PROBES = 24
 SUBSET_PROBES = 12
 CLOSED_PROBES = 6
 EXHAUSTIVE_LIMIT = 40000
-_STRIDE = 7919  # prime, larger than any probe total we stride over
+_STRIDE = 7919  # prime
+_CYCLE_LIMIT = 65536  # the largest total whose stride cycle is kept
 _MAX_FAILS = 3
 
 # a translate table flagging every id but the null set's 0
 _NON_NULL = b"\x00" + b"\xff" * 255
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # coverage strings shared by several claims
 _PROBE_PAIRS = (f"ordered set pairs probed ({PAIR_PROBES} per case), full "
@@ -146,10 +158,34 @@ def _claim(ident: str, classification: str, scope: str, statement: str,
 
 
 def _probe(total: int, count: int, salt: int):
-    """Deterministic index sample; the whole range when it fits."""
+    """Deterministic index sample: ``salt + k * _STRIDE`` mod ``total``
+    for k below ``count``; the whole range when it fits.
+
+    ``_STRIDE`` is prime, so unless it divides ``total`` the sample is
+    ``count`` consecutive entries of the cycle ``i * _STRIDE`` mod
+    ``total``, from i = ``salt`` times the stride's inverse: a slice of
+    the cycle, kept per total up to ``_CYCLE_LIMIT`` entries.  Larger
+    totals compute each index."""
     if total <= count:
         return range(total)
-    return [(salt + k * _STRIDE) % total for k in range(count)]
+    if total > _CYCLE_LIMIT or total % _STRIDE == 0:
+        return [x % total
+                for x in range(salt, salt + count * _STRIDE, _STRIDE)]
+    cycle, inverse = _stride_cycle(total)
+    start = salt * inverse % total
+    end = start + count
+    if end <= total:
+        return cycle[start:end]
+    return cycle[start:] + cycle[:end - total]
+
+
+@functools.lru_cache(maxsize=32)
+def _stride_cycle(total: int) -> tuple[array, int]:
+    """The cycle ``i * _STRIDE`` mod ``total``, two bytes an entry, and
+    the stride's inverse mod ``total``; a desk audit keeps about a dozen."""
+    return (array("H", map(total.__rmod__,
+                           range(0, total * _STRIDE, _STRIDE))),
+            pow(_STRIDE, -1, total))
 
 
 def _scan_indices(case: "SpaceCase", total: int, count: int, salt: int):
@@ -163,58 +199,36 @@ def _scan_indices(case: "SpaceCase", total: int, count: int, salt: int):
     return _probe(total, count, salt)
 
 
-def _scan(case: "SpaceCase", total: int, probes: int, salt: int, check,
-          rows=None):
-    """Drive ``check(t)`` over ``_scan_indices(case, total, probes, salt)``.
+def _scan(case: "SpaceCase", total: int, probes: int, salt: int, test,
+          render, rows=None):
+    """The result triple of a claim over the indices
+    ``_scan_indices(case, total, probes, salt)``.
 
-    ``check`` returns None for a hypothesis miss, True for a pass and
-    otherwise a zero-argument function that renders the failure; it is
-    called only while fewer than ``_MAX_FAILS`` failures are kept.
-    Returns the usual result triple.  The renderers take the check's
-    locals as default arguments: closing over them would make the check
-    build closure cells on every call, hit or miss.
+    ``test(indices)`` decides them all at once: it returns the number
+    of hypothesis hits and the failing indices, in scan order.
+    ``render(t)`` formats the failure at index t, and only the first
+    ``_MAX_FAILS`` failures are rendered.
 
     A pair claim (``total`` is n**2 over the pool's n sets, ``t`` is
     ``g * n + h``) may also pass ``rows``, a function returning an
     iterator over g = 0 .. n-1 of the row's hypothesis hits and an
     iterable of its failing h in ascending order.  When the scan is the
-    whole range, the rows replace the per-pair calls; ``check`` still
-    renders the failures kept, and a row's failures are not drawn once
-    the cap is reached.
+    whole range, the rows replace ``test``, which stays the claim's
+    per-pair definition; a row's failures are not drawn once the cap is
+    reached.
     """
     indices = _scan_indices(case, total, probes, salt)
     if rows is None or not isinstance(indices, range):
-        return _tally(map(check, indices))
-    hits = 0
-    fails: list[str] = []
-    n = case.pool.size
-    room = _MAX_FAILS
-    for g, (row_hits, bad) in enumerate(rows()):
-        hits += row_hits
-        if room:
-            for h in bad:
-                fails.append(check(g * n + h)())
-                room -= 1
-                if not room:
-                    break
-    return total, hits, fails
-
-
-def _tally(outcomes):
-    """The result triple of a stream of check outcomes: each is one
-    instance, None for a hypothesis miss, True for a pass and otherwise
-    a zero-argument function that renders the failure, called only while
-    fewer than ``_MAX_FAILS`` failures are kept."""
-    checked = hits = 0
-    fails: list[str] = []
-    for r in outcomes:
-        checked += 1
-        if r is None:
-            continue
-        hits += 1
-        if r is not True and len(fails) < _MAX_FAILS:
-            fails.append(r())
-    return checked, hits, fails
+        hits, failing = test(indices)
+    else:
+        n = case.pool.size
+        found = list(rows())
+        hits = sum(row_hits for row_hits, _ in found)
+        failing = (g * n + h for g, (_, bad) in enumerate(found)
+                   for h in bad)
+    if not failing:
+        return len(indices), hits, []
+    return len(indices), hits, _first_fails(map(render, failing))
 
 
 def _first_fails(found) -> list:
@@ -249,10 +263,33 @@ def _eval_ax3_intersection(case: SpaceCase):
     return _ax3_eval(case, case.pool.meet, "intersection")
 
 
+def _table(row: bytes) -> bytes:
+    """A byte row of at most 256 ids as a translate table."""
+    return row.ljust(256, b"\0")
+
+
+def _flags(mask: int, n: int) -> bytes:
+    """Byte g is bit g of ``mask``, for g below ``n``: a bitmask read by
+    indexing, with no shift of a long int per read."""
+    return format(mask, f"0{n}b")[::-1].encode().translate(_DIGITS)
+
+
 def _dual_eval(case: SpaceCase, flip: bool):
     comp = case.pool.comp
     cl, it = case.cl(), case.interior()
     n = case.pool.size
+    cl_row, it_row = case.row_bytes("cl"), case.row_bytes("interior")
+    if cl_row is not None:
+        # the two sides over every g as byte rows, gathered by translate
+        lanes = case.pool.lanes()
+        if flip:
+            same = (it_row.translate(lanes.comp_table)
+                    == lanes.comp.translate(_table(cl_row)))
+        else:
+            same = (lanes.comp.translate(_table(it_row))
+                    == cl_row.translate(lanes.comp_table))
+        if same:
+            return n, n, []
     if flip:
         bad = (g for g in range(n) if comp[it[g]] != cl[comp[g]])
     else:
@@ -282,15 +319,16 @@ def _monotone_eval(case: SpaceCase, name: str, noun: str, salt: int):
     meet = case.pool.meet
     n = case.pool.size
 
-    def check(t):
+    def test(ts):
+        under = [(g, h) for g, h in map(divmod, ts, itertools.repeat(n))
+                 if meet[g][h] == g]
+        return len(under), [g * n + h for g, h in under
+                            if meet[f[g]][f[h]] != f[g]]
+
+    def render(t):
         g, h = divmod(t, n)
-        if meet[g][h] != g:
-            return None
-        if meet[f[g]][f[h]] == f[g]:
-            return True
-        return lambda g=g, h=h: (
-            f"{case.render_set(g)} <= {case.render_set(h)} but the "
-            f"{noun} are not ordered")
+        return (f"{case.render_set(g)} <= {case.render_set(h)} but the "
+                f"{noun} are not ordered")
 
     def rows():
         # h over g fails when f(g)'s code has a bit f(h)'s lacks
@@ -303,7 +341,7 @@ def _monotone_eval(case: SpaceCase, name: str, noun: str, salt: int):
         return zip(map(int.bit_count, case.pool.above),
                    map(lanes.positions, bad))
 
-    return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, salt, test, render, rows)
 
 
 @_claim("CL.3", ASSERTED, "space",
@@ -320,8 +358,12 @@ def _eval_cl4(case: SpaceCase):
     return _monotone_eval(case, "interior", "interiors", 4)
 
 
-def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
+def _idempotent_eval(case: SpaceCase, name: str, operation: str):
+    row = getattr(case, name)()
+    data = case.row_bytes(name)
     n = case.pool.size
+    if data is not None and data.translate(_table(data)) == data:
+        return n, n, []
     return n, n, _first_fails(
         f"{operation} not idempotent at {case.render_set(g)}"
         for g in range(n) if row[row[g]] != row[g])
@@ -329,12 +371,12 @@ def _idempotent_eval(case: SpaceCase, row: list[int], operation: str):
 
 @_claim("CL.5", ASSERTED, "space", "Closure is idempotent.", _EVERY_SET)
 def _eval_cl5(case: SpaceCase):
-    return _idempotent_eval(case, case.cl(), "closure")
+    return _idempotent_eval(case, "cl", "closure")
 
 
 @_claim("CL.6", ASSERTED, "space", "Interior is idempotent.", _EVERY_SET)
 def _eval_cl6(case: SpaceCase):
-    return _idempotent_eval(case, case.interior(), "interior")
+    return _idempotent_eval(case, "interior", "interior")
 
 
 @_claim("CL.7-COND", ASSERTED, "space",
@@ -398,25 +440,30 @@ def _law_eval(case: SpaceCase, name: str, noun: str, part: str, law: str,
     n = pool.size
     verb = "is not" if law == "=" else "exceeds"
 
-    def check(t):
-        g, h = divmod(t, n)
-        whole = f[table[g][h]]
-        parts = table[f[g]][f[h]]
+    def test(ts):
+        # f(g part h) against f(g) part f(h)
+        pairs = map(divmod, ts, itertools.repeat(n))
         if law == "=":
-            ok = whole == parts
+            bad = [g * n + h for g, h in pairs
+                   if f[table[g][h]] != table[f[g]][f[h]]]
         elif law == "<=":
-            ok = meet[whole][parts] == whole
+            bad = [g * n + h for g, h in pairs
+                   for whole in (f[table[g][h]],)
+                   if meet[whole][table[f[g]][f[h]]] != whole]
         else:
-            ok = meet[parts][whole] == parts
-        if ok:
-            return True
+            bad = [g * n + h for g, h in pairs
+                   for parts in (table[f[g]][f[h]],)
+                   if meet[parts][f[table[g][h]]] != parts]
+        return len(ts), bad
+
+    def render(t):
+        g, h = divmod(t, n)
         if law == ">=":
-            return lambda g=g, h=h: (
-                f"{part} of the {noun}s of {case.render_set(g)} and "
-                f"{case.render_set(h)} exceeds the {noun} of the {part}")
-        return lambda g=g, h=h: (
-            f"{noun} of the {part} of {case.render_set(g)} and "
-            f"{case.render_set(h)} {verb} the {part} of the {noun}s")
+            return (f"{part} of the {noun}s of {case.render_set(g)} and "
+                    f"{case.render_set(h)} exceeds the {noun} of the "
+                    f"{part}")
+        return (f"{noun} of the {part} of {case.render_set(g)} and "
+                f"{case.render_set(h)} {verb} the {part} of the {noun}s")
 
     def rows():
         # per lane, the codes of f(g part h) over h, read off g's table
@@ -437,7 +484,7 @@ def _law_eval(case: SpaceCase, name: str, noun: str, part: str, law: str,
             bad = list(map(operator.or_, bad, lane))
         return zip(itertools.repeat(n), map(lanes.positions, bad))
 
-    return _scan(case, n * n, PAIR_PROBES, salt, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, salt, test, render, rows)
 
 
 @_claim("CL.9", ASSERTED, "space",
@@ -482,6 +529,13 @@ def _eval_cl_fixed(case: SpaceCase):
     cl = case.cl()
     closed = case.closed_mask
     n = case.pool.size
+    data = case.row_bytes("cl")
+    if data is not None:
+        # the ids closure moves, against the ids that are not closed
+        lanes = case.pool.lanes()
+        moved = lanes.bits(int.from_bytes(data, "little") ^ lanes.ids)
+        if moved == ~closed & (1 << n) - 1:
+            return n, n, []
     return n, n, _first_fails(
         f"{case.render_set(g)}: "
         f"{'closed but moved' if cl[g] != g else 'fixed but not closed'}"
@@ -492,13 +546,10 @@ def _nbhd_eval(case: SpaceCase, failing: list[int], reason):
     """A claim over every (point, set) pair whose hits are the point's
     neighborhoods; ``failing[i]`` holds the failing ones of point i, and
     failures render in point order, lowest id first."""
-    def found():
-        for p, bad in zip(case.pts, failing):
-            for nb in _bits(bad):
-                yield reason(p, nb)
-
     return (len(case.pts) * case.pool.size,
-            sum(m.bit_count() for m in case.nbhds()), _first_fails(found()))
+            sum(m.bit_count() for m in case.nbhds()),
+            _first_fails(reason(p, nb) for p, bad in zip(case.pts, failing)
+                         if bad for nb in _bits(bad)))
 
 
 @_claim("NBD.1", ASSERTED, "space",
@@ -520,19 +571,22 @@ def _eval_nbd2(case: SpaceCase):
     n = case.pool.size
     pts, nbhds = case.pts, case.nbhds()
 
-    def check(t):
-        pi, rest = divmod(t, n * n)
-        nb, m = divmod(rest, n)
-        nm = nbhds[pi]
-        if meet[nb][m] != nb or not (nm >> nb) & 1:  # need nb <= m
-            return None
-        if (nm >> m) & 1:
-            return True
-        return lambda m=m, pi=pi: (
-            f"{case.render_set(m)} extends a neighborhood of "
-            f"{case.render_point(pts[pi])} but is no neighborhood itself")
+    def test(ts):
+        # (t, the point's neighborhoods, m) for each nb <= m with nb one
+        # of them
+        hyp = [(t, nbhds[pi], m) for t in ts
+               for q, m in (divmod(t, n),)
+               for pi, nb in (divmod(q, n),)
+               if meet[nb][m] == nb and (nbhds[pi] >> nb) & 1]
+        return len(hyp), [t for t, nm, m in hyp if not (nm >> m) & 1]
 
-    return _scan(case, len(pts) * n * n, PAIR_PROBES, 21, check)
+    def render(t):
+        pi, rest = divmod(t, n * n)
+        return (f"{case.render_set(rest % n)} extends a neighborhood of "
+                f"{case.render_point(pts[pi])} but is no neighborhood "
+                f"itself")
+
+    return _scan(case, len(pts) * n * n, PAIR_PROBES, 21, test, render)
 
 
 @_claim("NBD.3", ASSERTED, "space",
@@ -546,19 +600,20 @@ def _eval_nbd3(case: SpaceCase):
     n = case.pool.size
     pts, nbhds = case.pts, case.nbhds()
 
-    def check(t):
-        pi, rest = divmod(t, n * n)
-        n1, n2 = divmod(rest, n)
-        nm = nbhds[pi]
-        if not ((nm >> n1) & 1 and (nm >> n2) & 1):
-            return None
-        if (nm >> meet[n1][n2]) & 1:
-            return True
-        return lambda pi=pi: (
-            f"intersection of two neighborhoods of "
-            f"{case.render_point(pts[pi])} is no neighborhood")
+    def test(ts):
+        hyp = [(t, nbhds[pi], n1, n2) for t in ts
+               for q, n2 in (divmod(t, n),)
+               for pi, n1 in (divmod(q, n),)
+               if (nbhds[pi] >> n1) & 1 and (nbhds[pi] >> n2) & 1]
+        return len(hyp), [t for t, nm, n1, n2 in hyp
+                          if not (nm >> meet[n1][n2]) & 1]
 
-    return _scan(case, len(pts) * n * n, TRIPLE_PROBES, 22, check)
+    def render(t):
+        return (f"intersection of two neighborhoods of "
+                f"{case.render_point(pts[t // (n * n)])} is no "
+                f"neighborhood")
+
+    return _scan(case, len(pts) * n * n, TRIPLE_PROBES, 22, test, render)
 
 
 @_claim("NBD.4", ASSERTED, "space",
@@ -570,8 +625,19 @@ def _eval_nbd4(case: SpaceCase):
     meet = case.pool.meet
     # the sets whose interior is not an open below them: the failing
     # neighborhoods of any point their interior holds
-    no_open = _mask(not (opens >> o) & 1 or meet[o][nb] != o
-                    for nb, o in enumerate(it))
+    data = case.row_bytes("interior")
+    if data is None:
+        no_open = _mask(not (opens >> o) & 1 or meet[o][nb] != o
+                        for nb, o in enumerate(it))
+    else:
+        # a byte left nonzero: the interior is not open, or some lane of
+        # its code has a bit the set's code lacks
+        lanes = case.pool.lanes()
+        row = int.from_bytes(data.translate(lanes.spread(opens, 256)),
+                             "little") ^ 255 * lanes.ones
+        for own, (_, image) in zip(lanes.codes, case.lanes("interior")):
+            row |= image & ~own
+        no_open = lanes.bits(row)
     return _nbhd_eval(
         case, [m & no_open for m in case.nbhds()],
         lambda p, nb: (f"no open set sits between {case.render_point(p)} "
@@ -586,6 +652,15 @@ def _eval_nbd_open_iff(case: SpaceCase):
     meet = case.pool.meet
     opens = case.open_mask
     n = case.pool.size
+    if case.row_bytes("interior") is not None:
+        # the sets not below their interior: some lane of the set's code
+        # has a bit the interior's code lacks
+        lanes = case.pool.lanes()
+        over = 0
+        for own, (_, image) in zip(lanes.codes, case.lanes("interior")):
+            over |= own & ~image
+        if lanes.bits(over) == ~opens & (1 << n) - 1:
+            return n, n, []
     # a set is a neighborhood of each of its points when it lies below
     # its interior
     return n, n, _first_fails(
@@ -600,21 +675,23 @@ def _eval_nbd_open_iff(case: SpaceCase):
         "In a subspace, a set is relatively closed exactly when the "
         "relative closure fixes it.", _PROBE_PAIRS, complete=False)
 def _eval_sub_closed(case: SpaceCase):
-    meet = case.pool.meet
-    n = case.pool.size
+    pool = case.pool
+    meet = pool.meet
+    n = pool.size
 
-    def check(t):
+    def test(ts):
+        under = [(g, h) for g, h in map(divmod, ts, itertools.repeat(n))
+                 if meet[h][g] == h]
+        return len(under), [
+            g * n + h for g, h in under
+            for r_closeds in (case.closed_traces(g),)
+            if (h in r_closeds) != (_sub_closure(pool, r_closeds, g, h) == h)]
+
+    def render(t):
         g, h = divmod(t, n)
-        if meet[h][g] != h:
-            return None
-        r_closeds = case.closed_traces(g)
-        sub_cl = _sub_closure(case.pool, r_closeds, g, h)
-        if (h in r_closeds) == (sub_cl == h):
-            return True
-        return lambda g=g, h=h: (
-            f"in the subspace at {case.render_set(g)}, relative "
-            f"closedness of {case.render_set(h)} disagrees with being "
-            f"fixed by relative closure")
+        return (f"in the subspace at {case.render_set(g)}, relative "
+                f"closedness of {case.render_set(h)} disagrees with being "
+                f"fixed by relative closure")
 
     def rows():
         # h is fixed when every lane of its relative closure's code is
@@ -622,14 +699,14 @@ def _eval_sub_closed(case: SpaceCase):
         lanes = case.pool.lanes()
         traced, closures = case.relative_closures()
         moved = [0] * n
-        for acc, (_, own) in zip(closures, lanes.image(range(n))):
+        for acc, own in zip(closures, lanes.codes):
             moved = list(map(operator.or_, moved, map(own.__xor__, acc)))
         same = map(operator.xor, traced, map(lanes.bits, moved))
         return zip(map(int.bit_count, case.pool.below), map(
             _bits, map(operator.and_, case.pool.below,
                        map(operator.invert, same))))
 
-    return _scan(case, n * n, PAIR_PROBES, 31, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, 31, test, render, rows)
 
 
 @_claim("SUB.CLOSED-ABS", AUDITED, "space",
@@ -640,18 +717,19 @@ def _eval_sub_closed_abs(case: SpaceCase):
     meet, comp = case.pool.meet, case.pool.comp
     n = case.pool.size
 
-    def check(t):
+    def test(ts):
+        under = [(g, h) for g, h in map(divmod, ts, itertools.repeat(n))
+                 if meet[h][g] == h]
+        return len(under), [
+            g * n + h for g, h in under
+            if (h in {meet[k][g] for k in case.closeds})
+            != (h in {comp[meet[o][g]] for o in case.opens})]
+
+    def render(t):
         g, h = divmod(t, n)
-        if meet[h][g] != h:
-            return None
-        r_closeds = {meet[k][g] for k in case.closeds}
-        abs_closeds = {comp[meet[o][g]] for o in case.opens}
-        if (h in r_closeds) == (h in abs_closeds):
-            return True
-        return lambda g=g, h=h: (
-            f"in the subspace at {case.render_set(g)}, the trace "
-            f"reading and the absolute-complement reading disagree "
-            f"about {case.render_set(h)}")
+        return (f"in the subspace at {case.render_set(g)}, the trace "
+                f"reading and the absolute-complement reading disagree "
+                f"about {case.render_set(h)}")
 
     def rows():
         # the claim fails on most spaces, so a row's traces are read only
@@ -671,7 +749,7 @@ def _eval_sub_closed_abs(case: SpaceCase):
 
         return zip(map(int.bit_count, below), map(failing, range(n)))
 
-    return _scan(case, n * n, PAIR_PROBES, 32, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, 32, test, render, rows)
 
 
 def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
@@ -688,21 +766,24 @@ def _sub_closure(pool: SetPool, r_closeds, g: int, h: int) -> int:
         "The relative closure of a subspace subset is the trace of "
         "its ambient closure.", _PROBE_PAIRS, complete=False)
 def _eval_sub_closure(case: SpaceCase):
-    meet = case.pool.meet
+    pool = case.pool
+    meet = pool.meet
     cl = case.cl()
-    n = case.pool.size
+    n = pool.size
 
-    def check(t):
+    def test(ts):
+        under = [(g, h) for g, h in map(divmod, ts, itertools.repeat(n))
+                 if meet[h][g] == h]
+        return len(under), [
+            g * n + h for g, h in under
+            if _sub_closure(pool, case.closed_traces(g), g, h)
+            != meet[cl[h]][g]]
+
+    def render(t):
         g, h = divmod(t, n)
-        if meet[h][g] != h:
-            return None
-        r_closeds = case.closed_traces(g)
-        if _sub_closure(case.pool, r_closeds, g, h) == meet[cl[h]][g]:
-            return True
-        return lambda g=g, h=h: (
-            f"relative closure of {case.render_set(h)} in the subspace "
-            f"at {case.render_set(g)} is not the trace of the ambient "
-            f"closure")
+        return (f"relative closure of {case.render_set(h)} in the "
+                f"subspace at {case.render_set(g)} is not the trace of "
+                f"the ambient closure")
 
     def rows():
         # the code of cl(h) ∧ g is cl(h)'s code & g's
@@ -716,7 +797,7 @@ def _eval_sub_closure(case: SpaceCase):
         return zip(map(int.bit_count, case.pool.below), map(
             lanes.positions, map(operator.and_, bad, lanes.below)))
 
-    return _scan(case, n * n, PAIR_PROBES, 33, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, 33, test, render, rows)
 
 
 def _implies(hypothesis, conclusion, failure):
@@ -770,14 +851,14 @@ def _heredity_eval(case: SpaceCase, axiom: str, salt: int):
     if not case.holds(axiom):
         return 1, 0, []
 
-    def check(g):
-        if case.holds(axiom, g):
-            return True
-        return lambda g=g: (
-            f"{axiom.upper()} space with a non-{axiom.upper()} subspace "
-            f"at {case.render_set(g)}")
+    def test(gs):
+        return len(gs), [g for g in gs if not case.holds(axiom, g)]
 
-    return _scan(case, case.pool.size, SUBSET_PROBES, salt, check)
+    def render(g):
+        return (f"{axiom.upper()} space with a non-{axiom.upper()} "
+                f"subspace at {case.render_set(g)}")
+
+    return _scan(case, case.pool.size, SUBSET_PROBES, salt, test, render)
 
 
 @_claim("SEP.SUB-T0", ASSERTED, "space",
@@ -817,14 +898,15 @@ def _eval_sub_normal(case: SpaceCase):
         return 1, 0, []
     closeds = case.closeds
 
-    def check(i):
-        if case.holds("normal", closeds[i]):
-            return True
-        return lambda i=i: (
-            f"normal space with a non-normal closed subspace at "
-            f"{case.render_set(closeds[i])}")
+    def test(indices):
+        return len(indices), [i for i in indices
+                              if not case.holds("normal", closeds[i])]
 
-    return _scan(case, len(closeds), CLOSED_PROBES, 45, check)
+    def render(i):
+        return (f"normal space with a non-normal closed subspace at "
+                f"{case.render_set(closeds[i])}")
+
+    return _scan(case, len(closeds), CLOSED_PROBES, 45, test, render)
 
 
 @_claim("SEP.PTSCLOSED-T1", AUDITED, "space",
@@ -1063,24 +1145,18 @@ def _eval_con_coarser(case: SpaceCase):
     opens = case.opens
     t = len(opens)
     indices = _scan_indices(case, t * t, CLOSED_PROBES * 2, 51)
-
-    def outcomes():
-        for idx in indices:
-            i, j = divmod(idx, t)
-            if i >= j:
-                continue
-            u, v = opens[i], opens[j]
-            # coarser family generated inside the open family, so it is a
-            # topology on the same carrier by construction
-            family = {0, case.carrier, u, v, meet[u][v], join[u][v]}
-            sep = _sep_pair(pool, sorted(family), case.carrier)
-            yield True if sep is None else lambda u=u, v=v, sep=sep: (
-                f"coarsening to the family generated by "
-                f"{case.render_set(u)} and {case.render_set(v)} splits the "
-                f"space into {case.render_set(sep[0])} and "
-                f"{case.render_set(sep[1])}")
-
-    return _tally(outcomes())
+    pairs = [(opens[i], opens[j])
+             for i, j in map(divmod, indices, itertools.repeat(t)) if i < j]
+    # each coarser family is generated inside the open family, so it is
+    # a topology on the same carrier by construction
+    splits = [(u, v, _sep_pair(pool, sorted(
+        {0, case.carrier, u, v, meet[u][v], join[u][v]}), case.carrier))
+        for u, v in pairs]
+    return len(pairs), len(pairs), _first_fails(
+        f"coarsening to the family generated by {case.render_set(u)} and "
+        f"{case.render_set(v)} splits the space into "
+        f"{case.render_set(sep[0])} and {case.render_set(sep[1])}"
+        for u, v, sep in splits if sep is not None)
 
 
 @_claim("CON.SUBSPACE-SIDE", ASSERTED, "space",
@@ -1093,17 +1169,17 @@ def _eval_con_subspace_side(case: SpaceCase):
     meet = case.pool.meet
     conn = case.connected_sets()
 
-    def check(h):
-        if not (conn >> h) & 1:
-            return None
-        if meet[h][g1] == h or meet[h][g2] == h:
-            return True
-        return lambda h=h: (
-            f"connected subspace {case.render_set(h)} sits inside "
-            f"neither side of the separation {case.render_set(g1)} / "
-            f"{case.render_set(g2)}")
+    def test(hs):
+        hyp = [h for h in hs if (conn >> h) & 1]
+        return len(hyp), [h for h in hyp
+                          if meet[h][g1] != h and meet[h][g2] != h]
 
-    return _scan(case, case.pool.size, SUBSET_PROBES, 52, check)
+    def render(h):
+        return (f"connected subspace {case.render_set(h)} sits inside "
+                f"neither side of the separation {case.render_set(g1)} / "
+                f"{case.render_set(g2)}")
+
+    return _scan(case, case.pool.size, SUBSET_PROBES, 52, test, render)
 
 
 @_claim("CON.UNION-COMMON", ASSERTED, "space",
@@ -1116,15 +1192,16 @@ def _eval_con_union_common(case: SpaceCase):
     dis = case.disconnected()
     conn = case.connected_sets()
 
-    def check(t):
+    def test(ts):
+        linked, split = _flags(conn, n), _flags(dis, n)
+        hyp = [(t, g, h) for t in ts for g, h in (divmod(t, n),)
+               if linked[g] & linked[h] and meet[g][h] != 0]
+        return len(hyp), [t for t, g, h in hyp if split[join[g][h]]]
+
+    def render(t):
         g, h = divmod(t, n)
-        if not (conn >> g) & 1 or not (conn >> h) & 1 or meet[g][h] == 0:
-            return None
-        if not (dis >> join[g][h]) & 1:
-            return True
-        return lambda g=g, h=h: (
-            f"overlapping connected subspaces {case.render_set(g)} and "
-            f"{case.render_set(h)} with a disconnected union")
+        return (f"overlapping connected subspaces {case.render_set(g)} "
+                f"and {case.render_set(h)} with a disconnected union")
 
     def rows():
         # h is a hit when its byte is set in both the connected row (none
@@ -1140,7 +1217,7 @@ def _eval_con_union_common(case: SpaceCase):
         return zip([h.bit_count() >> 3 for h in hs],
                    map(lanes.positions, bad))
 
-    return _scan(case, n * n, PAIR_PROBES, 53, check, rows)
+    return _scan(case, n * n, PAIR_PROBES, 53, test, render, rows)
 
 
 @_claim("CON.UNION-HUB", ASSERTED, "space",
@@ -1155,21 +1232,24 @@ def _eval_con_union_hub(case: SpaceCase):
     dis = case.disconnected()
     conn = case.connected_sets()
 
-    def check(t):
+    def test(ts):
+        linked, split = _flags(conn, n), _flags(dis, n)
+        hyp = [(t, hub, g, h) for t in ts
+               for q, h in (divmod(t, n),)
+               for hub, g in (divmod(q, n),)
+               if linked[hub] & linked[g] & linked[h]
+               and meet[hub][g] != 0 and meet[hub][h] != 0]
+        return len(hyp), [t for t, hub, g, h in hyp
+                          if split[join[join[hub][g]][h]]]
+
+    def render(t):
         hub, rest = divmod(t, n * n)
         g, h = divmod(rest, n)
-        if not (conn >> hub) & (conn >> g) & (conn >> h) & 1:
-            return None
-        if meet[hub][g] == 0 or meet[hub][h] == 0:
-            return None
-        if not (dis >> join[join[hub][g]][h]) & 1:
-            return True
-        return lambda g=g, h=h, hub=hub: (
-            f"connected subspaces {case.render_set(g)} and "
-            f"{case.render_set(h)} both meeting {case.render_set(hub)} "
-            f"have a disconnected union")
+        return (f"connected subspaces {case.render_set(g)} and "
+                f"{case.render_set(h)} both meeting "
+                f"{case.render_set(hub)} have a disconnected union")
 
-    return _scan(case, n * n * n, TRIPLE_PROBES, 54, check)
+    return _scan(case, n * n * n, TRIPLE_PROBES, 54, test, render)
 
 
 @_claim("CON.SEPCHAR-fwd", AUDITED, "space",
@@ -1181,21 +1261,16 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     cl = case.cl()
     dis = case.disconnected()
 
-    def outcomes():
-        for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55):
-            # a connected subspace has no separation
-            if meet[g][case.carrier] != g or not (dis >> g) & 1:
-                continue
-            for a, b in _separations(pool, case.traces(g), g):
-                if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0:
-                    yield True
-                else:
-                    yield lambda a=a, b=b, g=g: (
-                        f"separation {case.render_set(a)} / "
-                        f"{case.render_set(b)} of the subspace at "
-                        f"{case.render_set(g)} meets an ambient closure")
-
-    return _tally(outcomes())
+    # a connected subspace has no separation
+    seps = [(a, b, g)
+            for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55)
+            if meet[g][case.carrier] == g and (dis >> g) & 1
+            for a, b in _separations(pool, case.traces(g), g)]
+    return len(seps), len(seps), _first_fails(
+        f"separation {case.render_set(a)} / {case.render_set(b)} of the "
+        f"subspace at {case.render_set(g)} meets an ambient closure"
+        for a, b, g in seps
+        if not (meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0))
 
 
 @_claim("CON.SEPCHAR-rev", AUDITED, "space",
@@ -1207,26 +1282,23 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     meet = pool.meet
     cl = case.cl()
 
-    def outcomes():
-        for g in _scan_indices(case, pool.size, SUBSET_PROBES, 56):
-            if g == 0 or meet[g][case.carrier] != g:
-                continue
+    # per carrier g, its splits with closure-disjoint sides; the splits
+    # are counted a carrier at a time, as a big pool has many
+    checked = 0
+    apart = []
+    for g in _scan_indices(case, pool.size, SUBSET_PROBES, 56):
+        if g != 0 and meet[g][case.carrier] == g:
             splits = pool.cell_splits(g)
-            if not splits:
-                continue
-            trace_set = set(case.traces(g))
-            for a, b in splits:
-                if meet[a][cl[b]] != 0 or meet[b][cl[a]] != 0:
-                    yield None
-                elif a in trace_set and b in trace_set:
-                    yield True
-                else:
-                    yield lambda a=a, b=b, g=g: (
-                        f"{case.render_set(a)} / {case.render_set(b)} split "
-                        f"{case.render_set(g)} with closure-disjoint sides, "
-                        f"yet are not both relatively open")
-
-    return _tally(outcomes())
+            checked += len(splits)
+            apart.append((g, [(a, b) for a, b in splits
+                              if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0]))
+    return checked, sum(len(sides) for _, sides in apart), _first_fails(
+        f"{case.render_set(a)} / {case.render_set(b)} split "
+        f"{case.render_set(g)} with closure-disjoint sides, yet are not "
+        f"both relatively open"
+        for g, sides in apart if sides
+        for traced in (set(case.traces(g)),)
+        for a, b in sides if not (a in traced and b in traced))
 
 
 @_claim("CON.BETWEEN", AUDITED, "space",
@@ -1241,18 +1313,16 @@ def _eval_con_between(case: SpaceCase):
     dis = case.disconnected()
     conn = case.connected_sets()
 
-    def outcomes():
-        for g in _scan_indices(case, pool.size, CLOSED_PROBES, 57):
-            if not (conn >> g) & 1:
-                continue
-            top = meet[cl[g]][case.carrier]
-            for k in _bits(pool.below[top] & pool.above[g]):
-                yield True if not (dis >> k) & 1 else lambda k=k, g=g: (
-                    f"{case.render_set(k)} lies between connected "
-                    f"{case.render_set(g)} and its closure, yet is "
-                    f"disconnected")
-
-    return _tally(outcomes())
+    # per connected g, the mask of the sets between it and its closure
+    # (cut to the carrier)
+    spans = [(g, pool.below[meet[cl[g]][case.carrier]] & pool.above[g])
+             for g in _scan_indices(case, pool.size, CLOSED_PROBES, 57)
+             if (conn >> g) & 1]
+    checked = sum(m.bit_count() for _, m in spans)
+    return checked, checked, _first_fails(
+        f"{case.render_set(k)} lies between connected {case.render_set(g)} "
+        f"and its closure, yet is disconnected"
+        for g, m in spans for k in _bits(m & dis))
 
 
 @_claim("CON.CLOSURE-CONN", AUDITED, "space",
@@ -1264,16 +1334,13 @@ def _eval_con_closure_conn(case: SpaceCase):
     dis = case.disconnected()
     conn = case.connected_sets()
 
-    def outcomes():
-        for g in _scan_indices(case, case.pool.size, SUBSET_PROBES, 58):
-            if not (conn >> g) & 1:
-                continue
-            top = meet[cl[g]][case.carrier]
-            yield True if not (dis >> top) & 1 else lambda g=g, top=top: (
-                f"connected {case.render_set(g)} with a disconnected "
-                f"closure {case.render_set(top)}")
-
-    return _tally(outcomes())
+    tops = [(g, meet[cl[g]][case.carrier])
+            for g in _scan_indices(case, case.pool.size, SUBSET_PROBES, 58)
+            if (conn >> g) & 1]
+    return len(tops), len(tops), _first_fails(
+        f"connected {case.render_set(g)} with a disconnected closure "
+        f"{case.render_set(top)}"
+        for g, top in tops if (dis >> top) & 1)
 
 
 # -- pool-scope evaluators -------------------------------------------------

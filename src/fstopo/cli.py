@@ -241,8 +241,7 @@ def _load(args, build: bool = True):
     try:
         space = validate_topology(doc.carrier, [s for _, s in doc.opens])
     except TopologyValidationError as exc:
-        raise _ValidationFailure(
-            "; ".join(v.render() for v in exc.violations)) from None
+        raise _ValidationFailure(str(exc)) from None
     return doc, lattice, space
 
 

@@ -244,15 +244,17 @@ class Lanes:
     on all n ids at once.  ``meet[g]`` and ``join[g]`` are the rows of
     the pool tables as bytes, and ``meet_tables[g]`` and
     ``join_tables[g]`` are them padded to 256-byte translate tables from
-    h to g & h and g | h.  ``point_digits[p]`` is the translate table
+    h to g & h and g | h.  ``comp`` is the complement row and
+    ``comp_table`` its translate table, and ``ids`` the row of every id
+    at its own byte.  ``point_digits[p]`` is the translate table
     from a set id to the digit b"1" when point p lies in the set and
-    b"0" when not.  A set's code
-    is the ``softsets.thermometer`` code of its digits, ``radix - 1``
-    bits a cell, so meet, join and order are ``&``, ``|`` and
-    ``a & ~b == 0`` on codes; ``code[j]`` is the translate table from an
-    id to byte j (lane j) of its code, and every cellwise test runs lane
-    by lane.  ``above[g]``
-    and ``below[g]`` hold 0xFF at the h over (under) g, and
+    b"0" when not.  A set's code is the ``softsets.thermometer`` code of
+    its digits, ``radix - 1`` bits a cell, so meet, join and order are
+    ``&``, ``|`` and ``a & ~b == 0`` on codes; ``code[j]`` is the
+    translate table from an id to byte j (lane j) of its code, and
+    ``codes[j]`` the packed row of lane j of every id's code; every
+    cellwise test runs lane by lane.  ``above[g]`` and ``below[g]``
+    hold 0xFF at the h over (under) g, and
     ``up[j][r]`` holds lane j of r's code at the h under r and 0xFF
     elsewhere (a negative int, every bit past the row set), so ANDing it
     in meets r into exactly the bytes of the h under r.  ``ones`` has
@@ -264,7 +266,10 @@ class Lanes:
         self.ones = int.from_bytes(b"\x01" * n, "little")
         self.meet = [bytes(row) for row in pool.meet]
         self.join = [bytes(row) for row in pool.join]
+        self.comp = bytes(pool.comp)
+        self.ids = int.from_bytes(bytes(range(n)), "little")
         pad = bytes(256 - n)
+        self.comp_table = self.comp + pad
         self.meet_tables = [row + pad for row in self.meet]
         self.join_tables = [row + pad for row in self.join]
         self.above = [int.from_bytes(self.spread(m), "little")
@@ -277,6 +282,8 @@ class Lanes:
         codes = [thermometer(vec, bits) for vec in pool._vectors]
         self.code = [bytes(c >> 8 * j & 255 for c in codes) + pad
                      for j in range(max(1, -(-pool.cells * bits // 8)))]
+        self.codes = [int.from_bytes(table[:n], "little")
+                      for table in self.code]
         self.up = [[table[r] * self.ones | ~self.below[r] for r in range(n)]
                    for table in self.code]
 

@@ -91,6 +91,16 @@ class TestRunAudit:
     def test_workers_do_not_change_the_payload(self):
         assert small_audit().to_payload() == small_audit(workers=2).to_payload()
 
+    def test_workers_agree_past_the_exhaustive_head(self):
+        # the schedule scans its head whole, then probes every enumerated
+        # case but each stride case; 600 cases reach both
+        assert auditor.EXHAUSTIVE_HEAD < auditor.EXHAUSTIVE_STRIDE < 600
+        serial, parallel = (
+            json.dumps(run_audit(budget=600, random_count=5,
+                                 workers=workers).to_payload()).encode()
+            for workers in (1, 2))
+        assert serial == parallel
+
     def test_workers_fall_back_without_fork(self, monkeypatch, capsys):
         # one space claim keeps the case schedule, which workers split
         serial = small_audit(claim_filter="CL.1").to_payload()

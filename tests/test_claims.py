@@ -20,6 +20,8 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from fstopo import claims
+from fstopo.auditor import (ENUM_ORDER_BASE, EXHAUSTIVE_STRIDE,
+                            _is_exhaustive_enum)
 from fstopo.claims import (
     ASSERTED,
     AUDITED,
@@ -328,9 +330,9 @@ class TestEvaluation:
 
 
 def test_only_the_drivers_read_the_failure_cap():
-    # every claim reports through _scan, _tally or _first_fails, so the
-    # cap is applied in one place; a hand-written guard in an evaluator
-    # would read _MAX_FAILS there
+    # every claim keeps its failures through _first_fails, directly or
+    # through _scan, so the cap is applied in one place; a hand-written
+    # guard in an evaluator would read _MAX_FAILS there
     tree = ast.parse(inspect.getsource(claims))
     readers, compared = [], []
     for fn in ast.walk(tree):
@@ -343,8 +345,8 @@ def test_only_the_drivers_read_the_failure_cap():
                     isinstance(side, ast.Name) and side.id == "_MAX_FAILS"
                     for side in (node.left, *node.comparators)):
                 compared.append(getattr(fn, "name", "<lambda>"))
-    assert set(readers) == {"_scan", "_tally", "_first_fails"}
-    assert compared == ["_tally"]
+    assert set(readers) == {"_first_fails"}
+    assert compared == []
 
 
 def test_only_the_scan_indices_draw_probes():
@@ -387,6 +389,79 @@ def test_exhaustive_scans_past_the_limit_are_probed():
     assert results["CON.COARSER"] == (pairs, pairs, [])
     normchar = _scan_indices(case, total, 2 * CLOSED_PROBES, 46)
     assert results["SEP.NORMCHAR-fwd"][0] == len(normchar) < total
+
+
+def arithmetic_probe(total, count, salt):
+    """The probe sample by its definition, one index at a time."""
+    if total <= count:
+        return list(range(total))
+    return [(salt + k * claims._STRIDE) % total for k in range(count)]
+
+
+def test_probes_equal_their_arithmetic_definition(corpus, shape_pool,
+                                                  monkeypatch):
+    drawn = set()
+    probe = claims._probe
+
+    def recording(total, count, salt):
+        drawn.add((total, count, salt))
+        return probe(total, count, salt)
+
+    monkeypatch.setattr(claims, "_probe", recording)
+    # every total the desk audit draws (n, n**2, |points| * n**2, n**3,
+    # the closed and open counts), on probed and exhaustive cases in
+    # their audit order
+    pool, n = corpus.pool, corpus.pool.size
+    kinds = {"n": {n}, "n**2": {n * n}, "n**3": {n ** 3},
+             "points * n**2": set(), "closed counts": set(),
+             "open counts squared": set()}
+    for i in [*range(0, len(corpus.spaces), 211), EXHAUSTIVE_STRIDE]:
+        case = SpaceCase(corpus.label(i), pool, corpus.spaces[i],
+                         order=ENUM_ORDER_BASE + i,
+                         exhaustive=_is_exhaustive_enum(i))
+        evaluate_space_case(case)
+        if not case.exhaustive:
+            kinds["points * n**2"].add(len(case.pts) * n * n)
+            if case.normal():
+                kinds["closed counts"].add(len(case.closeds))
+            if case.connected():
+                kinds["open counts squared"].add(len(case.opens) ** 2)
+    desk = {total for total, _, _ in drawn}
+    for kind, totals in kinds.items():
+        assert totals and totals <= desk, kind
+    # the 729-set document pool, scanned whole like a document case
+    big = shape_pool(3, 2, 3)
+    rng = random.Random("probe-doc")
+    ids = fixed_point(big, [big.null_id, big.full_id,
+                            *rng.sample(range(big.size), 3)])
+    evaluate_space_case(SpaceCase("doc", big, ids, exhaustive=True))
+    assert {big.size ** 2, big.size ** 3} <= {t for t, _, _ in drawn}
+    # both paths: kept cycles and totals past them
+    assert any(count < total <= claims._CYCLE_LIMIT
+               for total, count, _ in drawn)
+    assert any(total > claims._CYCLE_LIMIT for total, _, _ in drawn)
+    for total, count, salt in drawn:
+        assert list(probe(total, count, salt)) == arithmetic_probe(
+            total, count, salt), (total, count, salt)
+    # totals the stride divides, and every start of a few cycles
+    for total, count, salts in [
+            (claims._STRIDE, 12, range(40)),
+            (3 * claims._STRIDE, 36, range(40)),
+            (37, 12, range(2 * 37)), (81, 36, range(81 + 36)),
+            (100, 12, range(100 + 12)), (n * n, 36, range(n * n + 36))]:
+        for salt in salts:
+            assert list(probe(total, count, salt)) == arithmetic_probe(
+                total, count, salt), (total, count, salt)
+    # the kept cycles stay bounded: two bytes an entry, none past the
+    # limit, and a bounded number of them
+    kept = claims._stride_cycle.cache_info()
+    assert 0 < kept.currsize <= kept.maxsize
+    for total in desk:
+        if claims._CYCLE_LIMIT < total:
+            continue
+        cycle, inverse = claims._stride_cycle(total)
+        assert cycle.itemsize == 2 and len(cycle) == total
+        assert inverse * claims._STRIDE % total == 1 % total
 
 
 def test_only_the_pool_reads_the_id_format():
@@ -630,10 +705,10 @@ def test_cases_and_pool_claims_read_the_points_the_pool_built(monkeypatch):
     assert all(res[2] == [] for res in results.values())
 
 
-# -- pair claims: row scans against their checks --------------------------
-# On a full-range scan, _scan takes a pair claim's rows instead of calling
-# its check once per pair.  Its check stays the definition: driven over
-# every pair, it must give the same (checked, hits, fails) triple.
+# -- pair claims: row scans against their tests ---------------------------
+# On a full-range scan, _scan takes a pair claim's rows instead of its
+# batch test.  The test stays the definition: run over every pair, it
+# must give the same (checked, hits, fails) triple.
 
 ROW_CLAIMS = frozenset({
     "CL.3", "CL.4", "CL.9", "CL.10", "CL.11", "CL.12", "CL.12-rev",
@@ -641,12 +716,12 @@ ROW_CLAIMS = frozenset({
 
 
 def by_checks(case, idents):
-    """``evaluate_space_case`` with every pair driven through its check:
-    ``_scan`` without the rows."""
+    """``evaluate_space_case`` with every pair decided by its claim's
+    batch test: ``_scan`` without the rows."""
     scan = claims._scan
 
-    def checks_only(case, total, probes, salt, check, rows=None):
-        return scan(case, total, probes, salt, check)
+    def checks_only(case, total, probes, salt, test, render, rows=None):
+        return scan(case, total, probes, salt, test, render)
 
     claims._scan = checks_only
     try:
@@ -670,10 +745,10 @@ def test_rows_are_given_to_exactly_the_row_claims(corpus, monkeypatch):
     given = set()
     scan = claims._scan
 
-    def spy(case, total, probes, salt, check, rows=None):
+    def spy(case, total, probes, salt, test, render, rows=None):
         if rows is not None:
             given.add(current)
-        return scan(case, total, probes, salt, check, rows)
+        return scan(case, total, probes, salt, test, render, rows)
 
     monkeypatch.setattr(claims, "_scan", spy)
     case = SpaceCase(corpus.label(0), corpus.pool, corpus.spaces[0],
@@ -743,6 +818,90 @@ def test_rows_match_checks_over_wide_codes(shape):
         assert rows == by_checks(case, ROW_CLAIMS), case.label
         failed.update(ident for ident, r in rows.items() if r[2])
     assert failed == failing
+
+
+# Every claim that _scan drives hands it a batch test over its sample.
+SCAN_CLAIMS = ROW_CLAIMS | {
+    "NBD.2", "NBD.3", "CON.UNION-HUB", "SEP.SUB-T0", "SEP.SUB-T1",
+    "SEP.SUB-T2", "SEP.T3-HERED", "SEP.SUB-NORMAL", "CON.SUBSPACE-SIDE"}
+
+
+def test_batch_tests_decide_each_index_alone(corpus, monkeypatch):
+    # a test decides a whole probe sample in one pass; each index must
+    # come out as it does alone, hits and failures, in scan order
+    runs = []
+    scan = claims._scan
+
+    def spy(case, total, probes, salt, test, render, rows=None):
+        indices = list(_scan_indices(case, total, probes, salt))
+        runs.append((current, test, indices))
+        return scan(case, total, probes, salt, test, render, rows)
+
+    monkeypatch.setattr(claims, "_scan", spy)
+    pool = corpus.pool
+    cases = [SpaceCase(corpus.label(i), pool, corpus.spaces[i], order=i)
+             for i in range(0, len(corpus.spaces), 1999)]
+    # the named spaces pass the gates of the heredity claims
+    cases += [SpaceCase(ns.label, ns.pool, ns.ids, order=order)
+              for order, ns in enumerate(named_spaces())]
+    for seed in range(16):
+        case = corrupt_case(corpus, seed)
+        case.exhaustive = False
+        cases.append(case)
+    for case in cases:
+        for claim in CLAIMS:
+            if claim.scope == "space":
+                current = claim.ident
+                evaluate_space_case(case, {claim.ident})
+    failing = set()
+    for ident, test, indices in runs:
+        alone = [test([t]) for t in indices]
+        hits, bad = test(indices)
+        assert hits == sum(h for h, _ in alone), ident
+        assert bad == [t for _, fails in alone for t in fails], ident
+        if bad:
+            failing.add(ident)
+    assert {ident for ident, _, _ in runs} == SCAN_CLAIMS
+    assert failing
+
+
+# -- every-set claims: byte rows against the per-set scans ----------------
+# On a pool of at most 256 sets CL.1, CL.2, CL.5, CL.6, CL.FIXED and
+# NBD.OPEN-IFF first compare whole byte rows and list their failing sets
+# only when the rows differ, and NBD.4 reads the sets that no open
+# interpolates off byte rows.  The per-set scans, which larger pools run,
+# are the definition.
+
+EVERY_SET_ROWS = frozenset({"CL.1", "CL.2", "CL.5", "CL.6", "CL.FIXED",
+                            "NBD.4", "NBD.OPEN-IFF"})
+
+
+def test_every_set_rows_match_the_set_scans(corpus, shape_pool,
+                                            monkeypatch):
+    groups = row_cases(corpus)
+    wide = shape_pool(2, 2, 4)
+    groups["wide"] = [SpaceCase("wide", wide, fixed_point(
+        wide, [wide.null_id, wide.full_id, 6, 73, 200]), exhaustive=True)]
+    # every set open, so every set must lie under its interior: a few
+    # interiors moved to the null set break exactly that
+    discrete = SpaceCase("discrete", corpus.pool,
+                         tuple(range(corpus.pool.size)), exhaustive=True)
+    discrete._int = discrete.interior()[:]
+    for g in random.Random("discrete").sample(range(1, len(discrete._int)),
+                                              5):
+        discrete._int[g] = corpus.pool.null_id
+    groups["corrupt"].append(discrete)
+    cases = [(group, case) for group, members in groups.items()
+             for case in members]
+    rows = [evaluate_space_case(case, EVERY_SET_ROWS) for _, case in cases]
+    monkeypatch.setattr(SpaceCase, "row_bytes", lambda self, name: None)
+    failed = set()
+    for (group, case), got in zip(cases, rows):
+        assert got == evaluate_space_case(case, EVERY_SET_ROWS), (
+            group, case.label)
+        if group == "corrupt":
+            failed.update(ident for ident, r in got.items() if r[2])
+    assert failed == EVERY_SET_ROWS
 
 
 # The NBD claims read per-point neighborhood bitmasks, and CON.SEPCHAR-rev
@@ -898,6 +1057,67 @@ def test_space_claims_match_scalar_scans(corpus):
     assert failed["corrupt"] == set(SCALAR_SPACE_SCANS)
 
 
+# The SEP characterisations read a point's opens off bitmasks; these are
+# their properties by definition, point by point.
+
+
+def _t2char_definition(case):
+    """First point pair (p, q), q != p ascending, with q in the closure
+    of every open around p."""
+    pin, cl = case.pool.pt_in_mask, case.cl()
+    for p in case.pts:
+        around = [s for s in case.opens if (pin[p] >> s) & 1]
+        for q in case.pts:
+            if q != p and all((pin[q] >> cl[s]) & 1 for s in around):
+                return p, q
+    return None
+
+
+def _regchar_definition(case):
+    """First (point, open around it) pair with no open around the point
+    whose closure lies under that open."""
+    pin, cl, below = case.pool.pt_in_mask, case.cl(), case.pool.below
+    for p in case.pts:
+        around = [s for s in case.opens if (pin[p] >> s) & 1]
+        for g in around:
+            if not any((below[g] >> cl[s]) & 1 for s in around):
+                return p, g
+    return None
+
+
+def test_characterisations_match_their_definitions(corpus):
+    cases = [case for group in row_cases(corpus).values() for case in group]
+    cases += make_cases(corpus, stride=499)
+    seen = set()
+    for case in cases:
+        t2char, regchar = _t2char_definition(case), _regchar_definition(case)
+        assert claims._t2char_property(case) == t2char, case.label
+        assert claims._regchar_property(case) == regchar, case.label
+        # (hypothesis, conclusion) of each facet, as instances and hits
+        # with one failure when the conclusion fails
+        facets = {
+            "SEP.T2CHAR-fwd": (case.t2(), t2char is None),
+            "SEP.T2CHAR-rev": (t2char is None, case.t2()),
+            "SEP.REGCHAR-fwd": (case.t3(), regchar is None),
+            "SEP.REGCHAR-rev": (case.t1() and regchar is None,
+                                case.regular()),
+        }
+        got = evaluate_space_case(case, set(facets))
+        for ident, (hypothesis, conclusion) in facets.items():
+            checked, hits, fails = got[ident]
+            assert (checked, hits, len(fails)) == (
+                1, int(hypothesis), int(hypothesis and not conclusion)), (
+                ident, case.label)
+            seen.add((ident, hypothesis))
+        seen.add(("t1 without the property",
+                  case.t1() and regchar is not None))
+        seen.add(("the property without t1",
+                  regchar is None and not case.t1()))
+    # each facet meets its hypothesis both ways, and t1 and the regular
+    # property come apart both ways
+    assert len(seen) == 2 * 6
+
+
 # -- pool claims against their scalar scans --------------------------------
 # The PT.5 and PT.6 evaluators flag points with whole-row bitmask operations
 # and re-scan only those.  These are the plain scans they replace, kept as
@@ -1026,12 +1246,29 @@ def test_pool_claims_match_scalar_scans(shape_pool, shape):
         runs.append((f"random-{entries}",
                      corrupted(pool, f"{shape}-{entries}", entries, False)))
     runs.append(("extreme-3", corrupted(pool, shape, 3, True)))
+    if len(pool.points) > 1:
+        runs.append(("point-meets",
+                     corrupted_point_meets(pool, len(pool.points) - 1)))
     for label, subject in runs:
         fast = evaluate_pool_claims(subject, set(SCALAR_POOL_SCANS))
         for ident, scan in SCALAR_POOL_SCANS.items():
             assert fast[ident] == scan(subject), (label, ident)
+        if label in ("extreme-3", "point-meets"):
+            assert fast["PT.6"][2], label
         if label == "extreme-3":
-            assert fast["PT.5-sound"][2] and fast["PT.6"][2], label
+            assert fast["PT.5-sound"][2], label
+
+
+def corrupted_point_meets(pool, p):
+    """A copy of POOL in which every meet of two sets holding point P is
+    the null set, so P lies in no meet of sets that hold it."""
+    bad = pool_copy(pool)
+    bad.meet = [row[:] for row in pool.meet]
+    holding = [g for g in range(pool.size) if (pool.pt_in_mask[p] >> g) & 1]
+    for g in holding:
+        for h in holding:
+            bad.meet[g][h] = pool.null_id
+    return bad
 
 
 

@@ -21,7 +21,7 @@ from fstopo.document import (
     parse_document,
 )
 from fstopo.softsets import ParameterSet
-from fstopo.topology import validate_topology
+from fstopo.topology import TopologyValidationError, validate_topology
 
 VALID = """\
 universe: x y
@@ -106,6 +106,17 @@ class TestExitCodes:
     def test_invalid_space_blocks_queries(self, capsys, invalid_doc):
         code, _, _ = run(capsys, "closure", invalid_doc, "a")
         assert code == 1
+
+    def test_invalid_space_reports_the_validation_message(self, capsys,
+                                                         invalid_doc):
+        # the query names each violation, in the exception's own words
+        doc = parse_document(Path(invalid_doc).read_text())
+        with pytest.raises(TopologyValidationError) as err:
+            validate_topology(doc.carrier, [s for _, s in doc.opens])
+        violations = "; ".join(v.render() for v in err.value.violations)
+        assert str(err.value) == violations
+        code, _, stderr = run(capsys, "closure", invalid_doc, "a")
+        assert code == 1 and stderr == f"error: {violations}\n"
 
     def test_lattice_not_covering_exits_2(self, capsys, valid_doc, tmp_path):
         code, _, err = run(capsys, "validate", valid_doc, "--lattice", "0,1")

@@ -174,3 +174,17 @@ def test_a_256_set_pool_builds_each_table_on_its_lanes(shape_pool):
         pool._lanes = None
         table()
         assert pool._lanes is not None, table.__name__
+
+
+def test_row_bytes_are_the_rows(corpus, shape_pool):
+    case = SpaceCase(corpus.label(0), corpus.pool, corpus.spaces[-1])
+    for name in ("cl", "interior"):
+        row = getattr(case, name)()
+        assert case.row_bytes(name) == bytes(row), name
+    # a row replaced after the fold is read as it now stands
+    case._cl = case.cl()[:]
+    case._cl[1] = case.pool.full_id
+    assert case.row_bytes("cl") == bytes(case._cl)
+    big = shape_pool(3, 2, 3)
+    assert SpaceCase("big", big, (big.null_id, big.full_id)).row_bytes(
+        "cl") is None

@@ -33,7 +33,7 @@ def f(x: int | None, y: "a | b" = 1 | 2) -> dict[str, int] | None:
     z: int | None = x & y
     if not x and y < 3:
         z |= ~y
-    return z
+    return f"{z | 1}" if z else z
 '''
 
 
