@@ -113,17 +113,17 @@ MUTANTS = (
     # the closure of test_criterion_6_mutation_alarm: a join fold from
     # the null set over the closed supersets
     Mutant("closure-join-fold", ENGINE,
-           "_lane_fold(pool.full_id, pool.size, self.closeds,\n"
-           "                                 lanes.meet_tables,",
-           "_lane_fold(pool.null_id, pool.size, self.closeds,\n"
-           "                                 lanes.join_tables,",
+           "_lane_fold(pool.full_id, pool.size,\n"
+           "                                           self.closeds, lanes.meet_tables,",
+           "_lane_fold(pool.null_id, pool.size,\n"
+           "                                           self.closeds, lanes.join_tables,",
            ("tests/test_acceptance.py::test_criterion_6_control_no_alarm",
             "tests/test_claims.py::test_engines_agree_on_drawn_spaces")),
     # the lane-built closure folding each closed set in over the sets
     # above it, not under it
     Mutant("closure-fold-keeps-above", ENGINE,
-           "lanes.meet_tables, lanes.below)",
-           "lanes.meet_tables, lanes.above)",
+           "lanes.below))",
+           "lanes.above))",
            (LANE_TABLES,)),
     # a 256-set pool, whose ids still fit one byte, refused its lanes:
     # its cases run the loops and its closures read the list rows, with
@@ -460,10 +460,10 @@ MUTANTS = (
            "map(operator.and_, lanes.above, lanes.broadcast(image))",
            "map(operator.and_, itertools.repeat(-1), lanes.broadcast(image))",
            (ROW_ORACLE,)),
-    # a probe sliced from the stride cycle one entry late
-    Mutant("probe-slice-starts-one-late", CLAIMS,
-           "start = salt * inverse % total",
-           "start = (salt * inverse + 1) % total",
+    # a probe whose stride walk starts one index late
+    Mutant("probe-starts-one-late", CLAIMS,
+           "for x in range(salt, salt + count * _STRIDE, _STRIDE)]",
+           "for x in range(salt + 1, salt + 1 + count * _STRIDE, _STRIDE)]",
            (PROBE_IDENTITY,)),
     # the every-set claims passing a case exactly when their byte rows
     # differ, so a failing case reports no failure
@@ -518,11 +518,18 @@ MUTANTS = (
            "    for g in range(n):\n"
            "        mg = meet[g]\n",
            ("tests/test_claims.py::test_pool_claims_match_scalar_scans",)),
-    # the connected and disconnected flags of the union claims read with
-    # bit 0 at the far end
-    Mutant("flags-read-backwards", CLAIMS,
-           'format(mask, f"0{n}b")[::-1]',
-           'format(mask, f"0{n}b")',
+    # CON.SUBSPACE-SIDE reading its connected subspaces off the mask
+    # shifted the wrong way, so it never has a hypothesis hit
+    Mutant("subspace-side-shifts-left", CLAIMS,
+           "hyp = [h for h in hs if (conn >> h) & 1]",
+           "hyp = [h for h in hs if (conn << h) & 1]",
+           ("tests/test_claims.py::"
+            "test_subspace_side_matches_its_scalar_scan",)),
+    # a bitmask spread to a byte row with bit 0 at the far end, as the
+    # union claims read their connected and disconnected flags
+    Mutant("spread-read-backwards", "src/fstopo/corpus.py",
+           'format(mask, f"0{width}b")[::-1]',
+           'format(mask, f"0{width}b")',
            ("tests/test_claims.py::test_claim_triples_are_pinned",)),
     # the sampler drawing sites inside annotations, which never run
     Mutant("sampler-mutates-annotations", "mutants/sample.py",

@@ -35,8 +35,7 @@ hashing, so results never depend on interpreter state); each claim's
 ``coverage`` string says which.  Every probe is drawn by
 ``_scan_indices``: cases flagged ``exhaustive`` widen it to a full scan
 of at most ``EXHAUSTIVE_LIMIT`` indices, and past that to eight times
-the probe.  A probe is a slice of a stride cycle kept per total
-(``_probe``).
+the probe.
 
 A claim decides its whole sample in one pass.  ``_scan`` drives a claim
 over its scanned indices with two functions the claim hands it:
@@ -80,11 +79,10 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from array import array
 from dataclasses import dataclass
 
 from .algebra import FuzzySet, Universe
-from .corpus import SetPool
+from .corpus import SetPool, spread
 from .engine import SpaceCase, _bits, _mask, _separations, _sep_pair
 from .points import FuzzySoftPoint, point_in
 from .softsets import FuzzySoftSet, ParameterSet
@@ -101,12 +99,10 @@ SUBSET_PROBES = 12
 CLOSED_PROBES = 6
 EXHAUSTIVE_LIMIT = 40000
 _STRIDE = 7919  # prime
-_CYCLE_LIMIT = 65536  # the largest total whose stride cycle is kept
 _MAX_FAILS = 3
 
 # a translate table flagging every id but the null set's 0
 _NON_NULL = b"\x00" + b"\xff" * 255
-_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 # coverage strings shared by several claims
 _PROBE_PAIRS = (f"ordered set pairs probed ({PAIR_PROBES} per case), full "
@@ -159,33 +155,10 @@ def _claim(ident: str, classification: str, scope: str, statement: str,
 
 def _probe(total: int, count: int, salt: int):
     """Deterministic index sample: ``salt + k * _STRIDE`` mod ``total``
-    for k below ``count``; the whole range when it fits.
-
-    ``_STRIDE`` is prime, so unless it divides ``total`` the sample is
-    ``count`` consecutive entries of the cycle ``i * _STRIDE`` mod
-    ``total``, from i = ``salt`` times the stride's inverse: a slice of
-    the cycle, kept per total up to ``_CYCLE_LIMIT`` entries.  Larger
-    totals compute each index."""
+    for k below ``count``; the whole range when it fits."""
     if total <= count:
         return range(total)
-    if total > _CYCLE_LIMIT or total % _STRIDE == 0:
-        return [x % total
-                for x in range(salt, salt + count * _STRIDE, _STRIDE)]
-    cycle, inverse = _stride_cycle(total)
-    start = salt * inverse % total
-    end = start + count
-    if end <= total:
-        return cycle[start:end]
-    return cycle[start:] + cycle[:end - total]
-
-
-@functools.lru_cache(maxsize=32)
-def _stride_cycle(total: int) -> tuple[array, int]:
-    """The cycle ``i * _STRIDE`` mod ``total``, two bytes an entry, and
-    the stride's inverse mod ``total``; a desk audit keeps about a dozen."""
-    return (array("H", map(total.__rmod__,
-                           range(0, total * _STRIDE, _STRIDE))),
-            pow(_STRIDE, -1, total))
+    return [x % total for x in range(salt, salt + count * _STRIDE, _STRIDE)]
 
 
 def _scan_indices(case: "SpaceCase", total: int, count: int, salt: int):
@@ -266,12 +239,6 @@ def _eval_ax3_intersection(case: SpaceCase):
 def _table(row: bytes) -> bytes:
     """A byte row of at most 256 ids as a translate table."""
     return row.ljust(256, b"\0")
-
-
-def _flags(mask: int, n: int) -> bytes:
-    """Byte g is bit g of ``mask``, for g below ``n``: a bitmask read by
-    indexing, with no shift of a long int per read."""
-    return format(mask, f"0{n}b")[::-1].encode().translate(_DIGITS)
 
 
 def _dual_eval(case: SpaceCase, flip: bool):
@@ -1193,7 +1160,7 @@ def _eval_con_union_common(case: SpaceCase):
     conn = case.connected_sets()
 
     def test(ts):
-        linked, split = _flags(conn, n), _flags(dis, n)
+        linked, split = spread(conn, n), spread(dis, n)
         hyp = [(t, g, h) for t in ts for g, h in (divmod(t, n),)
                if linked[g] & linked[h] and meet[g][h] != 0]
         return len(hyp), [t for t, g, h in hyp if split[join[g][h]]]
@@ -1233,7 +1200,7 @@ def _eval_con_union_hub(case: SpaceCase):
     conn = case.connected_sets()
 
     def test(ts):
-        linked, split = _flags(conn, n), _flags(dis, n)
+        linked, split = spread(conn, n), spread(dis, n)
         hyp = [(t, hub, g, h) for t in ts
                for q, h in (divmod(t, n),)
                for hub, g in (divmod(q, n),)
@@ -1261,16 +1228,21 @@ def _eval_con_sepchar_fwd(case: SpaceCase):
     cl = case.cl()
     dis = case.disconnected()
 
+    # the separations are counted a carrier at a time, as a big pool has
+    # many, and only those whose sides meet an ambient closure are kept;
     # a connected subspace has no separation
-    seps = [(a, b, g)
-            for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55)
-            if meet[g][case.carrier] == g and (dis >> g) & 1
-            for a, b in _separations(pool, case.traces(g), g)]
-    return len(seps), len(seps), _first_fails(
+    checked = 0
+    bad = []
+    for g in _scan_indices(case, pool.size, SUBSET_PROBES, 55):
+        if meet[g][case.carrier] == g and (dis >> g) & 1:
+            for a, b in _separations(pool, case.traces(g), g):
+                checked += 1
+                if not (meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0):
+                    bad.append((a, b, g))
+    return checked, checked, _first_fails(
         f"separation {case.render_set(a)} / {case.render_set(b)} of the "
         f"subspace at {case.render_set(g)} meets an ambient closure"
-        for a, b, g in seps
-        if not (meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0))
+        for a, b, g in bad)
 
 
 @_claim("CON.SEPCHAR-rev", AUDITED, "space",
@@ -1282,23 +1254,27 @@ def _eval_con_sepchar_rev(case: SpaceCase):
     meet = pool.meet
     cl = case.cl()
 
-    # per carrier g, its splits with closure-disjoint sides; the splits
-    # are counted a carrier at a time, as a big pool has many
-    checked = 0
-    apart = []
+    # the splits are counted a carrier at a time, as a big pool has many,
+    # and only those with closure-disjoint sides that are not both
+    # relatively open are kept
+    checked = hits = 0
+    bad = []
     for g in _scan_indices(case, pool.size, SUBSET_PROBES, 56):
         if g != 0 and meet[g][case.carrier] == g:
             splits = pool.cell_splits(g)
             checked += len(splits)
-            apart.append((g, [(a, b) for a, b in splits
-                              if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0]))
-    return checked, sum(len(sides) for _, sides in apart), _first_fails(
+            sides = [(a, b) for a, b in splits
+                     if meet[a][cl[b]] == 0 and meet[b][cl[a]] == 0]
+            if sides:
+                hits += len(sides)
+                traced = set(case.traces(g))
+                bad += [(a, b, g) for a, b in sides
+                        if not (a in traced and b in traced)]
+    return checked, hits, _first_fails(
         f"{case.render_set(a)} / {case.render_set(b)} split "
         f"{case.render_set(g)} with closure-disjoint sides, yet are not "
         f"both relatively open"
-        for g, sides in apart if sides
-        for traced in (set(case.traces(g)),)
-        for a, b in sides if not (a in traced and b in traced))
+        for a, b, g in bad)
 
 
 @_claim("CON.BETWEEN", AUDITED, "space",

@@ -236,6 +236,13 @@ _BIT_BYTES = bytes.maketrans(b"01", b"\x00\xff")
 _BYTE_BITS = b"0" + b"1" * 255
 
 
+def spread(mask: int, width: int) -> bytes:
+    """The bitmask ``mask``, of bits under ``width``, as a byte row of
+    ``width`` bytes: 0xFF at each set bit, 0 elsewhere, so a bit is read
+    by indexing, with no shift of a long int per read."""
+    return format(mask, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
+
+
 class Lanes:
     """A pool's tables for whole-row kernels, over ids of one byte.
 
@@ -288,11 +295,8 @@ class Lanes:
                    for table in self.code]
 
     def spread(self, mask: int, width: int | None = None) -> bytes:
-        """The bitmask ``mask``, of bits under ``width`` (the pool's n by
-        default), as a byte row of ``width`` bytes: 0xFF at each set bit,
-        0 elsewhere."""
-        width = self.size if width is None else width
-        return format(mask, f"0{width}b")[::-1].encode().translate(_BIT_BYTES)
+        """``spread(mask, width)``, of the pool's n bytes by default."""
+        return spread(mask, self.size if width is None else width)
 
     def image(self, row: list[int]) -> list[tuple[bytes, int]]:
         """Per lane j, the map ``h -> row[h]`` read through ``code[j]``:

@@ -10,12 +10,12 @@ pool's byte lanes (``SetPool.lanes()``): each closed set (open) is
 folded into the whole row by one ``bytes.translate`` through its meet
 (join) table, kept at the sets under (over) it, and a point's
 neighborhoods are the interior row read through the point's membership
-digits; the folded rows are kept as bytes too (``row_bytes``), which
-the every-set claims compare whole.  Larger pools run the list loops,
-which are also the definitions these tables are tested against.  A
-witness renders through the pool's memo of decoded sets and points,
-each of which computes its text once.  A set is open (closed) exactly
-when its bit is set in ``open_mask`` (``closed_mask``).
+digits; the every-set claims compare these rows whole, as bytes
+(``row_bytes``).  Larger pools run the list loops, which are also the
+definitions these tables are tested against.  A witness renders
+through the pool's memo of decoded sets and points, each of which
+computes its text once.  A set is open (closed) exactly when its bit
+is set in ``open_mask`` (``closed_mask``).
 Every mask is over pool ids, cut to the case's opens with one
 ``open_mask``, so its bits come in open order.  The five axiom scans
 (``_t0_fail`` ... ``_normal_fail``) read only masks and a
@@ -161,7 +161,6 @@ class SpaceCase:
         self._dis: int | None = None
         self._ax: dict = {}
         self._lanes: dict = {}
-        self._bytes: dict = {}
         self._rel: tuple | None = None
 
     # -- operator tables ---------------------------------------------------
@@ -173,10 +172,9 @@ class SpaceCase:
             if lanes is None:
                 self._cl = _closure_loop(pool, self.closeds)
             else:
-                row = _lane_fold(pool.full_id, pool.size, self.closeds,
-                                 lanes.meet_tables, lanes.below)
-                self._cl = list(row)
-                self._bytes["cl"] = self._cl, row
+                self._cl = list(_lane_fold(pool.full_id, pool.size,
+                                           self.closeds, lanes.meet_tables,
+                                           lanes.below))
         return self._cl
 
     def interior(self) -> list[int]:
@@ -186,22 +184,17 @@ class SpaceCase:
             if lanes is None:
                 self._int = _interior_loop(pool, self.opens)
             else:
-                row = _lane_fold(pool.null_id, pool.size, self.opens,
-                                 lanes.join_tables, lanes.above)
-                self._int = list(row)
-                self._bytes["interior"] = self._int, row
+                self._int = list(_lane_fold(pool.null_id, pool.size,
+                                            self.opens, lanes.join_tables,
+                                            lanes.above))
         return self._int
 
     def row_bytes(self, name: str) -> bytes | None:
         """The closure (``name`` "cl") or interior ("interior") row as
-        bytes, one per id, on a pool with ``SetPool.lanes()``: the bytes
-        its lane fold made, unless the row was replaced since; None on a
+        bytes, one per id, on a pool with ``SetPool.lanes()``; None on a
         larger pool."""
-        row = getattr(self, name)()
-        if self.pool.lanes() is None:
-            return None
-        made, data = self._bytes.get(name, (None, None))
-        return data if made is row else bytes(row)
+        return None if self.pool.lanes() is None else bytes(
+            getattr(self, name)())
 
     def lanes(self, name: str) -> list[tuple[bytes, int]]:
         """``SetPool.lanes().image`` of the closure (``name`` "cl") or

@@ -436,14 +436,10 @@ def test_probes_equal_their_arithmetic_definition(corpus, shape_pool,
                             *rng.sample(range(big.size), 3)])
     evaluate_space_case(SpaceCase("doc", big, ids, exhaustive=True))
     assert {big.size ** 2, big.size ** 3} <= {t for t, _, _ in drawn}
-    # both paths: kept cycles and totals past them
-    assert any(count < total <= claims._CYCLE_LIMIT
-               for total, count, _ in drawn)
-    assert any(total > claims._CYCLE_LIMIT for total, _, _ in drawn)
     for total, count, salt in drawn:
         assert list(probe(total, count, salt)) == arithmetic_probe(
             total, count, salt), (total, count, salt)
-    # totals the stride divides, and every start of a few cycles
+    # totals the stride divides, and salts over more than a full cycle
     for total, count, salts in [
             (claims._STRIDE, 12, range(40)),
             (3 * claims._STRIDE, 36, range(40)),
@@ -452,16 +448,6 @@ def test_probes_equal_their_arithmetic_definition(corpus, shape_pool,
         for salt in salts:
             assert list(probe(total, count, salt)) == arithmetic_probe(
                 total, count, salt), (total, count, salt)
-    # the kept cycles stay bounded: two bytes an entry, none past the
-    # limit, and a bounded number of them
-    kept = claims._stride_cycle.cache_info()
-    assert 0 < kept.currsize <= kept.maxsize
-    for total in desk:
-        if claims._CYCLE_LIMIT < total:
-            continue
-        cycle, inverse = claims._stride_cycle(total)
-        assert cycle.itemsize == 2 and len(cycle) == total
-        assert inverse * claims._STRIDE % total == 1 % total
 
 
 def test_only_the_pool_reads_the_id_format():
@@ -1030,6 +1016,31 @@ def _scalar_sepchar_rev(case):
     return checked, hits, fails
 
 
+def _scalar_subspace_side(case):
+    if case.connected():
+        return 1, 0, []
+    g1, g2 = case.separation
+    meet = case.pool.meet
+    dis = case.disconnected()
+    # the connected subspaces: non-null sets under the carrier that are
+    # not disconnected
+    connected = {h for h in range(1, case.pool.size)
+                 if meet[h][case.carrier] == h and not (dis >> h) & 1}
+    checked = hits = 0
+    fails = []
+    for h in _scan_indices(case, case.pool.size, claims.SUBSET_PROBES, 52):
+        checked += 1
+        if h not in connected:
+            continue
+        hits += 1
+        if meet[h][g1] != h and meet[h][g2] != h and len(fails) < _MAX_FAILS:
+            fails.append(
+                f"connected subspace {case.render_set(h)} sits inside "
+                f"neither side of the separation {case.render_set(g1)} / "
+                f"{case.render_set(g2)}")
+    return checked, hits, fails
+
+
 SCALAR_SPACE_SCANS = {
     "NBD.1": _scalar_nbd1,
     "NBD.2": _scalar_nbd2,
@@ -1055,6 +1066,31 @@ def test_space_claims_match_scalar_scans(corpus):
                 if fast[ident][2]:
                     failed.setdefault(group, set()).add(ident)
     assert failed["corrupt"] == set(SCALAR_SPACE_SCANS)
+
+
+def test_subspace_side_matches_its_scalar_scan(corpus):
+    pool = corpus.pool
+    cases = [*row_cases(corpus)["named"], *row_cases(corpus)["enumerated"],
+             *(SpaceCase(corpus.label(i), pool, corpus.spaces[i], order=i)
+               for i in range(0, len(corpus.spaces), 2999))]
+    # the claim holds on every sound case; read against a separation
+    # (g1, g1), every connected subspace outside g1 fails it
+    bent = []
+    for case in cases:
+        if not case.connected():
+            twin = SpaceCase(case.label, case.pool, case.ids,
+                             order=case.order, exhaustive=case.exhaustive)
+            g1, _ = twin.separation
+            twin.separation = (g1, g1)
+            bent.append(twin)
+    hits = failed = 0
+    for case in [*cases, *bent]:
+        got = evaluate_space_case(case, {"CON.SUBSPACE-SIDE"})[
+            "CON.SUBSPACE-SIDE"]
+        assert got == _scalar_subspace_side(case), case.label
+        hits += got[1]
+        failed += bool(got[2])
+    assert hits and failed
 
 
 # The SEP characterisations read a point's opens off bitmasks; these are
