@@ -60,6 +60,7 @@ BRUTE_FORCE = ("tests/test_corpus.py::TestEnumeration::"
 AUDITOR = "src/fstopo/auditor.py"
 SCHEDULE = ("tests/test_auditor.py::TestRunAudit::"
             "test_every_scheduled_case_is_evaluated")
+SCHEDULE_ROWS = "tests/test_auditor.py::TestRunAudit::test_schedule_rows"
 CLOSE_ONCE = ("tests/test_algebra.py::TestGradeLattice::"
               "test_close_validates_each_seed_once")
 SOFTSETS = "src/fstopo/softsets.py"
@@ -404,12 +405,76 @@ MUTANTS = (
            "for order, ns in enumerate(named)]",
            "for order, ns in enumerate(named[:0])]",
            (SCHEDULE,)),
-    # the last row of the schedule left out of every forked chunk
+    # the last row of each chunk's slice left out of the worker scan
     Mutant("chunks-drop-the-last-case", AUDITOR,
-           "bounds = [(lo, min(lo + step, len(rows)))",
-           "bounds = [(lo, min(lo + step, len(rows) - 1))",
+           "rows[lo:lo + step]",
+           "rows[lo:lo + step - 1]",
            ("tests/test_auditor.py::TestRunAudit::"
             "test_workers_are_capped_at_the_usable_cpus",)),
+    # workers that can start only by fork, and a module global that only
+    # a forked worker would inherit
+    Mutant("workers-forced-to-fork", AUDITOR,
+           "with multiprocessing.Pool(workers) as mp:",
+           'with multiprocessing.get_context("fork").Pool(workers) as mp:',
+           ("tests/test_auditor.py::TestRunAudit::"
+            "test_workers_agree_past_the_exhaustive_head",)),
+    Mutant("worker-rows-in-a-global", AUDITOR,
+           "WITNESS_CAP = 3\n",
+           "WITNESS_CAP = 3\n\n_ROWS: list = []\n",
+           ("tests/test_auditor.py::test_no_module_level_dict_or_list",)),
+    # the schedule's rows: which cases are scanned whole, their orders
+    # and the seeds of the draws
+    Mutant("exhaustive-head-one-longer", AUDITOR,
+           "index < EXHAUSTIVE_HEAD or",
+           "index <= EXHAUSTIVE_HEAD or",
+           (SCHEDULE_ROWS,)),
+    Mutant("exhaustive-head-and-stride", AUDITOR,
+           "EXHAUSTIVE_HEAD or index",
+           "EXHAUSTIVE_HEAD and index",
+           (SCHEDULE_ROWS,)),
+    Mutant("exhaustive-stride-inverted", AUDITOR,
+           "index % EXHAUSTIVE_STRIDE == 0",
+           "index % EXHAUSTIVE_STRIDE != 0",
+           (SCHEDULE_ROWS,)),
+    Mutant("enumerated-orders-descend", AUDITOR,
+           "ENUM_ORDER_BASE + i,",
+           "ENUM_ORDER_BASE - i,",
+           (SCHEDULE_ROWS,)),
+    Mutant("draw-seeds-start-below-the-base", AUDITOR,
+           "seed = base_seed + 1 + j",
+           "seed = base_seed - 1 + j",
+           (SCHEDULE_ROWS,)),
+    Mutant("draw-seeds-descend", AUDITOR,
+           "seed = base_seed + 1 + j",
+           "seed = base_seed + 1 - j",
+           (SCHEDULE_ROWS,)),
+    Mutant("draw-orders-below-the-corpus", AUDITOR,
+           "ENUM_ORDER_BASE + total + j",
+           "ENUM_ORDER_BASE - total + j",
+           (SCHEDULE_ROWS,)),
+    Mutant("draw-orders-descend", AUDITOR,
+           "ENUM_ORDER_BASE + total + j",
+           "ENUM_ORDER_BASE + total - j",
+           (SCHEDULE_ROWS,)),
+    Mutant("draw-stride-inverted", AUDITOR,
+           "j % RANDOM_EXHAUSTIVE_STRIDE == 0",
+           "j % RANDOM_EXHAUSTIVE_STRIDE != 0",
+           (SCHEDULE_ROWS,)),
+    Mutant("full-scan-reads-as-truncated", AUDITOR,
+           '"truncated": scan < total',
+           '"truncated": scan <= total',
+           ("tests/test_auditor.py::TestRunAudit::"
+            "test_scanning_every_space_is_not_truncated",)),
+    Mutant("usable-cpus-without-affinity-is-one", AUDITOR,
+           "return os.cpu_count() or 1",
+           "return os.cpu_count() and 1",
+           ("tests/test_auditor.py::"
+            "test_usable_cpus_fall_back_to_the_cpu_count",)),
+    Mutant("text-columns-overlap", AUDITOR,
+           'width = max(len(i) for i in p["claims"]) + 2',
+           'width = max(len(i) for i in p["claims"]) - 2',
+           ("tests/test_auditor.py::TestRunAudit::"
+            "test_render_text_aligns_the_columns",)),
     # a second SpaceCase site: the document case built outside the chunks
     Mutant("document-case-outside-the-chunks", AUDITOR,
            "    if space and rows:\n",

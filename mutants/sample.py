@@ -44,7 +44,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 LEDGER = ROOT / "mutants" / "equivalent.txt"
 MODULES = ("src/fstopo/engine.py", "src/fstopo/deciders.py",
            "src/fstopo/softsets.py", "src/fstopo/topology.py",
-           "src/fstopo/corpus.py", "src/fstopo/claims.py")
+           "src/fstopo/corpus.py", "src/fstopo/claims.py",
+           "src/fstopo/auditor.py")
 # every test file but the slow acceptance run, the demos and the table
 # check, the likeliest to fail first
 FAST_TESTS = ("tests/test_corpus.py", "tests/test_engine.py",

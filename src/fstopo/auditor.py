@@ -4,8 +4,10 @@ Each audit schedules its space cases as one list of ``(label, pool, ids,
 order, exhaustive)`` rows: ``run_audit`` schedules the named catalogue,
 the enumerated corpus up to the budget and seeded random draws, and
 ``audit_space`` the one space of ``fstopo audit FILE``.  One chunk
-function evaluates every row, in this process or split over forked
-workers; the tallies merge independently of order.  Both entry points
+function, a plain function of the rows it is handed, evaluates every
+row: in this process, or in slices over worker processes started by the
+platform's default method.  The tallies merge independently of order,
+so the bytes are the same under any start method.  Both entry points
 then run the pool and fixed claims, aggregate the outcomes per claim in
 one report builder and derive one of three statuses:
 
@@ -27,8 +29,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import sys
-import time
 from dataclasses import dataclass
 
 from .claims import (
@@ -86,19 +86,14 @@ class _Tally:
                 self.witnesses.append((order, label, detail))
             self._trim()
 
-    def merge(self, packed) -> None:
-        cases, instances, hits, failures, witnesses = packed
-        self.cases += cases
-        self.instances += instances
-        self.hits += hits
-        self.failures += failures
-        if witnesses:
-            self.witnesses.extend(witnesses)
+    def merge(self, other: _Tally) -> None:
+        self.cases += other.cases
+        self.instances += other.instances
+        self.hits += other.hits
+        self.failures += other.failures
+        if other.witnesses:
+            self.witnesses.extend(other.witnesses)
             self._trim()
-
-    def pack(self):
-        return (self.cases, self.instances, self.hits, self.failures,
-                self.witnesses)
 
     def _trim(self) -> None:
         if len(self.witnesses) > WITNESS_CAP:
@@ -106,22 +101,16 @@ class _Tally:
             del self.witnesses[WITNESS_CAP:]
 
 
-# worker context for fork-based parallelism; set in the parent right
-# before the pool spawns so children inherit it
-_CTX: dict = {}
-
-
-def _eval_enum_chunk(bounds: tuple[int, int]) -> dict:
-    """Packed tallies of the space claims over schedule rows start..end
-    (every space case of every audit; ``perfbench`` traces this name)."""
-    idents = _CTX["idents"]
+def _eval_enum_chunk(rows: list, idents: set) -> dict:
+    """The tallies of the space claims ``idents`` over the schedule rows
+    ``rows`` (every space case of every audit; ``perfbench`` traces this
+    name)."""
     tallies = {ident: _Tally() for ident in idents}
-    start, end = bounds
-    for label, pool, ids, order, exhaustive in _CTX["rows"][start:end]:
+    for label, pool, ids, order, exhaustive in rows:
         case = SpaceCase(label, pool, ids, order=order, exhaustive=exhaustive)
         for ident, result in evaluate_space_case(case, idents).items():
             tallies[ident].add(order, label, result)
-    return {ident: t.pack() for ident, t in tallies.items()}
+    return tallies
 
 
 def _usable_cpus() -> int:
@@ -132,26 +121,16 @@ def _usable_cpus() -> int:
 
 def _eval_schedule(rows: list, idents: set, workers: int) -> list[dict]:
     """The chunk tallies of ``rows``: one chunk in this process, or about
-    eight chunks per forked worker."""
-    if workers > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        # workers inherit the rows through fork; the serial scan gives the
-        # same payload
-        print("note: the fork start method is unavailable here; "
-              "auditing with one worker", file=sys.stderr)
-        workers = 1
+    eight chunks per worker, each handed its own slice of the rows."""
     # no more workers than this process may run on at once
     workers = min(workers, _usable_cpus())
-    _CTX.update(rows=rows, idents=idents)
-    try:
-        if workers == 1:
-            return [_eval_enum_chunk((0, len(rows)))]
-        step = -(-len(rows) // (workers * 8))
-        bounds = [(lo, min(lo + step, len(rows)))
-                  for lo in range(0, len(rows), step)]
-        with multiprocessing.get_context("fork").Pool(workers) as mp:
-            return mp.map(_eval_enum_chunk, bounds)
-    finally:
-        _CTX.clear()
+    if workers == 1:
+        return [_eval_enum_chunk(rows, idents)]
+    step = -(-len(rows) // (workers * 8))
+    with multiprocessing.Pool(workers) as mp:
+        return mp.starmap(_eval_enum_chunk,
+                          [(rows[lo:lo + step], idents)
+                           for lo in range(0, len(rows), step)])
 
 
 def claim_status(claim, failures: int, truncated: bool) -> str:
@@ -164,10 +143,9 @@ def claim_status(claim, failures: int, truncated: bool) -> str:
 
 @dataclass
 class AuditReport:
-    """Canonical audit outcome plus wall-clock time (kept off-payload)."""
+    """Canonical audit outcome."""
 
     payload: dict
-    elapsed: float
 
     @property
     def alarms(self) -> list:
@@ -239,7 +217,6 @@ def run_audit(
     catalogue, the enumerated corpus up to ``budget`` and
     ``random_count`` seeded random draws, with the pool claims on the
     corpus pool and each distinct named pool."""
-    started = time.monotonic()
     chosen = _select(claim_filter)
     corpus = SpaceCorpus(spec or CorpusSpec.desk())
     pool, total = corpus.pool, len(corpus.spaces)
@@ -271,7 +248,7 @@ def run_audit(
              "enumerated_scanned": scan, "random": random_count,
              "base_seed": base_seed, "pools": len(pools),
              "truncated": scan < total}
-    return _report(started, chosen, rows, list(pools.values()), workers,
+    return _report(chosen, rows, list(pools.values()), workers,
                    corpus_payload, cases, claim_filter, budget)
 
 
@@ -280,7 +257,6 @@ def audit_space(label: str, pool, ids, *,
     """Evaluate the selected claims on one space, its opens' ascending
     id tuple ``ids`` scanned exhaustively, with the pool claims on its
     pool alone: no enumeration, no random draws, no named catalogue."""
-    started = time.monotonic()
     chosen = _select(claim_filter)
     corpus_payload = {
         "source": "document",
@@ -292,13 +268,13 @@ def audit_space(label: str, pool, ids, *,
     # the document case counts as the one named case
     cases = {"named": 1, "enumerated_total": 0, "enumerated_scanned": 0,
              "random": 0, "base_seed": 0, "pools": 1, "truncated": False}
-    return _report(started, chosen, [(label, pool, ids, 0, True)],
+    return _report(chosen, [(label, pool, ids, 0, True)],
                    [pool], 1, corpus_payload, cases, claim_filter, None)
 
 
-def _report(started: float, chosen: tuple, rows: list, pools: list,
-            workers: int, corpus_payload: dict, cases: dict,
-            claim_filter: str | None, budget: int | None) -> AuditReport:
+def _report(chosen: tuple, rows: list, pools: list, workers: int,
+            corpus_payload: dict, cases: dict, claim_filter: str | None,
+            budget: int | None) -> AuditReport:
     """Evaluate ``chosen`` over the space cases ``rows``, the set
     ``pools`` and the recorded data, and build the report."""
     idents = {c.ident for c in chosen}
@@ -306,8 +282,8 @@ def _report(started: float, chosen: tuple, rows: list, pools: list,
     space = {c.ident for c in chosen if c.scope == "space"}
     if space and rows:
         for part in _eval_schedule(rows, space, workers):
-            for ident, packed in part.items():
-                tallies[ident].merge(packed)
+            for ident, tally in part.items():
+                tallies[ident].merge(tally)
     if any(c.scope == "pool" for c in chosen):
         for order, pool in enumerate(pools):
             label = (f"pool-{len(pool.universe)}x{len(pool.parameters)}"
@@ -353,7 +329,7 @@ def _report(started: float, chosen: tuple, rows: list, pools: list,
                                                 a["detail"])),
         "summary": {"claims": len(chosen), **counts},
     }
-    return AuditReport(payload=payload, elapsed=time.monotonic() - started)
+    return AuditReport(payload=payload)
 
 
 def search_counterexample(

@@ -135,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None, metavar="N",
                    help="cap on enumerated cases scanned")
     p.add_argument("--workers", type=int, default=1, metavar="N",
-                   help="forked workers that split every scheduled case")
+                   help="worker processes that split every scheduled case")
     common(p)
 
     return parser

@@ -1,5 +1,6 @@
 import functools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -96,13 +97,26 @@ def shape_pool():
 
 
 @pytest.fixture(scope="session")
-def full_audit():
-    """One unbudgeted audit shared by the acceptance tests.
+def timed_full_audit():
+    """One unbudgeted audit shared by the acceptance tests, and its wall
+    time in seconds.
 
     Runs the whole enumerated corpus plus the random and named cases,
     so statuses here are the definitive ones.
     """
-    return run_audit(workers=2)
+    started = time.monotonic()
+    report = run_audit(workers=2)
+    return report, time.monotonic() - started
+
+
+@pytest.fixture(scope="session")
+def full_audit(timed_full_audit):
+    return timed_full_audit[0]
+
+
+@pytest.fixture(scope="session")
+def full_audit_seconds(timed_full_audit):
+    return timed_full_audit[1]
 
 
 # grades off the usual lattices: 1/3 and 3/4 are in none of them, and

@@ -1,10 +1,12 @@
 import ast
 import inspect
 import json
+import multiprocessing
 
 import pytest
 
 from fstopo import auditor
+from fstopo.algebra import GradeLattice, Universe
 from fstopo.auditor import (
     STATUS_BUDGET,
     STATUS_COUNTEREXAMPLE,
@@ -21,7 +23,13 @@ from fstopo.claims import (
     SpaceCase,
     evaluate_space_case,
 )
-from fstopo.corpus import CorpusSpec
+from fstopo.corpus import (
+    CorpusSpec,
+    SpaceCorpus,
+    named_spaces,
+    random_space_ids,
+)
+from fstopo.softsets import ParameterSet
 
 
 def small_audit(**kwargs):
@@ -50,6 +58,10 @@ class TestStatuses:
         assert claim_status(claim, 0, truncated=True) == STATUS_PROVED
 
 
+def tally_fields(t):
+    return tuple(getattr(t, name) for name in _Tally.__slots__)
+
+
 class TestTallyMerge:
     def test_merge_is_chunking_independent(self):
         results = [
@@ -68,17 +80,16 @@ class TestTallyMerge:
         for order, label, res in results[1:]:
             right.add(order, label, res)
         merged = _Tally()
-        merged.merge(left.pack())
-        merged.merge(right.pack())
+        merged.merge(left)
+        merged.merge(right)
 
-        assert merged.pack() == whole.pack()
+        assert tally_fields(merged) == tally_fields(whole)
 
     def test_witness_cap_keeps_least_three(self):
         t = _Tally()
         for order in range(9, 0, -1):
             t.add(order, f"case-{order}", (1, 0, [f"w{order}"]))
-        packed = t.pack()
-        assert [w[0] for w in packed[-1]] == [1, 2, 3]
+        assert [w[0] for w in t.witnesses] == [1, 2, 3]
 
 
 class TestRunAudit:
@@ -91,26 +102,30 @@ class TestRunAudit:
     def test_workers_do_not_change_the_payload(self):
         assert small_audit().to_payload() == small_audit(workers=2).to_payload()
 
-    def test_workers_agree_past_the_exhaustive_head(self):
+    def test_workers_agree_past_the_exhaustive_head(self, monkeypatch):
         # the schedule scans its head whole, then probes every enumerated
         # case but each stride case; 600 cases reach both
         assert auditor.EXHAUSTIVE_HEAD < auditor.EXHAUSTIVE_STRIDE < 600
-        serial, parallel = (
-            json.dumps(run_audit(budget=600, random_count=5,
-                                 workers=workers).to_payload()).encode()
-            for workers in (1, 2))
-        assert serial == parallel
+        monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
 
-    def test_workers_fall_back_without_fork(self, monkeypatch, capsys):
-        # one space claim keeps the case schedule, which workers split
-        serial = small_audit(claim_filter="CL.1").to_payload()
-        monkeypatch.setattr("multiprocessing.get_all_start_methods",
-                            lambda: ["spawn"])
-        # the parallel path would fail on calling this
-        monkeypatch.setattr("multiprocessing.get_context", None)
-        assert small_audit(claim_filter="CL.1",
-                           workers=2).to_payload() == serial
-        assert capsys.readouterr().err.count("fork") == 1
+        def payload(workers):
+            return json.dumps(run_audit(budget=600, random_count=5,
+                                        workers=workers).to_payload()).encode()
+
+        serial, default = payload(1), payload(2)
+        # workers that inherit nothing: each is handed its rows by pickle
+        spawn = multiprocessing.get_context("spawn")
+        started = []
+
+        def spawn_pool(n):
+            started.append(n)
+            return spawn.Pool(n)
+
+        monkeypatch.setattr("multiprocessing.Pool", spawn_pool)
+        spawned = payload(2)
+        assert started == [2]
+        assert serial == default == spawned
 
     def test_workers_are_capped_at_the_usable_cpus(self, monkeypatch):
         serial = run_audit(budget=40, random_count=5).to_payload()
@@ -130,17 +145,54 @@ class TestRunAudit:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                return list(map(fn, items))
+            def starmap(self, fn, items):
+                return [fn(*args) for args in items]
 
-        class Context:
-            Pool = InProcessPool
-
-        monkeypatch.setattr("multiprocessing.get_context",
-                            lambda method: Context)
+        monkeypatch.setattr("multiprocessing.Pool", InProcessPool)
         capped = run_audit(budget=40, workers=64, random_count=5)
         assert started == [2]
         assert capped.to_payload() == serial
+
+    def test_schedule_rows(self, monkeypatch):
+        # the named cases, then the enumerated prefix in index order, then
+        # the draws seeded from base_seed + 1; whole scans for every named
+        # case, the head of 96, each 503rd enumerated case and each 47th
+        # draw
+        handed = []
+
+        def record(rows, idents):
+            handed.extend(rows)
+            return {}
+
+        monkeypatch.setattr(auditor, "_eval_enum_chunk", record)
+        run_audit(claim_filter="CL.1", budget=600, random_count=48,
+                  base_seed=7)
+        named = named_spaces()
+        corpus = SpaceCorpus(CorpusSpec.desk())
+        total, drawn = len(corpus.spaces), 9 + 600
+        assert len(named) == 9
+        assert [r[0] for r in handed] == (
+            [ns.label for ns in named]
+            + [corpus.label(i) for i in range(600)]
+            + [f"random-{seed:03d}" for seed in range(8, 56)])
+        assert [r[3] for r in handed] == (
+            list(range(9)) + list(range(16, 616))
+            + list(range(16 + total, 16 + total + 48)))
+        assert [k for k, r in enumerate(handed) if r[4]] == (
+            list(range(9 + 96)) + [9 + 503, drawn, drawn + 47])
+        assert handed[9 + 503][2] == corpus.spaces[503]
+        assert handed[drawn + 47][2] == random_space_ids(
+            55, corpus.spec, corpus.pool)
+
+    def test_scanning_every_space_is_not_truncated(self):
+        spec = CorpusSpec(Universe.of("x"), ParameterSet.of("e1"),
+                          GradeLattice.close([]))
+        total = len(SpaceCorpus(spec).spaces)
+        for budget, truncated in ((None, False), (total, False),
+                                  (total - 1, True)):
+            cases = run_audit(spec, claim_filter="CL.1", budget=budget,
+                              random_count=0).to_payload()["cases"]
+            assert cases["truncated"] is truncated, budget
 
     def test_no_floats_anywhere(self):
         def walk(node):
@@ -224,6 +276,23 @@ class TestRunAudit:
         assert "alarms: none" in text
         assert "summary:" in text
 
+    def test_render_text_aligns_the_columns(self):
+        report = small_audit()
+        lines = report.render_text().splitlines()
+        width = max(map(len, report.claims)) + 2
+        for ident, entry in report.claims.items():
+            line, = [x for x in lines if x.split(" ", 1)[0] == ident]
+            assert line[:width] == ident.ljust(width), ident
+            assert line[width:].startswith(entry["classification"]), ident
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 3)
+    assert auditor._usable_cpus() == 3
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert auditor._usable_cpus() == 1
+
 
 def test_one_site_builds_the_space_cases():
     # every space case of both entry points is a schedule row that the one
@@ -234,6 +303,23 @@ def test_one_site_builds_the_space_cases():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "SpaceCase"]
     assert sites == ["_eval_enum_chunk"]
+
+
+def test_no_module_level_dict_or_list():
+    # a worker is handed everything it reads, so no module global holds
+    # rows, tallies or any other state a worker could depend on
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                  ast.SetComp)
+    bound = []
+    for node in ast.parse(inspect.getsource(auditor)).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value:
+            value = node.value
+            if isinstance(value, containers) or (
+                    isinstance(value, ast.Call)
+                    and isinstance(value.func, ast.Name)
+                    and value.func.id in ("dict", "list", "set")):
+                bound.append(ast.unparse(node))
+    assert bound == []
 
 
 class TestSearch:
