@@ -315,6 +315,12 @@ MUTANTS = (
            "grade = memo[token] = as_grade(token)",
            "grade = memo[token] = Fraction(token)",
            ("tests/test_document.py::test_errors_carry_line_numbers",)),
+    # a repeated parameters or lattice line taken over the first one
+    Mutant("document-header-repeats", DOCUMENT,
+           "            if head in headers:\n",
+           '            if head in headers and head == "universe":\n',
+           ("tests/test_document.py::"
+            "test_each_parse_error_has_its_exact_message",)),
     Mutant("close-seeds-unchecked", ALGEBRA,
            "            g = as_grade(seed)\n",
            "            g = Fraction(seed)\n",
@@ -389,6 +395,22 @@ MUTANTS = (
            "            args.command].set_defaults(format=args.format)\n",
            ("tests/test_cli.py::TestRepeatedCalls::"
             "test_calls_after_other_calls_print_what_a_fresh_call_prints",)),
+    # a cap of 0 refused with the negative ones
+    Mutant("zero-cap-refused", "src/fstopo/cli.py",
+           "args.cap < 0",
+           "args.cap <= 0",
+           ("tests/test_cli.py::TestExitCodes::test_negative_cap_exits_2",)),
+    # the least budget refused with the negative ones
+    Mutant("audit-budget-zero-refused", "src/fstopo/cli.py",
+           "args.budget < 0",
+           "args.budget <= 0",
+           ("tests/test_cli.py::TestAudit::"
+            "test_audit_refuses_options_it_would_ignore",)),
+    # a subspace carrier above the carrier read as a usage error
+    Mutant("subspace-bound-exits-2", "src/fstopo/cli.py",
+           "CarrierBoundError: EXIT_INVALID",
+           "CarrierBoundError: EXIT_USAGE",
+           ("tests/test_cli.py::TestSubspace::test_set_above_carrier_exits_1",)),
     Mutant("negative-cap-accepted", "src/fstopo/cli.py",
            "args.cap is not None and args.cap < 0",
            "args.cap is not None and args.cap < -99",

@@ -45,7 +45,8 @@ LEDGER = ROOT / "mutants" / "equivalent.txt"
 MODULES = ("src/fstopo/engine.py", "src/fstopo/deciders.py",
            "src/fstopo/softsets.py", "src/fstopo/topology.py",
            "src/fstopo/corpus.py", "src/fstopo/claims.py",
-           "src/fstopo/auditor.py")
+           "src/fstopo/auditor.py", "src/fstopo/document.py",
+           "src/fstopo/cli.py")
 # every test file but the slow acceptance run, the demos and the table
 # check, the likeliest to fail first
 FAST_TESTS = ("tests/test_corpus.py", "tests/test_engine.py",

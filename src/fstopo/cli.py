@@ -1,9 +1,12 @@
 """Command line front end.
 
 Seven commands over space documents: validate, closure, interior,
-axioms, connected, subspace, audit.  Exit codes: 0 success (verdicts
-are data, not errors), 1 validation failure, 2 parse or usage error,
-3 cap exceeded, 4 soundness alarm from the claim audit.
+axioms, connected and subspace, which share one argument shape, and
+audit.  Exit codes: 0 success (verdicts are data, not errors), 1 a
+family failing the axioms or a subspace carrier above the carrier, 2
+parse or usage error, 3 cap exceeded, 4 soundness alarm from the claim
+audit.  ``main`` maps each error class a command raises to its exit
+code in one table and prints the error as ``error: MESSAGE``.
 
 Structured output is one JSON document per run with sorted keys, no
 timestamps and no floating point, so fixed inputs give fixed bytes.
@@ -60,10 +63,6 @@ class _UsageError(ValueError):
     pass
 
 
-class _ValidationFailure(ValueError):
-    pass
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The command line parser, built once per process; parsing reads it
@@ -99,33 +98,17 @@ def _build_parser() -> argparse.ArgumentParser:
                        choices=("text", "structured"),
                        help="output format (default text)")
 
-    p = sub.add_parser("validate", help="check the topology axioms")
-    p.add_argument("file")
-    common(p)
-
-    p = sub.add_parser("closure", help="closure of a named set")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-
-    p = sub.add_parser("interior", help="interior of a named set")
-    p.add_argument("file")
-    p.add_argument("name")
-    common(p)
-
-    p = sub.add_parser("axioms", help="separation axiom verdict table")
-    p.add_argument("file")
-    common(p)
-
-    p = sub.add_parser("connected", help="connectedness and clopen scan")
-    p.add_argument("file")
-    common(p)
-
-    p = sub.add_parser("subspace", help="induced subspace document")
-    p.add_argument("file")
-    p.add_argument("name")
-    p.add_argument("out")
-    common(p)
+    for name, help_text, positionals in (
+            ("validate", "check the topology axioms", ("file",)),
+            ("closure", "closure of a named set", ("file", "name")),
+            ("interior", "interior of a named set", ("file", "name")),
+            ("axioms", "separation axiom verdict table", ("file",)),
+            ("connected", "connectedness and clopen scan", ("file",)),
+            ("subspace", "induced subspace document", ("file", "name", "out"))):
+        p = sub.add_parser(name, help=help_text)
+        for positional in positionals:
+            p.add_argument(positional)
+        common(p)
 
     p = sub.add_parser("audit", help="claim audit over the corpus or a file")
     p.add_argument("file", nargs="?", default=None,
@@ -228,8 +211,7 @@ def _emit(args, lattice: GradeLattice | None, results: dict,
 def _load(args, build: bool = True):
     """(document, lattice, space) for ``args.file``: the document read,
     the lattice resolved from ``--lattice`` and checked to hold its
-    grades, and the validated topology, or None when ``build`` is off;
-    a family failing the axioms is a validation failure."""
+    grades, and the validated topology, or None when ``build`` is off."""
     doc = _read_document(args.file)
     grades = doc.occurring_grades()
     lattice = _resolve_lattice(
@@ -238,11 +220,8 @@ def _load(args, build: bool = True):
     _check_lattice_covers(lattice, grades)
     if not build:
         return doc, lattice, None
-    try:
-        space = validate_topology(doc.carrier, [s for _, s in doc.opens])
-    except TopologyValidationError as exc:
-        raise _ValidationFailure(str(exc)) from None
-    return doc, lattice, space
+    return doc, lattice, validate_topology(doc.carrier,
+                                           [s for _, s in doc.opens])
 
 
 def _named_set(doc: SpaceDocument, name: str):
@@ -370,10 +349,7 @@ def cmd_connected(args) -> int:
 def cmd_subspace(args) -> int:
     doc, lattice, space = _load(args)
     g = _named_set(doc, args.name)
-    try:
-        sub = space.subspace(g)
-    except CarrierBoundError as exc:
-        raise _ValidationFailure(str(exc)) from None
+    sub = space.subspace(g)
     out_doc = document_from_topology(
         sub.carrier, sub.opens, lattice_spec=tuple(lattice))
     try:
@@ -447,6 +423,14 @@ COMMANDS = {
 
 
 def main(argv=None) -> int:
+    # each error class a command raises and its exit code
+    error_exits = {
+        DocumentError: EXIT_USAGE,
+        _UsageError: EXIT_USAGE,
+        TopologyValidationError: EXIT_INVALID,
+        CarrierBoundError: EXIT_INVALID,
+        CapExceededError: EXIT_CAP,
+    }
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -456,18 +440,10 @@ def main(argv=None) -> int:
         if args.cap is not None and args.cap < 0:
             raise _UsageError("--cap takes a count of at least 0")
         return COMMANDS[args.command](args)
-    except DocumentError as exc:
+    except tuple(error_exits) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _ValidationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        return next(code for cls, code in error_exits.items()
+                    if isinstance(exc, cls))
 
 
 def entrypoint() -> None:

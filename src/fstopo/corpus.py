@@ -107,7 +107,6 @@ class SetPool:
         # one cell: an id is its grade index
         meet = [[min(a, b) for b in grades] for a in grades]
         join = [[max(a, b) for b in grades] for a in grades]
-        comp = [top - a for a in grades]
         # disjointness and order as bitmask rows: bit j of disj_mask[i] set
         # when meet(i, j) is null, of below[i] when j <= i, of above[i]
         # when i <= j
@@ -116,10 +115,12 @@ class SetPool:
         above = [(1 << radix) - (1 << a) for a in grades]
         width = radix
         for _ in range(self.cells - 1):
-            meet, join, comp, disj, below, above = _lead_cell(
-                radix, width, meet, join, comp, disj, below, above)
+            meet, join, disj, below, above = _lead_cell(
+                radix, width, meet, join, disj, below, above)
             width *= radix
-        self.meet, self.join, self.comp, self.disj_mask = meet, join, comp, disj
+        self.meet, self.join, self.disj_mask = meet, join, disj
+        # complementing every digit d to top - d takes id g to full_id - g
+        self.comp = list(range(self.full_id, -1, -1))
         self.below, self.above = below, above
 
     def leq(self, i: int, j: int) -> bool:
@@ -333,8 +334,7 @@ class Lanes:
                                   row.to_bytes(self.size, "little"))
 
 
-def _lead_cell(radix: int, width: int, meet, join, comp, disj, below,
-               above):
+def _lead_cell(radix: int, width: int, meet, join, disj, below, above):
     """The pool tables over one more leading cell, from the tables over
     the ``width`` sets of the cells after it.
 
@@ -361,7 +361,6 @@ def _lead_cell(radix: int, width: int, meet, join, comp, disj, below,
                 sub_m[min(a, b)] for b in grades))
             new_join[a * width + x] = list(itertools.chain.from_iterable(
                 sub_j[max(a, b)] for b in grades))
-    new_comp = [blocks[radix - 1 - a][c] for a in grades for c in comp]
     # a null leading grade meets every block; any other meets block 0 only
     every_block = sum(1 << (b * width) for b in grades)
     new_disj = [d * every_block for d in disj] + disj * (radix - 1)
@@ -370,7 +369,7 @@ def _lead_cell(radix: int, width: int, meet, join, comp, disj, below,
                  for a in grades for m in below]
     new_above = [m * (every_block >> (a * width) << (a * width))
                  for a in grades for m in above]
-    return new_meet, new_join, new_comp, new_disj, new_below, new_above
+    return new_meet, new_join, new_disj, new_below, new_above
 
 
 @dataclass(frozen=True)

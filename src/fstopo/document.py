@@ -23,6 +23,11 @@ accept fractions, integers and decimal shorthand, and always render
 back as exact fractions.  The carrier block is optional and defaults to
 the all-one set.  Every parse problem is reported with its line number.
 
+The universe, parameters and lattice lines follow one rule: each may
+appear once, needs at least one token and builds its value from them;
+the lattice line is optional, the other two are not.  Blocks must come
+after the universe and parameters lines, and rows only inside blocks.
+
 Each distinct grade token is validated once per parse, by ``as_grade``,
 and its grade is reused wherever the token occurs again; nothing is
 kept from one parse to the next.  A row is filled over the whole
@@ -125,14 +130,21 @@ def _parse_grade(token: str, line_no: int,
 
 
 def parse_document(text: str) -> SpaceDocument:
-    universe: Universe | None = None
-    parameters: ParameterSet | None = None
-    lattice_spec: tuple[Fraction, ...] | None = None
+    memo: dict[str, Fraction] = {}  # grade token -> its validated grade
+
+    def grades(*tokens: str) -> tuple[Fraction, ...]:
+        # line_no is the loop's, so a bad grade names the line it is on
+        return tuple(_parse_grade(t, line_no, memo) for t in tokens)
+
+    # header keyword -> (the noun of its tokens, what builds its value)
+    header_rules = {"universe": ("element", Universe.of),
+                    "parameters": ("name", ParameterSet.of),
+                    "lattice": ("grade", grades)}
+    headers: dict[str, object] = {}  # header keyword -> its built value
     carrier_rows: dict[str, FuzzySet] | None = None
-    blocks: list[tuple[str, str, dict, int]] = []  # kind, name, rows, line
+    blocks: list[tuple[str, str, dict]] = []  # kind, name, rows
     current_rows: dict[str, FuzzySet] | None = None
     taken_names: set[str] = set()
-    memo: dict[str, Fraction] = {}  # grade token -> its validated grade
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -143,7 +155,8 @@ def parse_document(text: str) -> SpaceDocument:
         if indented:
             if current_rows is None:
                 raise DocumentError(line_no, "indented row outside any block")
-            _parse_row(raw, line_no, universe, parameters, current_rows, memo)
+            _parse_row(stripped, line_no, headers["universe"],
+                       headers["parameters"], current_rows, memo)
             continue
 
         current_rows = None
@@ -153,39 +166,25 @@ def parse_document(text: str) -> SpaceDocument:
         head = head.strip()
         rest = rest.strip()
 
-        if head == "universe":
-            if universe is not None:
-                raise DocumentError(line_no, "duplicate universe line")
-            names = rest.split()
-            if not names:
-                raise DocumentError(line_no, "universe needs at least one element")
+        if head in header_rules:
+            noun, build = header_rules[head]
+            if head in headers:
+                raise DocumentError(line_no, f"duplicate {head} line")
+            if not rest:
+                raise DocumentError(
+                    line_no, f"{head} needs at least one {noun}")
             try:
-                universe = Universe.of(*names)
+                headers[head] = build(*rest.split())
+            except DocumentError:
+                raise
             except ValueError as exc:
                 raise DocumentError(line_no, str(exc)) from None
-        elif head == "parameters":
-            if parameters is not None:
-                raise DocumentError(line_no, "duplicate parameters line")
-            names = rest.split()
-            if not names:
-                raise DocumentError(line_no, "parameters needs at least one name")
-            try:
-                parameters = ParameterSet.of(*names)
-            except ValueError as exc:
-                raise DocumentError(line_no, str(exc)) from None
-        elif head == "lattice":
-            if lattice_spec is not None:
-                raise DocumentError(line_no, "duplicate lattice line")
-            tokens = rest.split()
-            if not tokens:
-                raise DocumentError(line_no, "lattice needs at least one grade")
-            lattice_spec = tuple(_parse_grade(t, line_no, memo) for t in tokens)
         elif head == "carrier":
             if rest:
                 raise DocumentError(line_no, "carrier takes no inline value")
             if carrier_rows is not None:
                 raise DocumentError(line_no, "duplicate carrier block")
-            if universe is None or parameters is None:
+            if "universe" not in headers or "parameters" not in headers:
                 raise DocumentError(
                     line_no, "carrier must come after universe and parameters")
             carrier_rows = {}
@@ -204,19 +203,19 @@ def parse_document(text: str) -> SpaceDocument:
             if rest:
                 raise DocumentError(
                     line_no, f"{kind} {name} takes no inline value")
-            if universe is None or parameters is None:
+            if "universe" not in headers or "parameters" not in headers:
                 raise DocumentError(
                     line_no,
                     f"{kind} block must come after universe and parameters")
             taken_names.add(name)
             rows: dict[str, FuzzySet] = {}
-            blocks.append((kind, name, rows, line_no))
+            blocks.append((kind, name, rows))
             current_rows = rows
 
-    if universe is None:
-        raise DocumentError(1, "missing universe line")
-    if parameters is None:
-        raise DocumentError(1, "missing parameters line")
+    for head in ("universe", "parameters"):
+        if head not in headers:
+            raise DocumentError(1, f"missing {head} line")
+    universe, parameters = headers["universe"], headers["parameters"]
 
     if carrier_rows is None:
         carrier = FuzzySoftSet.full(universe, parameters)
@@ -225,7 +224,7 @@ def parse_document(text: str) -> SpaceDocument:
 
     opens = []
     extras = []
-    for kind, name, rows, line_no in blocks:
+    for kind, name, rows in blocks:
         value = FuzzySoftSet.build(universe, parameters, rows)
         if kind == "open":
             opens.append((name, value))
@@ -235,19 +234,15 @@ def parse_document(text: str) -> SpaceDocument:
     return SpaceDocument(
         universe=universe,
         parameters=parameters,
-        lattice_spec=lattice_spec,
+        lattice_spec=headers.get("lattice"),
         carrier=carrier,
         opens=tuple(opens),
         extras=tuple(extras),
     )
 
 
-def _parse_row(raw: str, line_no: int, universe, parameters, rows,
+def _parse_row(stripped: str, line_no: int, universe, parameters, rows,
                memo: dict[str, Fraction]) -> None:
-    if universe is None or parameters is None:
-        raise DocumentError(
-            line_no, "rows must come after universe and parameters")
-    stripped = raw.strip()
     param, sep, rest = stripped.partition(":")
     if not sep:
         raise DocumentError(line_no, "expected 'param: elem=grade ...'")
@@ -275,11 +270,10 @@ def document_from_topology(
     carrier: FuzzySoftSet,
     opens,
     lattice_spec: tuple[Fraction, ...] | None = None,
-    name_prefix: str = "o",
 ) -> SpaceDocument:
-    """Wrap a carrier and open family as a document with generated names."""
-    named = tuple(
-        (f"{name_prefix}{i + 1}", o) for i, o in enumerate(opens))
+    """Wrap a carrier and open family as a document whose opens are named
+    o1, o2, ... in order."""
+    named = tuple((f"o{i + 1}", o) for i, o in enumerate(opens))
     return SpaceDocument(
         universe=carrier.universe,
         parameters=carrier.parameters,

@@ -178,6 +178,9 @@ class TestExitCodes:
                 assert (code, out) == (2, ""), (argv, cap)
                 assert "--cap" in err, (argv, cap)
         assert not out_path.exists()
+        # a cap of 0 is a count like any other, refused by what it caps
+        assert run(capsys, "validate", valid_doc, "--cap", "0")[0] == 0
+        assert run(capsys, "axioms", valid_doc, "--cap", "0")[0] == 3
 
     def test_usage_error_exits_2(self, capsys):
         assert cli.main(["closure"]) == 2
@@ -336,6 +339,7 @@ class TestSubspace:
         code, _, err = run(capsys, "subspace", str(p), "wide",
                            str(tmp_path / "out.fst"))
         assert code == 1
+        assert err == "error: subspace carrier must lie below the carrier\n"
 
 
 class TestAudit:
@@ -402,6 +406,9 @@ class TestAudit:
         assert code == 0
         code, _, _ = run(capsys, "audit", "--budget", "3", "--claim", "CL.1",
                          "--lattice", "auto")
+        assert code == 0
+        # and so is the least budget, which scans no enumerated case
+        code, _, _ = run(capsys, "audit", "--budget", "0", "--claim", "CL.1")
         assert code == 0
 
     def test_document_audit_bytes_are_pinned(self, capsys, tmp_path,

@@ -115,6 +115,60 @@ def test_errors_carry_line_numbers(text, fragment):
     assert fragment in str(err.value)
 
 
+HEAD = "universe: x\nparameters: e1\n"
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (HEAD + "open o\n", "line 3: expected 'keyword:', got 'open o'"),
+        ("universe:\n", "line 1: universe needs at least one element"),
+        ("universe: x\nparameters:\n",
+         "line 2: parameters needs at least one name"),
+        (HEAD + "lattice:\n", "line 3: lattice needs at least one grade"),
+        ("universe: x\nuniverse: y\nparameters: e1\n",
+         "line 2: duplicate universe line"),
+        (HEAD + "parameters: e2\n", "line 3: duplicate parameters line"),
+        (HEAD + "lattice: 0 1\nlattice: 0 1\n",
+         "line 4: duplicate lattice line"),
+        ("universe: x x\n", "line 1: duplicate universe elements"),
+        ("universe: x\nparameters: e1 e1\n",
+         "line 2: duplicate parameter names"),
+        (HEAD + "lattice: 0 1/0\n",
+         "line 3: bad grade '1/0': zero denominator in grade '1/0'"),
+        (HEAD + "carrier: 1\n", "line 3: carrier takes no inline value"),
+        (HEAD + "carrier:\ncarrier:\n", "line 4: duplicate carrier block"),
+        ("universe: x\ncarrier:\n",
+         "line 2: carrier must come after universe and parameters"),
+        (HEAD + "open :\n", "line 3: open block needs a name"),
+        (HEAD + "open carrier:\n", "line 3: 'carrier' is a reserved name"),
+        (HEAD + "open a:\nopen a:\n", "line 4: duplicate block name 'a'"),
+        (HEAD + "set g: 1\n", "line 3: set g takes no inline value"),
+        ("universe: x\nset g:\n",
+         "line 2: set block must come after universe and parameters"),
+        (HEAD + "whatever: 1\n", "line 3: unknown keyword 'whatever'"),
+        ("parameters: e1\n", "line 1: missing universe line"),
+        ("universe: x\n", "line 1: missing parameters line"),
+        (HEAD + "  e1: x=1\n", "line 3: indented row outside any block"),
+        (HEAD + "open o:\n  e1 x=1\n",
+         "line 4: expected 'param: elem=grade ...'"),
+        (HEAD + "open o:\n  e9: x=1\n", "line 4: unknown parameter 'e9'"),
+        (HEAD + "open o:\n  e1: x=1\n  e1: x=0\n",
+         "line 5: duplicate row for parameter 'e1'"),
+        (HEAD + "open o:\n  e1: x\n", "line 4: expected 'elem=grade', got 'x'"),
+        (HEAD + "open o:\n  e1: z=1\n", "line 4: unknown element 'z'"),
+        (HEAD + "open o:\n  e1: x=1 x=0\n", "line 4: duplicate element 'x'"),
+        (HEAD + "open o:\n  e1: x=3/2\n",
+         "line 4: bad grade '3/2': grade out of range [0, 1]: '3/2'"),
+    ],
+)
+def test_each_parse_error_has_its_exact_message(text, message):
+    # every refusal the parser can make, word for word
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert str(err.value) == message
+
+
 def test_document_from_topology_round_trips():
     doc = parse_document(SAMPLE)
     space = validate_topology(doc.carrier, [s for _, s in doc.opens])
